@@ -18,8 +18,7 @@ from .oracles import (DalembertField, KGSpectralField, OracleSampler,
 from .profiles import Profile, ProfileError
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sliceio import SliceIOError, slice_dump, slice_load
-from .solver import (HistorySampler, SliceHistory, SolverError, evolve,
-                     sample_along_curve, sample_on_hyperboloid)
+from .solver import HistorySampler, SliceHistory, SolverError, evolve
 
 __all__ = [
     "__version__",
@@ -32,6 +31,5 @@ __all__ = [
     "dalembert_radial", "kg_spectral", "duhamel_radial",
     "free_wave_radiation",
     "SolverError", "SliceHistory", "HistorySampler", "evolve",
-    "sample_on_hyperboloid", "sample_along_curve",
     "SliceIOError", "slice_dump", "slice_load",
 ]

@@ -3,8 +3,7 @@
 Subcommands: simulate, energies, inequalities, kg-lab, radiation,
 rigidity, all.  Every run writes a manifest (scenario echo, grid,
 wall-clock, sha256 of each artifact); outputs are deterministic given
-the manifest -- --threads is recorded but never changes a number, and
-randomized sweeps draw from the explicit --seed.
+the manifest -- randomized sweeps draw from the explicit --seed.
 
 Reports are CSV/JSON; every monitor series is additionally emitted as a
 two-column plot-data file.
@@ -25,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from . import inequalities as iq
-from .energies import (build_sample, energy_e0c, energy_e0gc, energy_e1,
-                       energy_f1, high_order_energies, hyperboloid_nodes)
+from .energies import (energy_e0c, energy_e0gc, energy_e1, energy_f1,
+                       high_order_energies, hyperboloid_nodes,
+                       hyperboloid_samples, last_covered_s)
 from .geometry import HyperbolaCurve
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
@@ -52,7 +52,8 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            w.writerow([repr(float(x)) if isinstance(x, (float, np.floating))
+                        else x for x in row])
 
 
 def _to_jsonable(obj):
@@ -77,7 +78,7 @@ def _write_series(path, x, y):
     """Two-column plot-data file."""
     with open(path, "w") as fh:
         for xi, yi in zip(np.asarray(x).ravel(), np.asarray(y).ravel()):
-            fh.write(f"{xi!r} {yi!r}\n")
+            fh.write(f"{float(xi)!r} {float(yi)!r}\n")
 
 
 def _sha256(path):
@@ -85,17 +86,15 @@ def _sha256(path):
 
 
 # -- shared grids ---------------------------------------------------------------
+#
+# Every point a stage samples lies at or before the run's last stored time:
+# the hyperboloids end at last_covered_s, the null rays and the
+# characteristic hyperbolas at t_last.
 
 
-def _time_cap(scn):
-    dt = scn.cfl * scn.dr
-    return scn.t_end - max(0.1, 20.0 * dt)
-
-
-def _s_grid(scn, n=25):
-    """Hyperboloid parameters fully covered by the run, endpoint-safe."""
-    s_max = np.sqrt(2.0 * _time_cap(scn) - 1.0)
-    return np.linspace(2.0, s_max, n)
+def _s_grid(history, n=25):
+    """Hyperboloid parameters whose sample nodes the run covers."""
+    return np.linspace(2.0, last_covered_s(history), n)
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -109,12 +108,10 @@ def _stage_simulate(scn, out):
 
 def _stage_energies(scn, out, history):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(scn)
+    s_grid = _s_grid(history)
     rows = []
     e1_series = []
-    for s in s_grid:
-        rn = hyperboloid_nodes(s, scn.dr)
-        sample = build_sample(sampler, s, rn)
+    for s, sample in zip(s_grid, hyperboloid_samples(sampler, s_grid, scn.dr)):
         e0_u = energy_e0c(sample, 0.0, "u")
         e0c_v = energy_e0c(sample, scn.c, "v")
         e1_u, parts = energy_e1(sample, "u")
@@ -132,7 +129,7 @@ def _stage_energies(scn, out, history):
     tables = {}
     for s in (s_grid[0], s_grid[len(s_grid) // 2], s_grid[-1]):
         rn = hyperboloid_nodes(s, scn.dr)
-        tables[f"{s!r}"] = {
+        tables[repr(float(s))] = {
             "u": high_order_energies(sampler, s, rn, 0.0, "u"),
             "v": high_order_energies(sampler, s, rn, scn.c, "v"),
         }
@@ -153,24 +150,26 @@ def _stage_energies(scn, out, history):
 
 def _stage_inequalities(scn, out, history, rng):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(scn)
+    s_grid = _s_grid(history)
+    samples = hyperboloid_samples(sampler, s_grid, scn.dr)
     report = {}
-    conf = iq.check_conformal_estimate(sampler, scn, s_grid)
+    conf = iq.check_conformal_estimate(samples, scn)
     report["conformal"] = {k: conf[k] for k in
                            ("s", "lhs", "rhs", "slack", "constant", "c_min")}
-    std_u = iq.check_standard_estimate(sampler, scn, s_grid, which="u")
-    std_v = iq.check_standard_estimate(sampler, scn, s_grid, which="v")
+    std_u = iq.check_standard_estimate(samples, scn, which="u")
+    std_v = iq.check_standard_estimate(samples, scn, which="v")
     report["standard_u"] = {k: std_u[k] for k in ("s", "lhs", "rhs", "slack")}
     report["standard_v"] = {k: std_v[k] for k in
                             ("s", "lhs", "rhs", "slack", "kappa", "gc_ratio")}
-    mons = iq.decay_monitors(sampler, scn, s_grid)
+    mons = iq.decay_monitors(samples)
     files = []
     report["monitors"] = {}
     for name, m in mons.items():
         report["monitors"][name] = {"slope": m.slope, "confidence": m.confidence}
         _write_series(out / f"monitor_{name}.dat", m.grid, m.values)
         files.append(f"monitor_{name}.dat")
-    boot = iq.bootstrap_monitor(sampler, scn, _s_grid(scn, n=6), delta=scn.delta)
+    boot = iq.bootstrap_monitor(sampler, scn, _s_grid(history, n=6),
+                                delta=scn.delta)
     report["bootstrap"] = boot
     _write_series(out / "bootstrap.dat", boot["s"], boot["value"])
     files.append("bootstrap.dat")
@@ -198,7 +197,7 @@ def _stage_inequalities(scn, out, history, rng):
 
 def _stage_kg_lab(scn, out, history, rng):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(scn)
+    s_grid = _s_grid(history)
     # oscillator sweep: random bounded coefficients, explicit seed
     worst = {"c_quadratic": 0.0, "c_printed": 0.0, "diag_residual": 0.0,
              "slack_quadratic": np.inf}
@@ -242,9 +241,8 @@ def _stage_kg_lab(scn, out, history, rng):
     return ["kg_lab.json", "reduction_residual.dat", "sharp_decay.dat"]
 
 
-def _null_radii(scn, mu):
-    r_hi = _time_cap(scn) - 2.0 - mu
-    r_hi = min(r_hi, scn.t_end - 1.0 + 15.0 * scn.dr)  # stored radius cap
+def _null_radii(history, mu):
+    r_hi = history.t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
     # three nodes: higher-degree extrapolation amplifies the sampler's
     # interpolation noise faster than it removes the 1/r tail
     return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
@@ -254,7 +252,7 @@ def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
     rows = []
     for mu in np.linspace(-1.0, 1.0, 9):
-        est = radiation_null(sampler, mu, _null_radii(scn, mu))
+        est = radiation_null(sampler, mu, _null_radii(history, mu))
         rows.append((est.mu, "", *est.omega, est.value, est.error_bar,
                      est.method, est.flagged))
     transport = {}
@@ -267,7 +265,7 @@ def _stage_radiation(scn, out, history):
             rows.append((mu, c0, *curve.omega, 0.0, 0.0,
                          "hyperbola-outside-cone", False))
             continue
-        tau_max = _time_cap(scn)
+        tau_max = history.t_last
         est = radiation_hyperbola(sampler, scn, curve, tau_max)
         rows.append((est.mu, c0, *est.omega, est.value, est.error_bar,
                      est.method, est.flagged))
@@ -277,8 +275,9 @@ def _stage_radiation(scn, out, history):
     _write_csv(out / "radiation.csv",
                ["mu", "c0", "omega_x", "omega_y", "omega_z",
                 "value", "error_bar", "method", "flagged"], rows)
-    decay = excessive_decay_check(sampler, scn, _s_grid(scn),
-                                  eta=scn.eta, delta=scn.delta)
+    decay = excessive_decay_check(
+        hyperboloid_samples(sampler, _s_grid(history), scn.dr),
+        eta=scn.eta, delta=scn.delta)
     report = {
         "transport_residuals": transport,
         "excessive_decay": {k: decay[k] for k in
@@ -299,11 +298,12 @@ def _stage_rigidity(scn, out, history):
                       "scn": scn.free()},
         "coupled": {"sampler": HistorySampler(history), "scn": scn},
     }
-    s_grid = _s_grid(scn, n=9)
+    s_grid = _s_grid(history, n=9)
     mu_grid = np.linspace(-1.0, 1.0, 9)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
+    # one set of radii serves the whole fan: the latest ray ends at t_last
     report = rigidity_experiment(runs, s_grid, mu_grid,
-                                 _null_radii(scn, 0.0), floor)
+                                 _null_radii(history, mu_grid[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]
 
@@ -328,7 +328,7 @@ grid.t_end = 52.0
 """
 
 
-def run_pipeline(subcommand, scn, out, threads=1, seed=0):
+def run_pipeline(subcommand, scn, out, seed=0):
     """Execute one stage chain; returns the manifest dict."""
     if subcommand not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -359,7 +359,6 @@ def run_pipeline(subcommand, scn, out, threads=1, seed=0):
         "scenario": serialize_scenario(scn),
         "grid": {"dr": scn.dr, "r_max": scn.r_max, "t_end": scn.t_end,
                  "cfl": scn.cfl},
-        "threads": threads,
         "seed": seed,
         "wall_clock_s": time.time() - start,
         "artifacts": {name: _sha256(out / name) for name in artifacts},
@@ -376,8 +375,6 @@ def main(argv=None):
     parser.add_argument("--scenario", type=Path, default=None,
                         help="scenario file (defaults to the reference scenario)")
     parser.add_argument("--out", type=Path, default=Path("wavekg-out"))
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (speed only, never results)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized sweeps")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -391,8 +388,7 @@ def main(argv=None):
         else:
             text = _DEFAULT_SCENARIO
         scn = parse_scenario(text)
-        run_pipeline(args.subcommand, scn, args.out,
-                     threads=args.threads, seed=args.seed)
+        run_pipeline(args.subcommand, scn, args.out, seed=args.seed)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary
         payload = {"status": "error", "subcommand": args.subcommand,
                    "type": type(exc).__name__, "message": str(exc)}

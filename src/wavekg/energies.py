@@ -25,7 +25,9 @@ from scipy.integrate import cumulative_trapezoid, simpson
 __all__ = [
     "EnergyError",
     "hyperboloid_nodes",
+    "last_covered_s",
     "build_sample",
+    "hyperboloid_samples",
     "radial_integral",
     "energy_e0c",
     "energy_e0",
@@ -45,14 +47,29 @@ class EnergyError(RuntimeError):
     pass
 
 
-def hyperboloid_nodes(s, dr, margin=10):
+_NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
+
+
+def hyperboloid_nodes(s, dr):
     """Uniform quadrature radii covering the support cone on H_s.
 
     Data supported in the unit ball stay inside r <= t - 1, which on H_s
     means r <= (s^2 - 1)/2; a few extra spacings of margin are added.
     """
-    r_sup = 0.5 * (s**2 - 1.0) + margin * dr
+    r_sup = 0.5 * (s**2 - 1.0) + _NODE_MARGIN * dr
     return dr * np.arange(int(np.ceil(r_sup / dr)) + 1)
+
+
+def last_covered_s(history):
+    """Largest s whose hyperboloid_nodes all lie at times <= history.t_last.
+
+    The outermost node sits at most (margin + 1) spacings past the cone
+    radius (s^2 - 1)/2, where H_s has t = (s^2 + 1)/2; along H_s the time
+    grows more slowly than the radius, so those nodes have
+    t < (s^2 + 1)/2 + (margin + 1) dr.
+    """
+    dr = history.scenario.dr
+    return float(np.sqrt(2.0 * (history.t_last - (_NODE_MARGIN + 1) * dr) - 1.0))
 
 
 def build_sample(sampler, s, r_nodes):
@@ -65,6 +82,12 @@ def build_sample(sampler, s, r_nodes):
         "u": j["u"][(0, 0)], "ut": j["u"][(1, 0)], "ur": j["u"][(0, 1)],
         "v": j["v"][(0, 0)], "vt": j["v"][(1, 0)], "vr": j["v"][(0, 1)],
     }
+
+
+def hyperboloid_samples(sampler, s_grid, dr):
+    """build_sample on hyperboloid_nodes for each s: one foliation, sampled
+    once and handed to every checker that reads it."""
+    return [build_sample(sampler, s, hyperboloid_nodes(s, dr)) for s in s_grid]
 
 
 def radial_integral(y, r):

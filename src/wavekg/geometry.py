@@ -32,7 +32,6 @@ __all__ = [
     "frame_pair",
     "radial_frame",
     "hyperbola_through",
-    "curve_position",
     "asymptote_gap",
     "entry_point",
     "friction_P",
@@ -180,14 +179,6 @@ def hyperbola_through(t, r, omega=_EX):
     if t <= r:
         raise GeometryError(f"point (t={t}, r={r}) is not inside the light cone t > r")
     return HyperbolaCurve(c0=(t - r) * (t + r) / r, omega=tuple(omega))
-
-
-def curve_position(curve, tau):
-    """Radius r(tau) along a HyperbolaCurve."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise GeometryError("curve parameter tau must be positive")
-    return curve.radius(tau)
 
 
 def asymptote_gap(curve, tau):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energies import (build_sample, energy_e0c, energy_e0gc, energy_e1,
+from .energies import (energy_e0c, energy_e0gc, energy_e1,
                        high_order_energies, hyperboloid_nodes, radial_integral,
                        word_l2_norms)
 
@@ -120,20 +120,23 @@ def _source_norm_u(sample, scn, weight=None):
     return float(np.sqrt(radial_integral(w * src**2, sample["r"])))
 
 
-def check_conformal_estimate(sampler, scn, s_grid, constant=C_CONFORMAL):
+def _s_of(samples):
+    return np.array([sample["s"] for sample in samples])
+
+
+def check_conformal_estimate(samples, scn, constant=C_CONFORMAL):
     """Conformal energy growth against the weighted source integral.
 
-    LHS = E1(s, u)^(1/2); RHS = E1(s0, u)^(1/2)
-    + constant * int s'^(1/2) ||(s'/t)^(1/2) Box u|| ds'.
+    samples are hyperboloid samples on an increasing s grid (see
+    energies.hyperboloid_samples).  LHS = E1(s, u)^(1/2); RHS =
+    E1(s0, u)^(1/2) + constant * int s'^(1/2) ||(s'/t)^(1/2) Box u|| ds'.
     Returns the slack series and the minimal constant making the bound
     hold on the run.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _s_of(samples)
     lhs = np.zeros_like(s_grid)
     src = np.zeros_like(s_grid)
-    for i, s in enumerate(s_grid):
-        rn = hyperboloid_nodes(s, scn.dr)
-        sample = build_sample(sampler, s, rn)
+    for i, (s, sample) in enumerate(zip(s_grid, samples)):
         lhs[i] = np.sqrt(max(energy_e1(sample, "u")[0], 0.0))
         src[i] = np.sqrt(s) * _source_norm_u(sample, scn, weight=s / sample["t"])
     integral = cumulative_trapezoid(src, x=s_grid, initial=0.0)
@@ -150,21 +153,20 @@ def check_conformal_estimate(sampler, scn, s_grid, constant=C_CONFORMAL):
     }
 
 
-def check_standard_estimate(sampler, scn, s_grid, which="u", kappa=2.0):
-    """Standard energy estimate for the wave or Klein-Gordon component.
+def check_standard_estimate(samples, scn, which="u", kappa=2.0):
+    """Standard energy estimate for the wave or Klein-Gordon component,
+    on hyperboloid samples over an increasing s grid.
 
     u: E0(s)^(1/2) <= E0(s0)^(1/2) + int ||Box u|| ds'.
     v: E0c(s)^(1/2) <= kappa^2 E0c(s0)^(1/2) + kappa^2 int M(s') ds'
        with M the curved-metric modulation built from the run (the
        equation has no external source, f = 0).
     """
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _s_of(samples)
     lhs = np.zeros_like(s_grid)
     extra = np.zeros_like(s_grid)
     ratios_gc = np.zeros_like(s_grid)
-    for i, s in enumerate(s_grid):
-        rn = hyperboloid_nodes(s, scn.dr)
-        sample = build_sample(sampler, s, rn)
+    for i, (s, sample) in enumerate(zip(s_grid, samples)):
         if which == "u":
             lhs[i] = np.sqrt(max(energy_e0c(sample, 0.0, "u"), 0.0))
             extra[i] = _source_norm_u(sample, scn)
@@ -196,19 +198,18 @@ def check_standard_estimate(sampler, scn, s_grid, which="u", kappa=2.0):
 # -- decay and bootstrap monitors ---------------------------------------------
 
 
-def decay_monitors(sampler, scn, s_grid, s_min=5.0):
-    """Weighted sup monitors over H_s matching the pointwise decay list.
+def decay_monitors(samples, s_min=5.0):
+    """Weighted sup monitors over the sampled H_s matching the pointwise
+    decay list.
 
     Series: t|u| (wave interior rate t^-1), t^(3/2)|v| (Klein-Gordon
     rate), s^(3/2)(t/s)^(1/2)|d_t v| (derivative rate), t|d u| for the
     wave derivatives.  All slopes should be about 0 when the rates hold.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _s_of(samples)
     series = {name: np.zeros_like(s_grid)
               for name in ("t_u", "t32_v", "s32_dv", "t_du")}
-    for i, s in enumerate(s_grid):
-        rn = hyperboloid_nodes(s, scn.dr)
-        sample = build_sample(sampler, s, rn)
+    for i, (s, sample) in enumerate(zip(s_grid, samples)):
         t = sample["t"]
         series["t_u"][i] = np.max(t * np.abs(sample["u"]))
         series["t32_v"][i] = np.max(t**1.5 * np.abs(sample["v"]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import build_sample, energy_e0c, hyperboloid_nodes
+from .energies import energy_e0c, hyperboloid_samples
 from .geometry import entry_point, friction_P, friction_integral
 
 __all__ = [
@@ -192,10 +192,10 @@ def _loglog_slope(x, y, floor=1e-300):
     return float(slope)
 
 
-def excessive_decay_check(sampler, scn, s_grid, eta=0.6, delta=0.05, sigma=None):
+def excessive_decay_check(samples, eta=0.6, delta=0.05, sigma=None):
     """Exterior-band decay rates of d_t u and the weighted energy series.
 
-    On each H_s, over the band r >= eta * t, measures
+    On each sampled H_s, over the band r >= eta * t, measures
     sup |d_t u| t^(1/2+delta) s   (the hypothesis weight) and
     sup |d_t u| t^(2-delta)       (the excessive-decay weight),
     plus s^(2 sigma) E0(s, u) for sigma < delta.  Returns the series and
@@ -204,13 +204,11 @@ def excessive_decay_check(sampler, scn, s_grid, eta=0.6, delta=0.05, sigma=None)
     """
     if sigma is None:
         sigma = 0.5 * delta
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = np.array([sample["s"] for sample in samples])
     m_hyp = np.zeros_like(s_grid)
     m_exc = np.zeros_like(s_grid)
     e0 = np.zeros_like(s_grid)
-    for i, s in enumerate(s_grid):
-        rn = hyperboloid_nodes(s, scn.dr)
-        sample = build_sample(sampler, s, rn)
+    for i, (s, sample) in enumerate(zip(s_grid, samples)):
         t = sample["t"]
         band = sample["r"] >= eta * t
         ut = np.abs(sample["ut"])
@@ -250,16 +248,12 @@ def rigidity_experiment(runs, s_grid, mu_grid, r_sequence, floor):
     verdict asserts that a radiation norm below the floor occurs only
     when sqrt of the initial energy is below the floor as well.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
     report = {}
     consistent = True
     for label, run in runs.items():
         sampler, scn = run["sampler"], run["scn"]
-        e0 = []
-        for s in s_grid:
-            rn = hyperboloid_nodes(s, scn.dr)
-            e0.append(energy_e0c(build_sample(sampler, s, rn), 0.0, "u"))
-        e0 = np.array(e0)
+        e0 = np.array([energy_e0c(sample, 0.0, "u") for sample in
+                       hyperboloid_samples(sampler, s_grid, scn.dr)])
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
         if not quiet_data:

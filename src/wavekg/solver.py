@@ -30,10 +30,7 @@ __all__ = [
     "FieldState",
     "SliceHistory",
     "initial_state",
-    "rhs",
     "evolve",
-    "sample_on_hyperboloid",
-    "sample_along_curve",
     "HistorySampler",
 ]
 
@@ -87,11 +84,6 @@ class SliceHistory:
     def times(self):
         return self.t0 + self.dt * np.arange(self.n_slices)
 
-    def state(self, index):
-        return FieldState(t=self.t0 + index * self.dt, r=self.r,
-                          u=self.u[index], ut=self.ut[index],
-                          v=self.v[index], vt=self.vt[index])
-
 
 # -- spatial operators --------------------------------------------------------
 
@@ -138,19 +130,17 @@ def _rhs_arrays(u, ut, v, vt, r, dr, scn):
     return ut, dut, vt, dvt
 
 
-def rhs(state, scn):
-    """Time derivative of a FieldState under the coupled system."""
-    du, dut, dv, dvt = _rhs_arrays(state.u, state.ut, state.v, state.vt,
-                                   state.r, scn.dr, scn)
-    return FieldState(t=state.t, r=state.r, u=du, ut=dut, v=dv, vt=dvt)
+def _time_steps(scn):
+    """Number and size of the RK4 steps from t = 2 to t_end."""
+    n_steps = max(1, int(np.ceil((scn.t_end - 2.0) / (scn.cfl * scn.dr))))
+    return n_steps, (scn.t_end - 2.0) / n_steps
 
 
 def evolve(scn, store_margin=20):
     """Run the scenario to t_end, returning the full SliceHistory."""
     state = initial_state(scn)
     r, dr = state.r, scn.dr
-    n_steps = max(1, int(np.ceil((scn.t_end - 2.0) / (scn.cfl * dr))))
-    dt = (scn.t_end - 2.0) / n_steps
+    n_steps, dt = _time_steps(scn)
 
     r_cap = min(scn.r_max, scn.t_end - 1.0 + store_margin * dr)
     n_store = int(round(r_cap / dr)) + 1
@@ -188,8 +178,8 @@ def evolve(scn, store_margin=20):
 
 # -- interpolation machinery --------------------------------------------------
 #
-# Both samplers gather, for each query point, a window of 8 radial nodes
-# around the point on a few bracketing time slices.  Negative window
+# The sampler gathers, for each query point, a window of 8 radial nodes
+# around the point on 4 bracketing time slices.  Negative window
 # indices are mapped through the axis mirror (all four base fields are
 # even in r); indices beyond the stored range are clamped to zero (the
 # fields vanish outside the support cone).  Working with signed node
@@ -198,23 +188,23 @@ def evolve(scn, store_margin=20):
 
 _WINDOW = 8
 _CENTER = slice(2, 6)  # the 4 interpolation nodes inside the window
+_SLICES = 4
 
 
-def _gather(history, ts, rs, n_slices):
+def _gather(history, ts, rs):
     ts = np.asarray(ts, dtype=float).ravel()
     rs = np.asarray(rs, dtype=float).ravel()
     nt, nr = history.u.shape
     dt, dr = history.dt, history.scenario.dr
-    if nt < n_slices:
+    if nt < _SLICES:
         raise SolverError("history too short for interpolation")
     tmin, tmax = history.t0, history.t_last
     if np.any(ts < tmin - 1e-9 * dt) or np.any(ts > tmax + 1e-9 * dt):
         raise SolverError(
             f"requested times [{ts.min():.4f}, {ts.max():.4f}] outside stored "
             f"range [{tmin:.4f}, {tmax:.4f}]")
-    offset = 0 if n_slices == 2 else 1
-    j0 = np.clip(np.floor((ts - tmin) / dt).astype(int) - offset, 0, nt - n_slices)
-    idx_t = j0[:, None] + np.arange(n_slices)
+    j0 = np.clip(np.floor((ts - tmin) / dt).astype(int) - 1, 0, nt - _SLICES)
+    idx_t = j0[:, None] + np.arange(_SLICES)
 
     i0 = np.floor(rs / dr).astype(int) - 3
     idx_r = i0[:, None] + np.arange(_WINDOW)
@@ -346,7 +336,7 @@ class HistorySampler:
     def jets(self, ts, rs, order=3):
         if order > 3:
             raise ValueError("jets available up to total order 3")
-        fields, r_nodes, t_nodes, ts, rs = _gather(self.history, ts, rs, 4)
+        fields, r_nodes, t_nodes, ts, rs = _gather(self.history, ts, rs)
         derived = _slice_derived(fields, r_nodes, self.history.scenario, order)
         wt = _lagrange_weights(t_nodes, ts)  # (P, 4)
         rc = r_nodes[:, _CENTER]
@@ -357,59 +347,3 @@ class HistorySampler:
             out[f][(a, b)] = np.einsum("pn,pn->p", wr, in_t)
         return out
 
-
-def _hermite_sample(history, ts, rs):
-    """Fields and first derivatives by cubic Hermite in t, Lagrange-4 in r."""
-    fields, r_nodes, t_nodes, ts, rs = _gather(history, ts, rs, 2)
-    scn = history.scenario
-    derived = _slice_derived(fields, r_nodes, scn, order=2)
-
-    dt = history.dt
-    theta = ((ts - t_nodes[:, 0]) / dt)[:, None]
-    h00 = 1.0 - 3.0 * theta**2 + 2.0 * theta**3
-    h10 = dt * theta * (1.0 - theta) ** 2
-    h01 = 3.0 * theta**2 - 2.0 * theta**3
-    h11 = dt * theta**2 * (theta - 1.0)
-
-    pairs = {
-        "u": (("u", 0, 0), ("u", 1, 0)),
-        "v": (("v", 0, 0), ("v", 1, 0)),
-        "ut": (("u", 1, 0), ("u", 2, 0)),
-        "vt": (("v", 1, 0), ("v", 2, 0)),
-        "ur": (("u", 0, 1), ("u", 1, 1)),
-        "vr": (("v", 0, 1), ("v", 1, 1)),
-    }
-    rc = r_nodes[:, _CENTER]
-    wr = _lagrange_weights(rc, rs)
-    out = {}
-    for name, (val_key, dot_key) in pairs.items():
-        w = derived[val_key]
-        wd = derived[dot_key]
-        nodal = (h00 * w[:, 0, :] + h10 * wd[:, 0, :]
-                 + h01 * w[:, 1, :] + h11 * wd[:, 1, :])
-        out[name] = np.einsum("pn,pn->p", wr, nodal)
-    return out
-
-
-def sample_on_hyperboloid(history, s, r_nodes):
-    """Fields and first derivatives on H_s at the given radii.
-
-    Cubic Hermite interpolation in time from stored (value, time
-    derivative) pairs; spatial derivatives by centered stencils before
-    interpolation.  Returns a dict with u, ut, ur, v, vt, vr plus the
-    coordinate arrays.
-    """
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    ts = np.hypot(float(s), r_nodes)
-    out = _hermite_sample(history, ts, r_nodes)
-    out.update(s=float(s), r=r_nodes, t=ts)
-    return out
-
-
-def sample_along_curve(history, curve, tau_grid):
-    """Fields and first derivatives along the hyperbola at times tau."""
-    tau = np.asarray(tau_grid, dtype=float)
-    rr = curve.radius(tau)
-    out = _hermite_sample(history, tau, rr)
-    out.update(t=tau, r=rr, curve=curve)
-    return out

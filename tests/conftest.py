@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wavekg
 from wavekg.oracles import DalembertField, KGSpectralField, OracleSampler
 from wavekg.profiles import Profile
 from wavekg.scenario import Scenario
@@ -99,3 +106,35 @@ def slope_of(x, y):
     y = np.asarray(y, dtype=float)
     m = y > 0
     return np.polyfit(np.log(x[m]), np.log(y[m]), 1)[0]
+
+
+def run_cli_process(argv, threads):
+    """`python -m wavekg.cli argv` in a fresh process whose BLAS/OpenMP
+    pools have the given number of threads; returns the exit code."""
+    env = dict(os.environ)
+    src = str(Path(wavekg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run([sys.executable, "-m", "wavekg.cli", *argv],
+                          env=env, capture_output=True, timeout=600).returncode
+
+
+def differing_outputs(a, b):
+    """Names of the outputs that differ between two run directories: every
+    artifact byte for byte, and the manifests' sha256 tables (a manifest
+    also carries its run's wall-clock time)."""
+    names = sorted(p.name for p in Path(a).iterdir())
+    if names != sorted(p.name for p in Path(b).iterdir()):
+        return ["<file list>"]
+    diff = []
+    for name in names:
+        if name == "manifest.json":
+            ma = json.loads((Path(a) / name).read_text())
+            mb = json.loads((Path(b) / name).read_text())
+            same = ma["artifacts"] == mb["artifacts"]
+        else:
+            same = (Path(a) / name).read_bytes() == (Path(b) / name).read_bytes()
+        if not same:
+            diff.append(name)
+    return diff

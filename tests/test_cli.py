@@ -1,11 +1,20 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavekg import cli
+from wavekg.energies import hyperboloid_nodes, last_covered_s
+from wavekg.geometry import HyperbolaCurve, entry_point
+from wavekg.kg_reduction import ray_points
 from wavekg.scenario import parse_scenario, serialize_scenario
 from wavekg.sliceio import slice_load
+from wavekg.solver import SliceHistory, _time_steps
+
+from conftest import differing_outputs, make_scenario, run_cli_process
 
 TINY = """
 data.eps = 1e-3
@@ -84,23 +93,12 @@ def test_error_json_cleared_on_success(tiny_cfg, tmp_path):
 
 
 def test_full_pipeline_deterministic_across_threads(tiny_cfg, tmp_path):
-    outs = []
-    for label, threads in (("a", 1), ("b", 3)):
-        out = tmp_path / label
-        rc = cli.main(["all", "--scenario", str(tiny_cfg),
-                       "--out", str(out), "--threads", str(threads)])
+    # two processes, one and two BLAS/OpenMP threads
+    for label, threads in (("a", 1), ("b", 2)):
+        rc = run_cli_process(["all", "--scenario", str(tiny_cfg),
+                              "--out", str(tmp_path / label)], threads)
         assert rc == 0
-        outs.append(out)
-    a, b = outs
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        if name == "manifest.json":
-            continue  # carries wall-clock timing
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    assert ma["artifacts"] == mb["artifacts"]  # sha256 of every output
+    assert differing_outputs(tmp_path / "a", tmp_path / "b") == []
 
 
 def test_pipeline_emits_expected_artifacts(tiny_cfg, tmp_path):
@@ -118,6 +116,19 @@ def test_pipeline_emits_expected_artifacts(tiny_cfg, tmp_path):
     kg = json.loads((out / "kg_lab.json").read_text())
     assert kg["oscillator_sweep"]["c_quadratic"] <= 1.0 + 1e-6
     assert kg["oscillator_sweep"]["diag_residual"] < 1e-12
+    # every number is written as a plain float literal
+    for name, text_columns in (("energies.csv", ()),
+                               ("radiation.csv", ("method", "flagged"))):
+        with open(out / name, newline="") as fh:
+            for row in csv.DictReader(fh):
+                for col, cell in row.items():
+                    if col in text_columns or (col == "c0" and cell == ""):
+                        continue  # null-ray rows leave c0 empty
+                    float(cell)
+    for path in out.glob("*.dat"):
+        for line in path.read_text().splitlines():
+            x, y = line.split(" ")
+            float(x), float(y)
 
 
 def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):
@@ -131,3 +142,34 @@ def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):
     ha = json.loads(blobs[0])["hardy"]
     hb = json.loads(blobs[1])["hardy"]
     assert ha != hb
+
+
+@settings(max_examples=200, deadline=None)
+@given(dr=st.floats(0.01, 0.05), t_end=st.floats(10.0, 64.0),
+       cfl=st.floats(1e-9, 0.5))
+def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
+    # the time grid evolve would store, without evolving: only t_last and
+    # the grid spacing decide where the stages may sample
+    scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl)
+    n_steps, dt = _time_steps(scn)
+    empty = np.broadcast_to(np.empty((1, 0)), (n_steps + 1, 0))
+    history = SliceHistory(scenario=scn, t0=2.0, dt=dt, r=np.empty(0),
+                           u=empty, ut=empty, v=empty, vt=empty)
+    t_last = history.t_last
+    queries = []
+    for n in (25, 9, 6):  # energies/inequalities/radiation, rigidity, bootstrap
+        s_grid = cli._s_grid(history, n)
+        assert s_grid[-1] == last_covered_s(history) and np.all(np.diff(s_grid) > 0)
+        queries += [np.hypot(s, hyperboloid_nodes(s, dr)) for s in s_grid]
+        # the kg-lab rays r/t = rho over the same s range
+        for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
+            queries.append(ray_points(rho, s_grid)[0])
+    mu_fan = np.linspace(-1.0, 1.0, 9)
+    for mu in mu_fan:
+        queries.append(cli._null_radii(history, mu) + 2.0 + mu)
+        # the rigidity stage runs the whole fan on the radii of its last ray
+        queries.append(cli._null_radii(history, mu_fan[-1]) + 2.0 + mu)
+    queries = np.concatenate(queries)
+    assert queries.min() >= 2.0 and queries.max() <= t_last
+    # the c0 = 3 hyperbola runs from its entry point to t_last
+    assert 1.5 * entry_point(HyperbolaCurve(3.0)).t < t_last

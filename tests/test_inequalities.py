@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavekg import inequalities as ineq
+from wavekg.energies import hyperboloid_samples
 from wavekg.profiles import Profile
 
 from conftest import ZERO, make_scenario
@@ -69,14 +70,16 @@ class TestConformal:
     def test_free_wave_has_constant_energy(self, oracle_sampler):
         scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
         s_grid = np.linspace(2.0, 10.0, 9)
-        out = ineq.check_conformal_estimate(oracle_sampler, scn, s_grid)
+        out = ineq.check_conformal_estimate(
+            hyperboloid_samples(oracle_sampler, s_grid, scn.dr), scn)
         # no source: the slack only drifts at round-off/quadrature level
         assert np.min(out["slack"]) > -1e-6 * out["lhs"][0]
         assert out["c_min"] == 0.0
 
     def test_slack_positive_on_coupled_sampler(self, small_sampler, small_scn):
         s_grid = np.linspace(2.0, 4.5, 7)
-        out = ineq.check_conformal_estimate(small_sampler, small_scn, s_grid)
+        out = ineq.check_conformal_estimate(
+            hyperboloid_samples(small_sampler, s_grid, small_scn.dr), small_scn)
         assert np.min(out["slack"]) >= -1e-6
         assert out["c_min"] <= out["constant"]
 
@@ -85,21 +88,24 @@ class TestStandard:
     def test_wave_component_free(self, oracle_sampler):
         scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
         s_grid = np.linspace(2.0, 10.0, 9)
-        out = ineq.check_standard_estimate(oracle_sampler, scn, s_grid, "u")
+        out = ineq.check_standard_estimate(
+            hyperboloid_samples(oracle_sampler, s_grid, scn.dr), scn, "u")
         assert np.min(out["slack"]) > -1e-6 * out["lhs"][0]
         assert_allclose(out["integral"], 0.0, atol=1e-300)
 
     def test_kg_component_free(self, oracle_sampler):
         scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
         s_grid = np.linspace(2.0, 8.0, 7)
-        out = ineq.check_standard_estimate(oracle_sampler, scn, s_grid, "v")
+        out = ineq.check_standard_estimate(
+            hyperboloid_samples(oracle_sampler, s_grid, scn.dr), scn, "v")
         # kappa^2 * lhs(s0) alone dominates a conserved energy
         assert np.min(out["slack"]) > 0.0
         assert_allclose(out["gc_ratio"], 1.0, rtol=1e-12)
 
     def test_kg_component_coupled(self, small_sampler, small_scn):
         s_grid = np.linspace(2.0, 4.5, 7)
-        out = ineq.check_standard_estimate(small_sampler, small_scn, s_grid, "v")
+        out = ineq.check_standard_estimate(
+            hyperboloid_samples(small_sampler, s_grid, small_scn.dr), small_scn, "v")
         assert np.min(out["slack"]) > 0.0
         assert np.all(out["gc_ratio"] > 0.25)
         assert np.all(out["gc_ratio"] < 4.0)
@@ -109,7 +115,8 @@ def test_decay_monitors_flat_for_free_fields(oracle_sampler):
     scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
     # s <= 11 keeps every H_s node inside the spectral oracle's domain
     s_grid = np.linspace(2.0, 11.0, 10)
-    mons = ineq.decay_monitors(oracle_sampler, scn, s_grid, s_min=5.0)
+    mons = ineq.decay_monitors(hyperboloid_samples(oracle_sampler, s_grid, scn.dr),
+                               s_min=5.0)
     assert set(mons) == {"t_u", "t32_v", "s32_dv", "t_du"}
     # the sups oscillate around their plateaus at these desk-scale s, so
     # only rule out genuine growth here; the sharp exponent checks run

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavekg import radiation as rad
+from wavekg.energies import hyperboloid_samples
 from wavekg.geometry import HyperbolaCurve
 from wavekg.oracles import DalembertField, OracleSampler, free_wave_radiation
 from wavekg.profiles import Profile
@@ -87,7 +88,8 @@ def test_transport_residual_small_on_oracle(free_sampler, free_scn):
 
 def test_excessive_decay_structure(free_sampler, free_scn):
     s_grid = np.linspace(3.0, 10.0, 8)
-    out = rad.excessive_decay_check(free_sampler, free_scn, s_grid)
+    out = rad.excessive_decay_check(
+        hyperboloid_samples(free_sampler, s_grid, free_scn.dr))
     for key in ("hypothesis", "excessive", "energy", "weighted_energy",
                 "slope_hypothesis", "slope_excessive",
                 "slope_weighted_energy"):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wavekg.energies import build_sample
 from wavekg.oracles import DalembertField, KGSpectralField
 from wavekg.profiles import Profile
-from wavekg.solver import (HistorySampler, SolverError, evolve, initial_state,
-                           sample_along_curve, sample_on_hyperboloid)
+from wavekg.solver import HistorySampler, SolverError, evolve, initial_state
 from wavekg.geometry import HyperbolaCurve
 
 from conftest import make_scenario
@@ -111,7 +111,7 @@ class TestSampling:
         # degrades the time interpolation locally
         s = 3.5
         r = np.linspace(0.0, 3.0, 61)
-        out = sample_on_hyperboloid(free_wave_history, s, r)
+        out = build_sample(HistorySampler(free_wave_history), s, r)
         t = np.hypot(s, r)
         assert_allclose(out["u"], oracle(t, r), atol=2e-6)
         assert_allclose(out["ur"], oracle.jet(t, r, 0, 1), atol=2e-5)
@@ -120,8 +120,9 @@ class TestSampling:
         oracle = wave_oracle_for(free_wave_scn)
         curve = HyperbolaCurve(3.0)
         tau = np.linspace(4.0, 10.0, 25)
-        out = sample_along_curve(free_wave_history, curve, tau)
-        assert_allclose(out["u"], oracle(tau, curve.radius(tau)), atol=1e-6)
+        rr = curve.radius(tau)
+        j = HistorySampler(free_wave_history).jets(tau, rr, order=1)
+        assert_allclose(j["u"][(0, 0)], oracle(tau, rr), atol=1e-6)
 
     def test_axis_parity(self, small_sampler):
         # ur is odd in r, so it vanishes on the axis
