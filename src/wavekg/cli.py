@@ -2,8 +2,10 @@
 
 Subcommands: simulate, energies, inequalities, kg-lab, radiation,
 rigidity, all.  Every run writes a manifest (scenario echo, grid,
-wall-clock, sha256 of each artifact); outputs are deterministic given
-the manifest -- randomized sweeps draw from the explicit --seed.
+wall-clock, sha256 of each artifact, and outside the hashes the run's
+metrics: wall time and peak RSS per stage, the solver's steps, dt and
+window margin); outputs are deterministic given the manifest --
+randomized sweeps draw from the explicit --seed.
 
 Reports are CSV/JSON; every monitor series is additionally emitted as a
 two-column plot-data file.
@@ -16,13 +18,14 @@ import csv
 import hashlib
 import json
 import logging
+import resource
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from . import inequalities as iq
 from .energies import (energy_e0c, energy_e0gc, energy_e1, energy_f1,
                        high_order_energies, hyperboloid_nodes,
@@ -85,6 +88,12 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (2^20 bytes);
+    Linux counts ru_maxrss in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 # -- shared grids ---------------------------------------------------------------
 #
 # Every point a stage samples lies at or before the run's last stored time:
@@ -92,9 +101,38 @@ def _sha256(path):
 # characteristic hyperbolas at t_last.
 
 
+# retarded times mu of the null rays t = r + 2 + mu (radiation, rigidity)
+_MU_FAN = np.linspace(-1.0, 1.0, 9)
+
+
 def _s_grid(history, n=25):
     """Hyperboloid parameters whose sample nodes the run covers."""
-    return np.linspace(2.0, last_covered_s(history), n)
+    return np.linspace(2.0, last_covered_s(history.t_last, history.scenario.dr), n)
+
+
+def _null_radii(t_last, mu):
+    r_hi = t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
+    # three nodes: higher-degree extrapolation amplifies the sampler's
+    # interpolation noise faster than it removes the 1/r tail
+    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
+
+
+def run_length_problem(t_end, dr):
+    """Why the stages cannot sample a run on [2, t_end], or None.
+
+    The hyperboloids must reach past s = 2, and every null ray must start
+    at or after t = 2; the earliest is the rigidity fan's first mu on the
+    radii of its last.  The c0 = 3 hyperbola needs t_end > 3.61, which
+    the fan already demands (t_end >= 5.22).
+    """
+    s_last = last_covered_s(t_end, dr)
+    if not s_last > 2.0:
+        return f"its hyperboloids would end at s = {s_last:.4f}, not past s = 2"
+    t_first = min(_null_radii(t_end, mu_r)[0] + 2.0 + mu
+                  for mu in _MU_FAN for mu_r in (mu, _MU_FAN[-1]))
+    if t_first < 2.0:
+        return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
+    return None
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -241,18 +279,11 @@ def _stage_kg_lab(scn, out, history, rng):
     return ["kg_lab.json", "reduction_residual.dat", "sharp_decay.dat"]
 
 
-def _null_radii(history, mu):
-    r_hi = history.t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
-    # three nodes: higher-degree extrapolation amplifies the sampler's
-    # interpolation noise faster than it removes the 1/r tail
-    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
-
-
 def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
     rows = []
-    for mu in np.linspace(-1.0, 1.0, 9):
-        est = radiation_null(sampler, mu, _null_radii(history, mu))
+    for mu in _MU_FAN:
+        est = radiation_null(sampler, mu, _null_radii(history.t_last, mu))
         rows.append((est.mu, "", *est.omega, est.value, est.error_bar,
                      est.method, est.flagged))
     transport = {}
@@ -299,11 +330,10 @@ def _stage_rigidity(scn, out, history):
         "coupled": {"sampler": HistorySampler(history), "scn": scn},
     }
     s_grid = _s_grid(history, n=9)
-    mu_grid = np.linspace(-1.0, 1.0, 9)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(runs, s_grid, mu_grid,
-                                 _null_radii(history, mu_grid[-1]), floor)
+    report = rigidity_experiment(runs, s_grid, _MU_FAN,
+                                 _null_radii(history.t_last, _MU_FAN[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]
 
@@ -337,22 +367,31 @@ def run_pipeline(subcommand, scn, out, seed=0):
     (out / "error.json").unlink(missing_ok=True)
     start = time.time()
     rng = np.random.default_rng(seed)
-    history, artifacts = _stage_simulate(scn, out)
+    stage_metrics = {}
+
+    def run_stage(name, fn, *args):
+        log.info("stage %s", name)
+        t0 = time.perf_counter()
+        result = fn(*args)
+        wall = time.perf_counter() - t0
+        peak = _peak_rss_mb()
+        stage_metrics[name] = {"wall_s": wall, "peak_rss_mb": peak}
+        log.info("stage %s: wall %.3f s, peak RSS %.1f MB", name, wall, peak)
+        return result
+
+    history, artifacts = run_stage("simulate", _stage_simulate, scn, out)
+    stage_calls = {
+        "energies": (_stage_energies, (scn, out, history)),
+        "inequalities": (_stage_inequalities, (scn, out, history, rng)),
+        "kg-lab": (_stage_kg_lab, (scn, out, history, rng)),
+        "radiation": (_stage_radiation, (scn, out, history)),
+        "rigidity": (_stage_rigidity, (scn, out, history)),
+    }
     stages = [subcommand] if subcommand != "all" else list(_SUBCOMMANDS[1:-1])
     for stage in stages:
-        if stage == "simulate":
-            continue
-        log.info("stage %s", stage)
-        if stage == "energies":
-            artifacts += _stage_energies(scn, out, history)
-        elif stage == "inequalities":
-            artifacts += _stage_inequalities(scn, out, history, rng)
-        elif stage == "kg-lab":
-            artifacts += _stage_kg_lab(scn, out, history, rng)
-        elif stage == "radiation":
-            artifacts += _stage_radiation(scn, out, history)
-        elif stage == "rigidity":
-            artifacts += _stage_rigidity(scn, out, history)
+        if stage in stage_calls:
+            fn, args = stage_calls[stage]
+            artifacts += run_stage(stage, fn, *args)
     manifest = {
         "version": __version__,
         "subcommand": subcommand,
@@ -361,6 +400,12 @@ def run_pipeline(subcommand, scn, out, seed=0):
                  "cfl": scn.cfl},
         "seed": seed,
         "wall_clock_s": time.time() - start,
+        # run costs; they vary between runs, so they stay out of the hashes
+        "metrics": {
+            "stages": stage_metrics,
+            "solver": {"steps": history.n_slices - 1, "dt": history.dt,
+                       "window_margin": solver._WINDOW_MARGIN},
+        },
         "artifacts": {name: _sha256(out / name) for name in artifacts},
     }
     _write_json(out / "manifest.json", manifest)

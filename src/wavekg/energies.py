@@ -60,16 +60,15 @@ def hyperboloid_nodes(s, dr):
     return dr * np.arange(int(np.ceil(r_sup / dr)) + 1)
 
 
-def last_covered_s(history):
-    """Largest s whose hyperboloid_nodes all lie at times <= history.t_last.
+def last_covered_s(t_last, dr):
+    """Largest s whose hyperboloid_nodes all lie at times <= t_last.
 
     The outermost node sits at most (margin + 1) spacings past the cone
     radius (s^2 - 1)/2, where H_s has t = (s^2 + 1)/2; along H_s the time
     grows more slowly than the radius, so those nodes have
-    t < (s^2 + 1)/2 + (margin + 1) dr.
+    t < (s^2 + 1)/2 + (margin + 1) dr.  Returns 0 when no H_s is covered.
     """
-    dr = history.scenario.dr
-    return float(np.sqrt(2.0 * (history.t_last - (_NODE_MARGIN + 1) * dr) - 1.0))
+    return float(np.sqrt(max(0.0, 2.0 * (t_last - (_NODE_MARGIN + 1) * dr) - 1.0)))
 
 
 def build_sample(sampler, s, r_nodes):

@@ -47,11 +47,16 @@ class OscillatorProblem:
     def q_prime(self, s):
         if self.qp is not None:
             return self.qp(s)
-        h = 1e-6 * max(1.0, abs(s))
+        h = 1e-6 * np.maximum(1.0, np.abs(s))
         return (self.q(s + h) - self.q(s - h)) / (2.0 * h)
 
 
-def integrate_oscillator(problem, rtol=1e-10, atol=1e-13, n_dense=2000):
+def _on_grid(values, s):
+    """A coefficient evaluated on the array s, constants broadcast to it."""
+    return np.broadcast_to(np.asarray(values, dtype=float), s.shape)
+
+
+def integrate_oscillator(problem, rtol=1e-10, atol=1e-13, n_dense=20000):
     """Integrate the oscillator; returns (s, v, vp) plus the dense solution.
 
     Adaptive explicit Runge-Kutta with dense output; rejects |q| > 1/2.
@@ -101,9 +106,9 @@ def check_ode_lemma(problem, trajectory):
     s = trajectory["s"]
     v, vp = trajectory["v"], trajectory["vp"]
     c = problem.c
-    q = np.array([problem.q(x) for x in s])
-    qp = np.array([problem.q_prime(x) for x in s])
-    f = np.array([problem.f(x) for x in s])
+    q = _on_grid(problem.q(s), s)
+    qp = _on_grid(problem.q_prime(s), s)
+    f = _on_grid(problem.f(s), s)
 
     # quadratic form with the proof's exact integrand
     quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)

@@ -23,7 +23,11 @@ __all__ = ["Scenario", "ScenarioError", "parse_scenario", "serialize_scenario"]
 
 
 class ScenarioError(ValueError):
-    pass
+    """Invalid scenario; ``attrs`` names the Scenario fields at fault."""
+
+    def __init__(self, message, attrs=()):
+        super().__init__(message)
+        self.attrs = attrs
 
 
 @dataclass(frozen=True)
@@ -47,23 +51,28 @@ class Scenario:
 
     def __post_init__(self):
         if self.c <= 0:
-            raise ScenarioError(f"Klein-Gordon mass must be positive, got c={self.c}")
+            raise ScenarioError(f"Klein-Gordon mass must be positive, got c={self.c}",
+                                ("c",))
         if self.dr <= 0:
-            raise ScenarioError(f"grid spacing must be positive, got dr={self.dr}")
+            raise ScenarioError(f"grid spacing must be positive, got dr={self.dr}",
+                                ("dr",))
         if not (0 < self.cfl <= 0.5):
-            raise ScenarioError(f"time-step ratio must satisfy 0 < cfl <= 0.5, got {self.cfl}")
+            raise ScenarioError(
+                f"time-step ratio must satisfy 0 < cfl <= 0.5, got {self.cfl}", ("cfl",))
         if self.t_end <= 2.0:
-            raise ScenarioError(f"final time must exceed the initial time 2, got t_end={self.t_end}")
+            raise ScenarioError(
+                f"final time must exceed the initial time 2, got t_end={self.t_end}",
+                ("t_end",))
         if self.r_max < self.t_end:
             raise ScenarioError(
                 f"outer radius r_max={self.r_max} must be >= t_end={self.t_end} "
-                "so the support cone never reaches the boundary")
+                "so the support cone never reaches the boundary", ("r_max", "t_end"))
         for name in ("u0", "u1", "v0", "v1"):
             prof = getattr(self, name)
             if not prof.is_zero and prof.radius > 1.0:
                 raise ScenarioError(
                     f"profile {name} has support radius {prof.radius} > 1; "
-                    "data must be supported in the unit ball")
+                    "data must be supported in the unit ball", (name,))
 
     @property
     def is_free(self):
@@ -100,10 +109,16 @@ _SCHEMA = {
 def parse_scenario(text):
     """Parse a configuration document into a Scenario.
 
-    Unknown keys, malformed lines, and range violations raise
-    ScenarioError with the offending line number.
+    Unknown keys, malformed lines, range violations and runs too short
+    for the analysis stages raise ScenarioError with the offending line
+    number (none when the offending value is a default).
     """
+    # the stages' sampling rules decide the shortest run they can analyse;
+    # they live above this module, which they import
+    from .cli import run_length_problem
+
     kwargs = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,10 +135,23 @@ def parse_scenario(text):
             kwargs[attr] = conv(value)
         except (ValueError, ProfileError) as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        lines[attr] = lineno
+
+    def at_line(exc):
+        found = [lines[a] for a in exc.attrs if a in lines]
+        prefix = f"line {found[0]}: " if found else ""
+        return ScenarioError(prefix + str(exc), exc.attrs)
+
     try:
-        return Scenario(**kwargs)
+        scn = Scenario(**kwargs)
     except ScenarioError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise at_line(exc) from exc
+    problem = run_length_problem(scn.t_end, scn.dr)
+    if problem is not None:
+        raise at_line(ScenarioError(
+            f"t_end={scn.t_end} is too short for the analysis stages: {problem}",
+            ("t_end", "dr")))
+    return scn
 
 
 def serialize_scenario(scn):

@@ -7,13 +7,21 @@ classical four-stage Runge-Kutta from data at t = 2:
     d_t^2 v = [(1 + pd u) Lap_r v - c^2 v] / (1 - p00 u)
 
 with Lap_r w = w_rr + (2/r) w_r and the axis limit 3 w_rr at r = 0.
-The axis uses an even ghost extension; the outer boundary is homogeneous
-Dirichlet at r_max >= t_end, provably outside the support cone.
+The axis uses an even ghost extension.
 
-Every accepted step is stored (up to a radius cap slightly beyond the
-support cone, where the fields are identically zero), which gives the
-dense time coverage needed to sample fields and their derivative jets
-on hyperboloids t = sqrt(s^2 + r^2) and along characteristic curves.
+The data sit in the unit ball at t = 2, so both fields vanish for
+r > t - 1.  Each step therefore integrates only the active window
+r <= t - 1 + _WINDOW_MARGIN * dr of the step's end time; cells past it
+stay exactly zero, and the window's last cell gets zero spatial
+derivatives, the treatment the grid's own edge r_max >= t_end gets once
+the window reaches it.  The margin, a constant number of cells, keeps
+the clipped numerical tail ahead of the cone at round-off level.
+
+Every accepted step is stored out to one radius cap,
+r <= t_end - 1 + _STORE_MARGIN * dr; the sampler treats the fields as
+zero beyond it.  This dense time coverage is what sampling fields and
+their derivative jets on hyperboloids t = sqrt(s^2 + r^2) and along
+characteristic curves needs.
 """
 
 from __future__ import annotations
@@ -85,26 +93,16 @@ class SliceHistory:
         return self.t0 + self.dt * np.arange(self.n_slices)
 
 
-# -- spatial operators --------------------------------------------------------
+# -- time stepping ------------------------------------------------------------
 
-
-def _laplacian(w, r, dr):
-    """Radial Laplacian with even ghost at the axis, Dirichlet outer edge."""
-    lap = np.empty_like(w)
-    lap[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dr**2 \
-        + (w[2:] - w[:-2]) / (dr * r[1:-1])
-    lap[0] = 6.0 * (w[1] - w[0]) / dr**2
-    lap[-1] = 0.0
-    return lap
-
-
-def _ddr(w, dr):
-    """Centered first derivative; odd symmetry at the axis, zero outer edge."""
-    d = np.empty_like(w)
-    d[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
-    d[0] = 0.0
-    d[-1] = 0.0
-    return d
+# Cells integrated past the support cone r = t - 1.  The scheme's numerical
+# tail ahead of the cone decays cell by cell; with 80 cells the last slices
+# of the reference (dr = 0.01) and mid (dr = 0.02) runs stay within 2e-11
+# of each field's maximum of the full-grid run, as with 120 or 160 cells
+# (round-off); 40 cells leave 4e-7 at the reference grid.
+_WINDOW_MARGIN = 80
+# Cells stored past the final cone r = t_end - 1.
+_STORE_MARGIN = 20
 
 
 def initial_state(scn):
@@ -117,16 +115,39 @@ def initial_state(scn):
         v=scn.eps * scn.v0(r), vt=scn.eps * scn.v1(r))
 
 
-def _rhs_arrays(u, ut, v, vt, r, dr, scn):
+def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
+    """Time derivatives of (u, ut, v, vt) on a window of the grid.
+
+    Centered differences, with w[i+1] - w[i-1] shared by the Laplacian
+    and d_r; inv_drr holds 1/(dr r) at the window's interior cells.  The
+    axis uses the even ghost (Laplacian 3 w_rr, d_r w = 0); the last cell
+    gets zero spatial derivatives, as the outer edge of the full grid.
+    """
     denom = 1.0 - scn.p00 * u
     if np.min(np.abs(denom)) < 0.5:
         raise SolverError(
             "quasilinear degeneracy: |1 - p00*u| < 1/2 on the grid "
             f"(min {np.min(np.abs(denom)):.3e})")
-    ur = _ddr(u, dr)
-    vr = _ddr(v, dr)
-    dut = _laplacian(u, r, dr) + scn.b00 * ut * vt + scn.bd * ur * vr
-    dvt = ((1.0 + scn.pd * u) * _laplacian(v, r, dr) - scn.c**2 * v) / denom
+    diff, lap = [], []
+    for w in (u, v):
+        d = w[2:] - w[:-2]
+        lw = np.empty_like(w)
+        inner = lw[1:-1]
+        np.add(w[2:], w[:-2], out=inner)
+        inner -= 2.0 * w[1:-1]
+        inner *= inv_dr2
+        inner += d * inv_drr
+        lw[0] = 6.0 * inv_dr2 * (w[1] - w[0])
+        lw[-1] = 0.0
+        diff.append(d)
+        lap.append(lw)
+    dut = lap[0]
+    dut += scn.b00 * ut * vt
+    # bd u_r v_r with u_r = (u[i+1] - u[i-1]) / (2 dr)
+    dut[1:-1] += (0.25 * scn.bd * inv_dr2) * diff[0] * diff[1]
+    dvt = (1.0 + scn.pd * u) * lap[1]
+    dvt -= scn.c**2 * v
+    dvt /= denom
     return ut, dut, vt, dvt
 
 
@@ -136,16 +157,18 @@ def _time_steps(scn):
     return n_steps, (scn.t_end - 2.0) / n_steps
 
 
-def evolve(scn, store_margin=20):
+def evolve(scn):
     """Run the scenario to t_end, returning the full SliceHistory."""
     state = initial_state(scn)
     r, dr = state.r, scn.dr
     n_steps, dt = _time_steps(scn)
+    inv_dr2 = 1.0 / dr**2
+    inv_drr = 1.0 / (dr * r[1:-1])
 
-    r_cap = min(scn.r_max, scn.t_end - 1.0 + store_margin * dr)
+    r_cap = min(scn.r_max, scn.t_end - 1.0 + _STORE_MARGIN * dr)
     n_store = int(round(r_cap / dr)) + 1
     shape = (n_steps + 1, n_store)
-    hist = {name: np.empty(shape) for name in _FIELDS}
+    hist = {name: np.zeros(shape) for name in _FIELDS}
 
     y = [state.u.copy(), state.ut.copy(), state.v.copy(), state.vt.copy()]
     for name, arr in zip(_FIELDS, y):
@@ -153,24 +176,32 @@ def evolve(scn, store_margin=20):
 
     report_every = max(1, n_steps // 10)
     for step in range(1, n_steps + 1):
-        k1 = _rhs_arrays(*y, r, dr, scn)
-        y2 = [a + 0.5 * dt * k for a, k in zip(y, k1)]
-        k2 = _rhs_arrays(*y2, r, dr, scn)
-        y3 = [a + 0.5 * dt * k for a, k in zip(y, k2)]
-        k3 = _rhs_arrays(*y3, r, dr, scn)
-        y4 = [a + dt * k for a, k in zip(y, k3)]
-        k4 = _rhs_arrays(*y4, r, dr, scn)
-        y = [a + (dt / 6.0) * (p + 2.0 * q + 2.0 * s + w)
-             for a, p, q, s, w in zip(y, k1, k2, k3, k4)]
-        if not np.isfinite(y[0][::16]).all() or not np.isfinite(y[2][::16]).all():
+        t = 2.0 + step * dt
+        # past r = t - 1 + margin the fields are zero and are left alone
+        n = min(r.size, int(np.ceil((t - 1.0) / dr)) + _WINDOW_MARGIN + 1)
+        yw = [a[:n] for a in y]
+        inv_drr_w = inv_drr[:n - 2]
+        k1 = _rhs(*yw, scn, inv_dr2, inv_drr_w)
+        y2 = [a + 0.5 * dt * k for a, k in zip(yw, k1)]
+        k2 = _rhs(*y2, scn, inv_dr2, inv_drr_w)
+        y3 = [a + 0.5 * dt * k for a, k in zip(yw, k2)]
+        k3 = _rhs(*y3, scn, inv_dr2, inv_drr_w)
+        y4 = [a + dt * k for a, k in zip(yw, k3)]
+        k4 = _rhs(*y4, scn, inv_dr2, inv_drr_w)
+        # in place, in the order u, ut, v, vt: k1 of u is ut itself (and k1
+        # of v is vt), so each field is updated before its time derivative
+        for a, p, q, s, w in zip(yw, k1, k2, k3, k4):
+            a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
+        if not np.isfinite(yw[0][::16]).all() or not np.isfinite(yw[2][::16]).all():
             raise SolverError(f"non-finite field values at slice {step} "
-                              f"(t = {2.0 + step * dt:.4f})")
-        for name, arr in zip(_FIELDS, y):
-            hist[name][step] = arr[:n_store]
+                              f"(t = {t:.4f})")
+        m = min(n, n_store)
+        for name, arr in zip(_FIELDS, yw):
+            hist[name][step, :m] = arr[:m]
         if step % report_every == 0:
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
-                     2.0 + step * dt, step, n_steps,
-                     np.max(np.abs(y[0])), np.max(np.abs(y[2])))
+                     t, step, n_steps,
+                     np.max(np.abs(yw[0])), np.max(np.abs(yw[2])))
 
     return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r[:n_store].copy(),
                         u=hist["u"], ut=hist["ut"], v=hist["v"], vt=hist["vt"])

@@ -3,14 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavekg import cli
+from wavekg import cli, solver
 from wavekg.energies import hyperboloid_nodes, last_covered_s
 from wavekg.geometry import HyperbolaCurve, entry_point
 from wavekg.kg_reduction import ray_points
-from wavekg.scenario import parse_scenario, serialize_scenario
+from wavekg.scenario import ScenarioError, parse_scenario, serialize_scenario
 from wavekg.sliceio import slice_load
 from wavekg.solver import SliceHistory, _time_steps
 
@@ -145,9 +145,11 @@ def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(dr=st.floats(0.01, 0.05), t_end=st.floats(10.0, 64.0),
+@given(dr=st.floats(0.01, 0.05), t_end=st.floats(2.5, 64.0),
        cfl=st.floats(1e-9, 0.5))
 def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
+    # every run length parse_scenario accepts
+    assume(cli.run_length_problem(t_end, dr) is None)
     # the time grid evolve would store, without evolving: only t_last and
     # the grid spacing decide where the stages may sample
     scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl)
@@ -159,17 +161,49 @@ def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
     queries = []
     for n in (25, 9, 6):  # energies/inequalities/radiation, rigidity, bootstrap
         s_grid = cli._s_grid(history, n)
-        assert s_grid[-1] == last_covered_s(history) and np.all(np.diff(s_grid) > 0)
+        assert s_grid[-1] == last_covered_s(t_last, dr) and np.all(np.diff(s_grid) > 0)
         queries += [np.hypot(s, hyperboloid_nodes(s, dr)) for s in s_grid]
         # the kg-lab rays r/t = rho over the same s range
         for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
             queries.append(ray_points(rho, s_grid)[0])
     mu_fan = np.linspace(-1.0, 1.0, 9)
     for mu in mu_fan:
-        queries.append(cli._null_radii(history, mu) + 2.0 + mu)
+        queries.append(cli._null_radii(t_last, mu) + 2.0 + mu)
         # the rigidity stage runs the whole fan on the radii of its last ray
-        queries.append(cli._null_radii(history, mu_fan[-1]) + 2.0 + mu)
+        queries.append(cli._null_radii(t_last, mu_fan[-1]) + 2.0 + mu)
     queries = np.concatenate(queries)
     assert queries.min() >= 2.0 and queries.max() <= t_last
     # the c0 = 3 hyperbola runs from its entry point to t_last
     assert 1.5 * entry_point(HyperbolaCurve(3.0)).t < t_last
+
+
+def test_shortest_accepted_run_completes(tmp_path):
+    # with dr = 0.05 the rigidity fan's earliest ray, mu = -1 on the radii
+    # 0.45 (t_end - 3) of mu = 1, starts at t = 2 when t_end = 3 + 1/0.45
+    t_min = 3.0 + 1.0 / 0.45
+    assert cli.run_length_problem(t_min + 0.01, 0.05) is None
+    short = TINY.replace("grid.dr = 0.1", "grid.dr = 0.05")
+    with pytest.raises(ScenarioError, match="line 7: .*too short.*before t = 2"):
+        parse_scenario(short.replace("grid.t_end = 8.0", f"grid.t_end = {t_min - 0.01}"))
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(short.replace("grid.t_end = 8.0", f"grid.t_end = {t_min + 0.01}"))
+    assert cli.main(["all", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
+    scn = parse_scenario(tiny_cfg.read_text())
+    caplog.set_level("INFO", logger="wavekg.cli")
+    first = cli.run_pipeline("energies", scn, tmp_path / "a")
+    second = cli.run_pipeline("energies", scn, tmp_path / "b")
+    assert first["artifacts"] == second["artifacts"]
+    for manifest in (first, second):
+        metrics = manifest["metrics"]
+        assert set(metrics["stages"]) == {"simulate", "energies"}
+        for stage in metrics["stages"].values():
+            assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
+        n_steps, dt = _time_steps(scn)
+        assert metrics["solver"] == {"steps": n_steps, "dt": dt,
+                                     "window_margin": solver._WINDOW_MARGIN}
+    for stage in ("simulate", "energies"):
+        assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
+                   for rec in caplog.records)

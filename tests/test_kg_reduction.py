@@ -79,6 +79,23 @@ class TestOdeLemma:
         assert worst <= 1.0 + 1e-6, worst
         assert worst_resid < 1e-12
 
+    def test_dense_trajectory_resolves_the_quadrature_error(self):
+        # case 60 of the kg-lab sweep at --seed 227023696: on a 2000-point
+        # trajectory the trapezoid error of the source integral (h = 18/1999)
+        # pushed the measured constant past 1 + 1e-6
+        a, b, phi = -0.0712742080513521, 1.1974367162377348, 3.6594245146933644
+        amp, w = 0.06114291653628995, 1.604522262593011
+        prob = kgr.OscillatorProblem(
+            c=0.9981340012859121,
+            q=lambda s: a * np.sin(b * s + phi),
+            qp=lambda s: a * b * np.cos(b * s + phi),
+            f=lambda s: amp * np.cos(w * s),
+            v0=0.009731903831669442, v0p=-0.889990854876255, span=(2.0, 20.0))
+        coarse = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob, n_dense=2000))
+        assert coarse["c_quadratic"] > 1.0 + 1e-6
+        report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+        assert report["c_quadratic"] <= 1.0
+
     def test_printed_form_carries_equivalence_factor(self):
         prob = harmonic_problem(c=1.0)
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))

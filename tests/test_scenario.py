@@ -54,6 +54,19 @@ def test_error_carries_line_number():
         parse_scenario("mass.c = 1.0\n# fine\nwhat.ever = 2\n")
 
 
+@pytest.mark.parametrize("doc,line", [
+    ("mass.c = 1.0\n# fine\ngrid.cfl = 0.9", 3),
+    ("data.eps = 0.1\nmass.c = -1", 2),
+    ("grid.t_end = 9\ngrid.r_max = 5", 2),
+    ("grid.t_end = 70", 1),  # r_max keeps its default 60
+    ("data.eps = 0.1\n\ndata.v1 = bump radius=1.5", 3),
+    ("grid.dr = 0.05\ngrid.t_end = 5", 2),  # too short for the stages
+])
+def test_range_violation_carries_line_number(doc, line):
+    with pytest.raises(ScenarioError, match=f"^line {line}: "):
+        parse_scenario(doc)
+
+
 def test_free_variant():
     scn = parse_scenario(MINIMAL)
     assert scn.free().is_free

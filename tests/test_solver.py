@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from wavekg.energies import build_sample
 from wavekg.oracles import DalembertField, KGSpectralField
 from wavekg.profiles import Profile
+from wavekg import solver
 from wavekg.solver import HistorySampler, SolverError, evolve, initial_state
 from wavekg.geometry import HyperbolaCurve
 
@@ -71,6 +72,27 @@ def test_domain_of_dependence(free_wave_history):
         outside = h.r > t - 1.0 + 10 * h.scenario.dr
         # round-off level leakage only (fields are ~1e-3 here)
         assert np.max(np.abs(h.u[i][outside])) < 1e-9
+
+
+def test_work_does_not_depend_on_r_max():
+    # the active window r <= t - 1 + margin never reaches either outer edge
+    dr, t_end = 0.02, 8.0
+    assert (t_end - 1.0) / dr + solver._WINDOW_MARGIN < (t_end + 2.0) / dr
+    near, far = (evolve(make_scenario(dr=dr, t_end=t_end, r_max=t_end + pad))
+                 for pad in (2.0, 8.0))
+    assert near.r.size == far.r.size
+    for name in ("u", "ut", "v", "vt"):
+        assert np.array_equal(getattr(near, name), getattr(far, name)), name
+
+
+def test_window_margin_is_converged(monkeypatch):
+    scn = make_scenario(dr=0.02, t_end=10.0, r_max=14.0)
+    base = evolve(scn)
+    monkeypatch.setattr(solver, "_WINDOW_MARGIN", 2 * solver._WINDOW_MARGIN)
+    wide = evolve(scn)
+    for name in ("u", "ut", "v", "vt"):
+        a, b = getattr(base, name), getattr(wide, name)
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
 
 
 def test_quasilinear_guard():
