@@ -8,13 +8,10 @@ radiation-field extractions.
 
 __version__ = "0.1.0"
 
-from .geometry import (GeometryError, HyperbolaCurve, RadialFrame,
-                       SpacetimePoint, asymptote_gap, entry_point,
-                       from_hyperboloidal, hyperbola_through, lambda0,
-                       to_hyperboloidal)
+from .geometry import (GeometryError, HyperbolaCurve, SpacetimePoint,
+                       asymptote_gap, entry_point)
 from .oracles import (DalembertField, KGSpectralField, OracleSampler,
-                      dalembert_radial, duhamel_radial, free_wave_radiation,
-                      kg_spectral)
+                      duhamel_radial, free_wave_radiation)
 from .profiles import Profile, ProfileError
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sliceio import SliceIOError, slice_dump, slice_load
@@ -24,12 +21,10 @@ __all__ = [
     "__version__",
     "Profile", "ProfileError",
     "Scenario", "ScenarioError", "parse_scenario", "serialize_scenario",
-    "GeometryError", "SpacetimePoint", "RadialFrame", "HyperbolaCurve",
-    "to_hyperboloidal", "from_hyperboloidal", "hyperbola_through",
-    "entry_point", "asymptote_gap", "lambda0",
+    "GeometryError", "SpacetimePoint", "HyperbolaCurve",
+    "entry_point", "asymptote_gap",
     "DalembertField", "KGSpectralField", "OracleSampler",
-    "dalembert_radial", "kg_spectral", "duhamel_radial",
-    "free_wave_radiation",
+    "duhamel_radial", "free_wave_radiation",
     "SolverError", "SliceHistory", "HistorySampler", "evolve",
     "SliceIOError", "slice_dump", "slice_load",
 ]

@@ -34,6 +34,7 @@ from .geometry import HyperbolaCurve
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
+from .oracles import OracleSampler
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         radiation_null, rigidity_experiment, transport_check)
@@ -284,8 +285,8 @@ def _stage_radiation(scn, out, history):
     rows = []
     for mu in _MU_FAN:
         est = radiation_null(sampler, mu, _null_radii(history.t_last, mu))
-        rows.append((est.mu, "", *est.omega, est.value, est.error_bar,
-                     est.method, est.flagged))
+        rows.append((est.mu, "", est.value, est.error_bar, est.method,
+                     est.flagged))
     transport = {}
     for c0 in (1.0, 2.0, 3.0):
         curve = HyperbolaCurve(c0)
@@ -293,19 +294,17 @@ def _stage_radiation(scn, out, history):
         if c0 <= 2.0:
             # the curve never enters the covered cone; its limit is the
             # radiation field at a retarded time before the data can radiate
-            rows.append((mu, c0, *curve.omega, 0.0, 0.0,
-                         "hyperbola-outside-cone", False))
+            rows.append((mu, c0, 0.0, 0.0, "hyperbola-outside-cone", False))
             continue
         tau_max = history.t_last
         est = radiation_hyperbola(sampler, scn, curve, tau_max)
-        rows.append((est.mu, c0, *est.omega, est.value, est.error_bar,
-                     est.method, est.flagged))
+        rows.append((est.mu, c0, est.value, est.error_bar, est.method,
+                     est.flagged))
         tau = np.linspace(0.6 * tau_max, tau_max, 401)
         _, _, t_max = transport_check(sampler, scn, curve, tau)
         transport[f"{c0!r}"] = t_max
     _write_csv(out / "radiation.csv",
-               ["mu", "c0", "omega_x", "omega_y", "omega_z",
-                "value", "error_bar", "method", "flagged"], rows)
+               ["mu", "c0", "value", "error_bar", "method", "flagged"], rows)
     decay = excessive_decay_check(
         hyperboloid_samples(sampler, _s_grid(history), scn.dr),
         eta=scn.eta, delta=scn.delta)
@@ -324,7 +323,9 @@ def _stage_rigidity(scn, out, history):
     zero = Profile("zero")
     scn_zero = scn.with_grid(u0=zero, u1=zero, v0=zero, v1=zero)
     runs = {
-        "zero-data": {"sampler": HistorySampler(evolve(scn_zero)), "scn": scn_zero},
+        # evolve maps zero data to the zero history, whose exact sampler
+        # is the empty oracle bundle
+        "zero-data": {"sampler": OracleSampler(), "scn": scn_zero},
         "free-wave": {"sampler": HistorySampler(evolve(scn.free())),
                       "scn": scn.free()},
         "coupled": {"sampler": HistorySampler(history), "scn": scn},

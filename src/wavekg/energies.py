@@ -1,4 +1,4 @@
-"""Energy functionals on hyperboloids and flat slices.
+"""Energy functionals on hyperboloids.
 
 All integrals use the radial measure 4 pi r^2 dr (composite Simpson on
 the uniform sampling grid).  Fields are radial; angular derivatives of
@@ -30,15 +30,12 @@ __all__ = [
     "hyperboloid_samples",
     "radial_integral",
     "energy_e0c",
-    "energy_e0",
     "energy_e1",
     "energy_f1",
     "energy_e0gc",
-    "energy_plane",
     "word_scalars",
     "high_order_energies",
     "word_l2_norms",
-    "pointwise_word_norm",
     "WORDS",
 ]
 
@@ -134,11 +131,6 @@ def energy_e0c(sample, c, field="u", tol=1e-8):
     return vals[0]
 
 
-def energy_e0(sample, field="u"):
-    """Massless wave energy on H_s (the c = 0 case)."""
-    return energy_e0c(sample, 0.0, field=field)
-
-
 def energy_e1(sample, field="u", tol_factor=5e-2):
     """Conformal energy on H_s with its four-term positive decomposition.
 
@@ -223,26 +215,6 @@ def energy_e0gc(sample, scn, field="v", kappa=2.0):
     small = bool(np.max(np.abs(a)) <= 0.75 and np.max(np.abs(b)) <= 0.75)
     kappa_ok = small and kappa**-2 <= ratio <= kappa**2
     return {"value": value, "ratio": ratio, "kappa_ok": kappa_ok}
-
-
-def energy_plane(sample, c=None, field="u", metric=None):
-    """Flat-slice energy at constant t over r in [0, t-1].
-
-    For the wave component: ut^2 + ur^2.  For the Klein-Gordon component
-    pass c and metric=(a, b) arrays to include the mass and curved terms
-    (no cross term on constant-t slices).
-    """
-    r = sample["r"]
-    wt = sample[field + "t"]
-    wr = sample[field + "r"]
-    if metric is None:
-        a = b = 0.0
-    else:
-        a, b = metric
-    density = (1.0 - a) * wt**2 + (1.0 + b) * wr**2
-    if c is not None:
-        density = density + c**2 * sample[field] ** 2
-    return radial_integral(density, r)
 
 
 # -- high-order words ---------------------------------------------------------
@@ -400,20 +372,3 @@ def word_l2_norms(sampler, s, r_nodes, field="u", order=2):
         out[word] = np.sqrt(radial_integral(mag2, r))
     return out
 
-
-def pointwise_word_norm(sampler, t, r, field="u", order=2):
-    """|w|_{<=order} pointwise: root sum of squared word magnitudes."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    j = sampler.jets(t, r, order=3)[field]
-    scal = word_scalars(j, r, t)
-    total = np.zeros_like(np.broadcast_arrays(t, r)[0], dtype=float)
-    for word in WORDS:
-        if _word_order(word) > order:
-            continue
-        sector, *trips = scal[word]
-        if sector == "l2":
-            total = total + trips[0][0] ** 2 + 2.0 * trips[1][0] ** 2
-        else:
-            total = total + trips[0][0] ** 2
-    return np.sqrt(total)

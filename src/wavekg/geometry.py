@@ -3,20 +3,16 @@
 Coordinates: (t, r) with r >= 0 the spatial radius in three dimensions.
 The interior of the translated light cone is K = {r < t - 1}; it is
 foliated by hyperboloids H_s = {t = sqrt(s^2 + r^2)} with s >= 2 the
-hyperboloidal time.  Alongside the slicing this module provides the
-semi-hyperboloidal frame matrices, the characteristic hyperbolas of the
-null generator field (t^2 - r^2)/r = c0 together with their friction
-coefficient, and the starting parameter used when integrating along rays
-from the boundary of the covered region to a point of K.
+hyperboloidal time.  This module provides the characteristic hyperbolas
+of the null generator field (t^2 - r^2)/r = c0, the point where each
+enters the covered region, and their friction coefficient.
 
 All geometry is closed-form; no ODE integration enters curve positions.
-Directions omega are carried in the types but unused by the radial
-dynamics (kept for format stability).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,22 +20,12 @@ from scipy.integrate import quad
 __all__ = [
     "GeometryError",
     "SpacetimePoint",
-    "FramePair",
     "HyperbolaCurve",
-    "RadialFrame",
-    "to_hyperboloidal",
-    "from_hyperboloidal",
-    "frame_pair",
-    "radial_frame",
-    "hyperbola_through",
     "asymptote_gap",
     "entry_point",
     "friction_P",
     "friction_integral",
-    "lambda0",
 ]
-
-_EX = (1.0, 0.0, 0.0)  # placeholder direction for radial work
 
 
 class GeometryError(ValueError):
@@ -48,100 +34,13 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """A point of the foliated region in both coordinate systems.
-
-    ``region`` is set by entry_point ("boundary" / "hyperboloid") and is
-    empty for plain coordinate conversions.
-    """
+    """A point of the foliated region; ``region`` says where a curve
+    enters it ("boundary" / "hyperboloid")."""
 
     t: float
     r: float
     s: float
-    omega: tuple = _EX
-    inside_cone: bool = True
     region: str = ""
-
-
-@dataclass(frozen=True)
-class FramePair:
-    """Transition matrices of the semi-hyperboloidal frame at (t, x).
-
-    ``phi`` expresses the frame derivatives in the natural ones
-    (row 0: d_t; row a: (x^a/t) d_t + d_a) and ``psi`` is its exact
-    inverse.  phi @ psi = identity in exact arithmetic.
-    """
-
-    phi: np.ndarray
-    psi: np.ndarray
-
-
-def to_hyperboloidal(t, r, omega=_EX):
-    """Map (t, r) to the hyperboloidal time s = sqrt(t^2 - r^2).
-
-    Raises GeometryError outside the chronological future of the origin
-    (t <= r).  Points with r >= t - 1 are valid but flagged as lying
-    outside the cone K.
-    """
-    t = float(t)
-    r = float(r)
-    if r < 0:
-        raise GeometryError(f"negative radius r={r}")
-    if t <= r:
-        raise GeometryError(f"point (t={t}, r={r}) is not inside the light cone t > r")
-    s = np.sqrt((t - r) * (t + r))
-    return SpacetimePoint(t=t, r=r, s=float(s), omega=tuple(omega),
-                          inside_cone=r < t - 1)
-
-
-def from_hyperboloidal(s, r):
-    """Inverse slicing map: the time coordinate of the point of H_s at radius r."""
-    s = float(s)
-    r = float(r)
-    if s <= 0:
-        raise GeometryError(f"hyperboloidal time must be positive, got s={s}")
-    if r < 0:
-        raise GeometryError(f"negative radius r={r}")
-    return float(np.hypot(s, r))
-
-
-def frame_pair(t, x):
-    """Semi-hyperboloidal frame matrices at (t, x), x a 3-vector."""
-    t = float(t)
-    if t <= 0:
-        raise GeometryError(f"frame_pair requires t > 0, got t={t}")
-    x = np.asarray(x, dtype=float).reshape(3)
-    phi = np.eye(4)
-    psi = np.eye(4)
-    phi[1:, 0] = x / t
-    psi[1:, 0] = -x / t
-    return FramePair(phi=phi, psi=psi)
-
-
-@dataclass(frozen=True)
-class RadialFrame:
-    """Coefficients of the radial frame fields in (d_t, d_r).
-
-    good : the radial semi-hyperboloidal derivative (r/t) d_t + d_r
-    boost : the radial boost L = t d_r + r d_t
-    scaling : K_1 = t d_t + r d_r
-    ray : the ray generator (t/s) d_t + (r/s) d_r
-    """
-
-    good: tuple
-    boost: tuple
-    scaling: tuple
-    ray: tuple
-
-
-def radial_frame(t, r):
-    """Radial frame coefficients at (t, r); see RadialFrame."""
-    p = to_hyperboloidal(t, r)
-    return RadialFrame(
-        good=(p.r / p.t, 1.0),
-        boost=(p.r, p.t),
-        scaling=(p.t, p.r),
-        ray=(p.t / p.s, p.r / p.s),
-    )
 
 
 # -- characteristic hyperbolas ----------------------------------------------
@@ -156,29 +55,11 @@ class HyperbolaCurve:
     """
 
     c0: float
-    omega: tuple = _EX
 
     def radius(self, tau):
         tau = np.asarray(tau, dtype=float)
         a = 0.5 * self.c0
         return np.hypot(tau, a) - a
-
-    def tangent(self, tau):
-        """dr/dtau along the curve (the generator is d_t + (dr/dtau) d_r)."""
-        tau = np.asarray(tau, dtype=float)
-        a = 0.5 * self.c0
-        return tau / np.hypot(tau, a)
-
-
-def hyperbola_through(t, r, omega=_EX):
-    """The characteristic hyperbola through (t, r) with r > 0."""
-    t = float(t)
-    r = float(r)
-    if r <= 0:
-        raise GeometryError("characteristic hyperbolas require r > 0")
-    if t <= r:
-        raise GeometryError(f"point (t={t}, r={r}) is not inside the light cone t > r")
-    return HyperbolaCurve(c0=(t - r) * (t + r) / r, omega=tuple(omega))
 
 
 def asymptote_gap(curve, tau):
@@ -224,7 +105,6 @@ def entry_point(curve, s0=2.0):
         t = float(np.hypot(s0, r))
         region = "hyperboloid"
     return SpacetimePoint(t=t, r=r, s=float(np.sqrt((t - r) * (t + r))),
-                          omega=curve.omega, inside_cone=r <= t - 1.0,
                           region=region)
 
 
@@ -256,19 +136,3 @@ def friction_integral(curve, tau_lo, tau_hi=np.inf):
     val, _ = quad(integrand, tau_lo, tau_hi, limit=200)
     return val
 
-
-def lambda0(t, r, s0=2.0):
-    """Starting parameter of the ray through (t, r).
-
-    The ray lambda -> (lambda t/s, lambda r/s) leaves the region covered
-    by the foliation either through the initial slice H_{s0} (small r/t)
-    or through the cone boundary r = t - 1 (large r/t); the branch switch
-    happens at r/t = (s0^2 - 1)/(s0^2 + 1).
-    """
-    p = to_hyperboloidal(t, r)
-    rho = p.r / p.t
-    crit = (s0**2 - 1.0) / (s0**2 + 1.0)
-    if rho <= crit:
-        return float(s0)
-    # the ray meets r = t - 1 where lambda (t - r)/s = 1
-    return float(np.sqrt((p.t + p.r) / (p.t - p.r)))

@@ -28,8 +28,6 @@ __all__ = [
     "KGSpectralField",
     "OracleSampler",
     "KirchhoffEnvelope",
-    "dalembert_radial",
-    "kg_spectral",
     "kirchhoff_envelope",
     "free_wave_radiation",
     "duhamel_radial",
@@ -98,11 +96,6 @@ class DalembertField:
         return self.jet(t, r, 0, 0)
 
 
-def dalembert_radial(u0, u1, t, r):
-    """Value of the free radial wave with data (u0, u1) at (t, r)."""
-    return DalembertField(u0, u1).jet(t, r, 0, 0)
-
-
 # -- Klein-Gordon spectral oracle --------------------------------------------
 
 # sinc = sin(x)/x and its first three derivatives; closed forms are
@@ -155,7 +148,6 @@ class KGSpectralField:
         self.b1 = dst(w1, type=1) / (n + 1)
         self.k = np.pi * np.arange(1, n + 1) / self.length
         self.omega = np.hypot(self.k, self.c)
-        self._nodes = nodes
         top = max(np.max(np.abs(self.b0[-8:])), np.max(np.abs(self.b1[-8:])))
         scale = max(np.max(np.abs(self.b0)), np.max(np.abs(self.b1)), 1e-300)
         if top / scale > 1e-8:
@@ -178,13 +170,6 @@ class KGSpectralField:
         if a == 3:
             return -self.omega**2 * bdot
         raise ValueError(f"time-derivative order {a} not supported")
-
-    def slice_values(self, t):
-        """(r_nodes, v) on the transform grid at time t (exact inverse DST)."""
-        b = self._mode_coeffs(float(t), 0)
-        n = b.size
-        w = dst(b, type=1) / 2.0
-        return self._nodes, w / self._nodes
 
     def jet(self, t, r, a=0, b=0):
         """d_t^a d_r^b v at scattered points, via v = sum b_m k_m sinc(k_m r)."""
@@ -218,11 +203,6 @@ class KGSpectralField:
 
     def __call__(self, t, r):
         return self.jet(t, r, 0, 0)
-
-
-def kg_spectral(v0, v1, c, t, length=64.0, n_modes=4096):
-    """Full radial slice (r_nodes, v) of the free KG field at time t."""
-    return KGSpectralField(v0, v1, c, length=length, n_modes=n_modes).slice_values(t)
 
 
 class OracleSampler:

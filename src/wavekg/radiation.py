@@ -38,7 +38,6 @@ __all__ = [
 @dataclass(frozen=True)
 class RadiationEstimate:
     mu: float
-    omega: tuple
     value: float
     method: str
     error_bar: float
@@ -115,7 +114,7 @@ def _neville_to_zero(x, y):
     return estimates[-1], abs(estimates[-1] - estimates[-2])
 
 
-def radiation_null(sampler, mu, r_sequence, omega=(1.0, 0.0, 0.0)):
+def radiation_null(sampler, mu, r_sequence):
     """Limit of r d_t u along the outgoing ray t = r + 2 + mu.
 
     Richardson/Neville extrapolation in 1/r over the given increasing
@@ -129,8 +128,7 @@ def radiation_null(sampler, mu, r_sequence, omega=(1.0, 0.0, 0.0)):
     j = sampler.jets(t_seq, r_seq, order=1)
     values = r_seq * j["u"][(1, 0)]
     limit, corr = _neville_to_zero(1.0 / r_seq, values)
-    return RadiationEstimate(mu=float(mu), omega=tuple(omega),
-                             value=float(limit), method="null-ray",
+    return RadiationEstimate(mu=float(mu), value=float(limit), method="null-ray",
                              error_bar=float(corr))
 
 
@@ -175,8 +173,7 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000, s0=2.0):
     else:
         err_tail = 0.0
     mu = 0.5 * curve.c0 - 2.0
-    return RadiationEstimate(mu=float(mu), omega=curve.omega, value=float(value),
-                             method="hyperbola",
+    return RadiationEstimate(mu=float(mu), value=float(value), method="hyperbola",
                              error_bar=float(err_friction + err_tail),
                              flagged=flagged)
 

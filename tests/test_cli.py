@@ -60,9 +60,24 @@ def test_simulate_zero_amplitude_yields_zero_slices(tmp_path):
     out = tmp_path / "zero-run"
     rc = cli.main(["simulate", "--scenario", str(cfg), "--out", str(out)])
     assert rc == 0
+    # the rigidity stage relies on this: it samples its zero-data run
+    # from the exact zero oracle instead of evolving it
     hist = slice_load(out / "slices.wkgh")
-    assert np.all(hist.u == 0.0)
-    assert np.all(hist.v == 0.0)
+    for name in ("u", "ut", "v", "vt"):
+        assert np.all(getattr(hist, name) == 0.0), name
+
+
+def test_pipeline_evolves_only_the_coupled_and_free_wave_runs(tmp_path, monkeypatch):
+    evolved = []
+
+    def counting_evolve(scn):
+        evolved.append(scn)
+        return solver.evolve(scn)
+
+    monkeypatch.setattr(cli, "evolve", counting_evolve)
+    scn = parse_scenario(TINY)
+    cli.run_pipeline("all", scn, tmp_path / "run")
+    assert evolved == [scn, scn.free()]
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

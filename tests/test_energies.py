@@ -48,7 +48,7 @@ def test_triple_form_agreement(wave_sampler):
 
 
 def test_e0_conserved_free_wave(wave_sampler):
-    vals = [en.energy_e0(sample_at(wave_sampler, s), "u")
+    vals = [en.energy_e0c(sample_at(wave_sampler, s), 0.0, "u")
             for s in np.linspace(2.0, 20.0, 10)]
     drift = (max(vals) - min(vals)) / max(vals)
     assert drift < 1e-6
@@ -98,18 +98,13 @@ def test_e0gc_reduces_to_flat_without_coupling(kg_sampler):
     assert out["kappa_ok"]
 
 
-def test_energy_plane_positive(wave_sampler):
-    sample = sample_at(wave_sampler, 2.0)
-    assert en.energy_plane(sample, field="u") > 0
-
-
 class TestHighOrder:
     def test_order0_matches_plain_energies(self, wave_sampler):
         s = 3.0
         rn = en.hyperboloid_nodes(s, DR)
         table = en.high_order_energies(wave_sampler, s, rn, 0.0, "u")
         sample = sample_at(wave_sampler, s)
-        assert_allclose(table["1"]["e0c"], en.energy_e0(sample, "u"), rtol=1e-10)
+        assert_allclose(table["1"]["e0c"], en.energy_e0c(sample, 0.0, "u"), rtol=1e-10)
         assert_allclose(table["1"]["e1"], en.energy_e1(sample, "u")[0],
                         rtol=1e-10)
 
@@ -144,11 +139,3 @@ def test_word_l2_norms_positive(wave_sampler):
     assert set(norms) == set(en.WORDS)
     assert all(v >= 0 for v in norms.values())
     assert norms["1"] > 0
-
-
-def test_pointwise_word_norm_dominates_value(wave_sampler):
-    t = np.array([3.0, 4.0])
-    r = np.array([1.0, 2.0])
-    total = en.pointwise_word_norm(wave_sampler, t, r, "u")
-    plain = np.abs(wave_sampler.jets(t, r, order=1)["u"][(0, 0)])
-    assert np.all(total >= plain)

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavekg.oracles import (DalembertField, KGSpectralField, KirchhoffEnvelope,
-                            OracleSampler, dalembert_radial, duhamel_radial,
-                            free_wave_radiation, kg_spectral,
+                            OracleSampler, duhamel_radial, free_wave_radiation,
                             kirchhoff_envelope)
 from wavekg.profiles import Profile
 
@@ -55,9 +54,6 @@ class TestDalembert:
         assert_allclose(f(2.7, 0.0), f(2.7, 1e-6), rtol=1e-8)
         assert f.jet(2.7, 0.0, 0, 1) == 0.0
 
-    def test_convenience_wrapper(self):
-        assert_allclose(dalembert_radial(U0, U1, 2.0, 0.5), U0(0.5))
-
 
 @pytest.fixture(scope="module")
 def field():
@@ -89,18 +85,8 @@ class TestKGSpectral:
         for t in (3.0, 10.0, 40.0):
             assert_allclose(mode_energy(t), e0, rtol=1e-12)
 
-    def test_slice_values_match_jet(self, field):
-        nodes, v = field.slice_values(4.0)
-        sel = slice(10, 200, 17)
-        assert_allclose(v[sel], field(4.0, nodes[sel]), atol=1e-10)
-
     def test_jet_even_in_r(self, field):
         assert_allclose(field(3.0, 0.3), field(3.0, -0.3), rtol=1e-12)
-
-    def test_kg_spectral_wrapper(self):
-        nodes, v = kg_spectral(U0, ZERO, 1.0, 2.0)
-        mask = nodes < 1.0
-        assert_allclose(v[mask], U0(nodes[mask]), atol=1e-9)
 
 
 def test_oracle_sampler_fills_missing_fields():

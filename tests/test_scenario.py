@@ -61,6 +61,7 @@ def test_error_carries_line_number():
     ("grid.t_end = 70", 1),  # r_max keeps its default 60
     ("data.eps = 0.1\n\ndata.v1 = bump radius=1.5", 3),
     ("grid.dr = 0.05\ngrid.t_end = 5", 2),  # too short for the stages
+    ("mass.c = 1.0\ngrid.dr = 0.25", 2),  # too coarse for the energy checks
 ])
 def test_range_violation_carries_line_number(doc, line):
     with pytest.raises(ScenarioError, match=f"^line {line}: "):
