@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__, solver
 from . import inequalities as iq
-from .energies import (energy_e0c, energy_e0gc, energy_e1, energy_f1,
-                       high_order_energies, hyperboloid_nodes,
-                       hyperboloid_samples, last_covered_s)
+from .energies import (_word_energies, energy_e0c, energy_e0gc, energy_e1,
+                       energy_f1, hyperboloid_nodes, hyperboloid_samples,
+                       last_covered_s)
 from .geometry import HyperbolaCurve
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
@@ -168,9 +168,10 @@ def _stage_energies(scn, out, history):
     tables = {}
     for s in (s_grid[0], s_grid[len(s_grid) // 2], s_grid[-1]):
         rn = hyperboloid_nodes(s, scn.dr)
+        j = sampler.jets(np.hypot(float(s), rn), rn, order=3)
         tables[repr(float(s))] = {
-            "u": high_order_energies(sampler, s, rn, 0.0, "u"),
-            "v": high_order_energies(sampler, s, rn, scn.c, "v"),
+            "u": _word_energies(j["u"], s, rn, 0.0),
+            "v": _word_energies(j["v"], s, rn, scn.c),
         }
     e0 = np.array([r[1] for r in rows])
     e1 = np.array(e1_series)

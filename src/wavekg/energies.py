@@ -320,11 +320,17 @@ def high_order_energies(sampler, s, r_nodes, c, field="u", order=2):
     Returns {word: {"e0c": value, "e1": value}}; the order-0 entry agrees
     with energy_e0c / energy_e1 of the plain sample by construction.
     """
-    if order > 2:
-        raise ValueError("high-order energies implemented up to total order 2")
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    j = sampler.jets(t, r, order=3)[field]
+    return _word_energies(sampler.jets(t, r, order=3)[field], s, r, c, order)
+
+
+def _word_energies(j, s, r, c, order=2):
+    """high_order_energies from one field's jets j (to total order 3) on
+    H_s, so that one jets() query can serve both fields."""
+    if order > 2:
+        raise ValueError("high-order energies implemented up to total order 2")
+    t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
     s2 = float(s) ** 2
     table = {}
@@ -358,7 +364,12 @@ def word_l2_norms(sampler, s, r_nodes, field="u", order=2):
     """L2(H_s) norms of each word field (Frobenius magnitude for l2)."""
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    j = sampler.jets(t, r, order=3)[field]
+    return _word_norms(sampler.jets(t, r, order=3)[field], s, r, order)
+
+
+def _word_norms(j, s, r, order=2):
+    """word_l2_norms from one field's jets j (to total order 3) on H_s."""
+    t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
     out = {}
     for word in WORDS:
@@ -371,4 +382,3 @@ def word_l2_norms(sampler, s, r_nodes, field="u", order=2):
             mag2 = trips[0][0] ** 2
         out[word] = np.sqrt(radial_integral(mag2, r))
     return out
-

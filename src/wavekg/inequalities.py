@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energies import (energy_e0c, energy_e0gc, energy_e1,
-                       high_order_energies, hyperboloid_nodes, radial_integral,
-                       word_l2_norms)
+from .energies import (_word_energies, _word_norms, energy_e0c, energy_e0gc,
+                       energy_e1, hyperboloid_nodes, radial_integral)
 
 __all__ = [
     "MonitorSeries",
@@ -101,9 +100,9 @@ def check_klainerman_sobolev(sampler, s, dr, field="u", order=2):
     """sup_{H_s} t^(3/2) |w| over the order-2 commuted L2 norms."""
     rn = hyperboloid_nodes(s, dr)
     t = np.hypot(float(s), rn)
-    j = sampler.jets(t, rn, order=1)
-    sup = float(np.max(t**1.5 * np.abs(j[field][(0, 0)])))
-    norms = word_l2_norms(sampler, s, rn, field=field, order=order)
+    j = sampler.jets(t, rn, order=3)[field]
+    sup = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
+    norms = _word_norms(j, s, rn, order=order)
     total = sum(norms.values())
     if total <= 1e-300:
         return 0.0
@@ -234,8 +233,9 @@ def bootstrap_monitor(sampler, scn, s_grid, c1eps=None, delta=0.05):
     combined = np.zeros_like(s_grid)
     for i, s in enumerate(s_grid):
         rn = hyperboloid_nodes(s, scn.dr)
-        tab_u = high_order_energies(sampler, s, rn, 0.0, field="u", order=2)
-        tab_v = high_order_energies(sampler, s, rn, scn.c, field="v", order=2)
+        j = sampler.jets(np.hypot(float(s), rn), rn, order=3)
+        tab_u = _word_energies(j["u"], s, rn, 0.0)
+        tab_v = _word_energies(j["v"], s, rn, scn.c)
         e1_u = sum(max(row["e1"], 0.0) for row in tab_u.values())
         e0c_v = sum(max(row["e0c"], 0.0) for row in tab_v.values())
         combined[i] = np.sqrt(e1_u) + 4.0 * np.sqrt(e0c_v)

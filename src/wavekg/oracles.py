@@ -8,7 +8,9 @@ derivative of u is closed-form as well.
 Free Klein-Gordon: w = r v solves the 1+1 Klein-Gordon equation on a
 half-line with Dirichlet conditions; a discrete sine transform evolves
 each mode exactly in time, and a sine-series representation gives jets
-at arbitrary points.
+at arbitrary points.  Every derivative of a chunk of points comes from
+one set of sin/cos tables (of k r and of omega (t - 2)), and chunks are
+sized in bytes, so memory does not grow with the mode count.
 
 Both oracles are deliberately independent of the finite-difference
 solver (different representations, different grids).
@@ -98,30 +100,47 @@ class DalembertField:
 
 # -- Klein-Gordon spectral oracle --------------------------------------------
 
-# sinc = sin(x)/x and its first three derivatives; closed forms are
-# unstable near 0, replaced by Taylor series there
-def _sinc_derivs(x, order):
-    small = np.abs(x) < 0.1
-    xs = np.where(small, 1.0, x)
-    s, c = np.sin(xs), np.cos(xs)
+_SINC_SWITCH = 0.1      # below this x the sinc recurrence loses digits
+_CHUNK_BYTES = 2**22    # one (points x modes) float64 table per chunk
+
+
+def _sinc_series(x, n):
+    """Taylor series of the n-th derivative of sinc = sin(x)/x near 0."""
     x2 = x * x
-    out = []
-    if order >= 0:
-        exact = s / xs
-        series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-        out.append(np.where(small, series, exact))
-    if order >= 1:
-        exact = c / xs - s / xs**2
-        series = x * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0)
-        out.append(np.where(small, series, exact))
-    if order >= 2:
-        exact = -s / xs - 2.0 * c / xs**2 + 2.0 * s / xs**3
-        series = -1.0 / 3.0 + x2 / 10.0 - x2 * x2 / 168.0
-        out.append(np.where(small, series, exact))
-    if order >= 3:
-        exact = -c / xs + 3.0 * s / xs**2 + 6.0 * c / xs**3 - 6.0 * s / xs**4
-        series = x * (1.0 / 5.0 - x2 / 42.0 + x2 * x2 / 1080.0)
-        out.append(np.where(small, series, exact))
+    if n == 0:
+        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+    if n == 1:
+        return x * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0)
+    if n == 2:
+        return -1.0 / 3.0 + x2 / 10.0 - x2 * x2 / 168.0
+    return x * (1.0 / 5.0 - x2 / 42.0 + x2 * x2 / 1080.0)
+
+
+def _sinc_table(x, order):
+    """[sinc^(n)(x) for n <= order] over a table of x >= 0.
+
+    Differentiating x f = sin x gives f^(n) = (sin^(n) x - n f^(n-1)) / x,
+    so one sin and one cos of x serve every order; the series replaces
+    the recurrence where x < _SINC_SWITCH.
+    """
+    trig = (np.sin(x), np.cos(x) if order >= 1 else None)
+    small = x < _SINC_SWITCH
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / x
+        out = [trig[0] * inv]
+        for n in range(1, order + 1):
+            # sin^(n) = sin, cos, -sin, -cos for n = 0, 1, 2, 3
+            f = out[-1] * -float(n)
+            if n % 4 < 2:
+                f += trig[n % 2]
+            else:
+                f -= trig[n % 2]
+            f *= inv
+            out.append(f)
+    if small.any():
+        xs = x[small]
+        for n, f in enumerate(out):
+            f[small] = _sinc_series(xs, n)
     return out
 
 
@@ -131,7 +150,16 @@ class KGSpectralField:
     The odd extension of w is expanded in sine modes on [0, length] via
     a type-I DST; each mode advances exactly with frequency
     omega_k = sqrt(k^2 + c^2).  Values and derivatives at arbitrary
-    points come from the sine series written as k*sinc(k r) terms.
+    points come from the sine series written as k*sinc(k r) terms:
+
+        d_t^a d_r^b v = sum_m A_m k_m^(b+1) (-omega_m^2)^(a//2) sinc^(b)(k_m r)
+
+    with A the mode amplitude B (a even) or its time derivative (a odd).
+    jets() evaluates points in chunks sized so that one chunk's
+    (points x modes) table takes _CHUNK_BYTES.  Within a chunk, one sin
+    and cos of k r give every sinc^(b), one sin and cos of omega (t - 2)
+    per distinct time give both amplitudes, and each (a, b) is one
+    weighted sum over modes.
     """
 
     def __init__(self, v0, v1, c, length=64.0, n_modes=4096):
@@ -155,51 +183,41 @@ class KGSpectralField:
                 "profile spectrum not negligible at the Nyquist mode; "
                 "increase n_modes", RuntimeWarning)
 
-    def _mode_coeffs(self, t, a):
-        """a-th time derivative of the mode amplitudes at time t."""
-        phase = self.omega * (t - 2.0)
+    def _amplitudes(self, t):
+        """Mode amplitudes B and dB/dt at the times t, one row per time."""
+        phase = np.multiply.outer(np.asarray(t, dtype=float) - 2.0, self.omega)
         cosp, sinp = np.cos(phase), np.sin(phase)
-        b = self.b0 * cosp + self.b1 * sinp / self.omega
-        bdot = -self.b0 * self.omega * sinp + self.b1 * cosp
-        if a == 0:
-            return b
-        if a == 1:
-            return bdot
-        if a == 2:
-            return -self.omega**2 * b
-        if a == 3:
-            return -self.omega**2 * bdot
-        raise ValueError(f"time-derivative order {a} not supported")
+        b = self.b0 * cosp + (self.b1 / self.omega) * sinp
+        bdot = (-self.b0 * self.omega) * sinp + self.b1 * cosp
+        return b, bdot
 
     def jet(self, t, r, a=0, b=0):
-        """d_t^a d_r^b v at scattered points, via v = sum b_m k_m sinc(k_m r)."""
+        """d_t^a d_r^b v at scattered points."""
+        return self.jets(t, r, a + b)[(a, b)]
+
+    def jets(self, t, r, order=3):
+        """{(a, b): d_t^a d_r^b v} for a + b <= order <= 3 at scattered points."""
+        if order > 3:
+            raise ValueError(f"derivative order {order} not supported")
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         t, r = np.broadcast_arrays(t, r)
         shape = t.shape
         tf, rf = t.ravel(), np.abs(r.ravel())
-        out = np.empty_like(tf)
-        # time coefficients vary point-by-point only through t; group by t
-        # is overkill -- evaluate per chunk with an outer product
-        chunk = 256
+        keys = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
+        weight = {(a, b): self.k ** (b + 1) * (-self.omega**2) ** (a // 2)
+                  for a, b in keys}
+        out = {key: np.empty(tf.size) for key in keys}
+        chunk = max(1, _CHUNK_BYTES // (8 * self.k.size))
         for lo in range(0, tf.size, chunk):
-            hi = min(lo + chunk, tf.size)
-            tc, rc = tf[lo:hi], rf[lo:hi]
-            x = rc[:, None] * self.k[None, :]
-            sinc_b = _sinc_derivs(x, b)[b]
-            # distinct times within a chunk are rare in practice but legal
-            vals = np.empty(hi - lo)
-            uniq, inv = np.unique(tc, return_inverse=True)
-            for i, tv in enumerate(uniq):
-                coeff = self._mode_coeffs(tv, a) * self.k ** (b + 1)
-                sel = inv == i
-                vals[sel] = sinc_b[sel] @ coeff
-            out[lo:hi] = vals
-        return out.reshape(shape)
-
-    def jets(self, t, r, order=3):
-        return {(a, b): self.jet(t, r, a, b)
-                for a in range(order + 1) for b in range(order + 1 - a)}
+            sl = slice(lo, lo + chunk)
+            sincs = _sinc_table(np.multiply.outer(rf[sl], self.k), order)
+            times, row = np.unique(tf[sl], return_inverse=True)
+            amps = [amp[row] for amp in self._amplitudes(times)]
+            for a, b in keys:
+                out[(a, b)][sl] = np.einsum("pm,pm,m->p", amps[a % 2], sincs[b],
+                                            weight[(a, b)])
+        return {key: val.reshape(shape) for key, val in out.items()}
 
     def __call__(self, t, r):
         return self.jet(t, r, 0, 0)

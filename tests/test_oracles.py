@@ -1,3 +1,5 @@
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from wavekg.profiles import Profile
 
 U0 = Profile("bump", k=4, radius=1.0, amp=1.0)
 U1 = Profile("bump", k=3, radius=0.8, amp=0.5)
+V1 = Profile("bump", k=4, radius=1.0, amp=0.5)   # negligible at the Nyquist mode
 ZERO = Profile("zero")
 
 
@@ -77,8 +80,7 @@ class TestKGSpectral:
     def test_mode_energy_conserved(self, field):
         # sum omega_k^2 b_k^2 + bdot_k^2 is exactly constant in time
         def mode_energy(t):
-            b = field._mode_coeffs(t, 0)
-            bd = field._mode_coeffs(t, 1)
+            b, bd = field._amplitudes([t])
             return np.sum(field.omega**2 * b**2 + bd**2)
 
         e0 = mode_energy(2.0)
@@ -87,6 +89,89 @@ class TestKGSpectral:
 
     def test_jet_even_in_r(self, field):
         assert_allclose(field(3.0, 0.3), field(3.0, -0.3), rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def moving_field():
+    # both amplitudes nonzero, so odd time derivatives see b1 as well
+    return KGSpectralField(U0, V1, 1.0)
+
+
+def leibniz_reference(field, t, r, a, b):
+    """d_t^a d_r^b (w / r) for r > 0 with w = sum B_m sin(k_m r), term by term."""
+    phase = np.multiply.outer(t - 2.0, field.omega)
+    amp = [field.b0 * np.cos(phase) + field.b1 / field.omega * np.sin(phase),
+           -field.b0 * field.omega * np.sin(phase) + field.b1 * np.cos(phase)]
+    coeff = amp[a % 2] * (-field.omega**2) ** (a // 2)
+    out = np.zeros_like(r)
+    for j in range(b + 1):
+        n = b - j   # d_r^n sin(k r) = k^n sin(k r + n pi/2)
+        w_n = np.sum(coeff * field.k**n * np.sin(np.multiply.outer(r, field.k) + n * np.pi / 2),
+                     axis=1)
+        out += comb(b, j) * (-1.0) ** j * factorial(j) * w_n / r ** (j + 1)
+    return out
+
+
+KEYS = [(a, b) for a in range(4) for b in range(4 - a)]
+
+
+class TestKGJets:
+    def test_match_leibniz_reference_off_axis(self, moving_field):
+        rng = np.random.default_rng(11)
+        t = rng.uniform(2.0, 12.0, 200)
+        r = rng.uniform(1.0, 10.0, 200)
+        got = moving_field.jets(t, r, order=3)
+        for a, b in KEYS:
+            ref = leibniz_reference(moving_field, t, r, a, b)
+            assert_allclose(got[(a, b)], ref, rtol=0,
+                            atol=1e-10 * np.max(np.abs(ref)), err_msg=f"{(a, b)}")
+
+    def test_value_independent_of_chunk_and_repeated_times(self, moving_field):
+        rng = np.random.default_rng(12)
+        t = rng.uniform(2.0, 12.0, 600)
+        r = rng.uniform(0.0, 1.0, 600) * (t - 1.0)
+        t[100:300] = 5.0     # one repeated time across a chunk boundary
+        t[400:420] = t[7]
+        r[:10] = 0.0
+        r[10:20] = 0.1 / moving_field.k[:10]
+        whole = moving_field.jets(t, r, order=3)
+        single = [moving_field.jets(t[i], r[i], order=3) for i in range(t.size)]
+        for key in KEYS:
+            alone = np.array([point[key] for point in single])
+            assert_allclose(whole[key], alone, rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(alone)), err_msg=f"{key}")
+
+    def test_continuous_across_series_switch_and_axis(self, moving_field):
+        k = moving_field.k
+        # x = k_m r crosses 0.1 for mode m; steps of 1e-12 in r (relative
+        # at the switch, absolute at the axis) move a smooth jet by at
+        # most 2e-11 of its peak
+        at = 0.1 / k[[0, 1, 4, 40, 400]]
+        below, above = at * (1.0 - 1e-12), at * (1.0 + 1e-12)
+        t = np.full(at.shape, 4.5)
+        lo = moving_field.jets(t, below, order=3)
+        hi = moving_field.jets(t, above, order=3)
+        axis = moving_field.jets(np.full(3, 4.5), np.array([0.0, 1e-12, -1e-12]), order=3)
+        peak = moving_field.jets(np.full(200, 4.5), np.linspace(0.0, 3.0, 200), order=3)
+        for a, b in KEYS:
+            scale = np.max(np.abs(peak[(a, b)]))
+            assert_allclose(lo[(a, b)], hi[(a, b)], rtol=0, atol=1e-10 * scale)
+            assert_allclose(axis[(a, b)][1:], axis[(a, b)][0], rtol=0, atol=1e-10 * scale)
+            if b % 2:
+                assert axis[(a, b)][0] == 0.0   # odd in r: zero on the axis
+
+    def test_jet_is_the_jets_entry(self, moving_field):
+        rng = np.random.default_rng(13)
+        t = rng.uniform(2.0, 12.0, 300)
+        r = rng.uniform(0.0, 8.0, 300)
+        r[:5] = 0.0
+        full = moving_field.jets(t, r, order=3)
+        for a, b in KEYS:
+            assert np.array_equal(moving_field.jet(t, r, a, b), full[(a, b)])
+
+    def test_rejects_order_above_three(self, moving_field):
+        with pytest.raises(ValueError):
+            moving_field.jets(3.0, 1.0, order=4)
 
 
 def test_oracle_sampler_fills_missing_fields():
