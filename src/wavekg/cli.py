@@ -9,6 +9,10 @@ randomized sweeps draw from the explicit --seed.
 
 Reports are CSV/JSON; every monitor series is additionally emitted as a
 two-column plot-data file.
+
+Only the stages, writers and orchestration live here: where a stage
+samples is geometry's sampling plan, and the stages that read hyperboloid
+samples share the history's ``foliation``, built once per history.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import numpy as np
 from . import __version__, solver
 from . import inequalities as iq
 from .energies import (_word_energies, energy_e0c, energy_e0gc, energy_e1,
-                       energy_f1, hyperboloid_nodes, hyperboloid_samples,
-                       last_covered_s)
-from .geometry import HyperbolaCurve
+                       energy_f1)
+from .geometry import (MU_FAN, HyperbolaCurve, covered_s_grid,
+                       hyperboloid_nodes, null_radii)
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
@@ -95,47 +99,6 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# -- shared grids ---------------------------------------------------------------
-#
-# Every point a stage samples lies at or before the run's last stored time:
-# the hyperboloids end at last_covered_s, the null rays and the
-# characteristic hyperbolas at t_last.
-
-
-# retarded times mu of the null rays t = r + 2 + mu (radiation, rigidity)
-_MU_FAN = np.linspace(-1.0, 1.0, 9)
-
-
-def _s_grid(history, n=25):
-    """Hyperboloid parameters whose sample nodes the run covers."""
-    return np.linspace(2.0, last_covered_s(history.t_last, history.scenario.dr), n)
-
-
-def _null_radii(t_last, mu):
-    r_hi = t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
-    # three nodes: higher-degree extrapolation amplifies the sampler's
-    # interpolation noise faster than it removes the 1/r tail
-    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
-
-
-def run_length_problem(t_end, dr):
-    """Why the stages cannot sample a run on [2, t_end], or None.
-
-    The hyperboloids must reach past s = 2, and every null ray must start
-    at or after t = 2; the earliest is the rigidity fan's first mu on the
-    radii of its last.  The c0 = 3 hyperbola needs t_end > 3.61, which
-    the fan already demands (t_end >= 5.22).
-    """
-    s_last = last_covered_s(t_end, dr)
-    if not s_last > 2.0:
-        return f"its hyperboloids would end at s = {s_last:.4f}, not past s = 2"
-    t_first = min(_null_radii(t_end, mu_r)[0] + 2.0 + mu
-                  for mu in _MU_FAN for mu_r in (mu, _MU_FAN[-1]))
-    if t_first < 2.0:
-        return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
-    return None
-
-
 # -- pipeline stages ------------------------------------------------------------
 
 
@@ -147,10 +110,10 @@ def _stage_simulate(scn, out):
 
 def _stage_energies(scn, out, history):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(history)
+    s_grid = covered_s_grid(history.t_last, scn.dr)
     rows = []
     e1_series = []
-    for s, sample in zip(s_grid, hyperboloid_samples(sampler, s_grid, scn.dr)):
+    for s, sample in zip(s_grid, history.foliation):
         e0_u = energy_e0c(sample, 0.0, "u")
         e0c_v = energy_e0c(sample, scn.c, "v")
         e1_u, parts = energy_e1(sample, "u")
@@ -190,8 +153,7 @@ def _stage_energies(scn, out, history):
 
 def _stage_inequalities(scn, out, history, rng):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(history)
-    samples = hyperboloid_samples(sampler, s_grid, scn.dr)
+    samples = history.foliation
     report = {}
     conf = iq.check_conformal_estimate(samples, scn)
     report["conformal"] = {k: conf[k] for k in
@@ -208,17 +170,15 @@ def _stage_inequalities(scn, out, history, rng):
         report["monitors"][name] = {"slope": m.slope, "confidence": m.confidence}
         _write_series(out / f"monitor_{name}.dat", m.grid, m.values)
         files.append(f"monitor_{name}.dat")
-    boot = iq.bootstrap_monitor(sampler, scn, _s_grid(history, n=6),
+    boot = iq.bootstrap_monitor(sampler, scn,
+                                covered_s_grid(history.t_last, scn.dr, n=6),
                                 delta=scn.delta)
     report["bootstrap"] = boot
     _write_series(out / "bootstrap.dat", boot["s"], boot["value"])
     files.append("bootstrap.dat")
-    s_mid = float(s_grid[len(s_grid) // 2])
+    s_mid = samples[len(samples) // 2]["s"]
     report["klainerman_sobolev"] = {
-        "s": s_mid,
-        "u": iq.check_klainerman_sobolev(sampler, s_mid, scn.dr, "u"),
-        "v": iq.check_klainerman_sobolev(sampler, s_mid, scn.dr, "v"),
-    }
+        "s": s_mid, **iq.check_klainerman_sobolev(sampler, s_mid, scn.dr)}
     hardy = {}
     for n_dim, alpha in ((3, 1.0), (3, 2.0), (2, 1.0)):
         profile = Profile("bump", k=int(rng.integers(2, 6)),
@@ -237,7 +197,7 @@ def _stage_inequalities(scn, out, history, rng):
 
 def _stage_kg_lab(scn, out, history, rng):
     sampler = HistorySampler(history)
-    s_grid = _s_grid(history)
+    s_grid = covered_s_grid(history.t_last, scn.dr)
     # oscillator sweep: random bounded coefficients, explicit seed
     worst = {"c_quadratic": 0.0, "c_printed": 0.0, "diag_residual": 0.0,
              "slack_quadratic": np.inf}
@@ -284,8 +244,8 @@ def _stage_kg_lab(scn, out, history, rng):
 def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
     rows = []
-    for mu in _MU_FAN:
-        est = radiation_null(sampler, mu, _null_radii(history.t_last, mu))
+    for mu in MU_FAN:
+        est = radiation_null(sampler, mu, null_radii(history.t_last, mu))
         rows.append((est.mu, "", est.value, est.error_bar, est.method,
                      est.flagged))
     transport = {}
@@ -306,9 +266,8 @@ def _stage_radiation(scn, out, history):
         transport[f"{c0!r}"] = t_max
     _write_csv(out / "radiation.csv",
                ["mu", "c0", "value", "error_bar", "method", "flagged"], rows)
-    decay = excessive_decay_check(
-        hyperboloid_samples(sampler, _s_grid(history), scn.dr),
-        eta=scn.eta, delta=scn.delta)
+    decay = excessive_decay_check(history.foliation, eta=scn.eta,
+                                  delta=scn.delta)
     report = {
         "transport_residuals": transport,
         "excessive_decay": {k: decay[k] for k in
@@ -331,11 +290,11 @@ def _stage_rigidity(scn, out, history):
                       "scn": scn.free()},
         "coupled": {"sampler": HistorySampler(history), "scn": scn},
     }
-    s_grid = _s_grid(history, n=9)
+    s_grid = covered_s_grid(history.t_last, scn.dr, n=9)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(runs, s_grid, _MU_FAN,
-                                 _null_radii(history.t_last, _MU_FAN[-1]), floor)
+    report = rigidity_experiment(runs, s_grid, MU_FAN,
+                                 null_radii(history.t_last, MU_FAN[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]
 

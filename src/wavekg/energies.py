@@ -15,6 +15,10 @@ is carried exactly by sector weights:
 With these weights the order <= 2 energies of a free wave are genuine
 conserved 3D energies of genuine solutions, which is what the
 conservation regressions check.
+
+Where the hyperboloids and their quadrature radii lie is the sampling
+plan of the geometry module; this module samples the fields there and
+integrates.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
+from .geometry import hyperboloid_nodes
+
 __all__ = [
     "EnergyError",
-    "hyperboloid_nodes",
-    "last_covered_s",
     "build_sample",
     "hyperboloid_samples",
     "radial_integral",
@@ -42,30 +46,6 @@ __all__ = [
 
 class EnergyError(RuntimeError):
     pass
-
-
-_NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
-
-
-def hyperboloid_nodes(s, dr):
-    """Uniform quadrature radii covering the support cone on H_s.
-
-    Data supported in the unit ball stay inside r <= t - 1, which on H_s
-    means r <= (s^2 - 1)/2; a few extra spacings of margin are added.
-    """
-    r_sup = 0.5 * (s**2 - 1.0) + _NODE_MARGIN * dr
-    return dr * np.arange(int(np.ceil(r_sup / dr)) + 1)
-
-
-def last_covered_s(t_last, dr):
-    """Largest s whose hyperboloid_nodes all lie at times <= t_last.
-
-    The outermost node sits at most (margin + 1) spacings past the cone
-    radius (s^2 - 1)/2, where H_s has t = (s^2 + 1)/2; along H_s the time
-    grows more slowly than the radius, so those nodes have
-    t < (s^2 + 1)/2 + (margin + 1) dr.  Returns 0 when no H_s is covered.
-    """
-    return float(np.sqrt(max(0.0, 2.0 * (t_last - (_NODE_MARGIN + 1) * dr) - 1.0)))
 
 
 def build_sample(sampler, s, r_nodes):

@@ -7,6 +7,11 @@ hyperboloidal time.  This module provides the characteristic hyperbolas
 of the null generator field (t^2 - r^2)/r = c0, the point where each
 enters the covered region, and their friction coefficient.
 
+It also holds the sampling plan, the one rule for where every stage
+samples a run ending at t_last: the quadrature radii of each H_s, the s
+grid of the covered hyperboloids, the null rays t = r + 2 + mu and their
+radii, and the shortest run the stages can analyse.
+
 All geometry is closed-form; no ODE integration enters curve positions.
 """
 
@@ -25,6 +30,12 @@ __all__ = [
     "entry_point",
     "friction_P",
     "friction_integral",
+    "hyperboloid_nodes",
+    "last_covered_s",
+    "covered_s_grid",
+    "MU_FAN",
+    "null_radii",
+    "run_length_problem",
 ]
 
 
@@ -136,3 +147,63 @@ def friction_integral(curve, tau_lo, tau_hi=np.inf):
     val, _ = quad(integrand, tau_lo, tau_hi, limit=200)
     return val
 
+
+
+# -- the sampling plan --------------------------------------------------------
+
+_NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
+
+# retarded times mu of the null rays t = r + 2 + mu (radiation, rigidity)
+MU_FAN = np.linspace(-1.0, 1.0, 9)
+
+
+def hyperboloid_nodes(s, dr):
+    """Uniform quadrature radii covering the support cone on H_s.
+
+    Data supported in the unit ball stay inside r <= t - 1, which on H_s
+    means r <= (s^2 - 1)/2; a few extra spacings of margin are added.
+    """
+    r_sup = 0.5 * (s**2 - 1.0) + _NODE_MARGIN * dr
+    return dr * np.arange(int(np.ceil(r_sup / dr)) + 1)
+
+
+def last_covered_s(t_last, dr):
+    """Largest s whose hyperboloid_nodes all lie at times <= t_last.
+
+    The outermost node sits at most (margin + 1) spacings past the cone
+    radius (s^2 - 1)/2, where H_s has t = (s^2 + 1)/2; along H_s the time
+    grows more slowly than the radius, so those nodes have
+    t < (s^2 + 1)/2 + (margin + 1) dr.  Returns 0 when no H_s is covered.
+    """
+    return float(np.sqrt(max(0.0, 2.0 * (t_last - (_NODE_MARGIN + 1) * dr) - 1.0)))
+
+
+def covered_s_grid(t_last, dr, n=25):
+    """n hyperboloid parameters from s = 2 to the last H_s the run covers."""
+    return np.linspace(2.0, last_covered_s(t_last, dr), n)
+
+
+def null_radii(t_last, mu):
+    """Extrapolation radii on the null ray t = r + 2 + mu, ending by t_last."""
+    r_hi = t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
+    # three nodes: higher-degree extrapolation amplifies the sampler's
+    # interpolation noise faster than it removes the 1/r tail
+    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
+
+
+def run_length_problem(t_end, dr):
+    """Why the stages cannot sample a run on [2, t_end], or None.
+
+    The hyperboloids must reach past s = 2, and every null ray must start
+    at or after t = 2; the earliest is the rigidity fan's first mu on the
+    radii of its last.  The c0 = 3 hyperbola needs t_end > 3.61, which
+    the fan already demands (t_end >= 5.22).
+    """
+    s_last = last_covered_s(t_end, dr)
+    if not s_last > 2.0:
+        return f"its hyperboloids would end at s = {s_last:.4f}, not past s = 2"
+    t_first = min(null_radii(t_end, mu_r)[0] + 2.0 + mu
+                  for mu in MU_FAN for mu_r in (mu, MU_FAN[-1]))
+    if t_first < 2.0:
+        return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
+    return None

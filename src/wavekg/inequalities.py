@@ -14,7 +14,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from .energies import (_word_energies, _word_norms, energy_e0c, energy_e0gc,
-                       energy_e1, hyperboloid_nodes, radial_integral)
+                       energy_e1, radial_integral)
+from .geometry import hyperboloid_nodes
 
 __all__ = [
     "MonitorSeries",
@@ -96,17 +97,17 @@ def check_hardy(profile, alpha, n=3, r_max=None, dr=1e-3):
 # -- Klainerman-Sobolev -------------------------------------------------------
 
 
-def check_klainerman_sobolev(sampler, s, dr, field="u", order=2):
-    """sup_{H_s} t^(3/2) |w| over the order-2 commuted L2 norms."""
+def check_klainerman_sobolev(sampler, s, dr, order=2):
+    """sup_{H_s} t^(3/2) |w| over the order-2 commuted L2 norms of w, for
+    w = u and w = v from one jets() query; returns {"u": ..., "v": ...}."""
     rn = hyperboloid_nodes(s, dr)
     t = np.hypot(float(s), rn)
-    j = sampler.jets(t, rn, order=3)[field]
-    sup = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
-    norms = _word_norms(j, s, rn, order=order)
-    total = sum(norms.values())
-    if total <= 1e-300:
-        return 0.0
-    return sup / total
+    out = {}
+    for field, j in sampler.jets(t, rn, order=3).items():
+        sup = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
+        total = sum(_word_norms(j, s, rn, order=order).values())
+        out[field] = sup / total if total > 1e-300 else 0.0
+    return out
 
 
 # -- energy estimates ---------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "serialize_scenario"]
@@ -120,10 +121,6 @@ def parse_scenario(text):
     for the analysis stages raise ScenarioError with the offending line
     number (none when the offending value is a default).
     """
-    # the stages' sampling rules decide the shortest run they can analyse;
-    # they live above this module, which they import
-    from .cli import run_length_problem
-
     kwargs = {}
     lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

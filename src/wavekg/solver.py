@@ -28,16 +28,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .energies import hyperboloid_samples
+from .geometry import covered_s_grid
 from .scenario import Scenario
 
 __all__ = [
     "SolverError",
-    "FieldState",
     "SliceHistory",
-    "initial_state",
     "evolve",
     "HistorySampler",
 ]
@@ -49,18 +50,6 @@ _FIELDS = ("u", "ut", "v", "vt")
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass
-class FieldState:
-    """Fields (u, d_t u, v, d_t v) on the uniform r-grid at one time."""
-
-    t: float
-    r: np.ndarray
-    u: np.ndarray
-    ut: np.ndarray
-    v: np.ndarray
-    vt: np.ndarray
 
 
 @dataclass
@@ -92,6 +81,17 @@ class SliceHistory:
     def times(self):
         return self.t0 + self.dt * np.arange(self.n_slices)
 
+    @cached_property
+    def foliation(self):
+        """Samples of the 25 covered hyperboloids, built on first use.
+
+        Every stage that reads the foliation reads this one list, and it
+        is freed with the history.
+        """
+        dr = self.scenario.dr
+        return hyperboloid_samples(HistorySampler(self),
+                                   covered_s_grid(self.t_last, dr), dr)
+
 
 # -- time stepping ------------------------------------------------------------
 
@@ -103,16 +103,6 @@ class SliceHistory:
 _WINDOW_MARGIN = 80
 # Cells stored past the final cone r = t_end - 1.
 _STORE_MARGIN = 20
-
-
-def initial_state(scn):
-    """Data at t = 2: eps-scaled named profiles on the uniform grid."""
-    n = int(round(scn.r_max / scn.dr))
-    r = scn.dr * np.arange(n + 1)
-    return FieldState(
-        t=2.0, r=r,
-        u=scn.eps * scn.u0(r), ut=scn.eps * scn.u1(r),
-        v=scn.eps * scn.v0(r), vt=scn.eps * scn.v1(r))
 
 
 def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
@@ -158,9 +148,10 @@ def _time_steps(scn):
 
 
 def evolve(scn):
-    """Run the scenario to t_end, returning the full SliceHistory."""
-    state = initial_state(scn)
-    r, dr = state.r, scn.dr
+    """Run the scenario to t_end from its eps-scaled data at t = 2,
+    returning the full SliceHistory."""
+    dr = scn.dr
+    r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
     n_steps, dt = _time_steps(scn)
     inv_dr2 = 1.0 / dr**2
     inv_drr = 1.0 / (dr * r[1:-1])
@@ -170,7 +161,7 @@ def evolve(scn):
     shape = (n_steps + 1, n_store)
     hist = {name: np.zeros(shape) for name in _FIELDS}
 
-    y = [state.u.copy(), state.ut.copy(), state.v.copy(), state.vt.copy()]
+    y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
     for name, arr in zip(_FIELDS, y):
         hist[name][0] = arr[:n_store]
 

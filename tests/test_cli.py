@@ -1,20 +1,21 @@
 import csv
+import gc
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from wavekg import cli, solver
-from wavekg.energies import hyperboloid_nodes, last_covered_s
-from wavekg.geometry import HyperbolaCurve, entry_point
-from wavekg.kg_reduction import ray_points
+from wavekg import cli, energies, solver
+from wavekg.geometry import run_length_problem
 from wavekg.scenario import ScenarioError, parse_scenario, serialize_scenario
 from wavekg.sliceio import slice_load
-from wavekg.solver import SliceHistory, _time_steps
+from wavekg.solver import _time_steps
 
-from conftest import differing_outputs, make_scenario, run_cli_process
+from conftest import differing_outputs, run_cli_process
+
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "reference.cfg"
 
 TINY = """
 data.eps = 1e-3
@@ -38,6 +39,8 @@ def test_default_scenario_parses():
     assert scn.dr == 0.01
     assert scn.t_end == 52.0
     assert not scn.is_free
+    # the CLI's reference is the benchmark's reference
+    assert scn == parse_scenario(REFERENCE_CFG.read_text())
 
 
 def test_simulate_writes_manifest_and_slices(tiny_cfg, tmp_path):
@@ -78,6 +81,28 @@ def test_pipeline_evolves_only_the_coupled_and_free_wave_runs(tmp_path, monkeypa
     scn = parse_scenario(TINY)
     cli.run_pipeline("all", scn, tmp_path / "run")
     assert evolved == [scn, scn.free()]
+
+
+def test_stages_sample_each_hyperboloid_once_per_history(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_sample(*args):
+        built.append(args[1])
+        return original(*args)
+
+    original = energies.build_sample
+    monkeypatch.setattr(energies, "build_sample", counting_build_sample)
+    scn = parse_scenario(TINY)
+    history = solver.evolve(scn)
+    cli._stage_energies(scn, tmp_path, history)
+    cli._stage_inequalities(scn, tmp_path, history, np.random.default_rng(0))
+    cli._stage_radiation(scn, tmp_path, history)
+    assert len(built) == len(set(built)) == 25
+    # the shared samples live and die with their history
+    ref = weakref.ref(history)
+    del history
+    gc.collect()
+    assert ref() is None
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):
@@ -159,44 +184,11 @@ def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):
     assert ha != hb
 
 
-@settings(max_examples=200, deadline=None)
-@given(dr=st.floats(0.01, 0.05), t_end=st.floats(2.5, 64.0),
-       cfl=st.floats(1e-9, 0.5))
-def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
-    # every run length parse_scenario accepts
-    assume(cli.run_length_problem(t_end, dr) is None)
-    # the time grid evolve would store, without evolving: only t_last and
-    # the grid spacing decide where the stages may sample
-    scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl)
-    n_steps, dt = _time_steps(scn)
-    empty = np.broadcast_to(np.empty((1, 0)), (n_steps + 1, 0))
-    history = SliceHistory(scenario=scn, t0=2.0, dt=dt, r=np.empty(0),
-                           u=empty, ut=empty, v=empty, vt=empty)
-    t_last = history.t_last
-    queries = []
-    for n in (25, 9, 6):  # energies/inequalities/radiation, rigidity, bootstrap
-        s_grid = cli._s_grid(history, n)
-        assert s_grid[-1] == last_covered_s(t_last, dr) and np.all(np.diff(s_grid) > 0)
-        queries += [np.hypot(s, hyperboloid_nodes(s, dr)) for s in s_grid]
-        # the kg-lab rays r/t = rho over the same s range
-        for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
-            queries.append(ray_points(rho, s_grid)[0])
-    mu_fan = np.linspace(-1.0, 1.0, 9)
-    for mu in mu_fan:
-        queries.append(cli._null_radii(t_last, mu) + 2.0 + mu)
-        # the rigidity stage runs the whole fan on the radii of its last ray
-        queries.append(cli._null_radii(t_last, mu_fan[-1]) + 2.0 + mu)
-    queries = np.concatenate(queries)
-    assert queries.min() >= 2.0 and queries.max() <= t_last
-    # the c0 = 3 hyperbola runs from its entry point to t_last
-    assert 1.5 * entry_point(HyperbolaCurve(3.0)).t < t_last
-
-
 def test_shortest_accepted_run_completes(tmp_path):
     # with dr = 0.05 the rigidity fan's earliest ray, mu = -1 on the radii
     # 0.45 (t_end - 3) of mu = 1, starts at t = 2 when t_end = 3 + 1/0.45
     t_min = 3.0 + 1.0 / 0.45
-    assert cli.run_length_problem(t_min + 0.01, 0.05) is None
+    assert run_length_problem(t_min + 0.01, 0.05) is None
     short = TINY.replace("grid.dr = 0.1", "grid.dr = 0.05")
     with pytest.raises(ScenarioError, match="line 7: .*too short.*before t = 2"):
         parse_scenario(short.replace("grid.t_end = 8.0", f"grid.t_end = {t_min - 0.01}"))

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,14 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     exports = getattr(module, "__all__", [])
     assert [e for e in exports if not hasattr(module, e)] == []
+
+
+def test_no_module_imports_inside_a_function():
+    # modules import each other at the top, so the layering is explicit
+    found = []
+    for path in sorted(Path(wavekg.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavekg import geometry as geo
+from wavekg.kg_reduction import ray_points
+from wavekg.solver import _time_steps
+
+from conftest import make_scenario
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,3 +79,31 @@ def test_friction_P_matches_curve_form():
     direct = geo.friction_P(tau, r)
     curve_form = 2.0 * curve.c0 * r / (tau * (tau**2 + r**2))
     assert_allclose(direct, curve_form, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dr=st.floats(0.01, 0.05), t_end=st.floats(2.5, 64.0),
+       cfl=st.floats(1e-9, 0.5))
+def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
+    # every run length parse_scenario accepts
+    assume(geo.run_length_problem(t_end, dr) is None)
+    # the last time evolve would store, without evolving: only t_last and
+    # the grid spacing decide where the stages may sample
+    n_steps, dt = _time_steps(make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl))
+    t_last = 2.0 + n_steps * dt
+    queries = []
+    for n in (25, 9, 6):  # energies/inequalities/radiation, rigidity, bootstrap
+        s_grid = geo.covered_s_grid(t_last, dr, n)
+        assert s_grid[-1] == geo.last_covered_s(t_last, dr) and np.all(np.diff(s_grid) > 0)
+        queries += [np.hypot(s, geo.hyperboloid_nodes(s, dr)) for s in s_grid]
+        # the kg-lab rays r/t = rho over the same s range
+        for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
+            queries.append(ray_points(rho, s_grid)[0])
+    for mu in geo.MU_FAN:
+        queries.append(geo.null_radii(t_last, mu) + 2.0 + mu)
+        # the rigidity stage runs the whole fan on the radii of its last ray
+        queries.append(geo.null_radii(t_last, geo.MU_FAN[-1]) + 2.0 + mu)
+    queries = np.concatenate(queries)
+    assert queries.min() >= 2.0 and queries.max() <= t_last
+    # the c0 = 3 hyperbola runs from its entry point to t_last
+    assert 1.5 * geo.entry_point(geo.HyperbolaCurve(3.0)).t < t_last

@@ -6,7 +6,7 @@ from wavekg.energies import build_sample
 from wavekg.oracles import DalembertField, KGSpectralField
 from wavekg.profiles import Profile
 from wavekg import solver
-from wavekg.solver import HistorySampler, SolverError, evolve, initial_state
+from wavekg.solver import HistorySampler, SolverError, evolve
 from wavekg.geometry import HyperbolaCurve
 
 from conftest import make_scenario
@@ -24,11 +24,15 @@ def wave_oracle_for(scn):
 
 
 def test_initial_state_scaling():
-    scn = make_scenario()
-    st = initial_state(scn)
-    assert st.t == 2.0
-    assert_allclose(st.u, scn.eps * scn.u0(st.r))
-    assert_allclose(np.max(np.abs(st.u)), EPS)
+    # the first stored row is the eps-scaled data at t = 2
+    scn = make_scenario(u1=Profile("bump", k=2, radius=0.5, amp=3.0),
+                        v0=Profile("bump", k=3, radius=0.8, amp=-1.0),
+                        v1=Profile("bump", k=5, radius=0.9, amp=2.0), t_end=2.5)
+    h = evolve(scn)
+    assert h.t0 == 2.0
+    for name, prof in (("u", scn.u0), ("ut", scn.u1), ("v", scn.v0), ("vt", scn.v1)):
+        np.testing.assert_array_equal(getattr(h, name)[0], scn.eps * prof(h.r))
+    assert_allclose(np.max(np.abs(h.u[0])), EPS)
 
 
 def test_free_wave_matches_oracle(free_wave_scn, free_wave_history):
