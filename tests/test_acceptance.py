@@ -119,24 +119,22 @@ def test_criterion_05_kg_reduction(verdict):
         maxes.append(m)
     order = np.log2(maxes[0] / maxes[1])
 
-    rng = np.random.default_rng(7)
-    worst_c = 0.0
-    worst_diag = 0.0
-    for _ in range(100):
-        c = rng.uniform(0.5, 2.0)
-        a, b = rng.uniform(-0.4, 0.4), rng.uniform(0.2, 2.0)
-        phi = rng.uniform(0.0, 2 * np.pi)
-        amp, w = rng.uniform(0.0, 1.0), rng.uniform(0.3, 3.0)
-        prob = kgr.OscillatorProblem(
-            c=c,
-            q=lambda s, a=a, b=b, phi=phi: a * np.sin(b * s + phi),
-            qp=lambda s, a=a, b=b, phi=phi: a * b * np.cos(b * s + phi),
-            f=lambda s, amp=amp, w=w: amp * np.cos(w * s),
-            v0=rng.uniform(-1.0, 1.0), v0p=rng.uniform(-1.0, 1.0),
-            span=(2.0, 20.0))
-        rep = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
-        worst_c = max(worst_c, rep["c_quadratic"])
-        worst_diag = max(worst_diag, rep["diag_residual"])
+    # 100 cases in one batch; row i holds case i's draws in the order
+    # c, a, b, phi, amp, w, v0, v0p
+    lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.3, -1.0, -1.0]
+    hi = [2.0, 0.4, 2.0, 2 * np.pi, 1.0, 3.0, 1.0, 1.0]
+    c, a, b, phi, amp, w, v0, v0p = np.random.default_rng(7).uniform(
+        lo, hi, size=(100, 8)).T
+    a, b, phi, amp, w = (x[:, None] for x in (a, b, phi, amp, w))
+    prob = kgr.OscillatorProblem(
+        c=c,
+        q=lambda s: a * np.sin(b * s + phi),
+        qp=lambda s: a * b * np.cos(b * s + phi),
+        f=lambda s: amp * np.cos(w * s),
+        v0=v0, v0p=v0p, span=(2.0, 20.0))
+    rep = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+    worst_c = rep["c_quadratic"].max()
+    worst_diag = rep["diag_residual"].max()
     ok = order >= 1.9 and worst_diag < 1e-12 and worst_c <= 1.0
     verdict(5, "reduction order >= 1.9, diag < 1e-12, lemma C = 1", ok)
 

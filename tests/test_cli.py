@@ -209,8 +209,18 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         for stage in metrics["stages"].values():
             assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
         n_steps, dt = _time_steps(scn)
+        health = {k: metrics["solver"].pop(k)
+                  for k in ("min_degeneracy", "max_abs_u", "max_abs_v")}
         assert metrics["solver"] == {"steps": n_steps, "dt": dt,
                                      "window_margin": solver._WINDOW_MARGIN}
+        assert all(np.isfinite(x) for x in health.values())
+        # the stored u stays small and positive here, so the degeneracy
+        # minimum sits at the largest u
+        history = slice_load(tmp_path / "a" / "slices.wkgh")
+        assert health["min_degeneracy"] == pytest.approx(
+            1.0 - scn.p00 * history.u.max(), abs=1e-12)
+        assert health["max_abs_u"] == np.abs(history.u).max() > 0
+        assert health["max_abs_v"] == np.abs(history.v).max() > 0
     for stage in ("simulate", "energies"):
         assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
                    for rec in caplog.records)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from wavekg import kg_reduction as kgr
 
@@ -12,14 +13,36 @@ def harmonic_problem(c=1.3, span=(2.0, 20.0)):
                                  v0=1.0, v0p=0.0, span=span)
 
 
+def sinusoidal_batch(c, a, b, phi, amp, w, v0, v0p, span=(2.0, 20.0)):
+    """Cases v'' + c^2 (1 + a sin(b s + phi)) v = amp cos(w s), one per entry."""
+    a, b, phi, amp, w = (np.asarray(x, dtype=float)[:, None]
+                         for x in (a, b, phi, amp, w))
+    return kgr.OscillatorProblem(
+        c=c,
+        q=lambda s: a * np.sin(b * s + phi),
+        qp=lambda s: a * b * np.cos(b * s + phi),
+        f=lambda s: amp * np.cos(w * s),
+        v0=v0, v0p=v0p, span=span)
+
+
+def random_batch(rng, n):
+    """n random cases; row i of the draws holds case i's c, a, b, phi, amp,
+    w, v0, v0p, in the order of drawing one case at a time."""
+    lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.3, -1.0, -1.0]
+    hi = [2.0, 0.4, 2.0, 2 * np.pi, 1.0, 3.0, 1.0, 1.0]
+    return sinusoidal_batch(*rng.uniform(lo, hi, size=(n, 8)).T)
+
+
 class TestOscillator:
     def test_matches_exact_harmonic_solution(self):
         prob = harmonic_problem()
         out = kgr.integrate_oscillator(prob)
         s0 = prob.span[0]
+        # a scalar problem is a batch of one case
+        assert out["v"].shape == out["vp"].shape == (1, out["s"].size)
         exact = np.cos(prob.c * (out["s"] - s0))
-        assert_allclose(out["v"], exact, atol=1e-8)
-        assert_allclose(out["vp"], -prob.c * np.sin(prob.c * (out["s"] - s0)),
+        assert_allclose(out["v"][0], exact, atol=1e-8)
+        assert_allclose(out["vp"][0], -prob.c * np.sin(prob.c * (out["s"] - s0)),
                         atol=1e-8)
 
     def test_rejects_large_coefficient(self):
@@ -39,7 +62,50 @@ class TestOscillator:
                                      v0=part(s0), v0p=partp(s0),
                                      span=(s0, 12.0))
         out = kgr.integrate_oscillator(prob)
-        assert_allclose(out["v"], part(out["s"]), atol=1e-8)
+        assert_allclose(out["v"][0], part(out["s"]), atol=1e-8)
+
+    def test_batch_matches_scipy_rk45_case_by_case(self):
+        # the batch applies RK45's step control to each case on its own, so
+        # every case follows scipy's trajectory at the same tolerances
+        rtol, atol = 1e-10, 1e-13
+        prob = random_batch(np.random.default_rng(11), 12)
+        out = kgr.integrate_oscillator(prob, rtol=rtol, atol=atol)
+        s = out["s"]
+        for i in range(12):
+            def rhs(t, y, i=i):
+                grid = np.array([[t]])
+                q = np.broadcast_to(prob.q(grid), (12, 1))[i, 0]
+                f = np.broadcast_to(prob.f(grid), (12, 1))[i, 0]
+                return [y[1], -prob.c[i] ** 2 * (1.0 + q) * y[0] + f]
+
+            ref = solve_ivp(rhs, prob.span, [prob.v0[i], prob.v0p[i]],
+                            method="RK45", rtol=rtol, atol=atol,
+                            dense_output=True).sol(s)
+            assert np.max(np.abs(out["v"][i] - ref[0])) <= 1e-12, i
+            assert np.max(np.abs(out["vp"][i] - ref[1])) <= 1e-12, i
+
+    def test_case_trajectory_does_not_depend_on_its_batch(self):
+        # a slow case next to a fast, strongly modulated one keeps its own
+        # steps: alone or batched, it follows the same trajectory
+        alone = sinusoidal_batch(c=[0.5], a=[0.1], b=[0.7], phi=[0.3],
+                                 amp=[0.2], w=[1.1], v0=[0.8], v0p=[-0.4])
+        batch = sinusoidal_batch(c=[0.5, 2.0], a=[0.1, 0.49], b=[0.7, 2.0],
+                                 phi=[0.3, 1.0], amp=[0.2, 0.5], w=[1.1, 2.5],
+                                 v0=[0.8, 1.0], v0p=[-0.4, 0.0])
+        one = kgr.integrate_oscillator(alone)
+        two = kgr.integrate_oscillator(batch)
+        scale = np.max(np.abs(one["v"][0]))
+        assert np.max(np.abs(two["v"][0] - one["v"][0])) <= 1e-13 * scale
+        assert np.max(np.abs(two["vp"][0] - one["vp"][0])) <= 1e-13 * scale
+
+    def test_rejects_one_large_coefficient_in_a_batch(self):
+        prob = sinusoidal_batch(c=[1.0, 1.5, 0.8], a=[0.2, 0.45, 0.7],
+                                b=[1.0, 1.0, 1.0], phi=[0.0, 0.0, 0.0],
+                                amp=[0.0, 0.0, 0.0], w=[1.0, 1.0, 1.0],
+                                v0=[1.0, 1.0, 1.0], v0p=[0.0, 0.0, 0.0],
+                                span=(2.0, 4.0))
+        with pytest.raises(ValueError, match="> 1/2"):
+            kgr.integrate_oscillator(prob)
 
 
 class TestAppendixMatrices:
@@ -56,28 +122,12 @@ class TestOdeLemma:
         # the exact-integrand form of the lemma has constant exactly 1;
         # the measured ratio over a hundred random coefficient/source
         # pairs must never exceed it
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        worst_resid = 0.0
-        for _ in range(100):
-            c = rng.uniform(0.5, 2.0)
-            a = rng.uniform(-0.4, 0.4)
-            b = rng.uniform(0.2, 2.0)
-            phi = rng.uniform(0.0, 2 * np.pi)
-            amp = rng.uniform(0.0, 1.0)
-            w = rng.uniform(0.3, 3.0)
-            prob = kgr.OscillatorProblem(
-                c=c,
-                q=lambda s, a=a, b=b, phi=phi: a * np.sin(b * s + phi),
-                qp=lambda s, a=a, b=b, phi=phi: a * b * np.cos(b * s + phi),
-                f=lambda s, amp=amp, w=w: amp * np.cos(w * s),
-                v0=rng.uniform(-1.0, 1.0), v0p=rng.uniform(-1.0, 1.0),
-                span=(2.0, 20.0))
-            report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
-            worst = max(worst, report["c_quadratic"])
-            worst_resid = max(worst_resid, report["diag_residual"])
+        prob = random_batch(np.random.default_rng(7), 100)
+        report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+        assert report["c_quadratic"].shape == (100,)
+        worst = report["c_quadratic"].max()
         assert worst <= 1.0 + 1e-6, worst
-        assert worst_resid < 1e-12
+        assert report["diag_residual"].max() < 1e-12
 
     def test_dense_trajectory_resolves_the_quadrature_error(self):
         # case 60 of the kg-lab sweep at --seed 227023696: on a 2000-point
@@ -95,6 +145,18 @@ class TestOdeLemma:
         assert coarse["c_quadratic"] > 1.0 + 1e-6
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
         assert report["c_quadratic"] <= 1.0
+
+    def test_constants_do_not_depend_on_the_column_blocks(self, monkeypatch):
+        # the lemma runs over blocks of grid columns; the running integrals
+        # carried between blocks must give the one-block constants
+        prob = random_batch(np.random.default_rng(3), 8)
+        traj = kgr.integrate_oscillator(prob, n_dense=5001)
+        blocked = kgr.check_ode_lemma(prob, traj)
+        monkeypatch.setattr(kgr, "_LEMMA_COLUMNS", 5000)
+        whole = kgr.check_ode_lemma(prob, traj)
+        for key in ("c_quadratic", "c_printed", "slack_quadratic",
+                    "diag_residual"):
+            assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-15)
 
     def test_printed_form_carries_equivalence_factor(self):
         prob = harmonic_problem(c=1.0)
