@@ -14,6 +14,8 @@ two-column plot-data file.
 Only the stages, writers and orchestration live here: where a stage
 samples is geometry's sampling plan, and the stages that read hyperboloid
 samples share the history's ``foliation``, built once per history.
+``all`` evolves once: the rigidity stage samples its zero-data and
+free-wave controls from their exact solutions.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from .geometry import (MU_FAN, HyperbolaCurve, covered_s_grid,
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
-from .oracles import OracleSampler
+from .oracles import DalembertField, OracleSampler
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         radiation_null, rigidity_experiment, transport_check)
-from .scenario import Scenario, parse_scenario, serialize_scenario
+from .scenario import parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
 
@@ -288,20 +290,18 @@ def _stage_radiation(scn, out, history):
 
 
 def _stage_rigidity(scn, out, history):
-    zero = Profile("zero")
-    scn_zero = scn.with_grid(u0=zero, u1=zero, v0=zero, v1=zero)
-    runs = {
-        # evolve maps zero data to the zero history, whose exact sampler
-        # is the empty oracle bundle
-        "zero-data": {"sampler": OracleSampler(), "scn": scn_zero},
-        "free-wave": {"sampler": HistorySampler(evolve(scn.free())),
-                      "scn": scn.free()},
-        "coupled": {"sampler": HistorySampler(history), "scn": scn},
+    # the controls are exact solutions: zero data stay zero, and with the
+    # couplings off u is the free wave of its eps-scaled data
+    samplers = {
+        "zero-data": OracleSampler(),
+        "free-wave": OracleSampler(DalembertField(scn.u0.scaled(scn.eps),
+                                                  scn.u1.scaled(scn.eps))),
+        "coupled": HistorySampler(history),
     }
     s_grid = covered_s_grid(history.t_last, scn.dr, n=9)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(runs, s_grid, MU_FAN,
+    report = rigidity_experiment(samplers, s_grid, scn.dr, MU_FAN,
                                  null_radii(history.t_last, MU_FAN[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]

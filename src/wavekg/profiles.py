@@ -111,6 +111,11 @@ class Profile:
         beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
         return 0.5 * self.amp**2 * self.radius ** (power + 1) * beta
 
+    def scaled(self, factor):
+        """The same profile with its amplitude multiplied by factor."""
+        return Profile(self.family, k=self.k, radius=self.radius,
+                       amp=self.amp * factor)
+
     # -- serialization ----------------------------------------------------
 
     @classmethod

@@ -25,7 +25,6 @@ from .geometry import entry_point, friction_P, friction_integral
 
 __all__ = [
     "RadiationEstimate",
-    "transport_terms",
     "transport_check",
     "radiation_null",
     "radiation_hyperbola",
@@ -63,35 +62,24 @@ def _good_second(j, r, t):
     return r**2 * G + 3.0 * g
 
 
-def transport_terms(sampler, scn, curve, tau_grid):
-    """Source and frame terms of the transport equation along the curve.
-
-    Returns (S^w, Delta^w) with S^w = t^3 Box u / (t^2 + r^2) and
-    Delta^w the same weight applied to the good second derivatives.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    rr = curve.radius(tau)
-    j = sampler.jets(tau, rr, order=2)
-    weight = tau**3 / (tau**2 + rr**2)
-    s_w = weight * _wave_source(scn, j)
-    delta_w = weight * _good_second(j, rr, tau)
-    return s_w, delta_w
-
-
 def transport_check(sampler, scn, curve, tau_grid):
-    """Max residual of U' + P U = S^w + Delta^w along the curve."""
+    """Max residual of U' + P U = S^w + Delta^w along the curve.
+
+    U = t d_t u; S^w = t^3 Box u / (t^2 + r^2) and Delta^w is the same
+    weight applied to the good second derivatives.
+    """
     tau = np.asarray(tau_grid, dtype=float)
     dtau = tau[1] - tau[0]
     if not np.allclose(np.diff(tau), dtau):
         raise ValueError("transport check requires a uniform tau grid")
     rr = curve.radius(tau)
-    j = sampler.jets(tau, rr, order=1)
+    j = sampler.jets(tau, rr, order=2)
     U = tau * j["u"][(1, 0)]
     Up = (U[2:] - U[:-2]) / (2.0 * dtau)
-    s_w, delta_w = transport_terms(sampler, scn, curve, tau)
+    weight = tau**3 / (tau**2 + rr**2)
+    rhs = weight * _wave_source(scn, j) + weight * _good_second(j, rr, tau)
     inner = slice(1, -1)
-    resid = Up + friction_P(tau[inner], rr[inner]) * U[inner] \
-        - (s_w[inner] + delta_w[inner])
+    resid = Up + friction_P(tau[inner], rr[inner]) * U[inner] - rhs[inner]
     return tau[inner], resid, float(np.max(np.abs(resid)))
 
 
@@ -235,22 +223,22 @@ def radiation_norm(sampler, mu_grid, r_sequence):
     return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid))), vals
 
 
-def rigidity_experiment(runs, s_grid, mu_grid, r_sequence, floor):
+def rigidity_experiment(samplers, s_grid, dr, mu_grid, r_sequence, floor):
     """Correlate radiation-field size with initial wave energy across runs.
 
-    runs: {label: {"sampler": jets provider, "scn": Scenario}}.
-    For each run, reports E0(2, u), the comparability band of
-    E0(s, u)/E0(2, u) over the s grid, and the radiation norm over the
-    mu fan.  The floor is an amplitude (field-scale) threshold: the
-    verdict asserts that a radiation norm below the floor occurs only
-    when sqrt of the initial energy is below the floor as well.
+    samplers: {label: jets provider}, every run sampled on the same
+    hyperboloid nodes (spacing dr).  For each run, reports E0(2, u), the
+    comparability band of E0(s, u)/E0(2, u) over the s grid, and the
+    radiation norm over the mu fan.  The floor is an amplitude
+    (field-scale) threshold: the verdict asserts that a radiation norm
+    below the floor occurs only when sqrt of the initial energy is below
+    the floor as well.
     """
     report = {}
     consistent = True
-    for label, run in runs.items():
-        sampler, scn = run["sampler"], run["scn"]
+    for label, sampler in samplers.items():
         e0 = np.array([energy_e0c(sample, 0.0, "u") for sample in
-                       hyperboloid_samples(sampler, s_grid, scn.dr)])
+                       hyperboloid_samples(sampler, s_grid, dr)])
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
         if not quiet_data:

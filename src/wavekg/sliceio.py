@@ -16,6 +16,12 @@ Layout (all integers little-endian):
 
 The loader is an exact inverse: slice_load(slice_dump(h)) reproduces the
 history bit for bit.
+
+Both directions hold one copy of the data.  slice_dump fills one buffer
+of the archive's exact size and writes it once; slice_load checks the
+size the header's dimensions imply before it allocates, reads each array
+straight into its result and keeps a running checksum, which it compares
+before it parses the scenario text.
 """
 
 from __future__ import annotations
@@ -40,65 +46,79 @@ class SliceIOError(RuntimeError):
 
 
 def slice_dump(history, path=None):
-    """Serialize a SliceHistory; returns the bytes (and writes path if given)."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    text = serialize_scenario(history.scenario).encode("utf-8")
-    buf.write(struct.pack("<I", len(text)))
-    buf.write(text)
+    """Serialize a SliceHistory; returns the archive as a bytearray (and
+    writes path if given)."""
+    arrays = (history.r, history.u, history.ut, history.v, history.vt)
     n_s, n_r = history.u.shape
-    buf.write(struct.pack("<ddQQ", history.t0, history.dt, n_s, n_r))
-    buf.write(np.ascontiguousarray(history.r, dtype="<f8").tobytes())
-    for arr in (history.u, history.ut, history.v, history.vt):
-        if arr.shape != (n_s, n_r):
-            raise SliceIOError("field arrays have inconsistent shapes")
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    payload = buf.getvalue()
-    blob = payload + struct.pack("<I", zlib.crc32(payload))
+    if any(arr.shape != (n_s, n_r) for arr in arrays[2:]):
+        raise SliceIOError("field arrays have inconsistent shapes")
+    text = serialize_scenario(history.scenario).encode("utf-8")
+    head = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(text)), text,
+                     struct.pack("<ddQQ", history.t0, history.dt, n_s, n_r)))
+    end = len(head) + 8 * sum(arr.size for arr in arrays)
+    blob = bytearray(end + 4)
+    blob[:len(head)] = head
+    pos = len(head)
+    for arr in arrays:
+        view = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=pos)
+        view.reshape(arr.shape)[...] = arr
+        pos += view.nbytes
+    with memoryview(blob) as mv:
+        blob[end:] = struct.pack("<I", zlib.crc32(mv[:end]))
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(blob)
     return blob
 
 
-def _take(buf, n, what):
-    chunk = buf.read(n)
-    if len(chunk) != n:
-        raise SliceIOError(f"truncated file while reading {what}")
-    return chunk
+def _read(fh):
+    """SliceHistory from a binary stream positioned at the archive's start."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    if size < 4 + 4 + 4:
+        raise SliceIOError("truncated file: shorter than any valid header")
+    crc = 0
+
+    def take(n, what):
+        nonlocal crc
+        chunk = fh.read(n)
+        if len(chunk) != n:
+            raise SliceIOError(f"truncated file while reading {what}")
+        crc = zlib.crc32(chunk, crc)
+        return chunk
+
+    def fill(shape, what):
+        nonlocal crc
+        arr = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr) != arr.nbytes:
+            raise SliceIOError(f"truncated file while reading {what}")
+        crc = zlib.crc32(arr, crc)
+        return arr
+
+    if take(4, "magic") != _MAGIC:
+        raise SliceIOError("bad magic: not a slice-history file")
+    version, = struct.unpack("<I", take(4, "version"))
+    if version != _VERSION:
+        raise SliceIOError(f"unsupported format version {version}")
+    text_len, = struct.unpack("<I", take(4, "scenario length"))
+    text = take(text_len, "scenario")
+    t0, dt, n_s, n_r = struct.unpack("<ddQQ", take(32, "dimensions"))
+    need = fh.tell() + 8 * n_r * (1 + 4 * n_s) + 4
+    if need > size:
+        raise SliceIOError("truncated file while reading the field data")
+    if need < size:
+        raise SliceIOError("trailing bytes after the field data")
+    r = fill((n_r,), "radial grid")
+    u, ut, v, vt = (fill((n_s, n_r), name) for name in ("u", "ut", "v", "vt"))
+    if fh.read(4) != struct.pack("<I", crc):
+        raise SliceIOError("checksum mismatch: file is corrupt")
+    return SliceHistory(scenario=parse_scenario(text.decode("utf-8")),
+                        t0=t0, dt=dt, r=r, u=u, ut=ut, v=v, vt=vt)
 
 
 def slice_load(source):
     """Read a SliceHistory from bytes or a file path."""
     if isinstance(source, (bytes, bytearray)):
-        blob = bytes(source)
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    if len(blob) < 4 + 4 + 4:
-        raise SliceIOError("truncated file: shorter than any valid header")
-    stored_crc, = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != stored_crc:
-        raise SliceIOError("checksum mismatch: file is corrupt")
-    buf = io.BytesIO(blob[:-4])
-    if _take(buf, 4, "magic") != _MAGIC:
-        raise SliceIOError("bad magic: not a slice-history file")
-    version, = struct.unpack("<I", _take(buf, 4, "version"))
-    if version != _VERSION:
-        raise SliceIOError(f"unsupported format version {version}")
-    text_len, = struct.unpack("<I", _take(buf, 4, "scenario length"))
-    scenario = parse_scenario(_take(buf, text_len, "scenario").decode("utf-8"))
-    t0, dt, n_s, n_r = struct.unpack("<ddQQ", _take(buf, 32, "dimensions"))
-
-    def grid(shape, what):
-        n = int(np.prod(shape))
-        raw = _take(buf, 8 * n, what)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-    r = grid((n_r,), "radial grid")
-    u, ut, v, vt = (grid((n_s, n_r), name) for name in ("u", "ut", "v", "vt"))
-    if buf.read(1):
-        raise SliceIOError("trailing bytes after the field data")
-    return SliceHistory(scenario=scenario, t0=t0, dt=dt, r=r,
-                        u=u, ut=ut, v=v, vt=vt)
+        return _read(io.BytesIO(source))
+    with open(source, "rb") as fh:
+        return _read(fh)

@@ -225,22 +225,20 @@ def test_criterion_08_curve_geometry(verdict):
 
 def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
                                reference_free_history):
+    # the zero run is a coarse solver run, sampled on the experiment's nodes
     scn_zero = reference_scn.with_grid(u0=ZERO, u1=ZERO, v0=ZERO, v1=ZERO,
                                        dr=0.02)
-    fscn = reference_scn.free()
-    runs = {
-        "zero": {"sampler": HistorySampler(evolve(scn_zero)),
-                 "scn": scn_zero},
-        "free": {"sampler": HistorySampler(reference_free_history),
-                 "scn": fscn},
-        "coupled": {"sampler": HistorySampler(reference_history),
-                    "scn": reference_scn},
+    samplers = {
+        "zero": HistorySampler(evolve(scn_zero)),
+        "free": HistorySampler(reference_free_history),
+        "coupled": HistorySampler(reference_history),
     }
     s_grid = np.linspace(2.0, 10.0, 9)
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.linspace(20.0, 46.0, 3)
     floor = 10.0 * reference_scn.dr**2 * reference_scn.eps
-    out = rigidity_experiment(runs, s_grid, mu_grid, radii, floor)
+    out = rigidity_experiment(samplers, s_grid, reference_scn.dr, mu_grid,
+                              radii, floor)
     ok = out["rigidity_consistent"]
     ok = ok and out["zero"]["e0_initial"] == 0.0
     ok = ok and out["zero"]["radiation_norm"] == 0.0
@@ -252,7 +250,7 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     # excessive t^-(2-delta) decay that only silent solutions can have
     decay = excessive_decay_check(hyperboloid_samples(
         HistorySampler(reference_free_history), np.linspace(3.0, 10.0, 8),
-        fscn.dr))
+        reference_scn.dr))
     ok = ok and decay["slope_excessive"] > 0.5
     verdict(9, "rigidity verdicts, comparability, negative control", ok)
 

@@ -26,6 +26,15 @@ def test_zero_profile():
     assert Profile("bump", k=2, amp=0.0).is_zero
 
 
+def test_scaled_multiplies_the_amplitude():
+    p = Profile("bump", k=3, radius=0.7, amp=2.0)
+    r = np.linspace(0, 1, 51)
+    assert_allclose(p.scaled(1e-3)(r), 1e-3 * p(r), rtol=1e-12, atol=1e-16)
+    assert p.scaled(1e-3) == Profile("bump", k=3, radius=0.7, amp=2e-3)
+    assert p.scaled(0.0).is_zero
+    assert Profile("zero").scaled(5.0).is_zero
+
+
 def test_deriv_matches_finite_difference():
     p = Profile("bump", k=5, radius=1.0, amp=1.3)
     r = np.linspace(0.05, 0.9, 40)

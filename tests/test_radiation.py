@@ -4,9 +4,10 @@ from numpy.testing import assert_allclose
 
 from wavekg import radiation as rad
 from wavekg.energies import hyperboloid_samples
-from wavekg.geometry import HyperbolaCurve
+from wavekg.geometry import MU_FAN, HyperbolaCurve, null_radii
 from wavekg.oracles import DalembertField, OracleSampler, free_wave_radiation
 from wavekg.profiles import Profile
+from wavekg.solver import HistorySampler
 
 from conftest import EPS, ZERO, make_scenario
 
@@ -116,17 +117,28 @@ def test_radiation_norm_positive_free_zero_otherwise(free_sampler):
     assert np.all(vals0 == 0.0)
 
 
+def test_solver_free_wave_radiation_matches_closed_form(free_wave_history):
+    # the pipeline's fan and radii on a solver run; the rigidity stage
+    # samples its free-wave control from the oracle, so this is where the
+    # solver's extraction of a radiating run is checked
+    sampler = HistorySampler(free_wave_history)
+    radii = null_radii(free_wave_history.t_last, MU_FAN[-1])
+    norm, vals = rad.radiation_norm(sampler, MU_FAN, radii)
+    exact = free_wave_radiation(U0, ZERO, MU_FAN)
+    exact_norm = np.sqrt(np.trapezoid(exact**2, x=MU_FAN))
+    assert abs(norm - exact_norm) <= 0.05 * exact_norm
+    assert np.max(np.abs(vals - exact)) <= 0.25 * np.max(np.abs(exact))
+
+
 class TestRigidity:
     def test_verdicts(self, free_sampler, free_scn):
-        runs = {
-            "zero": {"sampler": OracleSampler(None, None), "scn": free_scn},
-            "free": {"sampler": free_sampler, "scn": free_scn},
-        }
+        samplers = {"zero": OracleSampler(None, None), "free": free_sampler}
         s_grid = np.linspace(2.0, 6.0, 5)
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
-        out = rad.rigidity_experiment(runs, s_grid, mu_grid, radii, floor)
+        out = rad.rigidity_experiment(samplers, s_grid, free_scn.dr, mu_grid,
+                                      radii, floor)
         assert out["rigidity_consistent"]
         assert out["zero"]["zero_data"] and out["zero"]["silent"]
         assert out["zero"]["e0_initial"] == 0.0
@@ -141,7 +153,6 @@ class TestRigidity:
         s_grid = np.linspace(2.0, 4.0, 3)
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
-        runs = {"free": {"sampler": free_sampler, "scn": free_scn}}
         _, vals = rad.radiation_norm(free_sampler, mu_grid, radii)
         rnorm = float(np.sqrt(np.trapezoid(vals**2, x=mu_grid)))
         from wavekg.energies import build_sample, energy_e0c, hyperboloid_nodes
@@ -153,5 +164,6 @@ class TestRigidity:
         if hi / lo < 1.05:
             pytest.skip("norm and amplitude too close to separate")
         floor = np.sqrt(lo * hi)
-        out = rad.rigidity_experiment(runs, s_grid, mu_grid, radii, floor)
+        out = rad.rigidity_experiment({"free": free_sampler}, s_grid,
+                                      free_scn.dr, mu_grid, radii, floor)
         assert not out["rigidity_consistent"]

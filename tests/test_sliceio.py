@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -47,6 +49,11 @@ def test_truncation_detected(history):
     blob = slice_dump(history)
     with pytest.raises(SliceIOError, match="checksum|truncated"):
         slice_load(blob[:-17])
+    # a header claiming more slices than the file holds
+    at = 12 + int.from_bytes(blob[8:12], "little") + 16
+    n_s = int.from_bytes(blob[at:at + 8], "little")
+    with pytest.raises(SliceIOError, match="truncated"):
+        slice_load(_with_patch(blob, at, (n_s + 1).to_bytes(8, "little")))
 
 
 def _with_patch(blob, start, payload):
@@ -74,3 +81,28 @@ def test_trailing_garbage_rejected(history):
     blob = slice_dump(history)
     with pytest.raises(SliceIOError):
         slice_load(blob + b"\x00\x00")
+
+
+def _peak_bytes(fn, *args):
+    """Peak of the memory traced while fn(*args) runs, above what was
+    traced before it; returns (result, peak)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
+    blob, peak = _peak_bytes(slice_dump, history, tmp_path / "run.wkgh")
+    assert peak <= 1.25 * len(blob)
+
+
+def test_load_holds_one_copy_of_the_history(history, tmp_path):
+    path = tmp_path / "run.wkgh"
+    slice_dump(history, path)
+    back, peak = _peak_bytes(slice_load, path)
+    loaded = sum(a.nbytes for a in (back.r, back.u, back.ut, back.v, back.vt))
+    assert peak <= 1.25 * loaded

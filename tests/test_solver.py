@@ -17,10 +17,7 @@ BUMP = Profile("bump", k=4, radius=1.0, amp=1.0)
 
 
 def wave_oracle_for(scn):
-    return DalembertField(
-        Profile("bump", k=scn.u0.k, radius=scn.u0.radius, amp=scn.eps * scn.u0.amp),
-        ZERO if scn.u1.is_zero else
-        Profile("bump", k=scn.u1.k, radius=scn.u1.radius, amp=scn.eps * scn.u1.amp))
+    return DalembertField(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps))
 
 
 def test_initial_state_scaling():
