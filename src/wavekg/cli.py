@@ -4,8 +4,9 @@ Subcommands: simulate, energies, inequalities, kg-lab, radiation,
 rigidity, all.  Every run writes a manifest (scenario echo, grid,
 wall-clock, sha256 of each artifact, and outside the hashes the run's
 metrics: wall time and peak RSS per stage, the solver's steps, dt and
-window margin, and the stored fields' min |1 - p00 u|, max |u| and
-max |v|); outputs are deterministic given the manifest --
+window margin, the stored fields' min |1 - p00 u|, max |u| and max |v|,
+and their largest value at the storage cap); outputs are deterministic
+given the manifest --
 randomized sweeps draw from the explicit --seed.
 
 Reports are CSV/JSON; every monitor series is additionally emitted as a
@@ -97,17 +98,22 @@ def _sha256(path):
 
 
 def _field_health(history):
-    """min |1 - p00 u|, max |u| and max |v| over the stored slices, read
-    in blocks of slices so the temporaries stay small."""
+    """min |1 - p00 u|, max |u| and max |v| over the stored slices, and the
+    largest |u|, |u_t|, |v|, |v_t| in the last stored radius column, past
+    which the sampler treats the fields as zero; read in blocks of slices
+    so the temporaries stay small."""
     p00 = history.scenario.p00
     rows = 256
-    min_deg, max_u, max_v = np.inf, 0.0, 0.0
+    min_deg, max_u, max_v, at_cap = np.inf, 0.0, 0.0, 0.0
     for i in range(0, history.n_slices, rows):
         u = history.u[i:i + rows]
         min_deg = min(min_deg, float(np.abs(1.0 - p00 * u).min()))
         max_u = max(max_u, float(np.abs(u).max()))
         max_v = max(max_v, float(np.abs(history.v[i:i + rows]).max()))
-    return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v}
+        for f in (history.u, history.ut, history.v, history.vt):
+            at_cap = max(at_cap, float(np.abs(f[i:i + rows, -1]).max()))
+    return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v,
+            "max_abs_at_cap": at_cap}
 
 
 def _peak_rss_mb():
@@ -132,11 +138,10 @@ def _stage_energies(scn, out, history):
     e1_series = []
     for s, sample in zip(s_grid, history.foliation):
         e0_u = energy_e0c(sample, 0.0, "u")
-        e0c_v = energy_e0c(sample, scn.c, "v")
         e1_u, parts = energy_e1(sample, "u")
         gc = energy_e0gc(sample, scn)
         e1_series.append(e1_u)
-        rows.append((float(s), e0_u, e0c_v, e1_u, *parts,
+        rows.append((float(s), e0_u, gc["flat"], e1_u, *parts,
                      gc["value"], gc["ratio"]))
     f1 = energy_f1(s_grid, e1_series)
     rows = [row + (float(f1[i]),) for i, row in enumerate(rows)]
@@ -188,8 +193,7 @@ def _stage_inequalities(scn, out, history, rng):
         _write_series(out / f"monitor_{name}.dat", m.grid, m.values)
         files.append(f"monitor_{name}.dat")
     boot = iq.bootstrap_monitor(sampler, scn,
-                                covered_s_grid(history.t_last, scn.dr, n=6),
-                                delta=scn.delta)
+                                covered_s_grid(history.t_last, scn.dr, n=6))
     report["bootstrap"] = boot
     _write_series(out / "bootstrap.dat", boot["s"], boot["value"])
     files.append("bootstrap.dat")

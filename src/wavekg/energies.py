@@ -41,7 +41,16 @@ __all__ = [
     "high_order_energies",
     "word_l2_norms",
     "WORDS",
+    "KAPPA",
 ]
+
+# equivalence constant of the curved and flat Klein-Gordon energies:
+# kappa^-2 <= E0gc / E0c <= kappa^2 while |p00 u|, |pd u| <= 3/4
+KAPPA = 2.0
+
+# allowance of energy_e1's sign and decomposition checks, relative to the
+# gross (uncancelled) integrals
+_E1_TOL = 5e-2
 
 
 class EnergyError(RuntimeError):
@@ -93,7 +102,7 @@ def energy_e0c(sample, c, field="u", tol=1e-8):
     wr = sample[field + "r"]
     s_over_t = sample["s"] / t
 
-    form1 = wt**2 + wr**2 + 2.0 * (r / t) * wt * wr + c**2 * w**2
+    form1 = _e0c_l0((w, wt, wr), r, t, c)
     good = (r / t) * wt + wr
     form2 = (s_over_t * wt) ** 2 + good**2 + c**2 * w**2
     # rotation form: the good derivative assembled from x-weighted pieces
@@ -111,7 +120,7 @@ def energy_e0c(sample, c, field="u", tol=1e-8):
     return vals[0]
 
 
-def energy_e1(sample, field="u", tol_factor=5e-2):
+def energy_e1(sample, field="u"):
     """Conformal energy on H_s with its four-term positive decomposition.
 
     Returns (value, (rotation, good, scaling, hardy)) where the terms are
@@ -121,15 +130,13 @@ def energy_e1(sample, field="u", tol_factor=5e-2):
     exceeding the value beyond coarse-grid error aborts.
     """
     r, t = sample["r"], sample["t"]
-    s = sample["s"]
     w = sample[field]
     wt = sample[field + "t"]
     wr = sample[field + "r"]
 
+    value = radial_integral(_e1_l0((w, wt, wr), r, t), r)
     k1 = t * wt + r * wr
     good = (r / t) * wt + wr
-    density = 0.5 * k1**2 / t + 0.5 * t * good**2 + w * k1 / t
-    value = radial_integral(density, r)
 
     d_rot = 0.0
     d_good = radial_integral(0.5 * (t - r) * good**2, r)
@@ -144,10 +151,10 @@ def energy_e1(sample, field="u", tol_factor=5e-2):
     gross = radial_integral(0.5 * k1**2 / t + 0.5 * t * good**2
                             + np.abs(w * k1) / t, r)
     scale = max(gross, d_good + d_scal + d_hardy, 1e-300)
-    if value < -tol_factor * scale - 1e-30:
+    if value < -_E1_TOL * scale - 1e-30:
         raise EnergyError(f"negative conformal energy {value:.3e}")
     total = d_rot + d_good + d_scal + d_hardy
-    if total > value + tol_factor * scale + 1e-30:
+    if total > value + _E1_TOL * scale + 1e-30:
         raise EnergyError(
             f"positive decomposition {total:.6e} exceeds the conformal "
             f"energy {value:.6e}")
@@ -169,7 +176,7 @@ def energy_f1(s_grid, e1_values):
     return roots[0] + roots + tail
 
 
-def energy_e0gc(sample, scn, field="v", kappa=2.0):
+def energy_e0gc(sample, scn):
     """Curved-metric mass energy of v on H_s, with the equivalence check.
 
     The metric perturbation is built from the sampled wave component,
@@ -177,24 +184,23 @@ def energy_e0gc(sample, scn, field="v", kappa=2.0):
 
         (1-a) vt^2 + (1+b) vr^2 + c^2 v^2 + 2 (r/t)(1+b) vt vr.
 
-    Returns {"value", "ratio", "kappa_ok"}; the ratio compares against
-    the flat mass energy and kappa_ok asserts kappa^-2 <= ratio <= kappa^2
-    under the smallness |a|, |b| <= 3/4.
+    Returns {"value", "flat", "ratio", "kappa_ok"}: "flat" is the flat
+    mass energy energy_e0c(sample, scn.c, "v"), the ratio compares against
+    it, and kappa_ok asserts KAPPA^-2 <= ratio <= KAPPA^2 under the
+    smallness |a|, |b| <= 3/4.
     """
     r, t = sample["r"], sample["t"]
-    w = sample[field]
-    wt = sample[field + "t"]
-    wr = sample[field + "r"]
+    v, vt, vr = sample["v"], sample["vt"], sample["vr"]
     a = scn.p00 * sample["u"]
     b = scn.pd * sample["u"]
-    density = ((1.0 - a) * wt**2 + (1.0 + b) * wr**2 + scn.c**2 * w**2
-               + 2.0 * (r / t) * (1.0 + b) * wt * wr)
+    density = ((1.0 - a) * vt**2 + (1.0 + b) * vr**2 + scn.c**2 * v**2
+               + 2.0 * (r / t) * (1.0 + b) * vt * vr)
     value = radial_integral(density, r)
-    flat = energy_e0c(sample, scn.c, field=field)
+    flat = energy_e0c(sample, scn.c, "v")
     ratio = value / flat if flat > 1e-300 else 1.0
     small = bool(np.max(np.abs(a)) <= 0.75 and np.max(np.abs(b)) <= 0.75)
-    kappa_ok = small and kappa**-2 <= ratio <= kappa**2
-    return {"value": value, "ratio": ratio, "kappa_ok": kappa_ok}
+    kappa_ok = small and KAPPA**-2 <= ratio <= KAPPA**2
+    return {"value": value, "flat": flat, "ratio": ratio, "kappa_ok": kappa_ok}
 
 
 # -- high-order words ---------------------------------------------------------
@@ -215,52 +221,39 @@ def word_scalars(j, r, t):
     wtt, wtr, wrr = j[(2, 0)], j[(1, 1)], j[(0, 2)]
     wttt, wttr, wtrr, wrrr = j[(3, 0)], j[(2, 1)], j[(1, 2)], j[(0, 3)]
 
-    # radial boost applied once: g = L w and its first derivatives
-    g = t * wr + r * wt
-    gt = wr + t * wtr + r * wtt
-    gr = t * wrr + wt + r * wtr
+    def boost(ft, fr, ftt, ftr, frr):
+        """(L f, d_t L f, d_r L f) of the radial boost L = t d_r + r d_t."""
+        return (t * fr + r * ft, fr + t * ftr + r * ftt, t * frr + ft + r * ftr)
+
+    def over_r(f, ft, fr, ftr, lift):
+        """(F/r, d_t (F/r), d_r (F/r)) with their axis limits, for F = f,
+        or for F = t f when lift is set (d_t then acts on t as well)."""
+        q, q_t = _axis_ratio(f, r, fr), _axis_ratio(ft, r, ftr)
+        if not lift:
+            return q, q_t, _axis_ratio(fr * r - f, r**2, 0.0)
+        return t * q, q + t * q_t, _axis_ratio(t * (fr * r - f), r**2, 0.0)
+
+    # radial boost applied once: g = L w and its derivatives to order 2
+    g, gt, gr = boost(wt, wr, wtt, wtr, wrr)
     gtt = 2.0 * wtr + t * wttr + r * wttt
     gtr = wrr + t * wtrr + wtt + r * wttr
     grr = t * wrrr + 2.0 * wtr + r * wtrr
 
-    def over_r(num, axis_val):
-        return _axis_ratio(num, r, axis_val)
-
-    out = {
+    return {
         "1": ("l0", (w, wt, wr)),
         "dt": ("l0", (wt, wtt, wtr)),
-        "dtdt": ("l0", (wtt, wttt, wttr)),
         "dr": ("l1", (wr, wtr, wrr)),
         "L": ("l1", (g, gt, gr)),
+        "dtdt": ("l0", (wtt, wttt, wttr)),
         "dtdr": ("l1", (wtr, wttr, wtrr)),
         "dtL": ("l1", (gt, gtt, gtr)),
-        "Ldt": ("l1", (t * wtr + r * wtt,
-                       wtr + t * wttr + r * wttt,
-                       t * wtrr + wtt + r * wttr)),
-        "drdr": ("l2",
-                 (wrr, wtrr, wrrr),
-                 (over_r(wr, wrr), over_r(wtr, wtrr),
-                  np.where(r > 0, (wrr * r - wr) / np.where(r > 0, r, 1.0) ** 2, 0.0))),
-        "drL": ("l2",
-                (gr, gtr, grr),
-                (over_r(g, gr), over_r(gt, gtr),
-                 np.where(r > 0, (gr * r - g) / np.where(r > 0, r, 1.0) ** 2, 0.0))),
-        "Ldr": ("l2",
-                (t * wrr + r * wtr,
-                 wrr + t * wtrr + r * wttr,
-                 t * wrrr + wtr + r * wtrr),
-                (t * over_r(wr, wrr),
-                 over_r(wr, wrr) + t * over_r(wtr, wtrr),
-                 np.where(r > 0, t * (wrr * r - wr) / np.where(r > 0, r, 1.0) ** 2, 0.0))),
-        "LL": ("l2",
-               (t * gr + r * gt,
-                gr + t * gtr + r * gtt,
-                t * grr + gt + r * gtr),
-               (t * over_r(g, gr),
-                over_r(g, gr) + t * over_r(gt, gtr),
-                np.where(r > 0, t * (gr * r - g) / np.where(r > 0, r, 1.0) ** 2, 0.0))),
+        "Ldt": ("l1", boost(wtt, wtr, wttt, wttr, wtrr)),
+        "drdr": ("l2", (wrr, wtrr, wrrr), over_r(wr, wtr, wrr, wtrr, False)),
+        "drL": ("l2", (gr, gtr, grr), over_r(g, gt, gr, gtr, False)),
+        "Ldr": ("l2", boost(wtr, wrr, wttr, wtrr, wrrr),
+                over_r(wr, wtr, wrr, wtrr, True)),
+        "LL": ("l2", boost(gt, gr, gtt, gtr, grr), over_r(g, gt, gr, gtr, True)),
     }
-    return out
 
 
 def _e0c_l0(trip, r, t, c):
@@ -294,29 +287,26 @@ def _word_densities(sector, trips, r, t, s2, c):
     return e0c, e1
 
 
-def high_order_energies(sampler, s, r_nodes, c, field="u", order=2):
-    """Energies per operator word over {d_t, d_r, L} up to the given order.
+def high_order_energies(sampler, s, r_nodes, c, field="u"):
+    """Energies per operator word over {d_t, d_r, L} of total order <= 2.
 
     Returns {word: {"e0c": value, "e1": value}}; the order-0 entry agrees
     with energy_e0c / energy_e1 of the plain sample by construction.
     """
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_energies(sampler.jets(t, r, order=3)[field], s, r, c, order)
+    return _word_energies(sampler.jets(t, r, order=3)[field], s, r, c)
 
 
-def _word_energies(j, s, r, c, order=2):
+def _word_energies(j, s, r, c):
     """high_order_energies from one field's jets j (to total order 3) on
-    H_s, so that one jets() query can serve both fields."""
-    if order > 2:
-        raise ValueError("high-order energies implemented up to total order 2")
+    H_s, so that one jets() query can serve both fields.  The table runs
+    in WORDS order, the order its callers sum it in."""
     t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
     s2 = float(s) ** 2
     table = {}
     for word in WORDS:
-        if _word_order(word) > order:
-            continue
         sector, *trips = scal[word]
         e0c_d, e1_d = _word_densities(sector, trips, r, t, s2, c)
         table[word] = {"e0c": radial_integral(e0c_d, r),
@@ -324,37 +314,19 @@ def _word_energies(j, s, r, c, order=2):
     return table
 
 
-def _word_order(word):
-    if word == "1":
-        return 0
-    n = 0
-    rest = word
-    while rest:
-        for tok in ("dt", "dr", "L"):
-            if rest.startswith(tok):
-                n += 1
-                rest = rest[len(tok):]
-                break
-        else:  # pragma: no cover - table is static
-            raise ValueError(f"bad word {word!r}")
-    return n
-
-
-def word_l2_norms(sampler, s, r_nodes, field="u", order=2):
+def word_l2_norms(sampler, s, r_nodes, field="u"):
     """L2(H_s) norms of each word field (Frobenius magnitude for l2)."""
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_norms(sampler.jets(t, r, order=3)[field], s, r, order)
+    return _word_norms(sampler.jets(t, r, order=3)[field], s, r)
 
 
-def _word_norms(j, s, r, order=2):
+def _word_norms(j, s, r):
     """word_l2_norms from one field's jets j (to total order 3) on H_s."""
     t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
     out = {}
     for word in WORDS:
-        if _word_order(word) > order:
-            continue
         sector, *trips = scal[word]
         if sector == "l2":
             mag2 = trips[0][0] ** 2 + 2.0 * trips[1][0] ** 2

@@ -5,7 +5,8 @@ The interior of the translated light cone is K = {r < t - 1}; it is
 foliated by hyperboloids H_s = {t = sqrt(s^2 + r^2)} with s >= 2 the
 hyperboloidal time.  This module provides the characteristic hyperbolas
 of the null generator field (t^2 - r^2)/r = c0, the point where each
-enters the covered region, and their friction coefficient.
+enters the covered region, and their friction coefficient, plus the
+good derivatives tangent to H_s of a radial field.
 
 It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
@@ -30,6 +31,7 @@ __all__ = [
     "entry_point",
     "friction_P",
     "friction_integral",
+    "good_scalars",
     "hyperboloid_nodes",
     "last_covered_s",
     "covered_s_grid",
@@ -146,6 +148,26 @@ def friction_integral(curve, tau_lo, tau_hi=np.inf):
 
     val, _ = quad(integrand, tau_lo, tau_hi, limit=200)
     return val
+
+
+def good_scalars(j, r, t):
+    """The good derivatives of a radial field w as scalars: (g, g_t, g_r, G).
+
+    j maps (a, b) to d_t^a d_r^b w (total order <= 2 used).  With
+    g = w_t/t + w_r/r the good derivatives are dbar_a w = x^a g, and
+    G = g_t/t + g_r/r gives sum_a dbar_a dbar_a w = r^2 G + 3 g.  On the
+    axis g takes its limit w_t/t + w_rr; g_t, g_r and G enter only
+    multiplied by r^2 there, so their axis values are set to zero.
+    """
+    wt, wr = j[(1, 0)], j[(0, 1)]
+    wtt, wtr, wrr = j[(2, 0)], j[(1, 1)], j[(0, 2)]
+    pos = r > 1e-12
+    r_safe = np.where(pos, r, 1.0)
+    g = wt / t + np.where(pos, wr / r_safe, wrr)
+    g_t = wtt / t - wt / t**2 + np.where(pos, wtr / r_safe, 0.0)
+    g_r = wtr / t + np.where(pos, wrr / r_safe - wr / r_safe**2, 0.0)
+    G = np.where(pos, g_t / t + g_r / r_safe, 0.0)
+    return g, g_t, g_r, G
 
 
 

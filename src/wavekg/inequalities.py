@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energies import (_word_energies, _word_norms, energy_e0c, energy_e0gc,
-                       energy_e1, radial_integral)
+from .energies import (KAPPA, _word_energies, _word_norms, energy_e0c,
+                       energy_e0gc, energy_e1, radial_integral)
 from .geometry import hyperboloid_nodes
 
 __all__ = [
@@ -45,11 +45,12 @@ class MonitorSeries:
     confidence: float
 
 
-def fit_slope(grid, values, s_min=5.0, floor=1e-300):
-    """Least-squares log-log slope over grid >= s_min, with its std error."""
+def fit_slope(grid, values, s_min=5.0):
+    """Least-squares log-log slope over grid >= s_min and positive values,
+    with its std error."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = (grid >= s_min) & (values > floor)
+    mask = (grid >= s_min) & (values > 1e-300)
     if np.count_nonzero(mask) < 3:
         return 0.0, np.inf
     x = np.log(grid[mask])
@@ -58,8 +59,8 @@ def fit_slope(grid, values, s_min=5.0, floor=1e-300):
     return float(slope), float(np.sqrt(cov[0, 0]))
 
 
-def monitor(label, grid, values, s_min=5.0):
-    slope, conf = fit_slope(grid, values, s_min=s_min)
+def monitor(label, grid, values):
+    slope, conf = fit_slope(grid, values)
     return MonitorSeries(label=label, grid=np.asarray(grid, dtype=float),
                          values=np.asarray(values, dtype=float),
                          slope=slope, confidence=conf)
@@ -97,7 +98,7 @@ def check_hardy(profile, alpha, n=3, r_max=None, dr=1e-3):
 # -- Klainerman-Sobolev -------------------------------------------------------
 
 
-def check_klainerman_sobolev(sampler, s, dr, order=2):
+def check_klainerman_sobolev(sampler, s, dr):
     """sup_{H_s} t^(3/2) |w| over the order-2 commuted L2 norms of w, for
     w = u and w = v from one jets() query; returns {"u": ..., "v": ...}."""
     rn = hyperboloid_nodes(s, dr)
@@ -105,7 +106,7 @@ def check_klainerman_sobolev(sampler, s, dr, order=2):
     out = {}
     for field, j in sampler.jets(t, rn, order=3).items():
         sup = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
-        total = sum(_word_norms(j, s, rn, order=order).values())
+        total = sum(_word_norms(j, s, rn).values())
         out[field] = sup / total if total > 1e-300 else 0.0
     return out
 
@@ -115,7 +116,7 @@ def check_klainerman_sobolev(sampler, s, dr, order=2):
 
 def _source_norm_u(sample, scn, weight=None):
     """L2(H_s) norm of Box u (the coupling source), optionally (s/t)-weighted."""
-    src = scn.b00 * sample["ut"] * sample["vt"] + scn.bd * sample["ur"] * sample["vr"]
+    src = scn.wave_source(sample["ut"], sample["vt"], sample["ur"], sample["vr"])
     w = 1.0 if weight is None else weight
     return float(np.sqrt(radial_integral(w * src**2, sample["r"])))
 
@@ -124,12 +125,12 @@ def _s_of(samples):
     return np.array([sample["s"] for sample in samples])
 
 
-def check_conformal_estimate(samples, scn, constant=C_CONFORMAL):
+def check_conformal_estimate(samples, scn):
     """Conformal energy growth against the weighted source integral.
 
     samples are hyperboloid samples on an increasing s grid (see
     energies.hyperboloid_samples).  LHS = E1(s, u)^(1/2); RHS =
-    E1(s0, u)^(1/2) + constant * int s'^(1/2) ||(s'/t)^(1/2) Box u|| ds'.
+    E1(s0, u)^(1/2) + C_CONFORMAL * int s'^(1/2) ||(s'/t)^(1/2) Box u|| ds'.
     Returns the slack series and the minimal constant making the bound
     hold on the run.
     """
@@ -140,7 +141,7 @@ def check_conformal_estimate(samples, scn, constant=C_CONFORMAL):
         lhs[i] = np.sqrt(max(energy_e1(sample, "u")[0], 0.0))
         src[i] = np.sqrt(s) * _source_norm_u(sample, scn, weight=s / sample["t"])
     integral = cumulative_trapezoid(src, x=s_grid, initial=0.0)
-    rhs = lhs[0] + constant * integral
+    rhs = lhs[0] + C_CONFORMAL * integral
     # the measured minimal constant is meaningful only where the source
     # integral rises above sampling noise on the energy scale
     eligible = integral > 1e-3 * max(lhs[0], 1e-300)
@@ -148,17 +149,17 @@ def check_conformal_estimate(samples, scn, constant=C_CONFORMAL):
         ratios = np.where(eligible, (lhs - lhs[0]) / np.where(eligible, integral, 1.0), 0.0)
     return {
         "s": s_grid, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
-        "integral": integral, "constant": constant,
+        "integral": integral, "constant": C_CONFORMAL,
         "c_min": max(0.0, float(np.max(ratios))),
     }
 
 
-def check_standard_estimate(samples, scn, which="u", kappa=2.0):
+def check_standard_estimate(samples, scn, which="u"):
     """Standard energy estimate for the wave or Klein-Gordon component,
     on hyperboloid samples over an increasing s grid.
 
     u: E0(s)^(1/2) <= E0(s0)^(1/2) + int ||Box u|| ds'.
-    v: E0c(s)^(1/2) <= kappa^2 E0c(s0)^(1/2) + kappa^2 int M(s') ds'
+    v: E0c(s)^(1/2) <= KAPPA^2 E0c(s0)^(1/2) + KAPPA^2 int M(s') ds'
        with M the curved-metric modulation built from the run (the
        equation has no external source, f = 0).
     """
@@ -171,9 +172,8 @@ def check_standard_estimate(samples, scn, which="u", kappa=2.0):
             lhs[i] = np.sqrt(max(energy_e0c(sample, 0.0, "u"), 0.0))
             extra[i] = _source_norm_u(sample, scn)
         else:
-            e0c = energy_e0c(sample, scn.c, "v")
-            lhs[i] = np.sqrt(max(e0c, 0.0))
             gc = energy_e0gc(sample, scn)
+            lhs[i] = np.sqrt(max(gc["flat"], 0.0))
             ratios_gc[i] = gc["ratio"]
             # modulation from the metric's time variation and divergence
             t, r = sample["t"], sample["r"]
@@ -186,11 +186,11 @@ def check_standard_estimate(samples, scn, which="u", kappa=2.0):
     if which == "u":
         rhs = lhs[0] + integral
     else:
-        rhs = kappa**2 * lhs[0] + kappa**2 * integral
+        rhs = KAPPA**2 * lhs[0] + KAPPA**2 * integral
     out = {"s": s_grid, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
            "integral": integral, "which": which}
     if which == "v":
-        out["kappa"] = kappa
+        out["kappa"] = KAPPA
         out["gc_ratio"] = ratios_gc
     return out
 
@@ -198,7 +198,7 @@ def check_standard_estimate(samples, scn, which="u", kappa=2.0):
 # -- decay and bootstrap monitors ---------------------------------------------
 
 
-def decay_monitors(samples, s_min=5.0):
+def decay_monitors(samples):
     """Weighted sup monitors over the sampled H_s matching the pointwise
     decay list.
 
@@ -217,12 +217,13 @@ def decay_monitors(samples, s_min=5.0):
             s**1.5 * (t / s) ** 0.5 * np.abs(sample["vt"]))
         series["t_du"][i] = np.max(
             t * np.maximum(np.abs(sample["ut"]), np.abs(sample["ur"])))
-    return {name: monitor(name, s_grid, vals, s_min=s_min)
+    return {name: monitor(name, s_grid, vals)
             for name, vals in series.items()}
 
 
-def bootstrap_monitor(sampler, scn, s_grid, c1eps=None, delta=0.05):
-    """E1^(<=2)(s,u)^(1/2) + 4 E0c^(<=2)(s,v)^(1/2) <= c1eps * s^delta.
+def bootstrap_monitor(sampler, scn, s_grid, c1eps=None):
+    """E1^(<=2)(s,u)^(1/2) + 4 E0c^(<=2)(s,v)^(1/2) <= c1eps * s^delta,
+    with delta = scn.delta.
 
     Returns the combined series, the bound, and the first failure (or
     None).  The high-order sums run over the operator words of total
@@ -230,6 +231,7 @@ def bootstrap_monitor(sampler, scn, s_grid, c1eps=None, delta=0.05):
     initial combined value, so the monitor tests growth rather than
     absolute size.
     """
+    delta = scn.delta
     s_grid = np.asarray(s_grid, dtype=float)
     combined = np.zeros_like(s_grid)
     for i, s in enumerate(s_grid):

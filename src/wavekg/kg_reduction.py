@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import good_scalars
+
 __all__ = [
     "OscillatorProblem",
     "integrate_oscillator",
@@ -43,8 +45,9 @@ class OscillatorProblem:
     """A batch of oscillators v'' + c^2 (1 + q(s)) v = f(s) on one span.
 
     c, v0 and v0p hold one value per case; a scalar is a batch of one.
-    q, f and qp take s of shape (cases, m), the case on axis 0, and
-    return values that broadcast to it.  |q| <= 1/2 is required.
+    q, f and qp (the derivative of q) take s of shape (cases, m), the
+    case on axis 0, and return values that broadcast to it.  |q| <= 1/2
+    is required.
     """
 
     c: np.ndarray
@@ -53,17 +56,11 @@ class OscillatorProblem:
     v0: np.ndarray
     v0p: np.ndarray
     span: tuple
-    qp: callable = None  # derivative of q; finite-differenced if absent
+    qp: callable
 
     def __post_init__(self):
         per_case = np.broadcast_arrays(np.atleast_1d(self.c), self.v0, self.v0p)
         self.c, self.v0, self.v0p = (np.array(x, dtype=float) for x in per_case)
-
-    def q_prime(self, s):
-        if self.qp is not None:
-            return self.qp(s)
-        h = 1e-6 * np.maximum(1.0, np.abs(s))
-        return (self.q(s + h) - self.q(s - h)) / (2.0 * h)
 
 
 def _on_grid(values, s):
@@ -293,7 +290,7 @@ def check_ode_lemma(problem, trajectory):
         if lo <= m // 2 < cols.stop:
             q_mid = q[:, m // 2 - lo]
         abs_f = np.abs(_on_grid(problem.f(grid), grid))
-        abs_qpvp = np.abs(_on_grid(problem.q_prime(grid), grid) * vp)
+        abs_qpvp = np.abs(_on_grid(problem.qp(grid), grid) * vp)
 
         # quadratic form with the proof's exact integrand
         quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)
@@ -348,19 +345,13 @@ def _radial_s2(j_v, u, r, t, s, p00, pd, c):
 
     Needs jets of v up to total order 2 and the wave value u (for the
     metric perturbation).  All x-weighted angular combinations reduce to
-    the scalars g = vt/t + vr/r and G = d_t g / t + d_r g / r.
+    the good-derivative scalars g and G of geometry.good_scalars; g_t and
+    G are always multiplied by r^2 below, so their zero axis values are
+    moot.
     """
-    v, vt, vr = j_v[(0, 0)], j_v[(1, 0)], j_v[(0, 1)]
-    vtt, vtr, vrr = j_v[(2, 0)], j_v[(1, 1)], j_v[(0, 2)]
-    pos = r > 1e-12
-    r_safe = np.where(pos, r, 1.0)
-
-    g = vt / t + np.where(pos, vr / r_safe, vrr)
-    # g_t, g_r and G are always multiplied by r^2 below, so their axis
-    # values are moot and may be zeroed
-    g_t = vtt / t - vt / t**2 + np.where(pos, vtr / r_safe, 0.0)
-    g_r = vtr / t + np.where(pos, vrr / r_safe - vr / r_safe**2, 0.0)
-    G = np.where(pos, g_t / t + g_r / r_safe, 0.0)
+    v, vt = j_v[(0, 0)], j_v[(1, 0)]
+    vtt, vtr = j_v[(2, 0)], j_v[(1, 1)]
+    g, g_t, _, G = good_scalars(j_v, r, t)
 
     hbar = -(t / s) ** 2 * (p00 + pd * (r / t) ** 2) * u
     inv = 1.0 / (1.0 + hbar)
@@ -375,7 +366,8 @@ def _radial_s2(j_v, u, r, t, s, p00, pd, c):
     h00_semi = -(p00 + pd * (r / t) ** 2) * u  # semi-hyperboloidal 00 component
     term_h00 = h00_semi * (t / s) * (r / t) ** 2 * vt / s
     sum_dbar2 = r**2 * G + 3.0 * g
-    vtt_over = vtt / t + np.where(pos, vtr / r_safe, 0.0)
+    pos = r > 1e-12
+    vtt_over = vtt / t + np.where(pos, vtr / np.where(pos, r, 1.0), 0.0)
     h_deldel = (pd * u * (r**2 / t) * (g_t + vtt_over)
                 - pd * u * sum_dbar2
                 + 3.0 * pd * u * vt / t)

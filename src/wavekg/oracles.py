@@ -264,13 +264,13 @@ class KirchhoffEnvelope:
             raise ValueError(f"exponent nu must satisfy 0 < |nu| <= 1/2, got {self.nu}")
 
 
-def kirchhoff_envelope(env, t, r, constant=1.0):
+def kirchhoff_envelope(env, t, r):
     """Pointwise envelope value at (t, r) inside the cone r < t - 1."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(r >= t - 1.0) or np.any(r < 0):
         raise ValueError("envelope defined inside the cone 0 <= r < t - 1")
-    lead = constant * env.cF / (env.mu * abs(env.nu))
+    lead = env.cF / (env.mu * abs(env.nu))
     if env.nu > 0:
         return lead * (t - r) ** (env.mu - env.nu) / t
     return lead * (t - r) ** (-env.mu) * t ** (-1.0 - env.nu)

@@ -12,8 +12,6 @@ of the free wave equation) are available in closed form.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -100,16 +98,6 @@ class Profile:
         if m not in self._moment_deriv_cache:
             self._moment_deriv_cache[m] = self._moment.deriv(m)
         return np.where(self._mask(xi), self._moment_deriv_cache[m](xi), 0.0)
-
-    # -- closed-form norms -----------------------------------------------
-
-    def l2_weighted(self, power=2):
-        """Closed form of int_0^radius p(r)^2 r^power dr (Beta integral)."""
-        if self.is_zero:
-            return 0.0
-        a, b = (power + 1) / 2.0, 2 * self.k + 1
-        beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-        return 0.5 * self.amp**2 * self.radius ** (power + 1) * beta
 
     def scaled(self, factor):
         """The same profile with its amplitude multiplied by factor."""

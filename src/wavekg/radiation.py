@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import energy_e0c, hyperboloid_samples
-from .geometry import entry_point, friction_P, friction_integral
+from .geometry import entry_point, friction_P, friction_integral, good_scalars
+from .inequalities import fit_slope
 
 __all__ = [
     "RadiationEstimate",
@@ -43,23 +44,15 @@ class RadiationEstimate:
     flagged: bool = False
 
 
-def _wave_source(scn, j):
-    """Box u from the equation's right-hand side (never differenced twice)."""
-    return scn.b00 * j["u"][(1, 0)] * j["v"][(1, 0)] \
-        + scn.bd * j["u"][(0, 1)] * j["v"][(0, 1)]
-
-
-def _good_second(j, r, t):
-    """sum_a underbar-d_a underbar-d_a u for a radial field."""
-    ut, ur = j["u"][(1, 0)], j["u"][(0, 1)]
-    utt, utr, urr = j["u"][(2, 0)], j["u"][(1, 1)], j["u"][(0, 2)]
-    pos = r > 1e-12
-    r_safe = np.where(pos, r, 1.0)
-    g = ut / t + np.where(pos, ur / r_safe, urr)
-    g_t = utt / t - ut / t**2 + np.where(pos, utr / r_safe, 0.0)
-    g_r = utr / t + np.where(pos, urr / r_safe - ur / r_safe**2, 0.0)
-    G = np.where(pos, g_t / t + g_r / r_safe, 0.0)
-    return r**2 * G + 3.0 * g
+def _source_terms(scn, j, r, t):
+    """S^w + Delta^w along a curve: the weight t^3 / (t^2 + r^2) applied to
+    Box u, taken from the equation's right-hand side (never differenced
+    twice), and to the good second derivatives sum_a dbar_a dbar_a u."""
+    u, v = j["u"], j["v"]
+    g, _, _, G = good_scalars(u, r, t)
+    weight = t**3 / (t**2 + r**2)
+    box_u = scn.wave_source(u[(1, 0)], v[(1, 0)], u[(0, 1)], v[(0, 1)])
+    return weight * box_u + weight * (r**2 * G + 3.0 * g)
 
 
 def transport_check(sampler, scn, curve, tau_grid):
@@ -76,8 +69,7 @@ def transport_check(sampler, scn, curve, tau_grid):
     j = sampler.jets(tau, rr, order=2)
     U = tau * j["u"][(1, 0)]
     Up = (U[2:] - U[:-2]) / (2.0 * dtau)
-    weight = tau**3 / (tau**2 + rr**2)
-    rhs = weight * _wave_source(scn, j) + weight * _good_second(j, rr, tau)
+    rhs = _source_terms(scn, j, rr, tau)
     inner = slice(1, -1)
     resid = Up + friction_P(tau[inner], rr[inner]) * U[inner] - rhs[inner]
     return tau[inner], resid, float(np.max(np.abs(resid)))
@@ -120,7 +112,7 @@ def radiation_null(sampler, mu, r_sequence):
                              error_bar=float(corr))
 
 
-def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000, s0=2.0):
+def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000):
     """Radiation field from the transport equation along one hyperbola.
 
     U at the horizon tau_max is discounted by the remaining friction
@@ -128,7 +120,7 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000, s0=2.0):
     power-law bound on the unseen tail of S^w + Delta^w fitted over the
     last decade of the sampled curve.
     """
-    start = entry_point(curve, s0=s0)
+    start = entry_point(curve)
     tau0 = start.t * (1.0 + 1e-9) + 1e-9
     if tau_max <= tau0 * 1.5:
         raise ValueError("horizon too close to the curve's entry point")
@@ -141,8 +133,7 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000, s0=2.0):
     value = U_end * np.exp(-i_tail)
     err_friction = abs(U_end) * abs(1.0 - np.exp(-i_tail))
 
-    weight = tau**3 / (tau**2 + rr**2)
-    src = np.abs(weight * _wave_source(scn, j) + weight * _good_second(j, rr, tau))
+    src = np.abs(_source_terms(scn, j, rr, tau))
     # fit |S^w + Delta^w| ~ A tau^-beta over the last decade and bound the tail
     sel = tau >= tau[-1] / 10.0
     flagged = False
@@ -169,26 +160,17 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000, s0=2.0):
 # -- excessive decay and rigidity ---------------------------------------------
 
 
-def _loglog_slope(x, y, floor=1e-300):
-    mask = (np.asarray(y) > floor)
-    if np.count_nonzero(mask) < 3:
-        return 0.0
-    slope, _ = np.polyfit(np.log(np.asarray(x)[mask]), np.log(np.asarray(y)[mask]), 1)
-    return float(slope)
-
-
-def excessive_decay_check(samples, eta=0.6, delta=0.05, sigma=None):
+def excessive_decay_check(samples, eta=0.6, delta=0.05):
     """Exterior-band decay rates of d_t u and the weighted energy series.
 
     On each sampled H_s, over the band r >= eta * t, measures
     sup |d_t u| t^(1/2+delta) s   (the hypothesis weight) and
     sup |d_t u| t^(2-delta)       (the excessive-decay weight),
-    plus s^(2 sigma) E0(s, u) for sigma < delta.  Returns the series and
-    fitted slopes; a bounded second series is the vanishing-radiation
-    signature.
+    plus s^(2 sigma) E0(s, u) for sigma = delta/2.  Returns the series and
+    fitted log-log slopes over the whole s grid; a bounded second series
+    is the vanishing-radiation signature.
     """
-    if sigma is None:
-        sigma = 0.5 * delta
+    sigma = 0.5 * delta
     s_grid = np.array([sample["s"] for sample in samples])
     m_hyp = np.zeros_like(s_grid)
     m_exc = np.zeros_like(s_grid)
@@ -208,9 +190,9 @@ def excessive_decay_check(samples, eta=0.6, delta=0.05, sigma=None):
         "excessive": m_exc,
         "energy": e0,
         "weighted_energy": weighted_e0,
-        "slope_hypothesis": _loglog_slope(s_grid, m_hyp),
-        "slope_excessive": _loglog_slope(s_grid, m_exc),
-        "slope_weighted_energy": _loglog_slope(s_grid, weighted_e0),
+        "slope_hypothesis": fit_slope(s_grid, m_hyp, s_min=0.0)[0],
+        "slope_excessive": fit_slope(s_grid, m_exc, s_min=0.0)[0],
+        "slope_weighted_energy": fit_slope(s_grid, weighted_e0, s_min=0.0)[0],
         "eta": eta, "delta": delta, "sigma": sigma,
     }
 

@@ -82,9 +82,9 @@ class Scenario:
                     f"profile {name} has support radius {prof.radius} > 1; "
                     "data must be supported in the unit ball", (name,))
 
-    @property
-    def is_free(self):
-        return self.b00 == self.bd == self.p00 == self.pd == 0.0
+    def wave_source(self, ut, vt, ur, vr):
+        """Box u, the wave equation's right-hand side, from first derivatives."""
+        return self.b00 * ut * vt + self.bd * ur * vr
 
     def free(self):
         """The same scenario with all couplings switched off."""

@@ -279,8 +279,7 @@ def _slice_derived(fields, r_nodes, scn, order):
         return (x[..., 4:8] - 2.0 * x[..., 3:7]
                 + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
 
-    def lap(x, x1, x2):
-        del x
+    def lap(x1, x2):
         return np.where(on_axis, 3.0 * x2, x2 + 2.0 * x1 / r_safe)
 
     def lap_r(x1, x2, x3):
@@ -314,10 +313,10 @@ def _slice_derived(fields, r_nodes, scn, order):
     ut0, ut1, ut2, _ = out["ut"]
     v0, v1, v2, v3 = out["v"]
     vt0, vt1, vt2, _ = out["vt"]
-    lap_u = lap(u0, u1, u2)
-    lap_v = lap(v0, v1, v2)
-    lap_ut = lap(ut0, ut1, ut2)
-    lap_vt = lap(vt0, vt1, vt2)
+    lap_u = lap(u1, u2)
+    lap_v = lap(v1, v2)
+    lap_ut = lap(ut1, ut2)
+    lap_vt = lap(vt1, vt2)
     denom = 1.0 - scn.p00 * u0
 
     utt = lap_u + scn.b00 * ut0 * vt0 + scn.bd * u1 * v1

@@ -160,7 +160,7 @@ def test_criterion_06_decay_exponents(verdict, reference_scn, reference_history)
 
     sampler = HistorySampler(reference_history)
     boot = ineq.bootstrap_monitor(sampler, reference_scn,
-                                  np.linspace(2.0, 10.0, 9), delta=0.05)
+                                  np.linspace(2.0, 10.0, 9))
     ok = abs(kg_slope) <= 0.05 and abs(wave_slope) <= 0.05 and boot["ok"]
     verdict(6, "KG t^-3/2 and wave t^-1 slopes within 0.05, bootstrap ok", ok)
 

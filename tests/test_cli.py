@@ -38,7 +38,7 @@ def test_default_scenario_parses():
     scn = parse_scenario(cli._DEFAULT_SCENARIO)
     assert scn.dr == 0.01
     assert scn.t_end == 52.0
-    assert not scn.is_free
+    assert (scn.b00, scn.bd, scn.p00, scn.pd) == (1.0, 1.0, 1.0, 1.0)
     # the CLI's reference is the benchmark's reference
     assert scn == parse_scenario(REFERENCE_CFG.read_text())
 
@@ -211,7 +211,8 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
             assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
         n_steps, dt = _time_steps(scn)
         health = {k: metrics["solver"].pop(k)
-                  for k in ("min_degeneracy", "max_abs_u", "max_abs_v")}
+                  for k in ("min_degeneracy", "max_abs_u", "max_abs_v",
+                            "max_abs_at_cap")}
         assert metrics["solver"] == {"steps": n_steps, "dt": dt,
                                      "window_margin": solver._WINDOW_MARGIN}
         assert all(np.isfinite(x) for x in health.values())
@@ -222,6 +223,14 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
             1.0 - scn.p00 * history.u.max(), abs=1e-12)
         assert health["max_abs_u"] == np.abs(history.u).max() > 0
         assert health["max_abs_v"] == np.abs(history.v).max() > 0
+        # the last stored radius column, where the sampler's zero begins
+        assert health["max_abs_at_cap"] == max(
+            np.abs(f[:, -1]).max()
+            for f in (history.u, history.ut, history.v, history.vt))
+    # the support cone stays inside the cap on this grid, so the column is
+    # zero; a value placed in it is reported
+    history.vt[-1, -1] = -3e-7
+    assert cli._field_health(history)["max_abs_at_cap"] == 3e-7
     for stage in ("simulate", "energies"):
         assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
                    for rec in caplog.records)

@@ -27,3 +27,29 @@ def test_no_module_imports_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def _unread_parameters(source, filename):
+    """Parameters of each function in source that its body never loads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"{filename}:{fn.lineno} {name}({p.arg})" for p in params
+                  if p.arg not in loaded]
+    return found
+
+
+def test_every_parameter_is_read():
+    # a keyword nothing reads is a knob that does nothing
+    found = []
+    for path in sorted(Path(wavekg.__file__).parent.glob("*.py")):
+        found += _unread_parameters(path.read_text(), path.name)
+    assert found == []

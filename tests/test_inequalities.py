@@ -115,8 +115,7 @@ def test_decay_monitors_flat_for_free_fields(oracle_sampler):
     scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
     # s <= 11 keeps every H_s node inside the spectral oracle's domain
     s_grid = np.linspace(2.0, 11.0, 10)
-    mons = ineq.decay_monitors(hyperboloid_samples(oracle_sampler, s_grid, scn.dr),
-                               s_min=5.0)
+    mons = ineq.decay_monitors(hyperboloid_samples(oracle_sampler, s_grid, scn.dr))
     assert set(mons) == {"t_u", "t32_v", "s32_dv", "t_du"}
     # the sups oscillate around their plateaus at these desk-scale s, so
     # only rule out genuine growth here; the sharp exponent checks run

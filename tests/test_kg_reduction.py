@@ -10,7 +10,8 @@ from conftest import make_scenario
 
 def harmonic_problem(c=1.3, span=(2.0, 20.0)):
     return kgr.OscillatorProblem(c=c, q=lambda s: 0.0, f=lambda s: 0.0,
-                                 v0=1.0, v0p=0.0, span=span)
+                                 v0=1.0, v0p=0.0, span=span,
+                                 qp=lambda s: 0.0)
 
 
 def sinusoidal_batch(c, a, b, phi, amp, w, v0, v0p, span=(2.0, 20.0)):
@@ -47,7 +48,8 @@ class TestOscillator:
 
     def test_rejects_large_coefficient(self):
         prob = kgr.OscillatorProblem(c=1.0, q=lambda s: 0.8, f=lambda s: 0.0,
-                                     v0=1.0, v0p=0.0, span=(2.0, 4.0))
+                                     v0=1.0, v0p=0.0, span=(2.0, 4.0),
+                                     qp=lambda s: 0.0)
         with pytest.raises(ValueError, match="> 1/2"):
             kgr.integrate_oscillator(prob)
 
@@ -60,7 +62,7 @@ class TestOscillator:
         prob = kgr.OscillatorProblem(c=c, q=lambda s: 0.0,
                                      f=lambda s: np.sin(2.0 * s),
                                      v0=part(s0), v0p=partp(s0),
-                                     span=(s0, 12.0))
+                                     span=(s0, 12.0), qp=lambda s: 0.0)
         out = kgr.integrate_oscillator(prob)
         assert_allclose(out["v"][0], part(out["s"]), atol=1e-8)
 

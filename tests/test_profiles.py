@@ -21,7 +21,6 @@ def test_zero_profile():
     z = Profile("zero")
     assert z.is_zero
     assert np.all(z(np.linspace(0, 2, 11)) == 0.0)
-    assert z.l2_weighted(2) == 0.0
     # zero amplitude collapses to the zero family
     assert Profile("bump", k=2, amp=0.0).is_zero
 
@@ -60,13 +59,6 @@ def test_moment_plateau():
     assert_allclose(p.moment_deriv(1.5, 0), inside, rtol=1e-10)
     assert p.moment_deriv(2.0, 0) == p.moment_deriv(3.0, 0)
     assert p.moment_deriv(2.0, 1) == 0.0
-
-
-@pytest.mark.parametrize("power", [0, 2, 4])
-def test_l2_weighted_against_quadrature(power):
-    p = Profile("bump", k=4, radius=0.85, amp=1.7)
-    val, _ = quad(lambda r: p(r) ** 2 * r**power, 0.0, p.radius)
-    assert_allclose(p.l2_weighted(power), val, rtol=1e-12)
 
 
 def test_parse_round_trip():

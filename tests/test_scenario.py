@@ -20,7 +20,7 @@ def test_minimal_document_with_defaults():
     assert scn.eps == 0.0
     assert scn.b00 == 1.0
     assert scn.bd == 1.0  # default
-    assert not scn.is_free
+    assert (scn.p00, scn.pd) == (1.0, 1.0)  # defaults: the couplings are on
 
 
 def test_round_trip():
@@ -70,8 +70,9 @@ def test_range_violation_carries_line_number(doc, line):
 
 def test_free_variant():
     scn = parse_scenario(MINIMAL)
-    assert scn.free().is_free
-    assert scn.free().c == scn.c
+    free = scn.free()
+    assert (free.b00, free.bd, free.p00, free.pd) == (0.0, 0.0, 0.0, 0.0)
+    assert free.c == scn.c
 
 
 def test_with_grid_override():
