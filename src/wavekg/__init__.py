@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .geometry import (GeometryError, HyperbolaCurve, SpacetimePoint,
                        asymptote_gap, entry_point)
 from .oracles import (DalembertField, KGSpectralField, OracleSampler,
-                      duhamel_radial, free_wave_radiation)
+                      free_wave_radiation)
 from .profiles import Profile, ProfileError
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .sliceio import SliceIOError, slice_dump, slice_load
@@ -24,7 +24,7 @@ __all__ = [
     "GeometryError", "SpacetimePoint", "HyperbolaCurve",
     "entry_point", "asymptote_gap",
     "DalembertField", "KGSpectralField", "OracleSampler",
-    "duhamel_radial", "free_wave_radiation",
+    "free_wave_radiation",
     "SolverError", "SliceHistory", "HistorySampler", "evolve",
     "SliceIOError", "slice_dump", "slice_load",
 ]

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import __version__, solver
 from . import inequalities as iq
-from .energies import (_word_energies, energy_e0c, energy_e0gc, energy_e1,
-                       energy_f1)
+from .energies import _word_energies, energy_f1
 from .geometry import (MU_FAN, HyperbolaCurve, covered_s_grid,
                        hyperboloid_nodes, null_radii)
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
@@ -69,14 +68,18 @@ def _write_csv(path, header, rows):
 
 
 def _to_jsonable(obj):
+    """Plain JSON values; a non-finite float (no fit, say) becomes null,
+    since strict JSON has no NaN or Infinity."""
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _to_jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 
@@ -134,17 +137,14 @@ def _stage_simulate(scn, out):
 def _stage_energies(scn, out, history):
     sampler = HistorySampler(history)
     s_grid = covered_s_grid(history.t_last, scn.dr)
-    rows = []
-    e1_series = []
-    for s, sample in zip(s_grid, history.foliation):
-        e0_u = energy_e0c(sample, 0.0, "u")
-        e1_u, parts = energy_e1(sample, "u")
-        gc = energy_e0gc(sample, scn)
-        e1_series.append(e1_u)
-        rows.append((float(s), e0_u, gc["flat"], e1_u, *parts,
-                     gc["value"], gc["ratio"]))
-    f1 = energy_f1(s_grid, e1_series)
-    rows = [row + (float(f1[i]),) for i, row in enumerate(rows)]
+    samples = history.foliation
+    e0 = np.array([sample["e0_u"] for sample in samples])
+    e1 = np.array([sample["e1_u"] for sample in samples])
+    f1 = energy_f1(s_grid, e1)
+    rows = [(float(s), sample["e0_u"], sample["e0gc_v"]["flat"], sample["e1_u"],
+             *sample["e1_parts"], sample["e0gc_v"]["value"],
+             sample["e0gc_v"]["ratio"], float(f1_s))
+            for s, sample, f1_s in zip(s_grid, samples, f1)]
     _write_csv(out / "energies.csv",
                ["s", "e0_u", "e0c_v", "e1_u", "e1_rotation", "e1_good",
                 "e1_scaling", "e1_hardy", "e0gc_v", "gc_ratio", "f1_u"],
@@ -158,8 +158,6 @@ def _stage_energies(scn, out, history):
             "u": _word_energies(j["u"], s, rn, 0.0),
             "v": _word_energies(j["v"], s, rn, scn.c),
         }
-    e0 = np.array([r[1] for r in rows])
-    e1 = np.array(e1_series)
     summary = {
         "s_grid": s_grid,
         "e0_u_drift": float(np.ptp(e0) / max(e0.max(), 1e-300)),
@@ -280,8 +278,7 @@ def _stage_radiation(scn, out, history):
         transport[f"{c0!r}"] = t_max
     _write_csv(out / "radiation.csv",
                ["mu", "c0", "value", "error_bar", "method", "flagged"], rows)
-    decay = excessive_decay_check(history.foliation, eta=scn.eta,
-                                  delta=scn.delta)
+    decay = excessive_decay_check(history.foliation, scn)
     report = {
         "transport_residuals": transport,
         "excessive_decay": {k: decay[k] for k in
@@ -305,7 +302,7 @@ def _stage_rigidity(scn, out, history):
     s_grid = covered_s_grid(history.t_last, scn.dr, n=9)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(samplers, s_grid, scn.dr, MU_FAN,
+    report = rigidity_experiment(samplers, s_grid, scn, MU_FAN,
                                  null_radii(history.t_last, MU_FAN[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]

@@ -69,10 +69,22 @@ def build_sample(sampler, s, r_nodes):
     }
 
 
-def hyperboloid_samples(sampler, s_grid, dr):
-    """build_sample on hyperboloid_nodes for each s: one foliation, sampled
-    once and handed to every checker that reads it."""
-    return [build_sample(sampler, s, hyperboloid_nodes(s, dr)) for s in s_grid]
+def hyperboloid_samples(sampler, s_grid, scn):
+    """build_sample on hyperboloid_nodes(s, scn.dr) for each s, with the
+    energies of each H_s: "e0_u" (energy_e0c of u), "e1_u" and "e1_parts"
+    (energy_e1) and "e0gc_v" (energy_e0gc, its "flat" value included).
+
+    One foliation, sampled and integrated once and handed to every
+    checker that reads it.
+    """
+    samples = []
+    for s in s_grid:
+        sample = build_sample(sampler, s, hyperboloid_nodes(s, scn.dr))
+        sample["e0_u"] = energy_e0c(sample, 0.0, "u")
+        sample["e1_u"], sample["e1_parts"] = energy_e1(sample)
+        sample["e0gc_v"] = energy_e0gc(sample, scn)
+        samples.append(sample)
+    return samples
 
 
 def radial_integral(y, r):
@@ -120,8 +132,8 @@ def energy_e0c(sample, c, field="u", tol=1e-8):
     return vals[0]
 
 
-def energy_e1(sample, field="u"):
-    """Conformal energy on H_s with its four-term positive decomposition.
+def energy_e1(sample):
+    """Conformal energy of u on H_s with its four-term positive decomposition.
 
     Returns (value, (rotation, good, scaling, hardy)) where the terms are
     nonnegative pieces whose sum is bounded by the value (the bound has
@@ -130,9 +142,7 @@ def energy_e1(sample, field="u"):
     exceeding the value beyond coarse-grid error aborts.
     """
     r, t = sample["r"], sample["t"]
-    w = sample[field]
-    wt = sample[field + "t"]
-    wr = sample[field + "r"]
+    w, wt, wr = sample["u"], sample["ut"], sample["ur"]
 
     value = radial_integral(_e1_l0((w, wt, wr), r, t), r)
     k1 = t * wt + r * wr
@@ -314,11 +324,11 @@ def _word_energies(j, s, r, c):
     return table
 
 
-def word_l2_norms(sampler, s, r_nodes, field="u"):
-    """L2(H_s) norms of each word field (Frobenius magnitude for l2)."""
+def word_l2_norms(sampler, s, r_nodes):
+    """L2(H_s) norms of each word field of u (Frobenius magnitude for l2)."""
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_norms(sampler.jets(t, r, order=3)[field], s, r)
+    return _word_norms(sampler.jets(t, r, order=3)["u"], s, r)
 
 
 def _word_norms(j, s, r):

@@ -13,13 +13,13 @@ one set of sin/cos tables (of k r and of omega (t - 2)), and chunks are
 sized in bytes, so memory does not grow with the mode count.
 
 Both oracles are deliberately independent of the finite-difference
-solver (different representations, different grids).
+solver (different representations, different grids).  The free wave's
+radiation field is closed-form as well (free_wave_radiation).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -29,10 +29,7 @@ __all__ = [
     "DalembertField",
     "KGSpectralField",
     "OracleSampler",
-    "KirchhoffEnvelope",
-    "kirchhoff_envelope",
     "free_wave_radiation",
-    "duhamel_radial",
 ]
 
 _AXIS_EPS = 1e-8
@@ -244,57 +241,6 @@ class OracleSampler:
         out["u"] = self.wave.jets(t, r, order) if self.wave is not None else dict(zero)
         out["v"] = self.kg.jets(t, r, order) if self.kg is not None else dict(zero)
         return out
-
-
-# -- decay envelope and Duhamel check ----------------------------------------
-
-
-@dataclass(frozen=True)
-class KirchhoffEnvelope:
-    """Decay envelope for sources t^(-2-nu) (t-r)^(-1+mu) inside the cone."""
-
-    cF: float
-    mu: float
-    nu: float
-
-    def __post_init__(self):
-        if not (0.0 < self.mu <= 0.5):
-            raise ValueError(f"exponent mu must lie in (0, 1/2], got {self.mu}")
-        if not (0.0 < abs(self.nu) <= 0.5):
-            raise ValueError(f"exponent nu must satisfy 0 < |nu| <= 1/2, got {self.nu}")
-
-
-def kirchhoff_envelope(env, t, r):
-    """Pointwise envelope value at (t, r) inside the cone r < t - 1."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(r >= t - 1.0) or np.any(r < 0):
-        raise ValueError("envelope defined inside the cone 0 <= r < t - 1")
-    lead = env.cF / (env.mu * abs(env.nu))
-    if env.nu > 0:
-        return lead * (t - r) ** (env.mu - env.nu) / t
-    return lead * (t - r) ** (-env.mu) * t ** (-1.0 - env.nu)
-
-
-def duhamel_radial(source, t, r, n_tau=400, n_xi=160):
-    """Solve Box u = source (radial, zero data at t = 2) by Duhamel.
-
-    2 r u(t, r) = int_2^t int_{r-(t-tau)}^{r+(t-tau)} g(tau, xi) dxi dtau
-    with g the odd extension of xi * source(tau, xi).  Plain tensor-grid
-    trapezoids; the sources of interest are bounded with at worst jump
-    discontinuities, for which this is adequate for slope checks.
-    """
-    t = float(t)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    tau = np.linspace(2.0, t, n_tau)
-    eta = np.linspace(-1.0, 1.0, n_xi)
-    half = (t - tau)[None, :, None]
-    xi = r[:, None, None] + half * eta[None, None, :]
-    g = np.sign(xi) * np.abs(xi) * source(tau[None, :, None], np.abs(xi))
-    inner = np.trapezoid(g, x=eta, axis=2) * half[:, :, 0]
-    a2ru = np.trapezoid(inner, x=tau, axis=1)
-    out = np.where(np.abs(r) < _AXIS_EPS, 0.0, a2ru / (2.0 * np.where(r == 0, 1.0, r)))
-    return out
 
 
 # -- radiation field of the free wave ----------------------------------------

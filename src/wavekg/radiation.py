@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import energy_e0c, hyperboloid_samples
+from .energies import hyperboloid_samples
 from .geometry import entry_point, friction_P, friction_integral, good_scalars
 from .inequalities import fit_slope
 
@@ -160,21 +160,24 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000):
 # -- excessive decay and rigidity ---------------------------------------------
 
 
-def excessive_decay_check(samples, eta=0.6, delta=0.05):
+def excessive_decay_check(samples, scn):
     """Exterior-band decay rates of d_t u and the weighted energy series.
 
-    On each sampled H_s, over the band r >= eta * t, measures
+    On each hyperboloid sample (see energies.hyperboloid_samples), over
+    the band r >= eta * t, measures
     sup |d_t u| t^(1/2+delta) s   (the hypothesis weight) and
     sup |d_t u| t^(2-delta)       (the excessive-decay weight),
-    plus s^(2 sigma) E0(s, u) for sigma = delta/2.  Returns the series and
+    plus s^(2 sigma) E0(s, u) for sigma = delta/2, with E0 the samples'
+    "e0_u" and eta, delta those of the scenario.  Returns the series and
     fitted log-log slopes over the whole s grid; a bounded second series
     is the vanishing-radiation signature.
     """
+    eta, delta = scn.eta, scn.delta
     sigma = 0.5 * delta
     s_grid = np.array([sample["s"] for sample in samples])
     m_hyp = np.zeros_like(s_grid)
     m_exc = np.zeros_like(s_grid)
-    e0 = np.zeros_like(s_grid)
+    e0 = np.array([sample["e0_u"] for sample in samples])
     for i, (s, sample) in enumerate(zip(s_grid, samples)):
         t = sample["t"]
         band = sample["r"] >= eta * t
@@ -182,7 +185,6 @@ def excessive_decay_check(samples, eta=0.6, delta=0.05):
         if np.any(band):
             m_hyp[i] = np.max(ut[band] * t[band] ** (0.5 + delta) * s)
             m_exc[i] = np.max(ut[band] * t[band] ** (2.0 - delta))
-        e0[i] = energy_e0c(sample, 0.0, "u")
     weighted_e0 = s_grid ** (2.0 * sigma) * e0
     return {
         "s": s_grid,
@@ -205,11 +207,12 @@ def radiation_norm(sampler, mu_grid, r_sequence):
     return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid))), vals
 
 
-def rigidity_experiment(samplers, s_grid, dr, mu_grid, r_sequence, floor):
+def rigidity_experiment(samplers, s_grid, scn, mu_grid, r_sequence, floor):
     """Correlate radiation-field size with initial wave energy across runs.
 
-    samplers: {label: jets provider}, every run sampled on the same
-    hyperboloid nodes (spacing dr).  For each run, reports E0(2, u), the
+    samplers: {label: jets provider}, every run sampled by
+    energies.hyperboloid_samples on the same hyperboloid nodes (spacing
+    scn.dr), whose "e0_u" gives E0.  For each run, reports E0(2, u), the
     comparability band of E0(s, u)/E0(2, u) over the s grid, and the
     radiation norm over the mu fan.  The floor is an amplitude
     (field-scale) threshold: the verdict asserts that a radiation norm
@@ -219,8 +222,8 @@ def rigidity_experiment(samplers, s_grid, dr, mu_grid, r_sequence, floor):
     report = {}
     consistent = True
     for label, sampler in samplers.items():
-        e0 = np.array([energy_e0c(sample, 0.0, "u") for sample in
-                       hyperboloid_samples(sampler, s_grid, dr)])
+        e0 = np.array([sample["e0_u"] for sample in
+                       hyperboloid_samples(sampler, s_grid, scn)])
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
         if not quiet_data:

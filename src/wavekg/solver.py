@@ -83,14 +83,15 @@ class SliceHistory:
 
     @cached_property
     def foliation(self):
-        """Samples of the 25 covered hyperboloids, built on first use.
+        """Samples of the 25 covered hyperboloids with their energies
+        (see energies.hyperboloid_samples), built on first use.
 
         Every stage that reads the foliation reads this one list, and it
         is freed with the history.
         """
-        dr = self.scenario.dr
         return hyperboloid_samples(HistorySampler(self),
-                                   covered_s_grid(self.t_last, dr), dr)
+                                   covered_s_grid(self.t_last, self.scenario.dr),
+                                   self.scenario)
 
 
 # -- time stepping ------------------------------------------------------------

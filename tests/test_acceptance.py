@@ -76,7 +76,7 @@ def test_criterion_02_conservation(verdict):
             triple_ok = False
             # the same value without the check, so the FAIL line still prints
             e0.append(energy_e0c(sample, 0.0, "u", tol=np.inf))
-        e1.append(energy_e1(sample, "u")[0])
+        e1.append(energy_e1(sample)[0])
     drift0 = (max(e0) - min(e0)) / max(e0)
     drift1 = (max(e1) - min(e1)) / max(e1)
     ok = triple_ok and drift0 < 1e-3 and drift1 < 1e-3
@@ -98,7 +98,7 @@ def test_criterion_03_hardy(verdict):
 
 def test_criterion_04_energy_estimates(verdict, reference_scn, reference_history):
     samples = hyperboloid_samples(HistorySampler(reference_history),
-                                  np.linspace(2.0, 10.0, 17), reference_scn.dr)
+                                  np.linspace(2.0, 10.0, 17), reference_scn)
     conf = ineq.check_conformal_estimate(samples, reference_scn)
     su = ineq.check_standard_estimate(samples, reference_scn, "u")
     sv = ineq.check_standard_estimate(samples, reference_scn, "v")
@@ -237,7 +237,7 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.linspace(20.0, 46.0, 3)
     floor = 10.0 * reference_scn.dr**2 * reference_scn.eps
-    out = rigidity_experiment(samplers, s_grid, reference_scn.dr, mu_grid,
+    out = rigidity_experiment(samplers, s_grid, reference_scn, mu_grid,
                               radii, floor)
     ok = out["rigidity_consistent"]
     ok = ok and out["zero"]["e0_initial"] == 0.0
@@ -250,7 +250,7 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     # excessive t^-(2-delta) decay that only silent solutions can have
     decay = excessive_decay_check(hyperboloid_samples(
         HistorySampler(reference_free_history), np.linspace(3.0, 10.0, 8),
-        reference_scn.dr))
+        reference_scn), reference_scn)
     ok = ok and decay["slope_excessive"] > 0.5
     verdict(9, "rigidity verdicts, comparability, negative control", ok)
 

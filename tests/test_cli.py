@@ -2,12 +2,13 @@ import csv
 import gc
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavekg import cli, energies, solver
+from wavekg import cli, energies, inequalities, radiation, solver
 from wavekg.geometry import run_length_problem
 from wavekg.scenario import ScenarioError, parse_scenario, serialize_scenario
 from wavekg.sliceio import slice_load
@@ -106,6 +107,42 @@ def test_stages_sample_each_hyperboloid_once_per_history(tmp_path, monkeypatch):
     assert ref() is None
 
 
+def test_pipeline_integrates_each_hyperboloid_once(tmp_path, monkeypatch):
+    # a sample's key is the sampler that built it and its s; the rigidity
+    # stage samples the coupled history through a sampler of its own, on
+    # s values it shares with the foliation.  Every sample and sampler is
+    # held, so no id is reused within the run.
+    held, key_of, calls = [], {}, Counter()
+    original = energies.build_sample
+
+    def counting_build_sample(sampler, s, r_nodes):
+        sample = original(sampler, s, r_nodes)
+        held.append((sampler, sample))
+        key_of[id(sample)] = (id(sampler), s)
+        return sample
+
+    def counting(name, fn):
+        def wrapper(sample, *args, **kwargs):
+            field = args[1] if len(args) > 1 else kwargs.get("field", "u")
+            if name != "energy_e0c" or field == "u":
+                calls[name, key_of[id(sample)]] += 1
+            return fn(sample, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(energies, "build_sample", counting_build_sample)
+    for name in ("energy_e0c", "energy_e1", "energy_e0gc"):
+        fn = getattr(energies, name)
+        for module in (energies, cli, inequalities, radiation):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    cli.run_pipeline("all", parse_scenario(TINY), tmp_path / "run")
+    keys = set(key_of.values())
+    # the 25 foliation samples and 9 for each of the rigidity stage's runs
+    assert len(keys) == 25 + 3 * 9
+    for name in ("energy_e0c", "energy_e1", "energy_e0gc"):
+        assert {key: calls[name, key] for key in keys} == dict.fromkeys(keys, 1), name
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
@@ -170,6 +207,18 @@ def test_pipeline_emits_expected_artifacts(tiny_cfg, tmp_path):
         for line in path.read_text().splitlines():
             x, y = line.split(" ")
             float(x), float(y)
+
+    # every JSON artifact is strict JSON: no NaN or Infinity
+    def reject(constant):
+        raise ValueError(f"{constant} in a JSON artifact")
+
+    reports = {path.name: json.loads(path.read_text(), parse_constant=reject)
+               for path in out.glob("*.json")}
+    assert "inequalities.json" in reports
+    # no H_s of this grid reaches s = 5, so no decay slope is fitted
+    for monitor in reports["inequalities.json"]["monitors"].values():
+        assert monitor == {"slope": None, "confidence": None}
+    assert reports["kg_lab.json"]["sharp_decay"]["slope"] is None
 
 
 def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):

@@ -57,7 +57,7 @@ def test_e0_conserved_free_wave(wave_sampler):
 
 
 def test_e1_conserved_free_wave(wave_sampler):
-    vals = [en.energy_e1(sample_at(wave_sampler, s), "u")[0]
+    vals = [en.energy_e1(sample_at(wave_sampler, s))[0]
             for s in np.linspace(2.0, 20.0, 10)]
     drift = (max(vals) - min(vals)) / max(vals)
     assert drift < 1e-6
@@ -71,7 +71,7 @@ def test_e0c_conserved_free_kg(kg_sampler):
 
 
 def test_e1_decomposition_nonnegative(wave_sampler):
-    value, parts = en.energy_e1(sample_at(wave_sampler, 4.0), "u")
+    value, parts = en.energy_e1(sample_at(wave_sampler, 4.0))
     assert value > 0
     assert all(p >= 0 for p in parts)
     assert parts[0] == 0.0  # no rotation for radial fields
@@ -109,7 +109,7 @@ class TestHighOrder:
         table = en.high_order_energies(wave_sampler, s, rn, 0.0, "u")
         sample = sample_at(wave_sampler, s)
         assert_allclose(table["1"]["e0c"], en.energy_e0c(sample, 0.0, "u"), rtol=1e-10)
-        assert_allclose(table["1"]["e1"], en.energy_e1(sample, "u")[0],
+        assert_allclose(table["1"]["e1"], en.energy_e1(sample)[0],
                         rtol=1e-10)
 
     def test_word_energies_conserved(self, wave_sampler):
@@ -128,7 +128,7 @@ class TestHighOrder:
 
 def test_word_l2_norms_positive(wave_sampler):
     rn = en.hyperboloid_nodes(3.0, DR)
-    norms = en.word_l2_norms(wave_sampler, 3.0, rn, "u")
+    norms = en.word_l2_norms(wave_sampler, 3.0, rn)
     assert set(norms) == set(en.WORDS)
     assert all(v >= 0 for v in norms.values())
     assert norms["1"] > 0

@@ -90,7 +90,7 @@ def test_transport_residual_small_on_oracle(free_sampler, free_scn):
 def test_excessive_decay_structure(free_sampler, free_scn):
     s_grid = np.linspace(3.0, 10.0, 8)
     out = rad.excessive_decay_check(
-        hyperboloid_samples(free_sampler, s_grid, free_scn.dr))
+        hyperboloid_samples(free_sampler, s_grid, free_scn), free_scn)
     for key in ("hypothesis", "excessive", "energy", "weighted_energy",
                 "slope_hypothesis", "slope_excessive",
                 "slope_weighted_energy"):
@@ -137,7 +137,7 @@ class TestRigidity:
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
-        out = rad.rigidity_experiment(samplers, s_grid, free_scn.dr, mu_grid,
+        out = rad.rigidity_experiment(samplers, s_grid, free_scn, mu_grid,
                                       radii, floor)
         assert out["rigidity_consistent"]
         assert out["zero"]["zero_data"] and out["zero"]["silent"]
@@ -165,5 +165,5 @@ class TestRigidity:
             pytest.skip("norm and amplitude too close to separate")
         floor = np.sqrt(lo * hi)
         out = rad.rigidity_experiment({"free": free_sampler}, s_grid,
-                                      free_scn.dr, mu_grid, radii, floor)
+                                      free_scn, mu_grid, radii, floor)
         assert not out["rigidity_consistent"]
