@@ -13,10 +13,11 @@ Reports are CSV/JSON; every monitor series is additionally emitted as a
 two-column plot-data file.
 
 Only the stages, writers and orchestration live here: where a stage
-samples is geometry's sampling plan, and the stages that read hyperboloid
-samples share the history's ``foliation``, built once per history.
-``all`` evolves once: the rigidity stage samples its zero-data and
-free-wave controls from their exact solutions.
+samples is geometry's sampling plan, and the stages read hyperboloids
+only through the history's ``foliation`` and its ``words`` records, each
+built once per history.  ``all`` evolves once: the rigidity stage samples
+its zero-data and free-wave controls from their exact solutions, on the
+coupled run's every third foliation hyperboloid.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import __version__, solver
 from . import inequalities as iq
-from .energies import _word_energies, energy_f1
-from .geometry import (MU_FAN, HyperbolaCurve, covered_s_grid,
-                       hyperboloid_nodes, null_radii)
+from .energies import energy_f1, hyperboloid_samples
+from .geometry import (MU_FAN, WORD_STRIDE, HyperbolaCurve, covered_s_grid,
+                       null_radii)
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
@@ -135,7 +136,6 @@ def _stage_simulate(scn, out):
 
 
 def _stage_energies(scn, out, history):
-    sampler = HistorySampler(history)
     s_grid = covered_s_grid(history.t_last, scn.dr)
     samples = history.foliation
     e0 = np.array([sample["e0_u"] for sample in samples])
@@ -149,15 +149,10 @@ def _stage_energies(scn, out, history):
                ["s", "e0_u", "e0c_v", "e1_u", "e1_rotation", "e1_good",
                 "e1_scaling", "e1_hardy", "e0gc_v", "gc_ratio", "f1_u"],
                rows)
-    # the order <= 2 commuted tables are expensive; sample three slices
-    tables = {}
-    for s in (s_grid[0], s_grid[len(s_grid) // 2], s_grid[-1]):
-        rn = hyperboloid_nodes(s, scn.dr)
-        j = sampler.jets(np.hypot(float(s), rn), rn, order=3)
-        tables[repr(float(s))] = {
-            "u": _word_energies(j["u"], s, rn, 0.0),
-            "v": _word_energies(j["v"], s, rn, scn.c),
-        }
+    # the order <= 2 commuted tables of the first, middle and last H_s
+    words = history.words
+    tables = {repr(record["s"]): record["energies"]
+              for record in (words[0], words[len(words) // 2], words[-1])}
     summary = {
         "s_grid": s_grid,
         "e0_u_drift": float(np.ptp(e0) / max(e0.max(), 1e-300)),
@@ -172,7 +167,6 @@ def _stage_energies(scn, out, history):
 
 
 def _stage_inequalities(scn, out, history, rng):
-    sampler = HistorySampler(history)
     samples = history.foliation
     report = {}
     conf = iq.check_conformal_estimate(samples, scn)
@@ -190,14 +184,14 @@ def _stage_inequalities(scn, out, history, rng):
         report["monitors"][name] = {"slope": m.slope, "confidence": m.confidence}
         _write_series(out / f"monitor_{name}.dat", m.grid, m.values)
         files.append(f"monitor_{name}.dat")
-    boot = iq.bootstrap_monitor(sampler, scn,
-                                covered_s_grid(history.t_last, scn.dr, n=6))
+    words = history.words
+    boot = iq.bootstrap_monitor(words, scn)  # on every third hyperboloid
     report["bootstrap"] = boot
     _write_series(out / "bootstrap.dat", boot["s"], boot["value"])
     files.append("bootstrap.dat")
-    s_mid = samples[len(samples) // 2]["s"]
-    report["klainerman_sobolev"] = {
-        "s": s_mid, **iq.check_klainerman_sobolev(sampler, s_mid, scn.dr)}
+    mid = words[len(words) // 2]
+    report["klainerman_sobolev"] = {"s": mid["s"],
+                                    **iq.check_klainerman_sobolev(mid)}
     hardy = {}
     for n_dim, alpha in ((3, 1.0), (3, 2.0), (2, 1.0)):
         profile = Profile("bump", k=int(rng.integers(2, 6)),
@@ -293,16 +287,16 @@ def _stage_radiation(scn, out, history):
 def _stage_rigidity(scn, out, history):
     # the controls are exact solutions: zero data stay zero, and with the
     # couplings off u is the free wave of its eps-scaled data
-    samplers = {
-        "zero-data": OracleSampler(),
-        "free-wave": OracleSampler(DalembertField(scn.u0.scaled(scn.eps),
-                                                  scn.u1.scaled(scn.eps))),
-        "coupled": HistorySampler(history),
-    }
-    s_grid = covered_s_grid(history.t_last, scn.dr, n=9)
+    coupled = history.foliation[::WORD_STRIDE]
+    s_grid = [sample["s"] for sample in coupled]
+    free = DalembertField(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps))
+    runs = {label: (sampler, hyperboloid_samples(sampler, s_grid, scn))
+            for label, sampler in (("zero-data", OracleSampler()),
+                                   ("free-wave", OracleSampler(free)))}
+    runs["coupled"] = (HistorySampler(history), coupled)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(samplers, s_grid, scn, MU_FAN,
+    report = rigidity_experiment(runs, MU_FAN,
                                  null_radii(history.t_last, MU_FAN[-1]), floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]

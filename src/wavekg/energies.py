@@ -32,6 +32,7 @@ __all__ = [
     "EnergyError",
     "build_sample",
     "hyperboloid_samples",
+    "word_records",
     "radial_integral",
     "energy_e0c",
     "energy_e1",
@@ -51,6 +52,8 @@ KAPPA = 2.0
 # allowance of energy_e1's sign and decomposition checks, relative to the
 # gross (uncancelled) integrals
 _E1_TOL = 5e-2
+# relative spread allowed between energy_e0c's three integrand forms
+_E0C_TOL = 1e-8
 
 
 class EnergyError(RuntimeError):
@@ -101,7 +104,7 @@ def _axis_ratio(num, r, axis_value):
 # -- order-zero energies ------------------------------------------------------
 
 
-def energy_e0c(sample, c, field="u", tol=1e-8):
+def energy_e0c(sample, c, field="u"):
     """Mass-c energy on H_s, computed in three equivalent integrand forms.
 
     Returns the natural-frame value; raises EnergyError if the
@@ -125,7 +128,7 @@ def energy_e0c(sample, c, field="u", tol=1e-8):
     vals = [radial_integral(f, r) for f in (form1, form2, form3)]
     scale = max(abs(vals[0]), 1e-300)
     spread = (max(vals) - min(vals)) / scale
-    if spread > tol and scale > 1e-30:
+    if spread > _E0C_TOL and scale > 1e-30:
         raise EnergyError(
             f"the three integrand forms of the mass energy disagree: {vals} "
             f"(relative spread {spread:.3e})")
@@ -305,42 +308,52 @@ def high_order_energies(sampler, s, r_nodes, c, field="u"):
     """
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_energies(sampler.jets(t, r, order=3)[field], s, r, c)
-
-
-def _word_energies(j, s, r, c):
-    """high_order_energies from one field's jets j (to total order 3) on
-    H_s, so that one jets() query can serve both fields.  The table runs
-    in WORDS order, the order its callers sum it in."""
-    t = np.hypot(float(s), r)
-    scal = word_scalars(j, r, t)
-    s2 = float(s) ** 2
-    table = {}
-    for word in WORDS:
-        sector, *trips = scal[word]
-        e0c_d, e1_d = _word_densities(sector, trips, r, t, s2, c)
-        table[word] = {"e0c": radial_integral(e0c_d, r),
-                       "e1": radial_integral(e1_d, r)}
-    return table
+    return _word_tables(sampler.jets(t, r, order=3)[field], s, r, c)[0]
 
 
 def word_l2_norms(sampler, s, r_nodes):
     """L2(H_s) norms of each word field of u (Frobenius magnitude for l2)."""
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_norms(sampler.jets(t, r, order=3)["u"], s, r)
+    return _word_tables(sampler.jets(t, r, order=3)["u"], s, r, 0.0)[1]
 
 
-def _word_norms(j, s, r):
-    """word_l2_norms from one field's jets j (to total order 3) on H_s."""
+def _word_tables(j, s, r, c):
+    """(high_order_energies, word_l2_norms) from one field's jets j (to
+    total order 3) on H_s, in WORDS order, the order their callers sum
+    them in; one jets() query serves both fields and both tables."""
     t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
-    out = {}
+    s2 = float(s) ** 2
+    energies, norms = {}, {}
     for word in WORDS:
         sector, *trips = scal[word]
+        e0c_d, e1_d = _word_densities(sector, trips, r, t, s2, c)
+        energies[word] = {"e0c": radial_integral(e0c_d, r),
+                          "e1": radial_integral(e1_d, r)}
+        mag2 = trips[0][0] ** 2
         if sector == "l2":
-            mag2 = trips[0][0] ** 2 + 2.0 * trips[1][0] ** 2
-        else:
-            mag2 = trips[0][0] ** 2
-        out[word] = np.sqrt(radial_integral(mag2, r))
-    return out
+            mag2 = mag2 + 2.0 * trips[1][0] ** 2
+        norms[word] = np.sqrt(radial_integral(mag2, r))
+    return energies, norms
+
+
+def word_records(sampler, s_grid, scn):
+    """Word data of u and v on hyperboloid_nodes(s, scn.dr) for each s,
+    from one jets(order=3) query per H_s: a record holds "s" and, keyed
+    by field, the "energies" tables (mass 0 for u, scn.c for v), the
+    word "norms" and the "sup" of t^(3/2) |w|.
+    """
+    records = []
+    for s in s_grid:
+        r = hyperboloid_nodes(s, scn.dr)
+        t = np.hypot(float(s), r)
+        jets = sampler.jets(t, r, order=3)
+        record = {"s": float(s), "energies": {}, "norms": {}, "sup": {}}
+        for field, c in (("u", 0.0), ("v", scn.c)):
+            j = jets[field]
+            record["energies"][field], record["norms"][field] = \
+                _word_tables(j, s, r, c)
+            record["sup"][field] = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
+        records.append(record)
+    return records

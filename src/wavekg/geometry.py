@@ -10,8 +10,9 @@ good derivatives tangent to H_s of a radial field.
 
 It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
-grid of the covered hyperboloids, the null rays t = r + 2 + mu and their
-radii, and the shortest run the stages can analyse.
+grid of the run's one foliation and the every-third subset that carries
+the order-3 word records, the null rays t = r + 2 + mu and their radii,
+and the shortest run the stages can analyse.
 
 All geometry is closed-form; no ODE integration enters curve positions.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "hyperboloid_nodes",
     "last_covered_s",
     "covered_s_grid",
+    "WORD_STRIDE",
     "MU_FAN",
     "null_radii",
     "run_length_problem",
@@ -175,6 +177,10 @@ def good_scalars(j, r, t):
 
 _NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
 
+# hyperboloids in a run's foliation; every third of them (9, the first,
+# middle and last among them) carries the order-3 word records
+_FOLIATION_SIZE, WORD_STRIDE = 25, 3
+
 # retarded times mu of the null rays t = r + 2 + mu (radiation, rigidity)
 MU_FAN = np.linspace(-1.0, 1.0, 9)
 
@@ -200,9 +206,10 @@ def last_covered_s(t_last, dr):
     return float(np.sqrt(max(0.0, 2.0 * (t_last - (_NODE_MARGIN + 1) * dr) - 1.0)))
 
 
-def covered_s_grid(t_last, dr, n=25):
-    """n hyperboloid parameters from s = 2 to the last H_s the run covers."""
-    return np.linspace(2.0, last_covered_s(t_last, dr), n)
+def covered_s_grid(t_last, dr):
+    """The foliation's hyperboloid parameters, from s = 2 to the last H_s
+    the run covers."""
+    return np.linspace(2.0, last_covered_s(t_last, dr), _FOLIATION_SIZE)
 
 
 def null_radii(t_last, mu):

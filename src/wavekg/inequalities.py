@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energies import KAPPA, _word_energies, _word_norms, radial_integral
-from .geometry import hyperboloid_nodes
+from .energies import KAPPA, radial_integral
 
 __all__ = [
     "MonitorSeries",
@@ -99,15 +98,13 @@ def check_hardy(profile, alpha, n=3, r_max=None):
 # -- Klainerman-Sobolev -------------------------------------------------------
 
 
-def check_klainerman_sobolev(sampler, s, dr):
+def check_klainerman_sobolev(record):
     """sup_{H_s} t^(3/2) |w| over the order-2 commuted L2 norms of w, for
-    w = u and w = v from one jets() query; returns {"u": ..., "v": ...}."""
-    rn = hyperboloid_nodes(s, dr)
-    t = np.hypot(float(s), rn)
+    w = u and w = v, read from one word record of H_s (see
+    energies.word_records); returns {"u": ..., "v": ...}."""
     out = {}
-    for field, j in sampler.jets(t, rn, order=3).items():
-        sup = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
-        total = sum(_word_norms(j, s, rn).values())
+    for field, sup in record["sup"].items():
+        total = sum(record["norms"][field].values())
         out[field] = sup / total if total > 1e-300 else 0.0
     return out
 
@@ -224,9 +221,10 @@ def decay_monitors(samples):
             for name, vals in series.items()}
 
 
-def bootstrap_monitor(sampler, scn, s_grid, c1eps=None):
+def bootstrap_monitor(records, scn, c1eps=None):
     """E1^(<=2)(s,u)^(1/2) + 4 E0c^(<=2)(s,v)^(1/2) <= c1eps * s^delta,
-    with delta = scn.delta.
+    with delta = scn.delta, on word records over an increasing s grid
+    (see energies.word_records).
 
     Returns the combined series, the bound, and the first failure (or
     None).  The high-order sums run over the operator words of total
@@ -235,16 +233,14 @@ def bootstrap_monitor(sampler, scn, s_grid, c1eps=None):
     absolute size.
     """
     delta = scn.delta
-    s_grid = np.asarray(s_grid, dtype=float)
-    combined = np.zeros_like(s_grid)
-    for i, s in enumerate(s_grid):
-        rn = hyperboloid_nodes(s, scn.dr)
-        j = sampler.jets(np.hypot(float(s), rn), rn, order=3)
-        tab_u = _word_energies(j["u"], s, rn, 0.0)
-        tab_v = _word_energies(j["v"], s, rn, scn.c)
-        e1_u = sum(max(row["e1"], 0.0) for row in tab_u.values())
-        e0c_v = sum(max(row["e0c"], 0.0) for row in tab_v.values())
-        combined[i] = np.sqrt(e1_u) + 4.0 * np.sqrt(e0c_v)
+    s_grid = _s_of(records)
+
+    def total(table, key):
+        return sum(max(row[key], 0.0) for row in table.values())
+
+    combined = np.array([np.sqrt(total(rec["energies"]["u"], "e1"))
+                         + 4.0 * np.sqrt(total(rec["energies"]["v"], "e0c"))
+                         for rec in records])
     if c1eps is None:
         c1eps = 10.0 * combined[0] / s_grid[0] ** delta
     bound = c1eps * s_grid**delta

@@ -65,9 +65,7 @@ class DalembertField:
 
     def jet(self, t, r, a=0, b=0):
         """d_t^a d_r^b u at (t, r), vectorized over matching arrays."""
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        t, r = np.broadcast_arrays(t, r)
+        t, r = (np.asarray(x, dtype=float) for x in np.broadcast_arrays(t, r))
         T = t - 2.0
         on_axis = np.abs(r) < _AXIS_EPS
         r_safe = np.where(on_axis, 1.0, r)
@@ -196,9 +194,7 @@ class KGSpectralField:
         """{(a, b): d_t^a d_r^b v} for a + b <= order <= 3 at scattered points."""
         if order > 3:
             raise ValueError(f"derivative order {order} not supported")
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        t, r = np.broadcast_arrays(t, r)
+        t, r = (np.asarray(x, dtype=float) for x in np.broadcast_arrays(t, r))
         shape = t.shape
         tf, rf = t.ravel(), np.abs(r.ravel())
         keys = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
@@ -232,15 +228,12 @@ class OracleSampler:
         self.kg = kg
 
     def jets(self, t, r, order=3):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        t, r = np.broadcast_arrays(t, r)
-        keys = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
-        zero = {key: np.zeros(t.shape) for key in keys}
-        out = {}
-        out["u"] = self.wave.jets(t, r, order) if self.wave is not None else dict(zero)
-        out["v"] = self.kg.jets(t, r, order) if self.kg is not None else dict(zero)
-        return out
+        shape = np.broadcast_shapes(np.shape(t), np.shape(r))
+        zero = {(a, b): np.zeros(shape)
+                for a in range(order + 1) for b in range(order + 1 - a)}
+        u = self.wave.jets(t, r, order) if self.wave is not None else dict(zero)
+        v = self.kg.jets(t, r, order) if self.kg is not None else dict(zero)
+        return {"u": u, "v": v}
 
 
 # -- radiation field of the free wave ----------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import hyperboloid_samples
 from .geometry import entry_point, friction_P, friction_integral, good_scalars
 from .inequalities import fit_slope
 
@@ -207,12 +206,12 @@ def radiation_norm(sampler, mu_grid, r_sequence):
     return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid))), vals
 
 
-def rigidity_experiment(samplers, s_grid, scn, mu_grid, r_sequence, floor):
+def rigidity_experiment(runs, mu_grid, r_sequence, floor):
     """Correlate radiation-field size with initial wave energy across runs.
 
-    samplers: {label: jets provider}, every run sampled by
-    energies.hyperboloid_samples on the same hyperboloid nodes (spacing
-    scn.dr), whose "e0_u" gives E0.  For each run, reports E0(2, u), the
+    runs: {label: (jets provider, its hyperboloid samples)}, every run
+    sampled by energies.hyperboloid_samples on the same s grid and nodes,
+    whose "e0_u" gives E0.  For each run, reports E0(2, u), the
     comparability band of E0(s, u)/E0(2, u) over the s grid, and the
     radiation norm over the mu fan.  The floor is an amplitude
     (field-scale) threshold: the verdict asserts that a radiation norm
@@ -221,9 +220,8 @@ def rigidity_experiment(samplers, s_grid, scn, mu_grid, r_sequence, floor):
     """
     report = {}
     consistent = True
-    for label, sampler in samplers.items():
-        e0 = np.array([sample["e0_u"] for sample in
-                       hyperboloid_samples(sampler, s_grid, scn)])
+    for label, (sampler, samples) in runs.items():
+        e0 = np.array([sample["e0_u"] for sample in samples])
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
         if not quiet_data:

@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .energies import hyperboloid_samples
-from .geometry import covered_s_grid
+from .energies import hyperboloid_samples, word_records
+from .geometry import WORD_STRIDE, covered_s_grid
 from .scenario import Scenario
 
 __all__ = [
@@ -92,6 +92,13 @@ class SliceHistory:
         return hyperboloid_samples(HistorySampler(self),
                                    covered_s_grid(self.t_last, self.scenario.dr),
                                    self.scenario)
+
+    @cached_property
+    def words(self):
+        """Order-3 word records (see energies.word_records) of every third
+        foliation hyperboloid, built on first use and freed with the history."""
+        s_grid = covered_s_grid(self.t_last, self.scenario.dr)[::WORD_STRIDE]
+        return word_records(HistorySampler(self), s_grid, self.scenario)
 
 
 # -- time stepping ------------------------------------------------------------
@@ -287,26 +294,16 @@ def _slice_derived(fields, r_nodes, scn, order):
         # d_r of the radial Laplacian; odd, so it vanishes on the axis
         return np.where(on_axis, 0.0, x3 + 2.0 * x2 / r_safe - 2.0 * x1 / r_safe**2)
 
-    out = {}
-    U, UT = fields["u"], fields["ut"]
-    V, VT = fields["v"], fields["vt"]
-    for name, X in (("u", U), ("ut", UT), ("v", V), ("vt", VT)):
-        out[name] = (X[..., _CENTER], d1(X), d2(X), d3(X))
+    # each field and its first three centered r-derivatives
+    out = {name: (X[..., _CENTER], d1(X), d2(X), d3(X))
+           for name, X in fields.items()}
 
     jets = {}
-    for f, base, dot in (("u", "u", "ut"), ("v", "v", "vt")):
-        w0, w1, w2, w3 = out[base]
-        jets[(f, 0, 0)], jets[(f, 0, 1)] = w0, w1
-        if order >= 2:
-            jets[(f, 0, 2)] = w2
-        if order >= 3:
-            jets[(f, 0, 3)] = w3
-        wt0, wt1, wt2, _ = out[dot]
-        jets[(f, 1, 0)] = wt0
-        if order >= 2:
-            jets[(f, 1, 1)] = wt1
-        if order >= 3:
-            jets[(f, 1, 2)] = wt2
+    for f, dot in (("u", "ut"), ("v", "vt")):
+        for b in range(order + 1):
+            jets[(f, 0, b)] = out[f][b]
+        for b in range(order):
+            jets[(f, 1, b)] = out[dot][b]
     if order < 2:
         return jets
 
@@ -316,8 +313,6 @@ def _slice_derived(fields, r_nodes, scn, order):
     vt0, vt1, vt2, _ = out["vt"]
     lap_u = lap(u1, u2)
     lap_v = lap(v1, v2)
-    lap_ut = lap(ut1, ut2)
-    lap_vt = lap(vt1, vt2)
     denom = 1.0 - scn.p00 * u0
 
     utt = lap_u + scn.b00 * ut0 * vt0 + scn.bd * u1 * v1
@@ -328,6 +323,8 @@ def _slice_derived(fields, r_nodes, scn, order):
     if order < 3:
         return jets
 
+    lap_ut = lap(ut1, ut2)
+    lap_vt = lap(vt1, vt2)
     uttr = lap_r(u1, u2, u3) + scn.b00 * (ut1 * vt0 + ut0 * vt1) \
         + scn.bd * (u2 * v1 + u1 * v2)
     numer_r = scn.pd * u1 * lap_v + (1.0 + scn.pd * u0) * lap_r(v1, v2, v3) - c2 * v1

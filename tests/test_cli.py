@@ -85,33 +85,46 @@ def test_pipeline_evolves_once(tmp_path, monkeypatch):
     assert evolved == [scn]
 
 
+class _Records(list):
+    """A list of word records that takes weak references."""
+
+
 def test_stages_sample_each_hyperboloid_once_per_history(tmp_path, monkeypatch):
-    built = []
+    built, records = [], []
 
     def counting_build_sample(*args):
         built.append(args[1])
         return original(*args)
 
+    def held_word_records(*args):
+        out = _Records(original_records(*args))
+        records.append(weakref.ref(out))
+        return out
+
     original = energies.build_sample
+    original_records = solver.word_records
     monkeypatch.setattr(energies, "build_sample", counting_build_sample)
+    monkeypatch.setattr(solver, "word_records", held_word_records)
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
     cli._stage_energies(scn, tmp_path, history)
     cli._stage_inequalities(scn, tmp_path, history, np.random.default_rng(0))
     cli._stage_radiation(scn, tmp_path, history)
     assert len(built) == len(set(built)) == 25
-    # the shared samples live and die with their history
+    assert len(records) == 1 and len(records[0]()) == 9
+    # the shared samples and word records live and die with their history
     ref = weakref.ref(history)
     del history
     gc.collect()
     assert ref() is None
+    assert records[0]() is None
 
 
 def test_pipeline_integrates_each_hyperboloid_once(tmp_path, monkeypatch):
     # a sample's key is the sampler that built it and its s; the rigidity
-    # stage samples the coupled history through a sampler of its own, on
-    # s values it shares with the foliation.  Every sample and sampler is
-    # held, so no id is reused within the run.
+    # stage reads the coupled history's foliation and samples its two
+    # controls on s values it shares with it.  Every sample and sampler
+    # is held, so no id is reused within the run.
     held, key_of, calls = [], {}, Counter()
     original = energies.build_sample
 
@@ -137,10 +150,35 @@ def test_pipeline_integrates_each_hyperboloid_once(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, fn))
     cli.run_pipeline("all", parse_scenario(TINY), tmp_path / "run")
     keys = set(key_of.values())
-    # the 25 foliation samples and 9 for each of the rigidity stage's runs
-    assert len(keys) == 25 + 3 * 9
+    # the 25 foliation samples and 9 for each of the rigidity controls
+    assert len(keys) == 25 + 2 * 9
     for name in ("energy_e0c", "energy_e1", "energy_e0gc"):
         assert {key: calls[name, key] for key in keys} == dict.fromkeys(keys, 1), name
+
+
+def test_pipeline_queries_order_three_jets_once_per_word_record(tmp_path, monkeypatch):
+    # the word tables, the bootstrap and Klainerman-Sobolev share one
+    # order-3 query on each of every third foliation hyperboloid
+    histories, queried = [], []
+    original_jets = solver.HistorySampler.jets
+
+    def counting_evolve(scn):
+        histories.append(solver.evolve(scn))
+        return histories[-1]
+
+    def counting_jets(self, ts, rs, order=3):
+        if order == 3:
+            # the nodes start on the axis, where t = s
+            assert np.asarray(rs)[0] == 0.0
+            queried.append(float(np.asarray(ts)[0]))
+        return original_jets(self, ts, rs, order)
+
+    monkeypatch.setattr(cli, "evolve", counting_evolve)
+    monkeypatch.setattr(solver.HistorySampler, "jets", counting_jets)
+    cli.run_pipeline("all", parse_scenario(TINY), tmp_path / "run")
+    foliation_s = [sample["s"] for sample in histories[0].foliation]
+    assert len(queried) == len(set(queried)) == 9
+    assert queried == foliation_s[::3]
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

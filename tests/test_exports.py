@@ -29,6 +29,19 @@ def test_no_module_imports_inside_a_function():
     assert found == []
 
 
+def test_only_energies_places_hyperboloid_nodes():
+    # the foliation and its word records are the only hyperboloid samples
+    # the pipeline takes; both are built in energies.py
+    found = []
+    for path in sorted(Path(wavekg.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "hyperboloid_nodes"]
+    assert found and {f.split(":")[0] for f in found} == {"energies.py"}
+
+
 def _unread_parameters(source, filename):
     """Parameters of each function in source that its body never loads."""
     found = []

@@ -91,14 +91,19 @@ def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
     # the grid spacing decide where the stages may sample
     n_steps, dt = _time_steps(make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl))
     t_last = 2.0 + n_steps * dt
-    queries = []
-    for n in (25, 9, 6):  # energies/inequalities/radiation, rigidity, bootstrap
-        s_grid = geo.covered_s_grid(t_last, dr, n)
-        assert s_grid[-1] == geo.last_covered_s(t_last, dr) and np.all(np.diff(s_grid) > 0)
-        queries += [np.hypot(s, geo.hyperboloid_nodes(s, dr)) for s in s_grid]
-        # the kg-lab rays r/t = rho over the same s range
-        for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
-            queries.append(ray_points(rho, s_grid)[0])
+    # the one foliation every stage reads; its every-third subset carries
+    # the word records and the rigidity grid, and holds the first, middle
+    # and last H_s (the energies tables and the Klainerman-Sobolev check)
+    s_grid = geo.covered_s_grid(t_last, dr)
+    assert s_grid[-1] == geo.last_covered_s(t_last, dr) and np.all(np.diff(s_grid) > 0)
+    words = s_grid[::geo.WORD_STRIDE]
+    assert len(s_grid) == 25 and len(words) == 9
+    assert words[0] == s_grid[0] and words[len(words) // 2] == s_grid[12]
+    assert words[-1] == s_grid[-1]
+    queries = [np.hypot(s, geo.hyperboloid_nodes(s, dr)) for s in s_grid]
+    # the kg-lab rays r/t = rho over the same s range
+    for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
+        queries.append(ray_points(rho, s_grid)[0])
     for mu in geo.MU_FAN:
         queries.append(geo.null_radii(t_last, mu) + 2.0 + mu)
         # the rigidity stage runs the whole fan on the radii of its last ray

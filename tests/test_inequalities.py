@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavekg import inequalities as ineq
-from wavekg.energies import hyperboloid_samples
+from wavekg.energies import hyperboloid_samples, word_records
 from wavekg.profiles import Profile
 
 from conftest import ZERO, make_scenario
@@ -60,8 +60,8 @@ class TestHardy:
 
 def test_klainerman_sobolev_bounded(oracle_sampler):
     scn = make_scenario(dr=0.02)
-    vals = [ineq.check_klainerman_sobolev(oracle_sampler, s, scn.dr)["u"]
-            for s in (2.0, 4.0, 8.0)]
+    vals = [ineq.check_klainerman_sobolev(record)["u"]
+            for record in word_records(oracle_sampler, (2.0, 4.0, 8.0), scn)]
     assert all(0.0 < v < 10.0 for v in vals)
     # the ratio may not grow: the sup is controlled by the norms uniformly
     assert vals[-1] < 2.0 * vals[0] + 1e-12
@@ -130,7 +130,7 @@ class TestBootstrap:
     def test_default_calibration_holds_on_free_data(self, oracle_sampler):
         scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
         s_grid = np.linspace(2.0, 10.0, 9)
-        out = ineq.bootstrap_monitor(oracle_sampler, scn, s_grid)
+        out = ineq.bootstrap_monitor(word_records(oracle_sampler, s_grid, scn), scn)
         assert out["ok"]
         assert out["first_failure"] is None
         assert_allclose(out["c1eps"] * s_grid[0] ** out["delta"],
@@ -139,6 +139,7 @@ class TestBootstrap:
     def test_tiny_threshold_reports_first_failure(self, oracle_sampler):
         scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
         s_grid = np.linspace(2.0, 6.0, 5)
-        out = ineq.bootstrap_monitor(oracle_sampler, scn, s_grid, c1eps=1e-12)
+        out = ineq.bootstrap_monitor(word_records(oracle_sampler, s_grid, scn),
+                                     scn, c1eps=1e-12)
         assert not out["ok"]
         assert out["first_failure"] == 2.0

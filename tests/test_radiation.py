@@ -137,8 +137,9 @@ class TestRigidity:
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
-        out = rad.rigidity_experiment(samplers, s_grid, free_scn, mu_grid,
-                                      radii, floor)
+        runs = {label: (sampler, hyperboloid_samples(sampler, s_grid, free_scn))
+                for label, sampler in samplers.items()}
+        out = rad.rigidity_experiment(runs, mu_grid, radii, floor)
         assert out["rigidity_consistent"]
         assert out["zero"]["zero_data"] and out["zero"]["silent"]
         assert out["zero"]["e0_initial"] == 0.0
@@ -164,6 +165,7 @@ class TestRigidity:
         if hi / lo < 1.05:
             pytest.skip("norm and amplitude too close to separate")
         floor = np.sqrt(lo * hi)
-        out = rad.rigidity_experiment({"free": free_sampler}, s_grid,
-                                      free_scn, mu_grid, radii, floor)
+        runs = {"free": (free_sampler,
+                         hyperboloid_samples(free_sampler, s_grid, free_scn))}
+        out = rad.rigidity_experiment(runs, mu_grid, radii, floor)
         assert not out["rigidity_consistent"]
