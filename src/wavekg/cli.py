@@ -3,10 +3,10 @@
 Subcommands: simulate, energies, inequalities, kg-lab, radiation,
 rigidity, all.  Every run writes a manifest (scenario echo, grid,
 wall-clock, sha256 of each artifact, and outside the hashes the run's
-metrics: wall time and peak RSS per stage, the solver's steps, dt and
-window margin, the stored fields' min |1 - p00 u|, max |u| and max |v|,
-and their largest value at the storage cap); outputs are deterministic
-given the manifest --
+metrics: wall time and peak RSS per stage, the solver's steps, dt,
+window margin and nominal history size, the stored fields' min
+|1 - p00 u|, max |u| and max |v|, and their largest value at the storage
+cap); outputs are deterministic given the manifest --
 randomized sweeps draw from the explicit --seed.
 
 Reports are CSV/JSON; every monitor series is additionally emitted as a
@@ -369,6 +369,10 @@ def run_pipeline(subcommand, scn, out, seed=0):
             "stages": stage_metrics,
             "solver": {"steps": history.n_slices - 1, "dt": history.dt,
                        "window_margin": solver._WINDOW_MARGIN,
+                       # nominal MB of the stored fields; the resident part
+                       # is smaller, since pages past the cone stay unbacked
+                       "history_mb": sum(getattr(history, f).nbytes
+                                         for f in solver._FIELDS) / 2**20,
                        **_field_health(history)},
         },
         "artifacts": {name: _sha256(out / name) for name in artifacts},

@@ -22,11 +22,22 @@ r <= t_end - 1 + _STORE_MARGIN * dr; the sampler treats the fields as
 zero beyond it.  This dense time coverage is what sampling fields and
 their derivative jets on hyperboloids t = sqrt(s^2 + r^2) and along
 characteristic curves needs.
+
+Each step writes its row only out to its window, so a row's cells past
+the cone are never written.  Each stored field lives in a private
+anonymous memory mapping advised against huge pages, where the kernel
+backs a 4 KiB page only when evolve first writes it; reads of unwritten
+pages (the sampler, the health values, the dump) see the kernel's shared
+zero page.  So the history is resident only inside the cone, about 0.62
+of its nominal bytes on the reference grid, and each mapping is freed
+with its array.  (A numpy buffer this large takes huge pages, which
+would make the zeros past the cone resident 2 MiB at a time.)
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,6 +166,15 @@ def _time_steps(scn):
     return n_steps, (scn.t_end - 2.0) / n_steps
 
 
+def _unbacked_zeros(shape):
+    """Zero float64 array whose pages take memory only once written."""
+    buf = mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE)
+    # under THP "always" one write would otherwise back 2 MiB at once
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
 def evolve(scn):
     """Run the scenario to t_end from its eps-scaled data at t = 2,
     returning the full SliceHistory."""
@@ -167,7 +187,7 @@ def evolve(scn):
     r_cap = min(scn.r_max, scn.t_end - 1.0 + _STORE_MARGIN * dr)
     n_store = int(round(r_cap / dr)) + 1
     shape = (n_steps + 1, n_store)
-    hist = {name: np.zeros(shape) for name in _FIELDS}
+    hist = {name: _unbacked_zeros(shape) for name in _FIELDS}
 
     y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
     for name, arr in zip(_FIELDS, y):

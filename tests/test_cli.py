@@ -300,12 +300,13 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         health = {k: metrics["solver"].pop(k)
                   for k in ("min_degeneracy", "max_abs_u", "max_abs_v",
                             "max_abs_at_cap")}
-        assert metrics["solver"] == {"steps": n_steps, "dt": dt,
-                                     "window_margin": solver._WINDOW_MARGIN}
+        history = slice_load(tmp_path / "a" / "slices.wkgh")
+        assert metrics["solver"] == {
+            "steps": n_steps, "dt": dt, "window_margin": solver._WINDOW_MARGIN,
+            "history_mb": 4 * history.n_slices * history.r.size * 8 / 2**20}
         assert all(np.isfinite(x) for x in health.values())
         # the stored u stays small and positive here, so the degeneracy
         # minimum sits at the largest u
-        history = slice_load(tmp_path / "a" / "slices.wkgh")
         assert health["min_degeneracy"] == pytest.approx(
             1.0 - scn.p00 * history.u.max(), abs=1e-12)
         assert health["max_abs_u"] == np.abs(history.u).max() > 0

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +12,7 @@ from wavekg import solver
 from wavekg.solver import HistorySampler, SolverError, evolve
 from wavekg.geometry import HyperbolaCurve
 
-from conftest import make_scenario
+from conftest import make_scenario, run_python_process
 
 EPS = 1e-3
 ZERO = Profile("zero")
@@ -103,10 +106,61 @@ def test_quasilinear_guard():
 
 
 def test_history_bookkeeping(small_history, small_scn):
+    # test_sliceio.test_round_trip_is_bit_exact checks that slice_load
+    # reproduces an evolved history bit for bit
     h = small_history
     assert h.t0 == 2.0
     assert_allclose(h.t0 + (h.n_slices - 1) * h.dt, small_scn.t_end)
-    assert h.u.shape == (h.n_slices, h.r.size)
+    for name in ("u", "ut", "v", "vt"):
+        arr = getattr(h, name)
+        assert arr.shape == (h.n_slices, h.r.size)
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+
+
+# Evolves dr = 0.01, r_max = t_end = 27 (400 MiB of nominal history) and
+# prints the ru_maxrss rise over evolve, the current-RSS fall once the
+# history is dropped, and the history's nominal bytes.
+_RSS_CHILD = """
+import gc, json, os, resource
+from wavekg.scenario import Scenario
+from wavekg.profiles import Profile
+from wavekg.solver import evolve
+
+bump, zero = Profile("bump", k=4, radius=1.0, amp=1.0), Profile("zero")
+scn = Scenario(u0=bump, u1=zero, v0=bump, v1=zero, eps=1e-3,
+               dr=0.01, r_max=27.0, t_end=27.0)
+page = os.sysconf("SC_PAGE_SIZE")
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * page
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+before = maxrss()
+history = evolve(scn)
+rise = maxrss() - before
+nbytes = sum(getattr(history, f).nbytes for f in ("u", "ut", "v", "vt"))
+held = resident()
+del history
+gc.collect()
+print(json.dumps({"rise": rise, "nbytes": nbytes, "freed": held - resident()}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                    reason="needs /proc/self/statm for the current RSS")
+def test_history_is_resident_only_where_written():
+    # rows are written only out to the cone's window, and the pages past
+    # it stay unbacked: the rise is about 0.72 of the nominal bytes here
+    # (0.99 with zero-filled arrays), and it goes with the history
+    child = run_python_process(["-c", _RSS_CHILD], threads=1)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert got["rise"] <= 0.8 * got["nbytes"], got
+    assert got["freed"] >= 0.9 * got["rise"], got
 
 
 class TestSampling:
