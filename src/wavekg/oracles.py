@@ -9,8 +9,12 @@ Free Klein-Gordon: w = r v solves the 1+1 Klein-Gordon equation on a
 half-line with Dirichlet conditions; a discrete sine transform evolves
 each mode exactly in time, and a sine-series representation gives jets
 at arbitrary points.  Every derivative of a chunk of points comes from
-one set of sin/cos tables (of k r and of omega (t - 2)), and chunks are
-sized in bytes, so memory does not grow with the mode count.
+one sin/cos table of k r, built by angle addition from a few libm calls
+per point since the k are evenly spaced, and one of omega (t - 2) per
+distinct time; each (a, b) is then one mat-vec of a product table shared
+by the jets of its parity of a and its b.  Chunks are sized in bytes and
+their tables are work buffers allocated once per call, so the working
+memory grows with neither the mode count nor the number of points.
 
 Both oracles are deliberately independent of the finite-difference
 solver (different representations, different grids).  The free wave's
@@ -96,7 +100,8 @@ class DalembertField:
 # -- Klein-Gordon spectral oracle --------------------------------------------
 
 _SINC_SWITCH = 0.1      # below this x the sinc recurrence loses digits
-_CHUNK_BYTES = 2**22    # one (points x modes) float64 table per chunk
+_CHUNK_BYTES = 2**20    # one (points x modes) float64 table per chunk
+_BLOCK = 64             # modes per angle-addition block of the radial table
 
 
 def _sinc_series(x, n):
@@ -111,32 +116,35 @@ def _sinc_series(x, n):
     return x * (1.0 / 5.0 - x2 / 42.0 + x2 * x2 / 1080.0)
 
 
-def _sinc_table(x, order):
-    """[sinc^(n)(x) for n <= order] over a table of x >= 0.
+def _sinc_tables(r, k, trig, inv, out):
+    """Fill out[n] with sinc^(n)(x) for x = k r, one row per r >= 0.
 
+    trig holds sin x and cos x; inv is a work table that receives 1/x.
     Differentiating x f = sin x gives f^(n) = (sin^(n) x - n f^(n-1)) / x,
     so one sin and one cos of x serve every order; the series replaces
     the recurrence where x < _SINC_SWITCH.
     """
-    trig = (np.sin(x), np.cos(x) if order >= 1 else None)
-    small = x < _SINC_SWITCH
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / x
-        out = [trig[0] * inv]
-        for n in range(1, order + 1):
+        np.multiply.outer(1.0 / r, 1.0 / k, out=inv)
+        np.multiply(trig[0], inv, out=out[0])
+        for n in range(1, len(out)):
             # sin^(n) = sin, cos, -sin, -cos for n = 0, 1, 2, 3
-            f = out[-1] * -float(n)
+            f = out[n]
+            np.multiply(out[n - 1], -float(n), out=f)
             if n % 4 < 2:
                 f += trig[n % 2]
             else:
                 f -= trig[n % 2]
             f *= inv
-            out.append(f)
-    if small.any():
+    # x < _SINC_SWITCH holds on a prefix of the modes, longest at the
+    # smallest r
+    n_small = np.count_nonzero(r.min() * k < _SINC_SWITCH)
+    if n_small:
+        x = np.multiply.outer(r, k[:n_small])
+        small = x < _SINC_SWITCH
         xs = x[small]
         for n, f in enumerate(out):
-            f[small] = _sinc_series(xs, n)
-    return out
+            f[:, :n_small][small] = _sinc_series(xs, n)
 
 
 class KGSpectralField:
@@ -151,10 +159,20 @@ class KGSpectralField:
 
     with A the mode amplitude B (a even) or its time derivative (a odd).
     jets() evaluates points in chunks sized so that one chunk's
-    (points x modes) table takes _CHUNK_BYTES.  Within a chunk, one sin
-    and cos of k r give every sinc^(b), one sin and cos of omega (t - 2)
-    per distinct time give both amplitudes, and each (a, b) is one
-    weighted sum over modes.
+    (points x modes) table takes _CHUNK_BYTES, and fills the same work
+    tables, allocated once per call, for every chunk.  Within a chunk:
+
+    - the sin/cos table of k r is built by angle addition (_radial_trig):
+      since k_m = m pi / length is evenly spaced, each point needs only
+      the sin/cos of _BLOCK base angles and of one offset per block of
+      _BLOCK modes, not one per mode;
+    - one sin/cos table of omega (t - 2) per distinct time gives both
+      amplitudes (_amplitudes), gathered to the chunk's points;
+    - the sin/cos of k r give every sinc^(b) through the recurrence of
+      _sinc_tables, with a Taylor series where k r < _SINC_SWITCH;
+    - each (parity of a, b) forms one product table A sinc^(b), and each
+      (a, b) is one mat-vec of its product table with its weights, so a
+      jet does not depend on which other jets were asked for.
     """
 
     def __init__(self, v0, v1, c, length=64.0, n_modes=4096):
@@ -178,13 +196,53 @@ class KGSpectralField:
                 "profile spectrum not negligible at the Nyquist mode; "
                 "increase n_modes", RuntimeWarning)
 
-    def _amplitudes(self, t):
-        """Mode amplitudes B and dB/dt at the times t, one row per time."""
-        phase = np.multiply.outer(np.asarray(t, dtype=float) - 2.0, self.omega)
-        cosp, sinp = np.cos(phase), np.sin(phase)
-        b = self.b0 * cosp + (self.b1 / self.omega) * sinp
-        bdot = (-self.b0 * self.omega) * sinp + self.b1 * cosp
+    def _amplitudes(self, t, out=None):
+        """Mode amplitudes B and dB/dt at the times t, one row per time.
+
+        out, if given, is four (times x modes) tables to work in; B and
+        dB/dt are returned in the first two.
+        """
+        t = np.asarray(t, dtype=float)
+        if out is None:
+            out = np.empty((4, t.size, self.k.size))
+        b, bdot, sinp, cosp = out
+        np.multiply.outer(t - 2.0, self.omega, out=sinp)
+        np.cos(sinp, out=cosp)
+        np.sin(sinp, out=sinp)
+        np.multiply(cosp, self.b0, out=b)
+        np.multiply(sinp, -self.b0 * self.omega, out=bdot)
+        sinp *= self.b1 / self.omega
+        b += sinp
+        cosp *= self.b1
+        bdot += cosp
         return b, bdot
+
+    def _radial_trig(self, r, out):
+        """sin and cos of k_m r for every mode, one row per r >= 0.
+
+        With m - 1 = _BLOCK j + i, k_m r is the base angle
+        pi (i + 1) r / length plus the block offset pi _BLOCK j r / length,
+        so angle addition builds the table from 2 (_BLOCK + n/_BLOCK) libm
+        calls per point instead of 2 n.  Each entry is off from the exact
+        sin(k_m r) by about as much as np.sin(r * k) is: both errors are
+        dominated by rounding the argument.
+
+        out is a (points, 2, modes rounded up to _BLOCK) table; the sin and
+        cos are returned as (points, modes) views of its two halves.
+        """
+        n_blocks = out.shape[2] // _BLOCK
+        base = np.multiply.outer(r, np.pi * np.arange(1, _BLOCK + 1) / self.length)
+        offset = np.multiply.outer(r, np.pi * _BLOCK * np.arange(n_blocks) / self.length)
+        # per point, [sin; cos](offset_j + base_i) = rot_j @ [cos; sin](base_i)
+        rot = np.empty((r.size, 2, n_blocks, 2))
+        np.sin(offset, out=rot[:, 0, :, 0])
+        np.cos(offset, out=rot[:, 0, :, 1])
+        rot[:, 1, :, 0] = rot[:, 0, :, 1]
+        np.negative(rot[:, 0, :, 0], out=rot[:, 1, :, 1])
+        np.matmul(rot.reshape(r.size, 2 * n_blocks, 2),
+                  np.stack((np.cos(base), np.sin(base)), axis=1),
+                  out=out.reshape(r.size, 2 * n_blocks, _BLOCK))
+        return out[:, 0, :self.k.size], out[:, 1, :self.k.size]
 
     def jet(self, t, r, a=0, b=0):
         """d_t^a d_r^b v at scattered points."""
@@ -200,16 +258,38 @@ class KGSpectralField:
         keys = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
         weight = {(a, b): self.k ** (b + 1) * (-self.omega**2) ** (a // 2)
                   for a, b in keys}
+        products = {}
+        for a, b in keys:
+            products.setdefault((a % 2, b), []).append((a, b))
         out = {key: np.empty(tf.size) for key in keys}
-        chunk = max(1, _CHUNK_BYTES // (8 * self.k.size))
+        n = self.k.size
+        chunk = max(1, min(tf.size, _CHUNK_BYTES // (8 * n)))
+        width = -(-n // _BLOCK) * _BLOCK
+        # the work tables, reused by every chunk: the sin and cos of
+        # omega (t - 2), then of k r; B and dB/dt per distinct time, then
+        # 1/(k r) and each product table; the amplitudes at the points;
+        # one sinc^(b) per b
+        trig = np.empty((chunk, 2, width))
+        work = np.empty((4 + order + 1, chunk, width))
         for lo in range(0, tf.size, chunk):
             sl = slice(lo, lo + chunk)
-            sincs = _sinc_table(np.multiply.outer(rf[sl], self.k), order)
+            rc = rf[sl]
+            tables = work[:, :rc.size, :n]
+            amps, sincs = tables[2:4], tables[4:]
             times, row = np.unique(tf[sl], return_inverse=True)
-            amps = [amp[row] for amp in self._amplitudes(times)]
-            for a, b in keys:
-                out[(a, b)][sl] = np.einsum("pm,pm,m->p", amps[a % 2], sincs[b],
-                                            weight[(a, b)])
+            m = times.size
+            per_time = self._amplitudes(times, (tables[0, :m], tables[1, :m],
+                                                trig[:m, 0, :n], trig[:m, 1, :n]))
+            for amp, table in zip(amps, per_time):
+                # row is in range; mode "raise" would copy through a buffer
+                np.take(table, row, axis=0, out=amp, mode="clip")
+            _sinc_tables(rc, self.k, self._radial_trig(rc, trig[:rc.size]),
+                         tables[0], sincs)
+            prod = tables[1]
+            for (parity, b), members in products.items():
+                np.multiply(amps[parity], sincs[b], out=prod)
+                for key in members:
+                    np.matmul(prod, weight[key], out=out[key][sl])
         return {key: val.reshape(shape) for key, val in out.items()}
 
     def __call__(self, t, r):

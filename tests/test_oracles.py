@@ -2,10 +2,11 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from conftest import run_python_process
 from numpy.testing import assert_allclose
 
-from wavekg.oracles import (DalembertField, KGSpectralField, OracleSampler,
-                            free_wave_radiation)
+from wavekg.oracles import (_CHUNK_BYTES, DalembertField, KGSpectralField,
+                            OracleSampler, free_wave_radiation)
 from wavekg.profiles import Profile
 
 U0 = Profile("bump", k=4, radius=1.0, amp=1.0)
@@ -125,11 +126,69 @@ class TestKGJets:
             assert_allclose(got[(a, b)], ref, rtol=0,
                             atol=1e-10 * np.max(np.abs(ref)), err_msg=f"{(a, b)}")
 
+    def test_match_leibniz_reference_far_out_with_many_modes(self):
+        # the 16384-mode, length-256 oracle of criterion 6 out to r = 50,
+        # where the radial table's angle addition spans the most blocks
+        field = KGSpectralField(U0, V1, 1.0, length=256.0, n_modes=16384)
+        rng = np.random.default_rng(14)
+        t = rng.uniform(2.0, 52.0, 64)
+        r = rng.uniform(1.0, 50.0, 64)
+        got = field.jets(t, r, order=3)
+        for a, b in KEYS:
+            ref = leibniz_reference(field, t, r, a, b)
+            assert_allclose(got[(a, b)], ref, rtol=0,
+                            atol=1e-10 * np.max(np.abs(ref)), err_msg=f"{(a, b)}")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("length, n_modes", [(64.0, 4096), (256.0, 16384)])
+    def test_radial_table_as_accurate_as_libm(self, length, n_modes):
+        # against sin(k_m r) in long double with the exact k_m = m pi / length;
+        # libm of the float64 product r*k is off by its argument's rounding
+        field = KGSpectralField(U0, ZERO, 1.0, length=length, n_modes=n_modes)
+        r = np.random.default_rng(15).uniform(0.0, 60.0, 48)
+        sin, cos = field._radial_trig(r, np.empty((r.size, 2, n_modes)))
+        pi = np.arccos(np.longdouble(-1.0))
+        x = np.multiply.outer(r.astype(np.longdouble),
+                              np.arange(1, n_modes + 1, dtype=np.longdouble) * pi / length)
+        direct = np.multiply.outer(r, field.k)
+        for table, libm, exact in ((sin, np.sin, np.sin(x)), (cos, np.cos, np.cos(x))):
+            err = np.max(np.abs(table - exact))
+            err_libm = np.max(np.abs(libm(direct) - exact))
+            assert err <= 1.5 * err_libm, (err, err_libm)
+
+    def test_memory_does_not_grow_with_the_mode_count(self):
+        # the ru_maxrss rise of order-3 jets at 2000 points, in a fresh
+        # process per mode count; the work tables are sized in bytes, so
+        # the rise (about 11.5 MiB here) should not depend on the modes
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from wavekg.oracles import KGSpectralField\n"
+            "from wavekg.profiles import Profile\n"
+            "field = KGSpectralField(Profile('bump', k=4, radius=1.0, amp=1.0),\n"
+            "                        Profile('zero'), 1.0, n_modes=int(sys.argv[1]))\n"
+            "rng = np.random.default_rng(0)\n"
+            "t, r = rng.uniform(2.0, 12.0, 2000), rng.uniform(0.0, 10.0, 2000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "field.jets(t, r, order=3)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        rise_kib = []
+        for n_modes in (4096, 16384):
+            proc = run_python_process(["-c", script, str(n_modes)], threads=1)
+            assert proc.returncode == 0, proc.stderr
+            rise_kib.append(int(proc.stdout.split()[-1]))
+        assert abs(rise_kib[1] - rise_kib[0]) <= 4 * 1024, rise_kib
+
     def test_value_independent_of_chunk_and_repeated_times(self, moving_field):
         rng = np.random.default_rng(12)
         t = rng.uniform(2.0, 12.0, 600)
         r = rng.uniform(0.0, 1.0, 600) * (t - 1.0)
-        t[100:300] = 5.0     # one repeated time across a chunk boundary
+        chunk = _CHUNK_BYTES // (8 * moving_field.k.size)
+        edge = chunk * max(1, round(200 / chunk))   # a chunk boundary
+        lo, hi = edge - 100, edge + 100
+        assert 20 <= lo and hi <= 400 and lo // chunk < (hi - 1) // chunk
+        t[lo:hi] = 5.0       # one repeated time across that boundary
         t[400:420] = t[7]
         r[:10] = 0.0
         r[10:20] = 0.1 / moving_field.k[:10]
