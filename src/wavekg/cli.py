@@ -149,10 +149,8 @@ def _stage_energies(scn, out, history):
                ["s", "e0_u", "e0c_v", "e1_u", "e1_rotation", "e1_good",
                 "e1_scaling", "e1_hardy", "e0gc_v", "gc_ratio", "f1_u"],
                rows)
-    # the order <= 2 commuted tables of the first, middle and last H_s
-    words = history.words
-    tables = {repr(record["s"]): record["energies"]
-              for record in (words[0], words[len(words) // 2], words[-1])}
+    # the order <= 2 commuted tables of every word hyperboloid
+    tables = {repr(record["s"]): record["energies"] for record in history.words}
     summary = {
         "s_grid": s_grid,
         "e0_u_drift": float(np.ptp(e0) / max(e0.max(), 1e-300)),
