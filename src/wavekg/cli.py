@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__, solver
 from . import inequalities as iq
 from .energies import energy_f1, hyperboloid_samples
-from .geometry import (MU_FAN, WORD_STRIDE, HyperbolaCurve, covered_s_grid,
-                       null_radii)
+from .geometry import (HYPERBOLA_C0, MU_FAN, WORD_STRIDE, HyperbolaCurve,
+                       covered_s_grid, null_radii)
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
@@ -98,7 +98,13 @@ def _write_series(path, x, y):
 
 
 def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex digest of a file, read in 1 MiB blocks so that hashing an
+    archive never holds it whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _field_health(history):
@@ -248,12 +254,12 @@ def _stage_kg_lab(scn, out, history, rng):
 def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
     rows = []
-    for mu in MU_FAN:
-        est = radiation_null(sampler, mu, null_radii(history.t_last, mu))
+    for mu, radii in zip(MU_FAN, null_radii(history.t_last, MU_FAN)):
+        est = radiation_null(sampler, mu, radii)
         rows.append((est.mu, "", est.value, est.error_bar, est.method,
                      est.flagged))
     transport = {}
-    for c0 in (1.0, 2.0, 3.0):
+    for c0 in HYPERBOLA_C0:
         curve = HyperbolaCurve(c0)
         mu = 0.5 * c0 - 2.0
         if c0 <= 2.0:
@@ -293,9 +299,8 @@ def _stage_rigidity(scn, out, history):
                                    ("free-wave", OracleSampler(free)))}
     runs["coupled"] = (HistorySampler(history), coupled)
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
-    # one set of radii serves the whole fan: the latest ray ends at t_last
-    report = rigidity_experiment(runs, MU_FAN,
-                                 null_radii(history.t_last, MU_FAN[-1]), floor)
+    radii = null_radii(history.t_last, MU_FAN)
+    report = rigidity_experiment(runs, MU_FAN, radii, floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]
 

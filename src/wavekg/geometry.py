@@ -11,8 +11,10 @@ good derivatives tangent to H_s of a radial field.
 It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
 grid of the run's one foliation and the every-third subset that carries
-the order-3 word records, the null rays t = r + 2 + mu and their radii,
-and the shortest run the stages can analyse.
+the order-3 word records, the one fan of null rays t = r + 2 + mu with
+each ray's own radii, the hyperbolas the radiation stage follows and the
+window of each, and the shortest run the stages can analyse, read off
+those three.
 
 All geometry is closed-form; no ODE integration enters curve positions.
 """
@@ -39,6 +41,8 @@ __all__ = [
     "WORD_STRIDE",
     "MU_FAN",
     "null_radii",
+    "HYPERBOLA_C0",
+    "hyperbola_window",
     "run_length_problem",
 ]
 
@@ -181,8 +185,13 @@ _NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
 # middle and last among them) carries the order-3 word records
 _FOLIATION_SIZE, WORD_STRIDE = 25, 3
 
-# retarded times mu of the null rays t = r + 2 + mu (radiation, rigidity)
+# retarded times mu of the null rays t = r + 2 + mu; the radiation and
+# rigidity stages both read this one fan, each ray on its own null_radii
 MU_FAN = np.linspace(-1.0, 1.0, 9)
+
+# constants c0 of the characteristic hyperbolas the radiation stage
+# follows; those with c0 <= 2 never enter the cone (see entry_point)
+HYPERBOLA_C0 = (1.0, 2.0, 3.0)
 
 
 def hyperboloid_nodes(s, dr):
@@ -213,26 +222,45 @@ def covered_s_grid(t_last, dr):
 
 
 def null_radii(t_last, mu):
-    """Extrapolation radii on the null ray t = r + 2 + mu, ending by t_last."""
-    r_hi = t_last - 2.0 - mu  # where the ray t = r + 2 + mu ends
+    """Extrapolation radii on the null rays t = r + 2 + mu, ending by t_last:
+    three per ray, in the last axis (one row per ray of a fan)."""
+    r_hi = t_last - 2.0 - np.asarray(mu, dtype=float)  # where each ray ends
     # three nodes: higher-degree extrapolation amplifies the sampler's
     # interpolation noise faster than it removes the 1/r tail
-    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3)
+    return np.linspace(0.45 * r_hi, 0.95 * r_hi, 3, axis=-1)
+
+
+def hyperbola_window(curve):
+    """(tau0, earliest horizon) of a transport integration along curve.
+
+    It starts at tau0, just past the curve's entry point, and its horizon
+    must lie past 1.5 tau0, so that the friction discount and the tail fit
+    see more of the curve than its entry.
+    """
+    tau0 = entry_point(curve).t * (1.0 + 1e-9) + 1e-9
+    return tau0, 1.5 * tau0
 
 
 def run_length_problem(t_end, dr):
     """Why the stages cannot sample a run on [2, t_end], or None.
 
-    The hyperboloids must reach past s = 2, and every null ray must start
-    at or after t = 2; the earliest is the rigidity fan's first mu on the
-    radii of its last.  The c0 = 3 hyperbola needs t_end > 3.61, which
-    the fan already demands (t_end >= 5.22).
+    Three rules of the plan: the hyperboloids reach past s = 2, every ray
+    of MU_FAN starts on its null_radii at or after t = 2, and every
+    hyperbola of HYPERBOLA_C0 that enters the cone has its earliest
+    horizon before t_end.  The last binds for dr <= 0.1: it asks for
+    t_end > 3.6056, the fan for t_end > 1 + 1/0.45 and the hyperboloids
+    for t_end > 2.5 + 11 dr.
     """
     s_last = last_covered_s(t_end, dr)
     if not s_last > 2.0:
         return f"its hyperboloids would end at s = {s_last:.4f}, not past s = 2"
-    t_first = min(null_radii(t_end, mu_r)[0] + 2.0 + mu
-                  for mu in MU_FAN for mu_r in (mu, MU_FAN[-1]))
+    t_first = np.min(null_radii(t_end, MU_FAN)[:, 0] + 2.0 + MU_FAN)
     if t_first < 2.0:
         return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
+    for c0 in HYPERBOLA_C0:
+        if c0 > 2.0:
+            horizon = hyperbola_window(HyperbolaCurve(c0))[1]
+            if not horizon < t_end:
+                return (f"the c0 = {c0:g} hyperbola needs a horizon past "
+                        f"t = {horizon:.4f}")
     return None

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import entry_point, friction_P, friction_integral, good_scalars
+from .geometry import (friction_P, friction_integral, good_scalars,
+                       hyperbola_window)
 from .inequalities import fit_slope
 
 __all__ = [
@@ -119,9 +120,8 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000):
     power-law bound on the unseen tail of S^w + Delta^w fitted over the
     last decade of the sampled curve.
     """
-    start = entry_point(curve)
-    tau0 = start.t * (1.0 + 1e-9) + 1e-9
-    if tau_max <= tau0 * 1.5:
+    tau0, earliest = hyperbola_window(curve)
+    if tau_max <= earliest:
         raise ValueError("horizon too close to the curve's entry point")
     tau = np.linspace(tau0, float(tau_max), int(n_tau))
     rr = curve.radius(tau)
@@ -199,10 +199,15 @@ def excessive_decay_check(samples, scn):
 
 
 def radiation_norm(sampler, mu_grid, r_sequence):
-    """L2 norm (in mu) of the null-ray radiation field over a mu grid."""
+    """L2 norm (in mu) of the null-ray radiation field over a mu grid.
+
+    r_sequence broadcasts against the grid: row i holds ray i's radii
+    (geometry.null_radii of the grid), and a 1-D sequence serves every ray.
+    """
     mu_grid = np.asarray(mu_grid, dtype=float)
-    vals = np.array([radiation_null(sampler, mu, r_sequence).value
-                     for mu in mu_grid])
+    radii = np.broadcast_to(r_sequence, mu_grid.shape + np.shape(r_sequence)[-1:])
+    vals = np.array([radiation_null(sampler, mu, r_seq).value
+                     for mu, r_seq in zip(mu_grid, radii)])
     return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid))), vals
 
 
@@ -213,7 +218,8 @@ def rigidity_experiment(runs, mu_grid, r_sequence, floor):
     sampled by energies.hyperboloid_samples on the same s grid and nodes,
     whose "e0_u" gives E0.  For each run, reports E0(2, u), the
     comparability band of E0(s, u)/E0(2, u) over the s grid, and the
-    radiation norm over the mu fan.  The floor is an amplitude
+    radiation norm over the mu fan, each ray on its row of r_sequence
+    (see radiation_norm).  The floor is an amplitude
     (field-scale) threshold: the verdict asserts that a radiation norm
     below the floor occurs only when sqrt of the initial energy is below
     the floor as well.

@@ -15,7 +15,8 @@ Errors carry line numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
@@ -57,6 +58,15 @@ class Scenario:
     eta: float = 0.6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = (value,)
+            if isinstance(value, Profile):
+                # a zero profile's parameters are never read
+                numbers = () if value.is_zero else (value.radius, value.amp)
+            if not all(math.isfinite(x) for x in numbers):
+                raise ScenarioError(f"{f.name} must be finite, got {value!r}",
+                                    (f.name,))
         if self.c <= 0:
             raise ScenarioError(f"Klein-Gordon mass must be positive, got c={self.c}",
                                 ("c",))
@@ -85,10 +95,6 @@ class Scenario:
     def wave_source(self, ut, vt, ur, vr):
         """Box u, the wave equation's right-hand side, from first derivatives."""
         return self.b00 * ut * vt + self.bd * ur * vr
-
-    def free(self):
-        """The same scenario with all couplings switched off."""
-        return replace(self, b00=0.0, bd=0.0, p00=0.0, pd=0.0)
 
     def with_grid(self, **kwargs):
         return replace(self, **kwargs)
@@ -137,7 +143,7 @@ def parse_scenario(text):
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         try:
             kwargs[attr] = conv(value)
-        except (ValueError, ProfileError) as exc:
+        except (ValueError, OverflowError, ProfileError) as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines[attr] = lineno
 

@@ -99,7 +99,8 @@ def reference_history(reference_scn):
 @pytest.fixture(scope="session")
 def reference_free_history(reference_scn):
     """Free-wave run at the reference grid, for radiation cross-checks."""
-    return evolve(reference_scn.free().with_grid(v0=ZERO, v1=ZERO))
+    return evolve(reference_scn.with_grid(b00=0.0, bd=0.0, p00=0.0, pd=0.0,
+                                          v0=ZERO, v1=ZERO))
 
 
 def slope_of(x, y):

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 from wavekg import cli, energies, inequalities, radiation, solver
-from wavekg.geometry import run_length_problem
+from wavekg.geometry import HyperbolaCurve, hyperbola_window, run_length_problem
 from wavekg.scenario import ScenarioError, parse_scenario, serialize_scenario
 from wavekg.sliceio import slice_load
 from wavekg.solver import _time_steps
 
-from conftest import differing_outputs, run_cli_process
+from conftest import differing_outputs, run_cli_process, run_python_process
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "reference.cfg"
 
@@ -273,16 +274,60 @@ def test_seed_changes_randomized_sweeps(tiny_cfg, tmp_path):
 
 
 def test_shortest_accepted_run_completes(tmp_path):
-    # with dr = 0.05 the rigidity fan's earliest ray, mu = -1 on the radii
-    # 0.45 (t_end - 3) of mu = 1, starts at t = 2 when t_end = 3 + 1/0.45
-    t_min = 3.0 + 1.0 / 0.45
-    assert run_length_problem(t_min + 0.01, 0.05) is None
+    # with dr = 0.05 the c0 = 3 hyperbola sets the shortest run: its
+    # horizon must lie past h = 1.5 times its start, about 3.6056, while
+    # the fan needs t_end > 3.22 and the hyperboloids t_end > 3.05
+    h = hyperbola_window(HyperbolaCurve(3.0))[1]
+    assert run_length_problem(h + 0.01, 0.05) is None
     short = TINY.replace("grid.dr = 0.1", "grid.dr = 0.05")
-    with pytest.raises(ScenarioError, match="line 7: .*too short.*before t = 2"):
-        parse_scenario(short.replace("grid.t_end = 8.0", f"grid.t_end = {t_min - 0.01}"))
+    with pytest.raises(ScenarioError, match="line 7: .*too short.*c0 = 3 hyperbola"):
+        parse_scenario(short.replace("grid.t_end = 8.0", f"grid.t_end = {h - 0.01}"))
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(short.replace("grid.t_end = 8.0", f"grid.t_end = {t_min + 0.01}"))
+    cfg.write_text(short.replace("grid.t_end = 8.0", f"grid.t_end = {h + 0.01}"))
     assert cli.main(["all", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["all", "--scenario", str(tiny_cfg), "--out", str(out)]) == 0
+    with open(out / "radiation.csv", newline="") as fh:
+        null = [float(row["value"]) for row in csv.DictReader(fh)
+                if row["method"] == "null-ray"]
+    coupled = json.loads((out / "rigidity.json").read_text())["coupled"]
+    assert len(null) == 9
+    assert coupled["radiation_values"] == null
+
+
+# prints the ru_maxrss rise over hashing the file named by its argument,
+# and the digest
+_SHA_CHILD = """
+import json, resource, sys
+from wavekg.cli import _sha256
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+before = maxrss()
+digest = _sha256(sys.argv[1])
+print(json.dumps({"rise": maxrss() - before, "digest": digest}))
+"""
+
+
+def test_artifact_hash_never_holds_the_file(tmp_path):
+    # a sparse 64 MiB file of zeros: read whole, it would raise ru_maxrss
+    # by its size
+    size = 64 * 2**20
+    path = tmp_path / "zeros.bin"
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+    child = run_python_process(["-c", _SHA_CHILD, str(path)], threads=1)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    expected = hashlib.sha256()
+    for _ in range(64):
+        expected.update(bytes(2**20))
+    assert got["digest"] == expected.hexdigest()
+    assert got["rise"] <= size / 16, got
 
 
 def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):

@@ -104,11 +104,15 @@ def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
     # the kg-lab rays r/t = rho over the same s range
     for rho in (0.0, 0.2, 0.3, 0.4, 0.6):
         queries.append(ray_points(rho, s_grid)[0])
-    for mu in geo.MU_FAN:
-        queries.append(geo.null_radii(t_last, mu) + 2.0 + mu)
-        # the rigidity stage runs the whole fan on the radii of its last ray
-        queries.append(geo.null_radii(t_last, geo.MU_FAN[-1]) + 2.0 + mu)
+    # the one fan of the radiation and rigidity stages, each ray on its radii
+    for mu, radii in zip(geo.MU_FAN, geo.null_radii(t_last, geo.MU_FAN)):
+        queries.append(radii + 2.0 + mu)
+    # each hyperbola in the cone runs from its start to a horizon at t_last,
+    # and its transport residual is checked from 0.6 t_last on
+    for c0 in geo.HYPERBOLA_C0:
+        if c0 > 2.0:
+            tau0, earliest = geo.hyperbola_window(geo.HyperbolaCurve(c0))
+            assert earliest < t_last
+            queries.append(np.array([tau0, 0.6 * t_last]))
     queries = np.concatenate(queries)
     assert queries.min() >= 2.0 and queries.max() <= t_last
-    # the c0 = 3 hyperbola runs from its entry point to t_last
-    assert 1.5 * geo.entry_point(geo.HyperbolaCurve(3.0)).t < t_last

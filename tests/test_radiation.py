@@ -118,11 +118,11 @@ def test_radiation_norm_positive_free_zero_otherwise(free_sampler):
 
 
 def test_solver_free_wave_radiation_matches_closed_form(free_wave_history):
-    # the pipeline's fan and radii on a solver run; the rigidity stage
-    # samples its free-wave control from the oracle, so this is where the
-    # solver's extraction of a radiating run is checked
+    # the pipeline's fan, each ray on its own radii, on a solver run; the
+    # rigidity stage samples its free-wave control from the oracle, so this
+    # is where the solver's extraction of a radiating run is checked
     sampler = HistorySampler(free_wave_history)
-    radii = null_radii(free_wave_history.t_last, MU_FAN[-1])
+    radii = null_radii(free_wave_history.t_last, MU_FAN)
     norm, vals = rad.radiation_norm(sampler, MU_FAN, radii)
     exact = free_wave_radiation(U0, ZERO, MU_FAN)
     exact_norm = np.sqrt(np.trapezoid(exact**2, x=MU_FAN))

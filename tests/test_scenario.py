@@ -60,19 +60,21 @@ def test_error_carries_line_number():
     ("grid.t_end = 9\ngrid.r_max = 5", 2),
     ("grid.t_end = 70", 1),  # r_max keeps its default 60
     ("data.eps = 0.1\n\ndata.v1 = bump radius=1.5", 3),
-    ("grid.dr = 0.05\ngrid.t_end = 5", 2),  # too short for the stages
+    # too short for the stages: only the c0 = 3 hyperbola's horizon,
+    # past t = 3.6056, rejects it
+    ("grid.dr = 0.05\ngrid.t_end = 3.5", 2),
     ("mass.c = 1.0\ngrid.dr = 0.25", 2),  # too coarse for the energy checks
+    # non-finite numbers, profile parameters included
+    ("data.eps = nan", 1),
+    ("mass.c = 1.0\ncouplings.b00 = inf", 2),
+    ("mass.c = inf", 1),
+    ("data.eps = 0.1\nmonitors.delta = nan", 2),
+    ("data.u0 = bump k=4 amp=nan", 1),
+    ("data.v1 = bump k=inf", 1),
 ])
 def test_range_violation_carries_line_number(doc, line):
     with pytest.raises(ScenarioError, match=f"^line {line}: "):
         parse_scenario(doc)
-
-
-def test_free_variant():
-    scn = parse_scenario(MINIMAL)
-    free = scn.free()
-    assert (free.b00, free.bd, free.p00, free.pd) == (0.0, 0.0, 0.0, 0.0)
-    assert free.c == scn.c
 
 
 def test_with_grid_override():
