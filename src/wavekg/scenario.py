@@ -18,16 +18,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
 
-__all__ = ["Scenario", "ScenarioError", "parse_scenario", "serialize_scenario"]
+__all__ = ["Scenario", "ScenarioError", "parse_scenario", "serialize_scenario",
+           "stable_cfl"]
 
 # coarsest grid spacing the stages accept: on coarser grids the sampled
 # conformal energy's positive decomposition exceeds it by more than the
 # quadrature allowance of energies.energy_e1 (at dr = 0.2 the worst
 # excess uses about half of that allowance, at dr = 0.25 more than all)
 _DR_MAX = 0.2
+# the solver stops where |1 - p00 u| falls below this (quasilinear degeneracy)
+MIN_DENOM = 0.5
+# RK4 is stable on the imaginary axis for |z| <= 2 sqrt(2)
+_RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
+# spectral radius of solver._rhs's radial operator times dr^2: the axis row
+# 6 (w1 - w0) / dr^2 has e0 as an eigenvector, past the interior's 4
+_LAP_RADIUS = 6.0
+# share of the RK4 limit a run may use.  Measured, the mid grid's coupled
+# run stays bounded up to 1.002 of the limit and blows up past it, short
+# or massive runs up to 1.02, and data with eps = 0.3 (kappa 1.86, which
+# falls as the data disperse) past 1.3; 0.9 keeps cfl = 1.0 legal for
+# every checked-in scenario
+_CFL_SAFETY = 0.9
 
 
 class ScenarioError(ValueError):
@@ -53,7 +69,7 @@ class Scenario:
     dr: float = 0.01
     r_max: float = 60.0
     t_end: float = 52.0
-    cfl: float = 0.5
+    cfl: float = 1.0
     delta: float = 0.05
     eta: float = 0.6
 
@@ -74,9 +90,9 @@ class Scenario:
             raise ScenarioError(
                 f"grid spacing must satisfy 0 < dr <= {_DR_MAX}, got dr={self.dr}",
                 ("dr",))
-        if not (0 < self.cfl <= 0.5):
-            raise ScenarioError(
-                f"time-step ratio must satisfy 0 < cfl <= 0.5, got {self.cfl}", ("cfl",))
+        if not self.cfl > 0:
+            raise ScenarioError(f"time-step ratio must be positive, got cfl={self.cfl}",
+                                ("cfl",))
         if self.t_end <= 2.0:
             raise ScenarioError(
                 f"final time must exceed the initial time 2, got t_end={self.t_end}",
@@ -120,12 +136,45 @@ _SCHEMA = {
 }
 
 
+_KEYS = {attr: key for key, (attr, _) in _SCHEMA.items()}
+
+
+def stable_cfl(scn):
+    """Largest time-step ratio cfl = dt/dr the RK4 stability rule accepts.
+
+    RK4 is stable while dt times the largest frequency of the linearized
+    system stays within 2 sqrt(2) on the imaginary axis; that frequency
+    is at most sqrt(6 kappa + (c dr)^2) / dr, where 6/dr^2 is the
+    spectral radius of the radial Laplacian (axis row included) and kappa
+    the largest factor (1 + pd u) / (1 - p00 u) of the Klein-Gordon
+    Laplacian on the data u = eps u0.  The rule keeps _CFL_SAFETY of it:
+
+        cfl sqrt(6 kappa + (c dr)^2) <= _CFL_SAFETY * 2 sqrt(2).
+
+    Raises ScenarioError if the data make |1 - p00 u| < MIN_DENOM, the
+    degeneracy at which the solver stops.
+    """
+    # the solver's grid points out to r = 1, past which the data vanish
+    u = scn.eps * scn.u0(scn.dr * np.arange(math.ceil(1.0 / scn.dr) + 1))
+    denom = 1.0 - scn.p00 * u
+    closest = np.min(np.abs(denom))
+    if closest < MIN_DENOM:
+        raise ScenarioError(
+            f"degenerate data: |1 - p00*eps*u0| falls to {closest:.3g} < {MIN_DENOM} "
+            "on the grid, where the solver stops", ("eps", "u0", "p00"))
+    kappa = np.max((1.0 + scn.pd * u) / denom)
+    return float(_CFL_SAFETY * _RK4_IMAG_LIMIT
+                 / math.sqrt(_LAP_RADIUS * kappa + (scn.c * scn.dr) ** 2))
+
+
 def parse_scenario(text):
     """Parse a configuration document into a Scenario.
 
-    Unknown keys, malformed lines, range violations and runs too short
-    for the analysis stages raise ScenarioError with the offending line
-    number (none when the offending value is a default).
+    Unknown keys, malformed lines, range violations, runs too short for
+    the analysis stages, degenerate data and time steps past the RK4
+    stability rule (see stable_cfl) raise ScenarioError with the
+    offending line number (none when the offending value is a default);
+    an error that involves several keys also lists the line of each.
     """
     kwargs = {}
     lines = {}
@@ -148,19 +197,31 @@ def parse_scenario(text):
         lines[attr] = lineno
 
     def at_line(exc):
-        found = [lines[a] for a in exc.attrs if a in lines]
-        prefix = f"line {found[0]}: " if found else ""
-        return ScenarioError(prefix + str(exc), exc.attrs)
+        found = [a for a in exc.attrs if a in lines]
+        if not found:
+            return ScenarioError(str(exc), exc.attrs)
+        message = f"line {lines[found[0]]}: {exc}"
+        if len(found) > 1:
+            message += " (" + ", ".join(f"{_KEYS[a]} on line {lines[a]}"
+                                        for a in found) + ")"
+        return ScenarioError(message, exc.attrs)
 
     try:
         scn = Scenario(**kwargs)
+        problem = run_length_problem(scn.t_end, scn.dr)
+        if problem is not None:
+            raise ScenarioError(
+                f"t_end={scn.t_end} is too short for the analysis stages: {problem}",
+                ("t_end", "dr"))
+        limit = stable_cfl(scn)
+        if scn.cfl > limit:
+            raise ScenarioError(
+                f"unstable time step: grid.cfl = {scn.cfl} at mass.c = {scn.c} is past "
+                f"the largest stable cfl {limit:.4g} of the RK4 rule cfl*sqrt(6*kappa "
+                f"+ (c*dr)^2) <= {_CFL_SAFETY}*2*sqrt(2), kappa the data's largest "
+                "coefficient factor", ("cfl", "c", "dr", "eps", "u0"))
     except ScenarioError as exc:
         raise at_line(exc) from exc
-    problem = run_length_problem(scn.t_end, scn.dr)
-    if problem is not None:
-        raise at_line(ScenarioError(
-            f"t_end={scn.t_end} is too short for the analysis stages: {problem}",
-            ("t_end", "dr")))
     return scn
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .energies import hyperboloid_samples, word_records
 from .geometry import WORD_STRIDE, covered_s_grid
-from .scenario import Scenario
+from .scenario import MIN_DENOM, Scenario
 
 __all__ = [
     "SolverError",
@@ -133,7 +133,7 @@ def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
     gets zero spatial derivatives, as the outer edge of the full grid.
     """
     denom = 1.0 - scn.p00 * u
-    if np.min(np.abs(denom)) < 0.5:
+    if np.min(np.abs(denom)) < MIN_DENOM:
         raise SolverError(
             "quasilinear degeneracy: |1 - p00*u| < 1/2 on the grid "
             f"(min {np.min(np.abs(denom)):.3e})")

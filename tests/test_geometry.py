@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from wavekg import geometry as geo
 from wavekg.kg_reduction import ray_points
+from wavekg.scenario import stable_cfl
 from wavekg.solver import _time_steps
 
 from conftest import make_scenario
@@ -83,13 +84,15 @@ def test_friction_P_matches_curve_form():
 
 @settings(max_examples=200, deadline=None)
 @given(dr=st.floats(0.01, 0.05), t_end=st.floats(2.5, 64.0),
-       cfl=st.floats(1e-9, 0.5))
-def test_pipeline_queries_stay_inside_stored_times(dr, t_end, cfl):
+       share=st.floats(1e-9, 1.0))
+def test_pipeline_queries_stay_inside_stored_times(dr, t_end, share):
     # every run length parse_scenario accepts
     assume(geo.run_length_problem(t_end, dr) is None)
-    # the last time evolve would store, without evolving: only t_last and
-    # the grid spacing decide where the stages may sample
-    n_steps, dt = _time_steps(make_scenario(dr=dr, t_end=t_end, r_max=t_end, cfl=cfl))
+    # the last time evolve would store, without evolving, at any step the
+    # stability rule accepts: only t_last and the grid spacing decide
+    # where the stages may sample
+    scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end)
+    n_steps, dt = _time_steps(scn.with_grid(cfl=share * stable_cfl(scn)))
     t_last = 2.0 + n_steps * dt
     # the one foliation every stage reads; its every-third subset carries
     # the word records and the rigidity grid, and holds the first, middle

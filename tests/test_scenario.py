@@ -1,16 +1,29 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavekg.profiles import Profile
 from wavekg.scenario import (Scenario, ScenarioError, parse_scenario,
-                             serialize_scenario)
+                             serialize_scenario, stable_cfl)
 
 MINIMAL = """
 couplings.b00 = 1.0
 data.eps = 0.0
 grid.dr = 0.05
 grid.r_max = 10.0
+grid.t_end = 8.0
+"""
+
+# the reference data on a coarse grid
+TINY = """data.eps = 1e-3
+data.u0 = bump k=4 radius=1.0 amp=1.0
+data.u1 = zero
+data.v0 = bump k=4 radius=1.0 amp=1.0
+data.v1 = zero
+grid.dr = 0.1
+grid.r_max = 9.0
 grid.t_end = 8.0
 """
 
@@ -38,7 +51,7 @@ def test_comments_and_blank_lines():
     ("mass.c = 1\nmass.c = 2", "duplicate"),
     ("mass.c", "expected"),
     ("mass.c = fast", "bad value"),
-    ("grid.cfl = 0.9", "cfl"),
+    ("grid.cfl = 1.2", "cfl"),  # past the RK4 limit, about 1.04 on the default grid
     ("mass.c = -1", "positive"),
     ("grid.t_end = 1.0", "final time"),
     ("grid.r_max = 5\ngrid.t_end = 9", "r_max"),
@@ -55,7 +68,7 @@ def test_error_carries_line_number():
 
 
 @pytest.mark.parametrize("doc,line", [
-    ("mass.c = 1.0\n# fine\ngrid.cfl = 0.9", 3),
+    ("mass.c = 1.0\n# fine\ngrid.cfl = 1.2", 3),
     ("data.eps = 0.1\nmass.c = -1", 2),
     ("grid.t_end = 9\ngrid.r_max = 5", 2),
     ("grid.t_end = 70", 1),  # r_max keeps its default 60
@@ -77,6 +90,36 @@ def test_range_violation_carries_line_number(doc, line):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("key,value,fragment", [
+    ("data.eps", "0.6", "degenerate data"),  # |1 - p00*eps*u0| reaches 0.4
+    ("mass.c", "60", "unstable time step"),
+    ("mass.c", "100", "unstable time step"),
+])
+def test_runs_that_would_stop_mid_run_are_rejected(key, value, fragment):
+    # each of these once passed the parser and stopped evolve at its first
+    # steps with a "quasilinear degeneracy" SolverError
+    doc = [line for line in TINY.splitlines() if not line.startswith(key)]
+    doc.append(f"{key} = {value}")
+    with pytest.raises(ScenarioError, match=f"^line {len(doc)}: {fragment}"):
+        parse_scenario("\n".join(doc))
+
+
+def test_stability_error_gives_the_largest_stable_cfl():
+    limit = stable_cfl(parse_scenario(TINY))
+    with pytest.raises(ScenarioError, match=f"largest stable cfl {limit:.4g} ") as info:
+        parse_scenario(TINY + "mass.c = 1.0\ngrid.cfl = 1.1\n")
+    assert str(info.value).startswith("line 10: ")
+    assert "grid.cfl on line 10, mass.c on line 9" in str(info.value)
+    assert parse_scenario(TINY + f"grid.cfl = {limit}\n").cfl == limit
+
+
+def test_checked_in_scenarios_take_the_default_cfl():
+    scenarios = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+    for cfg in sorted(scenarios.glob("*.cfg")):
+        scn = parse_scenario(cfg.read_text())
+        assert scn.cfl == 1.0 <= stable_cfl(scn), cfg.name
+
+
 def test_with_grid_override():
     scn = parse_scenario(MINIMAL).with_grid(dr=0.01)
     assert scn.dr == 0.01
@@ -95,6 +138,7 @@ profile_st = st.one_of(
 @given(c=st.floats(0.5, 3.0), eps=st.floats(0.0, 0.1),
        b00=st.floats(-2.0, 2.0), u0=profile_st, v1=profile_st)
 def test_serialize_parse_property(c, eps, b00, u0, v1):
+    # the drawn data reach kappa = 1.5, where the largest stable cfl is 0.85
     scn = Scenario(c=c, eps=eps, b00=b00, u0=u0, v1=v1,
-                   dr=0.05, r_max=12.0, t_end=10.0)
+                   dr=0.05, r_max=12.0, t_end=10.0, cfl=0.5)
     assert parse_scenario(serialize_scenario(scn)) == scn

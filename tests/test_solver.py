@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from wavekg.energies import build_sample
 from wavekg.oracles import DalembertField, KGSpectralField
 from wavekg.profiles import Profile
-from wavekg import solver
+from wavekg import scenario, solver
 from wavekg.solver import HistorySampler, SolverError, evolve
 from wavekg.geometry import HyperbolaCurve
 
@@ -103,6 +103,33 @@ def test_quasilinear_guard():
     scn = make_scenario(eps=2.0, dr=0.1, r_max=6.0, t_end=6.0)
     with pytest.raises(SolverError, match="quasilinear"):
         evolve(scn)
+
+
+def test_radial_operator_spectral_radius_is_the_stability_rule_constant():
+    # columns of the radial Laplacian: u's time derivative with the
+    # couplings off, applied to each unit vector of a small grid
+    dr, n = 0.1, 40
+    scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=dr)
+    r = dr * np.arange(n)
+    zero = np.zeros(n)
+    columns = [solver._rhs(e, zero, zero, zero, scn, 1.0 / dr**2,
+                           1.0 / (dr * r[1:-1]))[1] for e in np.eye(n)]
+    radius = np.max(np.abs(np.linalg.eigvals(np.array(columns).T)))
+    assert abs(radius * dr**2 - scenario._LAP_RADIUS) < 1e-9
+
+
+@pytest.mark.parametrize("c", [1.0, 30.0])
+def test_step_under_the_stability_limit_stays_bounded(c):
+    base = make_scenario(c=c)
+    limit = scenario.stable_cfl(base)
+    h = evolve(base.with_grid(cfl=0.999 * limit))
+    for name in ("u", "v"):
+        field = getattr(h, name)
+        assert np.isfinite(field).all()
+        assert np.max(np.abs(field)) <= 2.0 * np.max(np.abs(field[0])), name
+    # past the unscaled RK4 limit the axis mode grows without bound
+    with pytest.raises(SolverError):
+        evolve(base.with_grid(cfl=1.1 * limit / scenario._CFL_SAFETY))
 
 
 def test_history_bookkeeping(small_history, small_scn):
