@@ -14,8 +14,9 @@ two-column plot-data file.
 
 Only the stages, writers and orchestration live here: where a stage
 samples is geometry's sampling plan, and the stages read hyperboloids
-only through the history's ``foliation`` and its ``words`` records, each
-built once per history.  ``all`` evolves once: the rigidity stage samples
+only through the history's ``foliation`` and its ``words`` records, and
+the null-ray radiation field only through its ``null_fan``, each built
+once per history.  ``all`` evolves once: the rigidity stage samples
 its zero-data and free-wave controls from their exact solutions, on the
 coupled run's every third foliation hyperboloid.
 """
@@ -45,7 +46,7 @@ from .kg_reduction import (OscillatorProblem, check_ode_lemma,
 from .oracles import DalembertField, OracleSampler
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
-                        radiation_null, rigidity_experiment, transport_check)
+                        radiation_norm, rigidity_experiment, transport_check)
 from .scenario import parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
@@ -253,11 +254,8 @@ def _stage_kg_lab(scn, out, history, rng):
 
 def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
-    rows = []
-    for mu, radii in zip(MU_FAN, null_radii(history.t_last, MU_FAN)):
-        est = radiation_null(sampler, mu, radii)
-        rows.append((est.mu, "", est.value, est.error_bar, est.method,
-                     est.flagged))
+    rows = [(est.mu, "", est.value, est.error_bar, est.method, est.flagged)
+            for est in history.null_fan]
     transport = {}
     for c0 in HYPERBOLA_C0:
         curve = HyperbolaCurve(c0)
@@ -294,13 +292,15 @@ def _stage_rigidity(scn, out, history):
     coupled = history.foliation[::WORD_STRIDE]
     s_grid = [sample["s"] for sample in coupled]
     free = DalembertField(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps))
-    runs = {label: (sampler, hyperboloid_samples(sampler, s_grid, scn))
+    radii = null_radii(history.t_last, MU_FAN)
+    runs = {label: (hyperboloid_samples(sampler, s_grid, scn),
+                    radiation_norm(sampler, MU_FAN, radii)[1])
             for label, sampler in (("zero-data", OracleSampler()),
                                    ("free-wave", OracleSampler(free)))}
-    runs["coupled"] = (HistorySampler(history), coupled)
+    # the coupled run's fan is the one the radiation stage wrote
+    runs["coupled"] = (coupled, [est.value for est in history.null_fan])
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
-    radii = null_radii(history.t_last, MU_FAN)
-    report = rigidity_experiment(runs, MU_FAN, radii, floor)
+    report = rigidity_experiment(runs, MU_FAN, floor)
     _write_json(out / "rigidity.json", report)
     return ["rigidity.json"]
 

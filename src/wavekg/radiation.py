@@ -28,6 +28,7 @@ __all__ = [
     "RadiationEstimate",
     "transport_check",
     "radiation_null",
+    "radiation_fan",
     "radiation_hyperbola",
     "radiation_norm",
     "excessive_decay_check",
@@ -198,35 +199,46 @@ def excessive_decay_check(samples, scn):
     }
 
 
-def radiation_norm(sampler, mu_grid, r_sequence):
-    """L2 norm (in mu) of the null-ray radiation field over a mu grid.
+def radiation_fan(sampler, mu_grid, r_sequence):
+    """radiation_null on every ray of a fan, one RadiationEstimate per mu.
 
     r_sequence broadcasts against the grid: row i holds ray i's radii
     (geometry.null_radii of the grid), and a 1-D sequence serves every ray.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     radii = np.broadcast_to(r_sequence, mu_grid.shape + np.shape(r_sequence)[-1:])
-    vals = np.array([radiation_null(sampler, mu, r_seq).value
-                     for mu, r_seq in zip(mu_grid, radii)])
-    return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid))), vals
+    return [radiation_null(sampler, mu, r_seq) for mu, r_seq in zip(mu_grid, radii)]
 
 
-def rigidity_experiment(runs, mu_grid, r_sequence, floor):
+def _norm_in_mu(values, mu_grid):
+    """L2 norm in mu of an array of radiation values on a mu grid
+    (trapezoid rule)."""
+    return float(np.sqrt(np.trapezoid(values**2, x=mu_grid)))
+
+
+def radiation_norm(sampler, mu_grid, r_sequence):
+    """L2 norm (in mu) of the null-ray radiation field over a mu grid, and
+    its values, extracted by radiation_fan."""
+    vals = np.array([est.value for est in radiation_fan(sampler, mu_grid, r_sequence)])
+    return _norm_in_mu(vals, mu_grid), vals
+
+
+def rigidity_experiment(runs, mu_grid, floor):
     """Correlate radiation-field size with initial wave energy across runs.
 
-    runs: {label: (jets provider, its hyperboloid samples)}, every run
+    runs: {label: (hyperboloid samples, radiation values)}, every run
     sampled by energies.hyperboloid_samples on the same s grid and nodes,
-    whose "e0_u" gives E0.  For each run, reports E0(2, u), the
-    comparability band of E0(s, u)/E0(2, u) over the s grid, and the
-    radiation norm over the mu fan, each ray on its row of r_sequence
-    (see radiation_norm).  The floor is an amplitude
+    whose "e0_u" gives E0, with its null-ray radiation field on mu_grid
+    (the values of radiation_fan, say).  For each run, reports E0(2, u),
+    the comparability band of E0(s, u)/E0(2, u) over the s grid, and the
+    radiation norm over the mu fan.  The floor is an amplitude
     (field-scale) threshold: the verdict asserts that a radiation norm
     below the floor occurs only when sqrt of the initial energy is below
     the floor as well.
     """
     report = {}
     consistent = True
-    for label, (sampler, samples) in runs.items():
+    for label, (samples, vals) in runs.items():
         e0 = np.array([sample["e0_u"] for sample in samples])
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
@@ -235,7 +247,8 @@ def rigidity_experiment(runs, mu_grid, r_sequence, floor):
             band = (float(ratios.min()), float(ratios.max()))
         else:
             band = (1.0, 1.0)
-        rnorm, vals = radiation_norm(sampler, mu_grid, r_sequence)
+        vals = np.asarray(vals, dtype=float)
+        rnorm = _norm_in_mu(vals, mu_grid)
         silent = rnorm < floor
         if silent != quiet_data:
             consistent = False

@@ -23,8 +23,8 @@ import numpy as np
 from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
 
-__all__ = ["Scenario", "ScenarioError", "parse_scenario", "serialize_scenario",
-           "stable_cfl"]
+__all__ = ["Scenario", "ScenarioError", "history_bytes", "history_shape",
+           "parse_scenario", "serialize_scenario", "stable_cfl", "time_steps"]
 
 # coarsest grid spacing the stages accept: on coarser grids the sampled
 # conformal energy's positive decomposition exceeds it by more than the
@@ -44,6 +44,12 @@ _LAP_RADIUS = 6.0
 # falls as the data disperse) past 1.3; 0.9 keeps cfl = 1.0 legal for
 # every checked-in scenario
 _CFL_SAFETY = 0.9
+# cells evolve stores past the final cone r = t_end - 1
+STORE_MARGIN = 20
+# largest nominal history a scenario may ask for (see history_bytes): the
+# reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl 0.5, and
+# about 0.62 of the nominal bytes are resident
+MAX_HISTORY_BYTES = 2 * 2**30
 
 
 class ScenarioError(ValueError):
@@ -139,6 +145,26 @@ _SCHEMA = {
 _KEYS = {attr: key for key, (attr, _) in _SCHEMA.items()}
 
 
+def time_steps(scn):
+    """Number and size of the RK4 steps from t = 2 to t_end."""
+    n_steps = max(1, int(np.ceil((scn.t_end - 2.0) / (scn.cfl * scn.dr))))
+    return n_steps, (scn.t_end - 2.0) / n_steps
+
+
+def history_shape(scn):
+    """(slices, radii) of each field evolve stores: every step, out to the
+    radius cap r = t_end - 1 + STORE_MARGIN dr (or r_max)."""
+    r_cap = min(scn.r_max, scn.t_end - 1.0 + STORE_MARGIN * scn.dr)
+    return time_steps(scn)[0] + 1, int(round(r_cap / scn.dr)) + 1
+
+
+def history_bytes(scn):
+    """Nominal bytes of evolve's history, 4 fields of history_shape
+    doubles; plain arithmetic, so the memory rule allocates nothing."""
+    slices, radii = history_shape(scn)
+    return 4 * slices * radii * 8
+
+
 def stable_cfl(scn):
     """Largest time-step ratio cfl = dt/dr the RK4 stability rule accepts.
 
@@ -171,8 +197,9 @@ def parse_scenario(text):
     """Parse a configuration document into a Scenario.
 
     Unknown keys, malformed lines, range violations, runs too short for
-    the analysis stages, degenerate data and time steps past the RK4
-    stability rule (see stable_cfl) raise ScenarioError with the
+    the analysis stages, histories past MAX_HISTORY_BYTES, degenerate
+    data and time steps past the RK4 stability rule (see stable_cfl)
+    raise ScenarioError with the
     offending line number (none when the offending value is a default);
     an error that involves several keys also lists the line of each.
     """
@@ -213,6 +240,15 @@ def parse_scenario(text):
             raise ScenarioError(
                 f"t_end={scn.t_end} is too short for the analysis stages: {problem}",
                 ("t_end", "dr"))
+        try:
+            nominal = history_bytes(scn)
+        except OverflowError:  # dr so small that the step count overflows
+            nominal = math.inf
+        if nominal > MAX_HISTORY_BYTES:
+            raise ScenarioError(
+                f"history too large: {nominal / 2**30:.4g} GiB nominal (4 fields of "
+                "(n_steps + 1) x n_store doubles) is past the limit of "
+                f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
         limit = stable_cfl(scn)
         if scn.cfl > limit:
             raise ScenarioError(

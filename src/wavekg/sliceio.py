@@ -17,16 +17,19 @@ Layout (all integers little-endian):
 The loader is an exact inverse: slice_load(slice_dump(h)) reproduces the
 history bit for bit.
 
-Both directions hold one copy of the data.  slice_dump fills one buffer
-of the archive's exact size and writes it once; slice_load checks the
-size the header's dimensions imply before it allocates, reads each array
-straight into its result and keeps a running checksum, which it compares
-before it parses the scenario text.
+Neither direction holds a second copy of the data.  slice_dump writes
+the header, then each array in blocks of rows of a few MiB, keeping a
+running checksum; it reads the history row by row, so pages of an
+evolved history that were never written stay unbacked.  slice_load
+checks the size the header's dimensions imply before it allocates, reads
+each array straight into its result and keeps a running checksum, which
+it compares before it parses the scenario text.
 """
 
 from __future__ import annotations
 
 import io
+import mmap
 import struct
 import zlib
 
@@ -39,15 +42,17 @@ __all__ = ["SliceIOError", "slice_dump", "slice_load"]
 
 _MAGIC = b"WKGH"
 _VERSION = 1
+# bytes of field data per write: slice_dump holds one block, never the archive
+_BLOCK_BYTES = 4 << 20
 
 
 class SliceIOError(RuntimeError):
     pass
 
 
-def slice_dump(history, path=None):
-    """Serialize a SliceHistory; returns the archive as a bytearray (and
-    writes path if given)."""
+def _write(fh, history):
+    """Write the archive of a SliceHistory to a binary stream, one block of
+    rows at a time."""
     arrays = (history.r, history.u, history.ut, history.v, history.vt)
     n_s, n_r = history.u.shape
     if any(arr.shape != (n_s, n_r) for arr in arrays[2:]):
@@ -55,20 +60,34 @@ def slice_dump(history, path=None):
     text = serialize_scenario(history.scenario).encode("utf-8")
     head = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(text)), text,
                      struct.pack("<ddQQ", history.t0, history.dt, n_s, n_r)))
-    end = len(head) + 8 * sum(arr.size for arr in arrays)
-    blob = bytearray(end + 4)
-    blob[:len(head)] = head
-    pos = len(head)
+    fh.write(head)
+    crc = zlib.crc32(head)
     for arr in arrays:
-        view = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=pos)
-        view.reshape(arr.shape)[...] = arr
-        pos += view.nbytes
-    with memoryview(blob) as mv:
-        blob[end:] = struct.pack("<I", zlib.crc32(mv[:end]))
-    if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    return blob
+        rows = arr.reshape(len(arr), -1)
+        step = max(1, _BLOCK_BYTES // (8 * rows.shape[1]))
+        for lo in range(0, len(rows), step):
+            block = np.ascontiguousarray(rows[lo:lo + step], dtype="<f8")
+            crc = zlib.crc32(block, crc)
+            fh.write(block)
+    fh.write(struct.pack("<I", crc))
+
+
+def slice_dump(history, path=None):
+    """Serialize a SliceHistory.
+
+    Without a path, returns the archive's bytes.  With one, streams the
+    archive to that file and returns a read-only memoryview of the file,
+    whose len() is the archive's size and which slice_load accepts; its
+    pages are read from the file only when touched.
+    """
+    if path is None:
+        buf = io.BytesIO()
+        _write(buf, history)
+        return buf.getvalue()
+    with open(path, "wb+") as fh:
+        _write(fh, history)
+        fh.flush()
+        return memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
 def _read(fh):
@@ -117,8 +136,11 @@ def _read(fh):
 
 
 def slice_load(source):
-    """Read a SliceHistory from bytes or a file path."""
-    if isinstance(source, (bytes, bytearray)):
+    """Read a SliceHistory from a file path, or from an archive's bytes or
+    any buffer of them (slice_dump's view of a file included), which is
+    read through an in-memory copy; a path reads a large archive without
+    one."""
+    if isinstance(source, (bytes, bytearray, memoryview, mmap.mmap)):
         return _read(io.BytesIO(source))
     with open(source, "rb") as fh:
         return _read(fh)

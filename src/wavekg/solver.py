@@ -18,8 +18,8 @@ the window reaches it.  The margin, a constant number of cells, keeps
 the clipped numerical tail ahead of the cone at round-off level.
 
 Every accepted step is stored out to one radius cap,
-r <= t_end - 1 + _STORE_MARGIN * dr; the sampler treats the fields as
-zero beyond it.  This dense time coverage is what sampling fields and
+r <= t_end - 1 + STORE_MARGIN * dr (scenario.history_shape); the sampler
+treats the fields as zero beyond it.  This dense time coverage is what sampling fields and
 their derivative jets on hyperboloids t = sqrt(s^2 + r^2) and along
 characteristic curves needs.
 
@@ -44,8 +44,10 @@ from functools import cached_property
 import numpy as np
 
 from .energies import hyperboloid_samples, word_records
-from .geometry import WORD_STRIDE, covered_s_grid
-from .scenario import MIN_DENOM, Scenario
+from .geometry import MU_FAN, WORD_STRIDE, covered_s_grid, null_radii
+from .radiation import radiation_fan
+from .scenario import (MIN_DENOM, Scenario, ScenarioError, history_shape,
+                       stable_cfl, time_steps)
 
 __all__ = [
     "SolverError",
@@ -111,8 +113,30 @@ class SliceHistory:
         s_grid = covered_s_grid(self.t_last, self.scenario.dr)[::WORD_STRIDE]
         return word_records(HistorySampler(self), s_grid, self.scenario)
 
+    @cached_property
+    def null_fan(self):
+        """Null-ray radiation estimates of the MU_FAN rays, each on its own
+        geometry.null_radii (see radiation.radiation_fan), built on first
+        use; the radiation and rigidity stages both read this one fan."""
+        return radiation_fan(HistorySampler(self), MU_FAN,
+                             null_radii(self.t_last, MU_FAN))
+
 
 # -- time stepping ------------------------------------------------------------
+
+def _failure(scn, message):
+    """SolverError for a run that went bad; when the step is past the RK4
+    stability rule (see scenario.stable_cfl), it names the unstable step,
+    which is then the likely cause."""
+    try:
+        limit = stable_cfl(scn)
+    except ScenarioError:  # degenerate data
+        limit = np.inf
+    if scn.cfl > limit:
+        message = (f"unstable time step: cfl = {scn.cfl} is past the largest stable "
+                   f"cfl {limit:.4g} (scenario.stable_cfl); {message}")
+    return SolverError(message)
+
 
 # Cells integrated past the support cone r = t - 1.  The scheme's numerical
 # tail ahead of the cone decays cell by cell; with 80 cells the last slices
@@ -120,8 +144,6 @@ class SliceHistory:
 # of each field's maximum of the full-grid run, as with 120 or 160 cells
 # (round-off); 40 cells leave 4e-7 at the reference grid.
 _WINDOW_MARGIN = 80
-# Cells stored past the final cone r = t_end - 1.
-_STORE_MARGIN = 20
 
 
 def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
@@ -134,9 +156,8 @@ def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
     """
     denom = 1.0 - scn.p00 * u
     if np.min(np.abs(denom)) < MIN_DENOM:
-        raise SolverError(
-            "quasilinear degeneracy: |1 - p00*u| < 1/2 on the grid "
-            f"(min {np.min(np.abs(denom)):.3e})")
+        raise _failure(scn, "quasilinear degeneracy: |1 - p00*u| < 1/2 on the "
+                       f"grid (min {np.min(np.abs(denom)):.3e})")
     diff, lap = [], []
     for w in (u, v):
         d = w[2:] - w[:-2]
@@ -160,12 +181,6 @@ def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
     return ut, dut, vt, dvt
 
 
-def _time_steps(scn):
-    """Number and size of the RK4 steps from t = 2 to t_end."""
-    n_steps = max(1, int(np.ceil((scn.t_end - 2.0) / (scn.cfl * scn.dr))))
-    return n_steps, (scn.t_end - 2.0) / n_steps
-
-
 def _unbacked_zeros(shape):
     """Zero float64 array whose pages take memory only once written."""
     buf = mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE)
@@ -180,13 +195,12 @@ def evolve(scn):
     returning the full SliceHistory."""
     dr = scn.dr
     r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
-    n_steps, dt = _time_steps(scn)
+    n_steps, dt = time_steps(scn)
     inv_dr2 = 1.0 / dr**2
     inv_drr = 1.0 / (dr * r[1:-1])
 
-    r_cap = min(scn.r_max, scn.t_end - 1.0 + _STORE_MARGIN * dr)
-    n_store = int(round(r_cap / dr)) + 1
-    shape = (n_steps + 1, n_store)
+    shape = history_shape(scn)
+    n_store = shape[1]
     hist = {name: _unbacked_zeros(shape) for name in _FIELDS}
 
     y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
@@ -212,8 +226,8 @@ def evolve(scn):
         for a, p, q, s, w in zip(yw, k1, k2, k3, k4):
             a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
         if not np.isfinite(yw[0][::16]).all() or not np.isfinite(yw[2][::16]).all():
-            raise SolverError(f"non-finite field values at slice {step} "
-                              f"(t = {t:.4f})")
+            raise _failure(scn, f"non-finite field values at slice {step} "
+                           f"(t = {t:.4f})")
         m = min(n, n_store)
         for name, arr in zip(_FIELDS, yw):
             hist[name][step, :m] = arr[:m]

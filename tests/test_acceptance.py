@@ -19,7 +19,8 @@ from wavekg.oracles import (DalembertField, KGSpectralField, OracleSampler,
                             free_wave_radiation)
 from wavekg.profiles import Profile
 from wavekg.radiation import (excessive_decay_check, radiation_hyperbola,
-                              radiation_null, rigidity_experiment)
+                              radiation_norm, radiation_null,
+                              rigidity_experiment)
 from wavekg.geometry import GeometryError, HyperbolaCurve
 from wavekg.solver import HistorySampler, evolve
 
@@ -240,9 +241,10 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.linspace(20.0, 46.0, 3)
     floor = 10.0 * reference_scn.dr**2 * reference_scn.eps
-    runs = {label: (sampler, hyperboloid_samples(sampler, s_grid, reference_scn))
+    runs = {label: (hyperboloid_samples(sampler, s_grid, reference_scn),
+                    radiation_norm(sampler, mu_grid, radii)[1])
             for label, sampler in samplers.items()}
-    out = rigidity_experiment(runs, mu_grid, radii, floor)
+    out = rigidity_experiment(runs, mu_grid, floor)
     ok = out["rigidity_consistent"]
     ok = ok and out["zero"]["e0_initial"] == 0.0
     ok = ok and out["zero"]["radiation_norm"] == 0.0

@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -11,9 +12,9 @@ import pytest
 
 from wavekg import cli, energies, inequalities, radiation, solver
 from wavekg.geometry import HyperbolaCurve, hyperbola_window, run_length_problem
-from wavekg.scenario import ScenarioError, parse_scenario, serialize_scenario
+from wavekg.scenario import (ScenarioError, parse_scenario, serialize_scenario,
+                             time_steps)
 from wavekg.sliceio import slice_load
-from wavekg.solver import _time_steps
 
 from conftest import differing_outputs, run_cli_process, run_python_process
 
@@ -298,6 +299,40 @@ def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
     assert coupled["radiation_values"] == null
 
 
+def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
+    # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
+    # the lemma reads them from the dense output a block at a time, and the
+    # stage peaks at about 14 MB
+    scn = parse_scenario(TINY)
+    history = solver.evolve(scn)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._stage_kg_lab(scn, tmp_path, history, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2 * 100 * 20000 * 8, peak
+
+
+def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):
+    # the radiation and rigidity stages read the history's one null-ray
+    # fan; each control's fan is extracted from its oracle
+    calls = Counter()
+    original = radiation.radiation_null
+
+    def counting_null(sampler, mu, r_sequence):
+        calls[type(sampler).__name__] += 1
+        return original(sampler, mu, r_sequence)
+
+    for module in (radiation, solver, cli):
+        if getattr(module, "radiation_null", None) is original:
+            monkeypatch.setattr(module, "radiation_null", counting_null)
+    out = tmp_path / "run"
+    assert cli.main(["all", "--scenario", str(tiny_cfg), "--out", str(out)]) == 0
+    assert calls == {"HistorySampler": 9, "OracleSampler": 18}
+
+
 # prints the ru_maxrss rise over hashing the file named by its argument,
 # and the digest
 _SHA_CHILD = """
@@ -341,7 +376,7 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         assert set(metrics["stages"]) == {"simulate", "energies"}
         for stage in metrics["stages"].values():
             assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
-        n_steps, dt = _time_steps(scn)
+        n_steps, dt = time_steps(scn)
         health = {k: metrics["solver"].pop(k)
                   for k in ("min_degeneracy", "max_abs_u", "max_abs_v",
                             "max_abs_at_cap")}

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from wavekg import geometry as geo
 from wavekg.kg_reduction import ray_points
-from wavekg.scenario import stable_cfl
-from wavekg.solver import _time_steps
+from wavekg.scenario import stable_cfl, time_steps
 
 from conftest import make_scenario
 
@@ -92,7 +91,7 @@ def test_pipeline_queries_stay_inside_stored_times(dr, t_end, share):
     # stability rule accepts: only t_last and the grid spacing decide
     # where the stages may sample
     scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end)
-    n_steps, dt = _time_steps(scn.with_grid(cfl=share * stable_cfl(scn)))
+    n_steps, dt = time_steps(scn.with_grid(cfl=share * stable_cfl(scn)))
     t_last = 2.0 + n_steps * dt
     # the one foliation every stage reads; its every-third subset carries
     # the word records and the rigidity grid, and holds the first, middle

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import solve_ivp
 
 from wavekg import kg_reduction as kgr
@@ -38,12 +38,13 @@ class TestOscillator:
     def test_matches_exact_harmonic_solution(self):
         prob = harmonic_problem()
         out = kgr.integrate_oscillator(prob)
+        v, vp = kgr.trajectory_values(out)
         s0 = prob.span[0]
         # a scalar problem is a batch of one case
-        assert out["v"].shape == out["vp"].shape == (1, out["s"].size)
+        assert v.shape == vp.shape == (1, out["s"].size)
         exact = np.cos(prob.c * (out["s"] - s0))
-        assert_allclose(out["v"][0], exact, atol=1e-8)
-        assert_allclose(out["vp"][0], -prob.c * np.sin(prob.c * (out["s"] - s0)),
+        assert_allclose(v[0], exact, atol=1e-8)
+        assert_allclose(vp[0], -prob.c * np.sin(prob.c * (out["s"] - s0)),
                         atol=1e-8)
 
     def test_rejects_large_coefficient(self):
@@ -64,7 +65,7 @@ class TestOscillator:
                                      v0=part(s0), v0p=partp(s0),
                                      span=(s0, 12.0), qp=lambda s: 0.0)
         out = kgr.integrate_oscillator(prob)
-        assert_allclose(out["v"][0], part(out["s"]), atol=1e-8)
+        assert_allclose(kgr.trajectory_values(out)[0][0], part(out["s"]), atol=1e-8)
 
     @pytest.mark.parametrize("prob", [
         random_batch(np.random.default_rng(11), 12),
@@ -78,6 +79,7 @@ class TestOscillator:
         # the case's peak
         out = kgr.integrate_oscillator(prob)
         s = out["s"]
+        v, vp = kgr.trajectory_values(out)
         n = prob.c.size
         for i in range(n):
             def rhs(t, y, i=i):
@@ -89,7 +91,7 @@ class TestOscillator:
             ref = solve_ivp(rhs, prob.span, [prob.v0[i], prob.v0p[i]],
                             method="DOP853", rtol=1e-13, atol=1e-16,
                             dense_output=True).sol(s)
-            for got, want in ((out["v"][i], ref[0]), (out["vp"][i], ref[1])):
+            for got, want in ((v[i], ref[0]), (vp[i], ref[1])):
                 peak = np.max(np.abs(want))
                 assert np.max(np.abs(got - want)) <= 1e-10 * peak, i
 
@@ -159,6 +161,24 @@ class TestOdeLemma:
         for key in ("c_quadratic", "c_printed", "slack_quadratic",
                     "diag_residual"):
             assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-15)
+
+    def test_row_groups_and_column_reads_keep_every_bit(self, monkeypatch):
+        # rows are independent and each dense value depends only on its own
+        # grid point, so neither the case groups nor how the trajectory's
+        # columns are read together changes a bit
+        prob = random_batch(np.random.default_rng(5), 23)
+        traj = kgr.integrate_oscillator(prob, n_dense=5001)
+        grouped = kgr.check_ode_lemma(prob, traj)
+        monkeypatch.setattr(kgr, "_LEMMA_ROWS", prob.c.size)
+        monkeypatch.setattr(kgr, "_DENSE_COLUMNS", 5001)
+        at_once = kgr.check_ode_lemma(prob, traj)
+        for key in ("c_quadratic", "c_printed", "slack_quadratic",
+                    "diag_residual"):
+            assert_array_equal(grouped[key], at_once[key])
+        whole = kgr.trajectory_values(traj)
+        for lo, hi in ((0, 1), (7, 2049), (4000, 5001)):
+            for part, full in zip(kgr.trajectory_values(traj, slice(lo, hi)), whole):
+                assert_array_equal(part, full[:, lo:hi])
 
     def test_printed_form_carries_equivalence_factor(self):
         prob = harmonic_problem(c=1.0)

@@ -137,9 +137,10 @@ class TestRigidity:
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
-        runs = {label: (sampler, hyperboloid_samples(sampler, s_grid, free_scn))
+        runs = {label: (hyperboloid_samples(sampler, s_grid, free_scn),
+                        rad.radiation_norm(sampler, mu_grid, radii)[1])
                 for label, sampler in samplers.items()}
-        out = rad.rigidity_experiment(runs, mu_grid, radii, floor)
+        out = rad.rigidity_experiment(runs, mu_grid, floor)
         assert out["rigidity_consistent"]
         assert out["zero"]["zero_data"] and out["zero"]["silent"]
         assert out["zero"]["e0_initial"] == 0.0
@@ -165,7 +166,7 @@ class TestRigidity:
         if hi / lo < 1.05:
             pytest.skip("norm and amplitude too close to separate")
         floor = np.sqrt(lo * hi)
-        runs = {"free": (free_sampler,
-                         hyperboloid_samples(free_sampler, s_grid, free_scn))}
-        out = rad.rigidity_experiment(runs, mu_grid, radii, floor)
+        runs = {"free": (hyperboloid_samples(free_sampler, s_grid, free_scn),
+                         vals)}
+        out = rad.rigidity_experiment(runs, mu_grid, floor)
         assert not out["rigidity_consistent"]

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavekg.profiles import Profile
-from wavekg.scenario import (Scenario, ScenarioError, parse_scenario,
-                             serialize_scenario, stable_cfl)
+from wavekg.scenario import (MAX_HISTORY_BYTES, Scenario, ScenarioError,
+                             history_bytes, parse_scenario, serialize_scenario,
+                             stable_cfl)
 
 MINIMAL = """
 couplings.b00 = 1.0
@@ -118,6 +119,30 @@ def test_checked_in_scenarios_take_the_default_cfl():
     for cfg in sorted(scenarios.glob("*.cfg")):
         scn = parse_scenario(cfg.read_text())
         assert scn.cfl == 1.0 <= stable_cfl(scn), cfg.name
+
+
+def test_history_past_the_memory_rule_is_rejected_with_its_lines():
+    ref = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+           / "reference.cfg").read_text()
+    # 4 x 5001 x 5121 doubles, 0.76 GiB
+    assert history_bytes(parse_scenario(ref)) <= MAX_HISTORY_BYTES
+    lines = ref.splitlines()
+    dr_line, t_end_line = (next(i for i, line in enumerate(lines, 1)
+                                if line.startswith(key))
+                           for key in ("grid.dr", "grid.t_end"))
+    # 4 x 50 001 x 51 021 doubles
+    with pytest.raises(ScenarioError, match=f"^line {dr_line}: history too large: "
+                                            "76.03 GiB nominal") as info:
+        parse_scenario(ref.replace("grid.dr = 0.01", "grid.dr = 0.001"))
+    assert f"grid.t_end on line {t_end_line}" in str(info.value)
+
+
+@pytest.mark.parametrize("dr", ["1e-12", "5e-324"])
+def test_memory_rule_runs_before_anything_is_sized_by_the_grid(dr):
+    # stable_cfl evaluates the data on the grid out to r = 1, 10^12 points
+    # at dr = 1e-12; at 5e-324 the step count itself overflows
+    with pytest.raises(ScenarioError, match="^line 6: history too large"):
+        parse_scenario(TINY.replace("grid.dr = 0.1", f"grid.dr = {dr}"))
 
 
 def test_with_grid_override():

@@ -1,13 +1,15 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from wavekg import sliceio
 from wavekg.sliceio import SliceIOError, slice_dump, slice_load
-
-from conftest import make_scenario
 from wavekg.solver import evolve
+
+from conftest import make_scenario, run_python_process
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +98,56 @@ def _peak_bytes(fn, *args):
 
 
 def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
-    blob, peak = _peak_bytes(slice_dump, history, tmp_path / "run.wkgh")
-    assert peak <= 1.25 * len(blob)
+    # streamed to a file, the archive is never held: the dump holds the
+    # header and one block of rows, about 7 KB here against a 94 KB archive
+    view, peak = _peak_bytes(slice_dump, history, tmp_path / "run.wkgh")
+    assert len(view) == (tmp_path / "run.wkgh").stat().st_size
+    assert peak <= 0.25 * len(view)
+
+
+def test_block_size_does_not_change_the_bytes(history, tmp_path, monkeypatch):
+    whole = slice_dump(history)
+    # one radial row per block, and a partial last block of r
+    monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * history.r.size - 1)
+    assert slice_dump(history) == whole
+    monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * 7 * history.r.size)
+    assert slice_dump(history, tmp_path / "run.wkgh") == whole
+    assert slice_load(slice_dump(history, tmp_path / "run.wkgh")).scenario \
+        == history.scenario
+
+
+# Evolves dr = 0.01, r_max = t_end = 20 (106 MiB of nominal history) and
+# prints the ru_maxrss rise over dumping it to the file named by its
+# argument, and the length of slice_dump's result.
+_DUMP_CHILD = """
+import json, resource, sys
+from wavekg.profiles import Profile
+from wavekg.scenario import Scenario
+from wavekg.sliceio import slice_dump
+from wavekg.solver import evolve
+
+bump, zero = Profile("bump", k=4, radius=1.0, amp=1.0), Profile("zero")
+history = evolve(Scenario(u0=bump, u1=zero, v0=bump, v1=zero, eps=1e-3,
+                          dr=0.01, r_max=20.0, t_end=20.0))
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+before = maxrss()
+view = slice_dump(history, sys.argv[1])
+print(json.dumps({"rise": maxrss() - before, "size": len(view)}))
+"""
+
+
+def test_dump_to_a_file_stays_out_of_memory(tmp_path):
+    # neither the archive nor the history's unwritten pages past the cone
+    # become resident: the rise is at most about one block of rows
+    path = tmp_path / "big.wkgh"
+    child = run_python_process(["-c", _DUMP_CHILD, str(path)], threads=1)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert got["size"] == path.stat().st_size >= 100 * 2**20
+    assert got["rise"] < 0.1 * got["size"], got
 
 
 def test_load_holds_one_copy_of_the_history(history, tmp_path):

@@ -127,9 +127,20 @@ def test_step_under_the_stability_limit_stays_bounded(c):
         field = getattr(h, name)
         assert np.isfinite(field).all()
         assert np.max(np.abs(field)) <= 2.0 * np.max(np.abs(field[0])), name
-    # past the unscaled RK4 limit the axis mode grows without bound
-    with pytest.raises(SolverError):
+    # past the unscaled RK4 limit the axis mode grows without bound, and
+    # the error names the step, though |1 - p00 u| trips the guard first
+    with pytest.raises(SolverError, match=f"unstable time step.*largest stable "
+                                          f"cfl {limit:.4g}.*degeneracy"):
         evolve(base.with_grid(cfl=1.1 * limit / scenario._CFL_SAFETY))
+
+
+def test_run_without_the_guard_names_the_unstable_step():
+    # with p00 = 0 there is no degeneracy guard: past the limit the growing
+    # mode turns the fields non-finite, and the error names the step
+    scn = make_scenario(p00=0.0, pd=0.0, dr=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError, match="unstable time step.*non-finite"):
+        evolve(scn.with_grid(cfl=1.5 * scenario.stable_cfl(scn)))
 
 
 def test_history_bookkeeping(small_history, small_scn):
