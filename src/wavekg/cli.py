@@ -307,23 +307,6 @@ def _stage_rigidity(scn, out, history):
 
 # -- orchestration --------------------------------------------------------------
 
-_DEFAULT_SCENARIO = """\
-# reference scenario
-couplings.b00 = 1.0
-couplings.bd = 1.0
-couplings.p00 = 1.0
-couplings.pd = 1.0
-mass.c = 1.0
-data.eps = 1e-3
-data.u0 = bump k=4 radius=1.0 amp=1.0
-data.u1 = zero
-data.v0 = bump k=4 radius=1.0 amp=1.0
-data.v1 = zero
-grid.dr = 0.01
-grid.r_max = 60.0
-grid.t_end = 52.0
-"""
-
 
 def run_pipeline(subcommand, scn, out, seed=0):
     """Execute one stage chain; returns the manifest dict."""
@@ -400,10 +383,8 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        if args.scenario is not None:
-            text = args.scenario.read_text()
-        else:
-            text = _DEFAULT_SCENARIO
+        # an empty document is the reference scenario: Scenario's defaults
+        text = "" if args.scenario is None else args.scenario.read_text()
         scn = parse_scenario(text)
         run_pipeline(args.subcommand, scn, args.out, seed=args.seed)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

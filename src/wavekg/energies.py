@@ -1,10 +1,13 @@
 """Energy functionals on hyperboloids.
 
 All integrals use the radial measure 4 pi r^2 dr (composite Simpson on
-the uniform sampling grid).  Fields are radial; angular derivatives of
-the scalar unknowns vanish, but commuted fields (boost and derivative
-words) are genuinely three-dimensional tensors whose angular structure
-is carried exactly by sector weights:
+the uniform sampling grid).  The package's two quadratures of sampled
+data, simpson and cumulative_trapezoid, are defined here.
+
+Fields are radial; angular derivatives of the scalar unknowns vanish,
+but commuted fields (boost and derivative words) are genuinely
+three-dimensional tensors whose angular structure is carried exactly by
+sector weights:
 
   sector l0 -- radial scalar word values W(r);
   sector l1 -- vector words W_a = (x^a/r) sigma with sigma odd in r;
@@ -24,7 +27,6 @@ integrates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from .geometry import hyperboloid_nodes
 
@@ -33,6 +35,8 @@ __all__ = [
     "build_sample",
     "hyperboloid_samples",
     "word_records",
+    "simpson",
+    "cumulative_trapezoid",
     "radial_integral",
     "energy_e0c",
     "energy_e1",
@@ -90,9 +94,49 @@ def hyperboloid_samples(sampler, s_grid, scn):
     return samples
 
 
+def simpson(y, x):
+    """Composite Simpson integral of y over the last axis, sampled at the
+    increasing 1-D x (at least 3 points).
+
+    SciPy 1.17's scipy.integrate.simpson, operation for operation, so its
+    results are bit-identical: Simpson's rule for uneven spacing on pairs
+    of intervals, and for even N Cartwright's correction on the last
+    interval.
+    """
+    d = np.diff(x)
+    n = d.size + 1
+    # pairs of intervals; for even n the last interval is left to the
+    # correction below
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[..., 2:stop + 2:2] * (2.0 - h0divh1)),
+                    axis=-1)
+    if n % 2 == 0:
+        h0, h1 = d[..., -2], d[..., -1]
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return result
+
+
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over the last axis, sampled at the
+    1-D x, starting from 0 at x[0] (the shape of y).
+
+    SciPy 1.17's scipy.integrate.cumulative_trapezoid with initial=0,
+    operation for operation, so its results are bit-identical.
+    """
+    res = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros_like(res[..., :1]), res), axis=-1)
+
+
 def radial_integral(y, r):
     """4 pi * int y r^2 dr by composite Simpson."""
-    return 4.0 * np.pi * simpson(y * r**2, x=r)
+    return 4.0 * np.pi * simpson(y * r**2, r)
 
 
 def _axis_ratio(num, r, axis_value):
@@ -185,7 +229,7 @@ def energy_f1(s_grid, e1_values):
     if np.any(np.diff(s_grid) <= 0):
         raise EnergyError("s grid must be strictly increasing")
     roots = np.sqrt(np.maximum(e1_values, 0.0))
-    tail = cumulative_trapezoid(roots / s_grid, x=s_grid, initial=0.0)
+    tail = cumulative_trapezoid(roots / s_grid, s_grid)
     return roots[0] + roots + tail
 
 

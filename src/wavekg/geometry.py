@@ -16,7 +16,8 @@ each ray's own radii, the hyperbolas the radiation stage follows and the
 window of each, and the shortest run the stages can analyse, read off
 those three.
 
-All geometry is closed-form; no ODE integration enters curve positions.
+All geometry is closed-form: no ODE integration enters curve positions,
+and the friction integral along a hyperbola is its exact antiderivative.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "GeometryError",
@@ -140,20 +140,21 @@ def friction_P(t, r):
 
 
 def friction_integral(curve, tau_lo, tau_hi=np.inf):
-    """int P d(tau) along the curve between tau_lo and tau_hi.
+    """int P d(tau) along the curve between tau_lo and tau_hi, in closed form.
 
-    Along the curve t^2 - r^2 = c0 r, so the integrand equals
-    2 c0 r / (tau (tau^2 + r^2)) and decays like 2 c0 / tau^2; the
-    improper integral converges.
+    With a = c0/2 and tau = a sinh(theta), the curve t^2 - r^2 = c0 r has
+    r = a cosh(theta) - a, and P d(tau) = 2 d(theta) / sinh(theta).  So
+    the integral is [2 log(tau / (r(tau) + c0))] between the limits, a
+    term that vanishes as tau -> infinity; it is evaluated as
+    2 log1p(-c0 / (tau + hypot(tau, a) + a)), which loses nothing to
+    cancellation for tau >> c0.
     """
-    c0 = curve.c0
+    a = 0.5 * curve.c0
 
-    def integrand(tau):
-        r = curve.radius(tau)
-        return 2.0 * c0 * r / (tau * (tau**2 + r**2))
+    def antiderivative(tau):
+        return 2.0 * np.log1p(-curve.c0 / (tau + np.hypot(tau, a) + a))
 
-    val, _ = quad(integrand, tau_lo, tau_hi, limit=200)
-    return val
+    return float(antiderivative(tau_hi) - antiderivative(tau_lo))
 
 
 def good_scalars(j, r, t):

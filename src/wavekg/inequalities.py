@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
-from .energies import KAPPA, radial_integral
+from .energies import KAPPA, cumulative_trapezoid, radial_integral, simpson
 
 __all__ = [
     "MonitorSeries",
@@ -88,8 +87,8 @@ def check_hardy(profile, alpha, n=3, r_max=None):
     if np.abs(u[-1]) > 1e-12 * max(np.max(np.abs(u)), 1.0):
         raise ValueError("Hardy check requires compact support inside r_max")
     w = _SPHERE[n] * r ** (n - 1)
-    num = simpson(u**2 * r ** (-alpha) * w, x=r)
-    den = simpson(ur**2 * r ** (2.0 - alpha) * w, x=r)
+    num = simpson(u**2 * r ** (-alpha) * w, r)
+    den = simpson(ur**2 * r ** (2.0 - alpha) * w, r)
     if den <= 1e-300:
         return 0.0
     return float(np.sqrt(num / den))
@@ -139,7 +138,7 @@ def check_conformal_estimate(samples, scn):
     for i, (s, sample) in enumerate(zip(s_grid, samples)):
         lhs[i] = np.sqrt(max(sample["e1_u"], 0.0))
         src[i] = np.sqrt(s) * _source_norm_u(sample, scn, weight=s / sample["t"])
-    integral = cumulative_trapezoid(src, x=s_grid, initial=0.0)
+    integral = cumulative_trapezoid(src, s_grid)
     rhs = lhs[0] + C_CONFORMAL * integral
     # the measured minimal constant is meaningful only where the source
     # integral rises above sampling noise on the energy scale
@@ -182,7 +181,7 @@ def check_standard_estimate(samples, scn, which="u"):
                               - 0.5 * ut * (scn.p00 * vt**2 + scn.pd * vr**2))
             num = abs(radial_integral(dens, r))
             extra[i] = num / max(lhs[i], 1e-300)
-    integral = cumulative_trapezoid(extra, x=s_grid, initial=0.0)
+    integral = cumulative_trapezoid(extra, s_grid)
     if which == "u":
         rhs = lhs[0] + integral
     else:

@@ -29,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+import scipy
 
+from .energies import cumulative_trapezoid
 from .geometry import good_scalars
 
 __all__ = [
@@ -107,8 +108,11 @@ def integrate_oscillator(problem, n_dense=20000):
         f = _on_grid(problem.f(s), s)[:, 0]
         return np.concatenate([y[n:], -c2 * (1.0 + q) * y[:n] + f])
 
-    sol = solve_ivp(rhs, (s0, s1), np.concatenate([problem.v0, problem.v0p]),
-                    method="DOP853", dense_output=True, rtol=_RTOL, atol=_ATOL)
+    # scipy loads its integrate subpackage here, on first use: this solve is
+    # the package's one scipy call, so no other stage pays for the import
+    sol = scipy.integrate.solve_ivp(
+        rhs, (s0, s1), np.concatenate([problem.v0, problem.v0p]),
+        method="DOP853", dense_output=True, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise RuntimeError(f"oscillator integration failed: {sol.message}")
     return {"s": np.linspace(s0, s1, n_dense), "sol": sol.sol}
@@ -205,12 +209,11 @@ def check_ode_lemma(problem, trajectory):
             quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)
             integrand = abs_f / np.sqrt(1.0 + q) \
                 + abs_qpvp / (2.0 * (1.0 + q) ** 1.5)
-            acc = acc_end[rows] + cumulative_trapezoid(integrand, s[cols],
-                                                       initial=0.0)
+            acc = acc_end[rows] + cumulative_trapezoid(integrand, s[cols])
             # the literally printed bound with the c^{-1} weighting
             lhs = np.abs(vp) + c * np.abs(v)
             acc_pr = acc_pr_end[rows] + cumulative_trapezoid(
-                abs_f + abs_qpvp, s[cols], initial=0.0)
+                abs_f + abs_qpvp, s[cols])
             if lo == 0:
                 quad0[rows], lhs0[rows] = quad[:, :1], lhs[:, :1]
             acc_end[rows], acc_pr_end[rows] = acc[:, -1:], acc_pr[:, -1:]

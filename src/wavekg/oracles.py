@@ -27,7 +27,6 @@ import warnings
 from math import comb, factorial
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "DalembertField",
@@ -147,6 +146,19 @@ def _sinc_tables(r, k, trig, inv, out):
             f[:, :n_small][small] = _sinc_series(xs, n)
 
 
+def _dst1(x):
+    """DST-I of x, X_k = 2 sum_j x_j sin(pi j k/(n+1)) for j, k = 1..n.
+
+    It is -Im of the real FFT of the odd extension [0, x, 0, -x[::-1]];
+    this equals scipy.fft.dst(x, type=1) bit for bit.
+    """
+    n = x.size
+    odd = np.zeros(2 * (n + 1))
+    odd[1:n + 1] = x
+    odd[n + 2:] = -x[::-1]
+    return -np.fft.rfft(odd)[1:n + 1].imag
+
+
 class KGSpectralField:
     """Free Klein-Gordon field by exact mode evolution of w = r v.
 
@@ -185,8 +197,8 @@ class KGSpectralField:
         w1 = nodes * v1(nodes)
         # DST-I coefficients X_k = 2 sum_j x_j sin(pi j k/(n+1)); the
         # series amplitude of sin(k_m r) is X_m/(n+1)
-        self.b0 = dst(w0, type=1) / (n + 1)
-        self.b1 = dst(w1, type=1) / (n + 1)
+        self.b0 = _dst1(w0) / (n + 1)
+        self.b1 = _dst1(w1) / (n + 1)
         self.k = np.pi * np.arange(1, n + 1) / self.length
         self.omega = np.hypot(self.k, self.c)
         top = max(np.max(np.abs(self.b0[-8:])), np.max(np.abs(self.b1[-8:])))

@@ -7,8 +7,9 @@ The radiation field is extracted two independent ways:
   the data time, so unit-ball data radiate in |mu| <= 1);
 * characteristic hyperbolas -- U = t d_t u obeys the damped transport
   U' + P U = S^w + Delta^w along (t^2 - r^2)/r = c0; integrating to the
-  horizon and discounting the remaining friction gives the limit at
-  retarded time t - r -> c0/2, i.e. mu = c0/2 - 2.
+  horizon and discounting the remaining friction, exp(-int P d(tau)) with
+  the integral in closed form (geometry.friction_integral), gives the
+  limit at retarded time t - r -> c0/2, i.e. mu = c0/2 - 2.
 
 The rigidity experiment correlates the size of the radiation field with
 the initial wave energy across a family of runs.
@@ -117,9 +118,9 @@ def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000):
     """Radiation field from the transport equation along one hyperbola.
 
     U at the horizon tau_max is discounted by the remaining friction
-    integral; the error bar combines the friction discount itself with a
-    power-law bound on the unseen tail of S^w + Delta^w fitted over the
-    last decade of the sampled curve.
+    integral, exact from tau_max to infinity; the error bar combines the
+    friction discount itself with a power-law bound on the unseen tail of
+    S^w + Delta^w fitted over the last decade of the sampled curve.
     """
     tau0, earliest = hyperbola_window(curve)
     if tau_max <= earliest:

@@ -68,10 +68,10 @@ class Scenario:
     pd: float = 1.0
     c: float = 1.0
     eps: float = 1e-3
-    u0: Profile = field(default_factory=lambda: Profile("zero"))
-    u1: Profile = field(default_factory=lambda: Profile("bump", k=4))
-    v0: Profile = field(default_factory=lambda: Profile("zero"))
-    v1: Profile = field(default_factory=lambda: Profile("bump", k=4))
+    u0: Profile = field(default_factory=lambda: Profile("bump", k=4))
+    u1: Profile = field(default_factory=lambda: Profile("zero"))
+    v0: Profile = field(default_factory=lambda: Profile("bump", k=4))
+    v1: Profile = field(default_factory=lambda: Profile("zero"))
     dr: float = 0.01
     r_max: float = 60.0
     t_end: float = 52.0

@@ -38,11 +38,12 @@ def tiny_cfg(tmp_path_factory):
 
 
 def test_default_scenario_parses():
-    scn = parse_scenario(cli._DEFAULT_SCENARIO)
+    # Scenario's defaults, which the CLI runs without --scenario, are the
+    # benchmark's reference scenario
+    scn = parse_scenario("")
     assert scn.dr == 0.01
     assert scn.t_end == 52.0
     assert (scn.b00, scn.bd, scn.p00, scn.pd) == (1.0, 1.0, 1.0, 1.0)
-    # the CLI's reference is the benchmark's reference
     assert scn == parse_scenario(REFERENCE_CFG.read_text())
 
 
@@ -402,3 +403,33 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
     for stage in ("simulate", "energies"):
         assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
                    for rec in caplog.records)
+
+
+# runs each stage but kg-lab on the scenario text argv[1], writing under
+# argv[2], then kg-lab, and prints the scipy subpackages loaded after each
+_SCIPY_CHILD = """
+import json, sys
+import wavekg, wavekg.cli
+from wavekg.scenario import parse_scenario
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.fft") if m in sys.modules]
+
+scn = parse_scenario(sys.argv[1])
+for stage in ("simulate", "energies", "inequalities", "radiation", "rigidity"):
+    wavekg.cli.run_pipeline(stage, scn, sys.argv[2] + "/" + stage)
+before = loaded()
+wavekg.cli.run_pipeline("kg-lab", scn, sys.argv[2] + "/kg-lab")
+print(json.dumps({"before": before, "after": loaded()}))
+"""
+
+
+def test_only_the_oscillator_sweep_loads_scipy(tmp_path):
+    # every stage but kg-lab runs on numpy alone; the DOP853 sweep loads
+    # scipy.integrate on its first call
+    child = run_python_process(["-c", _SCIPY_CHILD, TINY, str(tmp_path)],
+                               threads=1)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert got["before"] == []
+    assert "scipy.integrate" in got["after"]

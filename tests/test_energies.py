@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from wavekg import energies as en
 from wavekg.oracles import DalembertField, KGSpectralField, OracleSampler
@@ -40,6 +41,32 @@ def test_radial_integral_closed_form():
     r = np.linspace(0.0, 1.0, 2001)
     # int 4 pi r^4 dr = 4 pi / 5
     assert_allclose(en.radial_integral(r**2, r), 4 * np.pi / 5, rtol=1e-10)
+
+
+# the grids the package integrates on: hyperboloid nodes (uniform from 0),
+# the Hardy check's offset grid, an s grid (linspace), and an uneven one
+_GRIDS = {
+    "nodes": lambda n: 0.01 * np.arange(n),
+    "offset": lambda n: 0.002 * (np.arange(n) + 0.5),
+    "s-grid": lambda n: np.linspace(2.0, 7.3, n),
+    "uneven": lambda n: np.cumsum(np.random.default_rng(n).uniform(0.1, 1.0, n)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("n", [3, 4, 25, 26, 1001, 1200])
+def test_quadratures_repeat_scipy_bit_for_bit(grid, n):
+    x = _GRIDS[grid](n)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) * np.exp(-x)
+    assert en.simpson(y, x) == integrate.simpson(y, x=x)
+    assert np.array_equal(en.cumulative_trapezoid(y, x),
+                          integrate.cumulative_trapezoid(y, x=x, initial=0.0))
+    # a 2-D y over a 1-D x, as the ODE lemma integrates its case rows
+    y2 = rng.standard_normal((7, n))
+    assert np.array_equal(en.simpson(y2, x), integrate.simpson(y2, x=x))
+    assert np.array_equal(en.cumulative_trapezoid(y2, x),
+                          integrate.cumulative_trapezoid(y2, x, initial=0.0))
 
 
 def test_triple_form_agreement(wave_sampler):

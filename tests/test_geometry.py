@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from wavekg import geometry as geo
 from wavekg.kg_reduction import ray_points
@@ -70,6 +71,21 @@ def test_friction_integral_additive_and_positive():
     total = geo.friction_integral(curve, 2.0, np.inf)
     assert a > 0 and b > 0
     assert_allclose(a + b, total, rtol=1e-8)
+
+
+@pytest.mark.parametrize("c0", [2.5, 3.0, 7.5])
+@pytest.mark.parametrize("tau_lo, tau_hi", [(2.0, 10.0), (5.0, 50.0),
+                                            (2.0, np.inf), (49.9, np.inf)])
+def test_friction_integral_matches_quadrature(c0, tau_lo, tau_hi):
+    # the closed form against adaptive quadrature of P along the curve
+    curve = geo.HyperbolaCurve(c0)
+
+    def integrand(tau):
+        return geo.friction_P(tau, curve.radius(tau))
+
+    expected, _ = quad(integrand, tau_lo, tau_hi, limit=200)
+    assert_allclose(geo.friction_integral(curve, tau_lo, tau_hi), expected,
+                    rtol=1e-13)
 
 
 def test_friction_P_matches_curve_form():

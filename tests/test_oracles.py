@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import run_python_process
 from numpy.testing import assert_allclose
+from scipy.fft import dst
 
 from wavekg.oracles import (_CHUNK_BYTES, DalembertField, KGSpectralField,
                             OracleSampler, free_wave_radiation)
@@ -89,6 +90,15 @@ class TestKGSpectral:
 
     def test_jet_even_in_r(self, field):
         assert_allclose(field(3.0, 0.3), field(3.0, -0.3), rtol=1e-12)
+
+    @pytest.mark.parametrize("length, n_modes", [(64.0, 4096), (256.0, 16384)])
+    def test_coefficients_are_scipy_dst_bit_for_bit(self, length, n_modes):
+        # the numpy DST-I of the odd extension, against scipy's, on the
+        # oracle's own w0 = r v0 and w1 = r v1 at the test suite's mode counts
+        f = KGSpectralField(U0, V1, 1.0, length=length, n_modes=n_modes)
+        nodes = length / (n_modes + 1) * np.arange(1, n_modes + 1)
+        for b, profile in ((f.b0, U0), (f.b1, V1)):
+            assert np.array_equal(b, dst(nodes * profile(nodes), type=1) / (n_modes + 1))
 
 
 @pytest.fixture(scope="module")
