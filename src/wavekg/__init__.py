@@ -8,8 +8,7 @@ radiation-field extractions.
 
 __version__ = "0.1.0"
 
-from .geometry import (GeometryError, HyperbolaCurve, SpacetimePoint,
-                       asymptote_gap, entry_point)
+from .geometry import GeometryError, HyperbolaCurve, SpacetimePoint, entry_point
 from .oracles import (DalembertField, KGSpectralField, OracleSampler,
                       free_wave_radiation)
 from .profiles import Profile, ProfileError
@@ -22,7 +21,7 @@ __all__ = [
     "Profile", "ProfileError",
     "Scenario", "ScenarioError", "parse_scenario", "serialize_scenario",
     "GeometryError", "SpacetimePoint", "HyperbolaCurve",
-    "entry_point", "asymptote_gap",
+    "entry_point",
     "DalembertField", "KGSpectralField", "OracleSampler",
     "free_wave_radiation",
     "SolverError", "SliceHistory", "HistorySampler", "evolve",

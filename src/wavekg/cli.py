@@ -45,8 +45,9 @@ from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            sharp_decay_check)
 from .oracles import DalembertField, OracleSampler
 from .profiles import Profile
-from .radiation import (excessive_decay_check, radiation_hyperbola,
-                        radiation_norm, rigidity_experiment, transport_check)
+from .radiation import (excessive_decay_check, radiation_fan,
+                        radiation_hyperbola, rigidity_experiment,
+                        transport_check)
 from .scenario import parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
@@ -294,7 +295,7 @@ def _stage_rigidity(scn, out, history):
     free = DalembertField(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps))
     radii = null_radii(history.t_last, MU_FAN)
     runs = {label: (hyperboloid_samples(sampler, s_grid, scn),
-                    radiation_norm(sampler, MU_FAN, radii)[1])
+                    [est.value for est in radiation_fan(sampler, MU_FAN, radii)])
             for label, sampler in (("zero-data", OracleSampler()),
                                    ("free-wave", OracleSampler(free)))}
     # the coupled run's fan is the one the radiation stage wrote

@@ -30,7 +30,6 @@ __all__ = [
     "GeometryError",
     "SpacetimePoint",
     "HyperbolaCurve",
-    "asymptote_gap",
     "entry_point",
     "friction_P",
     "friction_integral",
@@ -79,19 +78,6 @@ class HyperbolaCurve:
         tau = np.asarray(tau, dtype=float)
         a = 0.5 * self.c0
         return np.hypot(tau, a) - a
-
-
-def asymptote_gap(curve, tau):
-    """tau * (r(tau) - (tau - c0/2)), written in a cancellation-free form.
-
-    The scaled gap between the curve and its asymptote r = tau - c0/2;
-    it converges to c0^2 / 8 as tau -> infinity.
-    """
-    tau = np.asarray(tau, dtype=float)
-    a = 0.5 * curve.c0
-    # r - (tau - a) = hypot(tau, a) - tau = a^2/(hypot + tau): this form
-    # avoids the catastrophic subtraction for tau >> a
-    return tau * a**2 / (np.hypot(tau, a) + tau)
 
 
 def entry_point(curve, s0=2.0):

@@ -19,9 +19,9 @@ single scipy DOP853 solve advances: the 8(5,3) Dormand-Prince pair
 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
 2nd ed., 1993).  Its steps and error norm span the whole stack, so a
 case's trajectory depends on its batch only at the level of the solve's
-tolerances.  The solve's dense output is read a block of grid columns at
-a time (see trajectory_values), so no (cases, n_dense) array is ever
-held, and the lemma's constants are computed per case.
+tolerances.  The lemma reads the solve's dense output a block of grid
+columns at a time (see check_ode_lemma), so no (cases, n_dense) array is
+ever held, and its constants are computed per case.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _on_grid(values, s):
     return values if values.shape == s.shape else np.broadcast_to(values, s.shape)
 
 
-# Tolerances of the DOP853 solve, and grid columns per evaluation of its
-# dense output.
+# Tolerances of the DOP853 solve, and grid columns per block of
+# check_ode_lemma, each block one evaluation of the dense output.
 _RTOL, _ATOL = 1e-12, 1e-13
 _DENSE_COLUMNS = 256
 
@@ -122,16 +122,12 @@ def trajectory_values(trajectory, cols=slice(None)):
     """v and v' of every case, each (cases, columns), on the grid columns
     cols of an integrate_oscillator trajectory.
 
-    The dense output is evaluated _DENSE_COLUMNS columns at a time, since
-    one evaluation holds several copies of its result.  Each value depends
-    only on its own grid point, not on which columns are read together.
+    One evaluation of the dense output, which holds several copies of its
+    result, so a long trajectory is read a block of columns at a time (see
+    check_ode_lemma).  Each value depends only on its own grid point, not
+    on which columns are read together.
     """
-    s = trajectory["s"][cols]
-    sol = trajectory["sol"]
-    values = np.empty((sol(s[0]).size, s.size))
-    for lo in range(0, s.size, _DENSE_COLUMNS):
-        values[:, lo:lo + _DENSE_COLUMNS] = sol(s[lo:lo + _DENSE_COLUMNS])
-    return np.split(values, 2)
+    return np.split(trajectory["sol"](trajectory["s"][cols]), 2)
 
 
 def _mat2(a, b, c, d):
@@ -155,16 +151,6 @@ def appendix_matrices(c, q):
     return P, Q, Pinv
 
 
-# Grid columns per pass of check_ode_lemma.  The width groups the running
-# integrals' sums, so another width changes the constants in their last
-# bits.
-_LEMMA_COLUMNS = 2048
-# Cases per row group within a pass.  Rows are independent, so the group
-# only bounds the temporaries: (10, 2049) arrays, 164 KB each, beside the
-# pass's (cases, 2049) values of v, v', q, q' and f.
-_LEMMA_ROWS = 10
-
-
 def check_ode_lemma(problem, trajectory):
     """Bound |v'| + c|v| against the initial amplitude plus source integrals.
 
@@ -176,59 +162,50 @@ def check_ode_lemma(problem, trajectory):
     Takes the trajectory of integrate_oscillator and returns, per case,
     the measured minimal constants for both versions, the slack of the
     quadratic form and the diagonalization residual.  It reads the
-    trajectory over blocks of grid columns that overlap by one column,
-    which carries the running integrals, and works through each block a
-    group of cases at a time.
+    trajectory over blocks of _DENSE_COLUMNS grid columns, every case at
+    once, and each block overlaps the previous one by one column, which
+    carries the running integrals.  The block width groups the integrals'
+    sums, so another width changes the constants in their last bits.
     """
     s = trajectory["s"]
     n, m = problem.c.size, s.size
+    c = problem.c[:, None]
     c_quadratic, c_printed = np.zeros(n), np.zeros(n)
     slack_quadratic = np.full(n, np.inf)
-    q_min, q_max, q_mid = np.full(n, np.inf), np.full(n, -np.inf), np.empty(n)
-    quad0, lhs0 = np.empty((n, 1)), np.empty((n, 1))
+    q_min, q_max = np.full(n, np.inf), np.full(n, -np.inf)
     acc_end, acc_pr_end = np.zeros((n, 1)), np.zeros((n, 1))
-    for lo in range(0, max(m - 1, 1), _LEMMA_COLUMNS):
-        cols = slice(lo, min(lo + _LEMMA_COLUMNS, m - 1) + 1)
-        v_cols, vp_cols = trajectory_values(trajectory, cols)
-        grid = np.broadcast_to(s[cols], v_cols.shape)
-        q_cols = _on_grid(problem.q(grid), grid)
-        f_cols = _on_grid(problem.f(grid), grid)
-        qp_cols = _on_grid(problem.qp(grid), grid)
-        for first in range(0, n, _LEMMA_ROWS):
-            rows = slice(first, first + _LEMMA_ROWS)
-            c = problem.c[rows, None]
-            v, vp, q = v_cols[rows], vp_cols[rows], q_cols[rows]
-            q_min[rows] = np.minimum(q_min[rows], q.min(axis=1))
-            q_max[rows] = np.maximum(q_max[rows], q.max(axis=1))
-            if lo <= m // 2 < cols.stop:
-                q_mid[rows] = q[:, m // 2 - lo]
-            abs_f = np.abs(f_cols[rows])
-            abs_qpvp = np.abs(qp_cols[rows] * vp)
+    step = _DENSE_COLUMNS - 1
+    for lo in range(0, max(m - 1, 1), step):
+        cols = slice(lo, min(lo + step, m - 1) + 1)
+        v, vp = trajectory_values(trajectory, cols)
+        grid = np.broadcast_to(s[cols], v.shape)
+        q = _on_grid(problem.q(grid), grid)
+        q_min = np.minimum(q_min, q.min(axis=1))
+        q_max = np.maximum(q_max, q.max(axis=1))
+        if lo <= m // 2 < cols.stop:
+            q_mid = q[:, m // 2 - lo]
+        abs_f = np.abs(_on_grid(problem.f(grid), grid))
+        abs_qpvp = np.abs(_on_grid(problem.qp(grid), grid) * vp)
 
-            # quadratic form with the proof's exact integrand
-            quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)
-            integrand = abs_f / np.sqrt(1.0 + q) \
-                + abs_qpvp / (2.0 * (1.0 + q) ** 1.5)
-            acc = acc_end[rows] + cumulative_trapezoid(integrand, s[cols])
-            # the literally printed bound with the c^{-1} weighting
-            lhs = np.abs(vp) + c * np.abs(v)
-            acc_pr = acc_pr_end[rows] + cumulative_trapezoid(
-                abs_f + abs_qpvp, s[cols])
-            if lo == 0:
-                quad0[rows], lhs0[rows] = quad[:, :1], lhs[:, :1]
-            acc_end[rows], acc_pr_end[rows] = acc[:, -1:], acc_pr[:, -1:]
-            acc_pr = acc_pr / c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(acc > 1e-14, (quad - quad0[rows]) / acc, 0.0)
-                ratios_pr = np.where(acc_pr > 1e-14,
-                                     (lhs - lhs0[rows]) / acc_pr, 0.0)
-            c_quadratic[rows] = np.maximum(c_quadratic[rows], ratios.max(axis=1))
-            c_printed[rows] = np.maximum(c_printed[rows], ratios_pr.max(axis=1))
-            slack_quadratic[rows] = np.minimum(
-                slack_quadratic[rows], (quad0[rows] + acc - quad).min(axis=1))
-        # the block's arrays, and the last group's views of them, go before
-        # the next block's are built
-        del v_cols, vp_cols, q_cols, f_cols, qp_cols, v, vp, q
+        # quadratic form with the proof's exact integrand
+        quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)
+        integrand = abs_f / np.sqrt(1.0 + q) \
+            + abs_qpvp / (2.0 * (1.0 + q) ** 1.5)
+        acc = acc_end + cumulative_trapezoid(integrand, s[cols])
+        # the literally printed bound with the c^{-1} weighting
+        lhs = np.abs(vp) + c * np.abs(v)
+        acc_pr = acc_pr_end + cumulative_trapezoid(abs_f + abs_qpvp, s[cols])
+        if lo == 0:
+            quad0, lhs0 = quad[:, :1], lhs[:, :1]
+        acc_end, acc_pr_end = acc[:, -1:], acc_pr[:, -1:]
+        acc_pr = acc_pr / c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(acc > 1e-14, (quad - quad0) / acc, 0.0)
+            ratios_pr = np.where(acc_pr > 1e-14, (lhs - lhs0) / acc_pr, 0.0)
+        c_quadratic = np.maximum(c_quadratic, ratios.max(axis=1))
+        c_printed = np.maximum(c_printed, ratios_pr.max(axis=1))
+        slack_quadratic = np.minimum(slack_quadratic,
+                                     (quad0 + acc - quad).min(axis=1))
 
     # diagonalization residual, worst case over three sampled q per case
     q_sampled = np.stack([q_min, q_max, q_mid])

@@ -31,7 +31,6 @@ __all__ = [
     "radiation_null",
     "radiation_fan",
     "radiation_hyperbola",
-    "radiation_norm",
     "excessive_decay_check",
     "rigidity_experiment",
 ]
@@ -215,13 +214,6 @@ def _norm_in_mu(values, mu_grid):
     """L2 norm in mu of an array of radiation values on a mu grid
     (trapezoid rule)."""
     return float(np.sqrt(np.trapezoid(values**2, x=mu_grid)))
-
-
-def radiation_norm(sampler, mu_grid, r_sequence):
-    """L2 norm (in mu) of the null-ray radiation field over a mu grid, and
-    its values, extracted by radiation_fan."""
-    vals = np.array([est.value for est in radiation_fan(sampler, mu_grid, r_sequence)])
-    return _norm_in_mu(vals, mu_grid), vals
 
 
 def rigidity_experiment(runs, mu_grid, floor):

@@ -14,8 +14,9 @@ Layout (all integers little-endian):
     f64 * 4 * n_slices * n_radii     u, ut, v, vt (C order)
     u32       zlib.crc32 of everything before it
 
-The loader is an exact inverse: slice_load(slice_dump(h)) reproduces the
-history bit for bit.
+The loader is an exact inverse: slice_load(path) after
+slice_dump(h, path) reproduces the history bit for bit.  Both take a
+file path; neither builds an archive in memory.
 
 Neither direction holds a second copy of the data.  slice_dump writes
 the header, then each array in blocks of rows of a few MiB, keeping a
@@ -28,8 +29,8 @@ it compares before it parses the scenario text.
 
 from __future__ import annotations
 
-import io
 import mmap
+import os
 import struct
 import zlib
 
@@ -51,7 +52,7 @@ class SliceIOError(RuntimeError):
 
 
 def _write(fh, history):
-    """Write the archive of a SliceHistory to a binary stream, one block of
+    """Write the archive of a SliceHistory to a binary file, one block of
     rows at a time."""
     arrays = (history.r, history.u, history.ut, history.v, history.vt)
     n_s, n_r = history.u.shape
@@ -72,18 +73,13 @@ def _write(fh, history):
     fh.write(struct.pack("<I", crc))
 
 
-def slice_dump(history, path=None):
-    """Serialize a SliceHistory.
+def slice_dump(history, path):
+    """Stream the archive of a SliceHistory to the file at path.
 
-    Without a path, returns the archive's bytes.  With one, streams the
-    archive to that file and returns a read-only memoryview of the file,
-    whose len() is the archive's size and which slice_load accepts; its
-    pages are read from the file only when touched.
+    Returns a read-only memoryview of the file, whose len() is the
+    archive's size (the benchmark's tracer reads it); its pages are read
+    from the file only when touched.
     """
-    if path is None:
-        buf = io.BytesIO()
-        _write(buf, history)
-        return buf.getvalue()
     with open(path, "wb+") as fh:
         _write(fh, history)
         fh.flush()
@@ -91,9 +87,8 @@ def slice_dump(history, path=None):
 
 
 def _read(fh):
-    """SliceHistory from a binary stream positioned at the archive's start."""
-    size = fh.seek(0, io.SEEK_END)
-    fh.seek(0)
+    """SliceHistory from an archive file opened for binary reading."""
+    size = os.fstat(fh.fileno()).st_size
     if size < 4 + 4 + 4:
         raise SliceIOError("truncated file: shorter than any valid header")
     crc = 0
@@ -135,12 +130,7 @@ def _read(fh):
                         t0=t0, dt=dt, r=r, u=u, ut=ut, v=v, vt=vt)
 
 
-def slice_load(source):
-    """Read a SliceHistory from a file path, or from an archive's bytes or
-    any buffer of them (slice_dump's view of a file included), which is
-    read through an in-memory copy; a path reads a large archive without
-    one."""
-    if isinstance(source, (bytes, bytearray, memoryview, mmap.mmap)):
-        return _read(io.BytesIO(source))
-    with open(source, "rb") as fh:
+def slice_load(path):
+    """Read a SliceHistory from the archive file at path."""
+    with open(path, "rb") as fh:
         return _read(fh)

@@ -302,10 +302,14 @@ def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
 
 def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
     # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
-    # the lemma reads them from the dense output a block at a time, and the
-    # stage peaks at about 14 MB
+    # the lemma reads them from the dense output 256 columns at a time, and
+    # the stage peaks at about 7 MB
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
+    # the first kg-lab call of a process loads scipy.integrate (about 36 MB
+    # traced); load it before tracing, so the bound holds whichever test
+    # runs first
+    import scipy.integrate  # noqa: F401
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -313,7 +317,7 @@ def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * 2 * 100 * 20000 * 8, peak
+    assert peak <= 0.3 * 2 * 100 * 20000 * 8, peak
 
 
 def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):

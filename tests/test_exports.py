@@ -66,3 +66,40 @@ def test_every_parameter_is_read():
     for path in sorted(Path(wavekg.__file__).parent.glob("*.py")):
         found += _unread_parameters(path.read_text(), path.name)
     assert found == []
+
+
+def _loaded_names(path, constants_of=None):
+    """Names loaded in a file, as a bare name or an attribute; with
+    constants_of, also the strings in the assignment to that name."""
+    loaded = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif (isinstance(node, ast.Assign) and constants_of is not None
+              and any(getattr(t, "id", None) == constants_of for t in node.targets)):
+            loaded |= {c.value for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return loaded
+
+
+def test_every_export_is_read_outside_the_tests():
+    # public API is what the pipeline or the benchmark reads; a name that
+    # only a test calls is code kept for its own test.  The package
+    # __init__ re-exports without reading, and the benchmark's tracer
+    # names its targets as strings in TARGETS
+    package = Path(wavekg.__file__).parent
+    perfbench = package.parents[1] / "perfbench"
+    assert perfbench.is_dir()
+    loaded = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            loaded |= _loaded_names(path)
+    for path in sorted(perfbench.glob("*.py")):
+        if not path.name.startswith("test_"):
+            loaded |= _loaded_names(path, constants_of="TARGETS")
+    unread = [f"{name}.{export}" for name in MODULES
+              for export in getattr(importlib.import_module(name), "__all__", [])
+              if export not in loaded]
+    assert unread == []

@@ -156,25 +156,17 @@ class TestOdeLemma:
         prob = random_batch(np.random.default_rng(3), 8)
         traj = kgr.integrate_oscillator(prob, n_dense=5001)
         blocked = kgr.check_ode_lemma(prob, traj)
-        monkeypatch.setattr(kgr, "_LEMMA_COLUMNS", 5000)
+        monkeypatch.setattr(kgr, "_DENSE_COLUMNS", 5001)
         whole = kgr.check_ode_lemma(prob, traj)
         for key in ("c_quadratic", "c_printed", "slack_quadratic",
                     "diag_residual"):
             assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-15)
 
-    def test_row_groups_and_column_reads_keep_every_bit(self, monkeypatch):
-        # rows are independent and each dense value depends only on its own
-        # grid point, so neither the case groups nor how the trajectory's
-        # columns are read together changes a bit
+    def test_column_reads_keep_every_bit(self):
+        # each dense value depends only on its own grid point, so how the
+        # trajectory's columns are read together changes no bit
         prob = random_batch(np.random.default_rng(5), 23)
         traj = kgr.integrate_oscillator(prob, n_dense=5001)
-        grouped = kgr.check_ode_lemma(prob, traj)
-        monkeypatch.setattr(kgr, "_LEMMA_ROWS", prob.c.size)
-        monkeypatch.setattr(kgr, "_DENSE_COLUMNS", 5001)
-        at_once = kgr.check_ode_lemma(prob, traj)
-        for key in ("c_quadratic", "c_printed", "slack_quadratic",
-                    "diag_residual"):
-            assert_array_equal(grouped[key], at_once[key])
         whole = kgr.trajectory_values(traj)
         for lo, hi in ((0, 1), (7, 2049), (4000, 5001)):
             for part, full in zip(kgr.trajectory_values(traj, slice(lo, hi)), whole):

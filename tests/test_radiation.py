@@ -104,16 +104,24 @@ def test_excessive_decay_structure(free_sampler, free_scn):
                     atol=1e-3)
 
 
+def _fan_values(sampler, mu_grid, radii):
+    return np.array([e.value for e in rad.radiation_fan(sampler, mu_grid, radii)])
+
+
+def _norm_in_mu(vals, mu_grid):
+    return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid)))
+
+
 def test_radiation_norm_positive_free_zero_otherwise(free_sampler):
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.geomspace(50.0, 800.0, 6)
-    norm, vals = rad.radiation_norm(free_sampler, mu_grid, radii)
-    assert norm > 0.0
+    vals = _fan_values(free_sampler, mu_grid, radii)
+    assert _norm_in_mu(vals, mu_grid) > 0.0
     assert vals.shape == mu_grid.shape
 
     silent = OracleSampler(None, None)
-    norm0, vals0 = rad.radiation_norm(silent, mu_grid, radii)
-    assert norm0 == 0.0
+    vals0 = _fan_values(silent, mu_grid, radii)
+    assert _norm_in_mu(vals0, mu_grid) == 0.0
     assert np.all(vals0 == 0.0)
 
 
@@ -123,7 +131,8 @@ def test_solver_free_wave_radiation_matches_closed_form(free_wave_history):
     # is where the solver's extraction of a radiating run is checked
     sampler = HistorySampler(free_wave_history)
     radii = null_radii(free_wave_history.t_last, MU_FAN)
-    norm, vals = rad.radiation_norm(sampler, MU_FAN, radii)
+    vals = _fan_values(sampler, MU_FAN, radii)
+    norm = _norm_in_mu(vals, MU_FAN)
     exact = free_wave_radiation(U0, ZERO, MU_FAN)
     exact_norm = np.sqrt(np.trapezoid(exact**2, x=MU_FAN))
     assert abs(norm - exact_norm) <= 0.05 * exact_norm
@@ -138,7 +147,7 @@ class TestRigidity:
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
         runs = {label: (hyperboloid_samples(sampler, s_grid, free_scn),
-                        rad.radiation_norm(sampler, mu_grid, radii)[1])
+                        _fan_values(sampler, mu_grid, radii))
                 for label, sampler in samplers.items()}
         out = rad.rigidity_experiment(runs, mu_grid, floor)
         assert out["rigidity_consistent"]
@@ -155,8 +164,8 @@ class TestRigidity:
         s_grid = np.linspace(2.0, 4.0, 3)
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
-        _, vals = rad.radiation_norm(free_sampler, mu_grid, radii)
-        rnorm = float(np.sqrt(np.trapezoid(vals**2, x=mu_grid)))
+        vals = _fan_values(free_sampler, mu_grid, radii)
+        rnorm = _norm_in_mu(vals, mu_grid)
         from wavekg.energies import build_sample, energy_e0c, hyperboloid_nodes
         e0 = energy_e0c(build_sample(free_sampler, 2.0,
                                      hyperboloid_nodes(2.0, free_scn.dr)),

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -17,9 +18,22 @@ def history():
     return evolve(make_scenario(dr=0.1, r_max=8.0, t_end=6.0))
 
 
-def test_round_trip_is_bit_exact(history):
-    blob = slice_dump(history)
-    back = slice_load(blob)
+def _archive(history, path):
+    """Dump history to path and return the file's bytes."""
+    slice_dump(history, path)
+    return path.read_bytes()
+
+
+def _load_bytes(blob, tmp_path):
+    """Write an archive's (patched) bytes to a file and load that path."""
+    path = tmp_path / "patched.wkgh"
+    path.write_bytes(blob)
+    return slice_load(path)
+
+
+def test_round_trip_is_bit_exact(history, tmp_path):
+    blob = _archive(history, tmp_path / "run.wkgh")
+    back = slice_load(tmp_path / "run.wkgh")
     assert_array_equal(back.r, history.r)
     assert_array_equal(back.u, history.u)
     assert_array_equal(back.ut, history.ut)
@@ -29,7 +43,7 @@ def test_round_trip_is_bit_exact(history):
     assert back.dt == history.dt
     assert back.scenario == history.scenario
     # serialization itself is deterministic
-    assert slice_dump(back) == blob
+    assert _archive(back, tmp_path / "again.wkgh") == blob
 
 
 def test_file_path_api(history, tmp_path):
@@ -40,49 +54,49 @@ def test_file_path_api(history, tmp_path):
     assert_array_equal(back.u, history.u)
 
 
-def test_corruption_detected(history):
-    blob = bytearray(slice_dump(history))
+def test_corruption_detected(history, tmp_path):
+    blob = bytearray(_archive(history, tmp_path / "run.wkgh"))
     blob[len(blob) // 2] ^= 0x40
     with pytest.raises(SliceIOError, match="checksum"):
-        slice_load(bytes(blob))
+        _load_bytes(bytes(blob), tmp_path)
 
 
-def test_truncation_detected(history):
-    blob = slice_dump(history)
+def test_truncation_detected(history, tmp_path):
+    blob = _archive(history, tmp_path / "run.wkgh")
     with pytest.raises(SliceIOError, match="checksum|truncated"):
-        slice_load(blob[:-17])
+        _load_bytes(blob[:-17], tmp_path)
     # a header claiming more slices than the file holds
     at = 12 + int.from_bytes(blob[8:12], "little") + 16
     n_s = int.from_bytes(blob[at:at + 8], "little")
     with pytest.raises(SliceIOError, match="truncated"):
-        slice_load(_with_patch(blob, at, (n_s + 1).to_bytes(8, "little")))
+        _load_bytes(_with_patch(blob, at, (n_s + 1).to_bytes(8, "little")),
+                    tmp_path)
 
 
 def _with_patch(blob, start, payload):
     """Patch bytes and refresh the trailing checksum."""
-    import zlib
     out = bytearray(blob)
     out[start:start + len(payload)] = payload
     out[-4:] = zlib.crc32(bytes(out[:-4])).to_bytes(4, "little")
     return bytes(out)
 
 
-def test_bad_magic_rejected(history):
-    blob = slice_dump(history)
+def test_bad_magic_rejected(history, tmp_path):
+    blob = _archive(history, tmp_path / "run.wkgh")
     with pytest.raises(SliceIOError, match="magic"):
-        slice_load(_with_patch(blob, 0, b"XXXX"))
+        _load_bytes(_with_patch(blob, 0, b"XXXX"), tmp_path)
 
 
-def test_unsupported_version_rejected(history):
-    blob = slice_dump(history)
+def test_unsupported_version_rejected(history, tmp_path):
+    blob = _archive(history, tmp_path / "run.wkgh")
     with pytest.raises(SliceIOError, match="version"):
-        slice_load(_with_patch(blob, 4, (99).to_bytes(4, "little")))
+        _load_bytes(_with_patch(blob, 4, (99).to_bytes(4, "little")), tmp_path)
 
 
-def test_trailing_garbage_rejected(history):
-    blob = slice_dump(history)
+def test_trailing_garbage_rejected(history, tmp_path):
+    blob = _archive(history, tmp_path / "run.wkgh")
     with pytest.raises(SliceIOError):
-        slice_load(blob + b"\x00\x00")
+        _load_bytes(blob + b"\x00\x00", tmp_path)
 
 
 def _peak_bytes(fn, *args):
@@ -106,14 +120,13 @@ def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
 
 
 def test_block_size_does_not_change_the_bytes(history, tmp_path, monkeypatch):
-    whole = slice_dump(history)
+    whole = _archive(history, tmp_path / "whole.wkgh")
     # one radial row per block, and a partial last block of r
     monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * history.r.size - 1)
-    assert slice_dump(history) == whole
+    assert _archive(history, tmp_path / "rows.wkgh") == whole
     monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * 7 * history.r.size)
     assert slice_dump(history, tmp_path / "run.wkgh") == whole
-    assert slice_load(slice_dump(history, tmp_path / "run.wkgh")).scenario \
-        == history.scenario
+    assert slice_load(tmp_path / "run.wkgh").scenario == history.scenario
 
 
 # Evolves dr = 0.01, r_max = t_end = 20 (106 MiB of nominal history) and
