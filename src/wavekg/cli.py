@@ -112,16 +112,27 @@ def _sha256(path):
 def _field_health(history):
     """min |1 - p00 u|, max |u| and max |v| over the stored slices, and the
     largest |u|, |u_t|, |v|, |v_t| in the last stored radius column, past
-    which the sampler treats the fields as zero; read in blocks of slices
-    so the temporaries stay small."""
+    which the sampler treats the fields as zero; read in blocks of slices.
+
+    Each block takes only the extremes of u and v.  1 - p00 u is monotone
+    in u, with rounding too, so where it has one sign at both extremes
+    (the solver's degeneracy guard keeps it from changing sign) its
+    smallest modulus sits at one of them; a block where it does change
+    sign is reduced elementwise."""
     p00 = history.scenario.p00
     rows = 256
     min_deg, max_u, max_v, at_cap = np.inf, 0.0, 0.0, 0.0
     for i in range(0, history.n_slices, rows):
-        u = history.u[i:i + rows]
-        min_deg = min(min_deg, float(np.abs(1.0 - p00 * u).min()))
-        max_u = max(max_u, float(np.abs(u).max()))
-        max_v = max(max_v, float(np.abs(history.v[i:i + rows]).max()))
+        u, v = history.u[i:i + rows], history.v[i:i + rows]
+        lo, hi = u.min(), u.max()
+        ends = (1.0 - p00 * lo, 1.0 - p00 * hi)
+        if min(ends) > 0.0 or max(ends) < 0.0:
+            deg = min(abs(e) for e in ends)
+        else:
+            deg = np.abs(1.0 - p00 * u).min()
+        min_deg = min(min_deg, float(deg))
+        max_u = max(max_u, float(max(-lo, hi)))
+        max_v = max(max_v, float(max(-v.min(), v.max())))
         for f in (history.u, history.ut, history.v, history.vt):
             at_cap = max(at_cap, float(np.abs(f[i:i + rows, -1]).max()))
     return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v,

@@ -35,7 +35,7 @@ _DR_MAX = 0.2
 MIN_DENOM = 0.5
 # RK4 is stable on the imaginary axis for |z| <= 2 sqrt(2)
 _RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
-# spectral radius of solver._rhs's radial operator times dr^2: the axis row
+# spectral radius of solver._RK4.rhs's radial operator times dr^2: the axis row
 # 6 (w1 - w0) / dr^2 has e0 as an eigenvector, past the interior's 4
 _LAP_RADIUS = 6.0
 # share of the RK4 limit a run may use.  Measured, the mid grid's coupled

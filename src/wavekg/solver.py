@@ -17,6 +17,16 @@ derivatives, the treatment the grid's own edge r_max >= t_end gets once
 the window reaches it.  The margin, a constant number of cells, keeps
 the clipped numerical tail ahead of the cone at round-off level.
 
+The state is one C-contiguous (4, width) array with rows u, v, ut, vt,
+its width the window plus at least one cell rounded up to whole chunks
+of _CHUNK cells; it is widened by a copy when the window outgrows it.
+Each RK4 stage combination and the final update is one operation on the
+whole state, one stencil pass over the flat (u, v) pair serves both
+Laplacians, and the right-hand side writes into buffers allocated once
+per width, so a step allocates no array.  Each cell still sees the
+floating-point operations of a plain field-by-field RK4 in the same
+order, so the history is bit for bit the one such a loop stores.
+
 Every accepted step is stored out to one radius cap,
 r <= t_end - 1 + STORE_MARGIN * dr (scenario.history_shape); the sampler
 treats the fields as zero beyond it.  This dense time coverage is what sampling fields and
@@ -145,40 +155,124 @@ def _failure(scn, message):
 # (round-off); 40 cells leave 4e-7 at the reference grid.
 _WINDOW_MARGIN = 80
 
+# The state's rows; its width is a whole number of _CHUNK cells.
+_ROWS = ("u", "v", "ut", "vt")
+_CHUNK = 256
 
-def _rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
-    """Time derivatives of (u, ut, v, vt) on a window of the grid.
 
-    Centered differences, with w[i+1] - w[i-1] shared by the Laplacian
-    and d_r; inv_drr holds 1/(dr r) at the window's interior cells.  The
-    axis uses the even ghost (Laplacian 3 w_rr, d_r w = 0); the last cell
-    gets zero spatial derivatives, as the outer edge of the full grid.
+class _Stage:
+    """Views of one RK4 stage buffer, with the six rows u, v, ut, vt, u_tt,
+    v_tt: rows 0-3 are the stage's state y and rows 2-5 its time
+    derivative k, each one contiguous (4, width) array, so k shares ut and
+    vt with y.  The views are taken once, not per call."""
+
+    def __init__(self, buf):
+        self.y, self.k = buf[:4], buf[2:]
+        self.u, self.v, self.ut, self.vt, self.utt, self.vtt = buf
+        uv = buf[:2].reshape(-1)  # the (u, v) pair as one flat row
+        self.uv_next, self.uv_prev, self.uv_mid = uv[2:], uv[:-2], uv[1:-1]
+        self.lap = buf[4:]  # Lap u and Lap v, then u_tt and v_tt
+        self.lap_inner = buf[4:].reshape(-1)[1:-1]
+        self.uv_1, self.uv_0, self.lap_0 = buf[:2, 1], buf[:2, 0], buf[4:, 0]
+        self.utt_inner = buf[4, 1:-1]
+
+
+class _RK4:
+    """Classical RK4 on one C-contiguous state of a fixed width.
+
+    stages[0]'s state is the run's state, and stages[1:] hold the other
+    three stages (see _Stage).  Every buffer is allocated here, once per
+    width; a step allocates none.
     """
-    denom = 1.0 - scn.p00 * u
-    if np.min(np.abs(denom)) < MIN_DENOM:
-        raise _failure(scn, "quasilinear degeneracy: |1 - p00*u| < 1/2 on the "
-                       f"grid (min {np.min(np.abs(denom)):.3e})")
-    diff, lap = [], []
-    for w in (u, v):
-        d = w[2:] - w[:-2]
-        lw = np.empty_like(w)
-        inner = lw[1:-1]
-        np.add(w[2:], w[:-2], out=inner)
-        inner -= 2.0 * w[1:-1]
+
+    def __init__(self, width, dr, state):
+        self.width = width
+        buf = np.zeros((4, 6, width))
+        self.stages = [_Stage(b) for b in buf]
+        self.state = self.stages[0].y
+        self.state[:, :state.shape[1]] = state[:, :width]
+        self.inv_dr2 = 1.0 / dr**2
+        # 1/(dr r) at the interior cells of the flat (u, v) pair, 0 at the
+        # junction of the two rows
+        inv_drr = np.zeros((2, width))
+        inv_drr[:, 1:-1] = 1.0 / (dr * (dr * np.arange(1, width - 1)))
+        self._inv_drr = inv_drr.reshape(-1)[1:-1]
+        self._diff = np.empty(2 * width - 2)
+        self._tmp = np.empty(2 * width - 2)
+        self._denom = np.empty(width)
+        self._axis = np.empty(2)
+        self._finite = np.empty(width // 8, dtype=bool)  # width % 16 == 0
+
+    def rhs(self, st, n, scn):
+        """Fill rows u_tt, v_tt of stage st from its state on the window
+        of n cells.
+
+        Centered differences, with w[i+1] - w[i-1] shared by the Laplacian
+        and d_r; one stencil pass over the flat (u, v) pair serves both
+        fields, and the two cells where the rows meet are overwritten
+        after it.  The axis uses the even ghost (Laplacian 3 w_rr,
+        d_r w = 0).  From the window's last cell on, the Laplacian and the
+        bd product are zero, the treatment of the full grid's outer edge,
+        so the zeros past the window stay +0.0.
+        """
+        width, inv_dr2 = self.width, self.inv_dr2
+        denom, d, tmp = self._denom, self._diff, self._tmp
+        np.multiply(st.u, scn.p00, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        # |1 - p00 u| >= MIN_DENOM everywhere when 1 - p00 u does
+        if not denom.min() >= MIN_DENOM:
+            closest = np.abs(denom, out=tmp[:width]).min()
+            if closest < MIN_DENOM:
+                raise _failure(scn, "quasilinear degeneracy: |1 - p00*u| < 1/2 on "
+                               f"the grid (min {closest:.3e})")
+        np.subtract(st.uv_next, st.uv_prev, out=d)
+        inner = st.lap_inner
+        np.add(st.uv_next, st.uv_prev, out=inner)
+        inner -= np.multiply(st.uv_mid, 2.0, out=tmp)
         inner *= inv_dr2
-        inner += d * inv_drr
-        lw[0] = 6.0 * inv_dr2 * (w[1] - w[0])
-        lw[-1] = 0.0
-        diff.append(d)
-        lap.append(lw)
-    dut = lap[0]
-    dut += scn.b00 * ut * vt
-    # bd u_r v_r with u_r = (u[i+1] - u[i-1]) / (2 dr)
-    dut[1:-1] += (0.25 * scn.bd * inv_dr2) * diff[0] * diff[1]
-    dvt = (1.0 + scn.pd * u) * lap[1]
-    dvt -= scn.c**2 * v
-    dvt /= denom
-    return ut, dut, vt, dvt
+        inner += np.multiply(d, self._inv_drr, out=tmp)
+        axis = np.subtract(st.uv_1, st.uv_0, out=self._axis)
+        axis *= 6.0 * inv_dr2
+        st.lap_0[...] = axis
+        st.lap[:, n - 1:] = 0.0
+        # + b00 ut vt + bd u_r v_r, with u_r = (u[i+1] - u[i-1]) / (2 dr)
+        t = tmp[:width]
+        np.multiply(st.ut, scn.b00, out=t)
+        t *= st.vt
+        st.utt += t
+        prod = np.multiply(d[:width - 2], 0.25 * scn.bd * inv_dr2, out=tmp[:width - 2])
+        prod *= d[width:]
+        prod[n - 2:] = 0.0
+        st.utt_inner += prod
+        # v_tt = ((1 + pd u) Lap v - c^2 v) / (1 - p00 u)
+        vtt = st.vtt
+        np.multiply(st.u, scn.pd, out=t)
+        t += 1.0
+        vtt *= t
+        vtt -= np.multiply(st.v, scn.c**2, out=t)
+        vtt /= denom
+
+    def step(self, n, dt, scn):
+        """Advance the state by dt on the window of n cells."""
+        s1, s2, s3, s4 = self.stages
+        self.rhs(s1, n, scn)
+        for st, prev, h in ((s2, s1, 0.5 * dt), (s3, s2, 0.5 * dt), (s4, s3, dt)):
+            np.multiply(prev.k, h, out=st.y)
+            st.y += self.state
+            self.rhs(st, n, scn)
+        # state += (k1 + 2 (k2 + k3) + k4) dt/6, summed in that order
+        acc = s2.k
+        acc += s3.k
+        acc *= 2.0
+        acc += s1.k
+        acc += s4.k
+        acc *= dt / 6.0
+        self.state += acc
+
+    def finite(self):
+        """Whether every 16th cell of u and v is finite."""
+        uv = self.state[:2].reshape(-1)
+        return np.isfinite(uv[::16], out=self._finite).all()
 
 
 def _unbacked_zeros(shape):
@@ -196,45 +290,37 @@ def evolve(scn):
     dr = scn.dr
     r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
     n_steps, dt = time_steps(scn)
-    inv_dr2 = 1.0 / dr**2
-    inv_drr = 1.0 / (dr * r[1:-1])
 
     shape = history_shape(scn)
     n_store = shape[1]
     hist = {name: _unbacked_zeros(shape) for name in _FIELDS}
 
-    y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
-    for name, arr in zip(_FIELDS, y):
+    data = {name: scn.eps * prof(r)
+            for name, prof in zip(_FIELDS, (scn.u0, scn.u1, scn.v0, scn.v1))}
+    for name, arr in data.items():
         hist[name][0] = arr[:n_store]
+    state = np.array([data[name] for name in _ROWS])
+    rk = None
 
     report_every = max(1, n_steps // 10)
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
         # past r = t - 1 + margin the fields are zero and are left alone
         n = min(r.size, int(np.ceil((t - 1.0) / dr)) + _WINDOW_MARGIN + 1)
-        yw = [a[:n] for a in y]
-        inv_drr_w = inv_drr[:n - 2]
-        k1 = _rhs(*yw, scn, inv_dr2, inv_drr_w)
-        y2 = [a + 0.5 * dt * k for a, k in zip(yw, k1)]
-        k2 = _rhs(*y2, scn, inv_dr2, inv_drr_w)
-        y3 = [a + 0.5 * dt * k for a, k in zip(yw, k2)]
-        k3 = _rhs(*y3, scn, inv_dr2, inv_drr_w)
-        y4 = [a + dt * k for a, k in zip(yw, k3)]
-        k4 = _rhs(*y4, scn, inv_dr2, inv_drr_w)
-        # in place, in the order u, ut, v, vt: k1 of u is ut itself (and k1
-        # of v is vt), so each field is updated before its time derivative
-        for a, p, q, s, w in zip(yw, k1, k2, k3, k4):
-            a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
-        if not np.isfinite(yw[0][::16]).all() or not np.isfinite(yw[2][::16]).all():
+        if rk is None or n >= rk.width:
+            rk = _RK4(_CHUNK * (n // _CHUNK + 1), dr, state)
+            state = rk.state
+        rk.step(n, dt, scn)
+        if not rk.finite():
             raise _failure(scn, f"non-finite field values at slice {step} "
                            f"(t = {t:.4f})")
         m = min(n, n_store)
-        for name, arr in zip(_FIELDS, yw):
-            hist[name][step, :m] = arr[:m]
+        for name, row in zip(_ROWS, state):
+            hist[name][step, :m] = row[:m]
         if step % report_every == 0:
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
                      t, step, n_steps,
-                     np.max(np.abs(yw[0])), np.max(np.abs(yw[2])))
+                     np.max(np.abs(state[0])), np.max(np.abs(state[1])))
 
     return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r[:n_store].copy(),
                         u=hist["u"], ut=hist["ut"], v=hist["v"], vt=hist["vt"])
@@ -243,12 +329,14 @@ def evolve(scn):
 # -- interpolation machinery --------------------------------------------------
 #
 # The sampler gathers, for each query point, a window of 8 radial nodes
-# around the point on 4 bracketing time slices.  Negative window
-# indices are mapped through the axis mirror (all four base fields are
-# even in r); indices beyond the stored range are clamped to zero (the
-# fields vanish outside the support cone).  Working with signed node
-# radii keeps the parity bookkeeping automatic: derived odd fields pick
-# up their signs from the mirrored even data.
+# around the point on 4 bracketing time slices: one flat (P, 4, 8) index
+# into the row-major history serves all four fields, each read with one
+# take.  Negative window indices are mapped through the axis mirror (all
+# four base fields are even in r); nodes beyond the stored range are
+# zeroed after the take (the fields vanish outside the support cone).
+# Working with signed node radii keeps the parity bookkeeping automatic:
+# derived odd fields pick up their signs from the mirrored even data.
+# Only the stencils a query's order reads are built.
 
 _WINDOW = 8
 _CENTER = slice(2, 6)  # the 4 interpolation nodes inside the window
@@ -273,14 +361,15 @@ def _gather(history, ts, rs):
     i0 = np.floor(rs / dr).astype(int) - 3
     idx_r = i0[:, None] + np.arange(_WINDOW)
     mirrored = np.abs(idx_r)
-    valid = mirrored <= nr - 1
-    safe = np.where(valid, mirrored, 0)
+    beyond = mirrored > nr - 1
+    mirrored[beyond] = 0
+    flat = (idx_t * nr)[:, :, None] + mirrored[:, None, :]  # (P, 4, 8)
 
     fields = {}
     for name in _FIELDS:
-        arr = getattr(history, name)
-        vals = arr[idx_t[:, :, None], safe[:, None, :]]
-        fields[name] = np.where(valid[:, None, :], vals, 0.0)
+        vals = getattr(history, name).reshape(-1).take(flat)
+        np.copyto(vals, 0.0, where=beyond[:, None, :])
+        fields[name] = vals
     r_nodes = idx_r * dr  # signed radii
     t_nodes = tmin + idx_t * dt
     return fields, r_nodes, t_nodes, ts, rs
@@ -311,6 +400,9 @@ def _slice_derived(fields, r_nodes, scn, order):
     on_axis = np.abs(rc) < 0.5 * dr
     r_safe = np.where(on_axis, 1.0, rc)
 
+    def d0(x):
+        return x[..., _CENTER]
+
     def d1(x):
         return (x[..., 3:7] - x[..., 1:5]) / (2.0 * dr)
 
@@ -328,8 +420,10 @@ def _slice_derived(fields, r_nodes, scn, order):
         # d_r of the radial Laplacian; odd, so it vanishes on the axis
         return np.where(on_axis, 0.0, x3 + 2.0 * x2 / r_safe - 2.0 * x1 / r_safe**2)
 
-    # each field and its first three centered r-derivatives
-    out = {name: (X[..., _CENTER], d1(X), d2(X), d3(X))
+    # each field and the centered r-derivatives the order reads: u and v
+    # to the order, ut and vt to one less
+    stencils = (d0, d1, d2, d3)
+    out = {name: tuple(d(X) for d in stencils[:order + (name in ("u", "v"))])
            for name, X in fields.items()}
 
     jets = {}
@@ -341,10 +435,10 @@ def _slice_derived(fields, r_nodes, scn, order):
     if order < 2:
         return jets
 
-    u0, u1, u2, u3 = out["u"]
-    ut0, ut1, ut2, _ = out["ut"]
-    v0, v1, v2, v3 = out["v"]
-    vt0, vt1, vt2, _ = out["vt"]
+    u0, u1, u2 = out["u"][:3]
+    ut0, ut1 = out["ut"][:2]
+    v0, v1, v2 = out["v"][:3]
+    vt0, vt1 = out["vt"][:2]
     lap_u = lap(u1, u2)
     lap_v = lap(v1, v2)
     denom = 1.0 - scn.p00 * u0
@@ -357,6 +451,7 @@ def _slice_derived(fields, r_nodes, scn, order):
     if order < 3:
         return jets
 
+    u3, ut2, v3, vt2 = out["u"][3], out["ut"][2], out["v"][3], out["vt"][2]
     lap_ut = lap(ut1, ut2)
     lap_vt = lap(vt1, vt2)
     uttr = lap_r(u1, u2, u3) + scn.b00 * (ut1 * vt0 + ut0 * vt1) \

@@ -409,6 +409,24 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
                    for rec in caplog.records)
 
 
+@pytest.mark.parametrize("p00", [0.8, -1.7, 0.0, 6.0])
+def test_field_health_from_extremes_is_the_elementwise_value(p00):
+    # u and v of both signs over 600 slices (three blocks of rows); at
+    # p00 = 6, 1 - p00 u changes sign inside a block
+    rng = np.random.default_rng(3)
+    fields = {name: rng.standard_normal((600, 50)) * 0.12
+              for name in ("u", "ut", "v", "vt")}
+    history = solver.SliceHistory(
+        scenario=parse_scenario("").with_grid(p00=p00), t0=2.0, dt=0.01,
+        r=0.01 * np.arange(50), **fields)
+    u, v = fields["u"], fields["v"]
+    assert u.min() < 0 < u.max() and v.min() < 0 < v.max()
+    health = cli._field_health(history)
+    assert health["min_degeneracy"] == np.abs(1.0 - p00 * u).min()
+    assert health["max_abs_u"] == np.abs(u).max()
+    assert health["max_abs_v"] == np.abs(v).max()
+
+
 # runs each stage but kg-lab on the scenario text argv[1], writing under
 # argv[2], then kg-lab, and prints the scipy subpackages loaded after each
 _SCIPY_CHILD = """

@@ -107,15 +107,79 @@ def test_quasilinear_guard():
 
 def test_radial_operator_spectral_radius_is_the_stability_rule_constant():
     # columns of the radial Laplacian: u's time derivative with the
-    # couplings off, applied to each unit vector of a small grid
+    # couplings off, applied to each unit vector of a window of n cells
     dr, n = 0.1, 40
     scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=dr)
-    r = dr * np.arange(n)
-    zero = np.zeros(n)
-    columns = [solver._rhs(e, zero, zero, zero, scn, 1.0 / dr**2,
-                           1.0 / (dr * r[1:-1]))[1] for e in np.eye(n)]
+    rk = solver._RK4(solver._CHUNK, dr, np.zeros((4, 0)))
+    stage = rk.stages[0]
+    columns = []
+    for e in np.eye(n):
+        stage.u[:n] = e
+        rk.rhs(stage, n, scn)
+        columns.append(stage.utt[:n].copy())
     radius = np.max(np.abs(np.linalg.eigvals(np.array(columns).T)))
     assert abs(radius * dr**2 - scenario._LAP_RADIUS) < 1e-9
+
+
+def _plain_rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
+    # the solver's right-hand side field by field on the window, in the
+    # arithmetic order evolve keeps
+    diff, lap = [], []
+    for w in (u, v):
+        d = w[2:] - w[:-2]
+        lw = np.empty_like(w)
+        inner = lw[1:-1]
+        np.add(w[2:], w[:-2], out=inner)
+        inner -= 2.0 * w[1:-1]
+        inner *= inv_dr2
+        inner += d * inv_drr
+        lw[0] = 6.0 * inv_dr2 * (w[1] - w[0])
+        lw[-1] = 0.0
+        diff.append(d)
+        lap.append(lw)
+    dut = lap[0]
+    dut += scn.b00 * ut * vt
+    dut[1:-1] += (0.25 * scn.bd * inv_dr2) * diff[0] * diff[1]
+    dvt = (1.0 + scn.pd * u) * lap[1]
+    dvt -= scn.c**2 * v
+    dvt /= 1.0 - scn.p00 * u
+    return ut, dut, vt, dvt
+
+
+def test_evolve_repeats_a_plain_rk4_bit_for_bit():
+    # every coupling on, c != 1, both velocities nonzero, and a window
+    # that outgrows the state twice (256 -> 512 -> 768 cells) and reaches
+    # the grid's edge r_max from t = 27 on
+    scn = make_scenario(b00=0.7, bd=-1.3, p00=0.9, pd=-0.6, c=2.5,
+                        u1=Profile("bump", k=3, radius=0.9, amp=0.8),
+                        v1=Profile("bump", k=5, radius=0.7, amp=-1.1),
+                        eps=0.02, dr=0.05, r_max=30.0, t_end=30.0)
+    got = evolve(scn)
+    dr = scn.dr
+    r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
+    n_steps, dt = scenario.time_steps(scn)
+    n_slices, n_store = scenario.history_shape(scn)
+    y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
+    want = [np.zeros((n_slices, n_store)) for _ in y]
+    for row, arr in zip(want, y):
+        row[0] = arr[:n_store]
+    for step in range(1, n_steps + 1):
+        t = 2.0 + step * dt
+        n = min(r.size, int(np.ceil((t - 1.0) / dr)) + solver._WINDOW_MARGIN + 1)
+        yw = [a[:n] for a in y]
+        args = (scn, 1.0 / dr**2, 1.0 / (dr * r[1:n - 1]))
+        k1 = _plain_rhs(*yw, *args)
+        k2 = _plain_rhs(*[a + 0.5 * dt * k for a, k in zip(yw, k1)], *args)
+        k3 = _plain_rhs(*[a + 0.5 * dt * k for a, k in zip(yw, k2)], *args)
+        k4 = _plain_rhs(*[a + dt * k for a, k in zip(yw, k3)], *args)
+        for a, p, q, s, w in zip(yw, k1, k2, k3, k4):
+            a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
+        for row, arr in zip(want, yw):
+            row[step, :min(n, n_store)] = arr[:n_store]
+    assert n == r.size == n_store and n_steps > 500
+    assert np.max(np.abs(want[2][-1])) > 1e-5  # v has not died out
+    for name, arr in zip(("u", "ut", "v", "vt"), want):
+        assert np.array_equal(getattr(got, name), arr), name
 
 
 @pytest.mark.parametrize("c", [1.0, 30.0])
@@ -245,3 +309,37 @@ class TestSampling:
                                order=1)
         assert_allclose(j["u"][(0, 1)], 0.0, atol=1e-10)
         assert_allclose(j["v"][(0, 1)], 0.0, atol=1e-10)
+
+    def test_lower_orders_are_the_order_3_keys(self, small_sampler):
+        # a lower order builds fewer stencils, but each key it returns is
+        # the order-3 query's value bit for bit
+        rng = np.random.default_rng(7)
+        t = rng.uniform(3.0, 13.0, 200)
+        r = rng.uniform(0.0, 13.0, 200)
+        full = small_sampler.jets(t, r, order=3)
+        for order in (0, 1, 2):
+            j = small_sampler.jets(t, r, order=order)
+            for f in ("u", "v"):
+                assert set(j[f]) == {k for k in full[f] if sum(k) <= order}
+                for key, arr in j[f].items():
+                    assert np.array_equal(arr, full[f][key]), (order, f, key)
+
+    def test_nodes_past_the_cap_read_as_stored_zeros(self, small_history):
+        # windows that cross the axis or run past the last stored column:
+        # the same jets as on a copy with explicit zero columns past the cap
+        h = small_history
+        pad = 8
+        padded = solver.SliceHistory(
+            scenario=h.scenario, t0=h.t0, dt=h.dt,
+            r=h.scenario.dr * np.arange(h.r.size + pad),
+            **{name: np.pad(getattr(h, name), ((0, 0), (0, pad)))
+               for name in ("u", "ut", "v", "vt")})
+        dr, rng = h.scenario.dr, np.random.default_rng(8)
+        r = np.concatenate([rng.uniform(h.r[-1] - 4 * dr, h.r[-1] + 2 * dr, 60),
+                            rng.uniform(0.0, 3 * dr, 20), [h.r[-1], 0.0]])
+        t = rng.uniform(h.t0, h.t_last, r.size)
+        got = HistorySampler(h).jets(t, r, order=3)
+        want = HistorySampler(padded).jets(t, r, order=3)
+        for f in ("u", "v"):
+            for key, arr in want[f].items():
+                assert np.array_equal(got[f][key], arr), (f, key)
