@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import hyperboloid_nodes
+from .geometry import axis_ratio, hyperboloid_nodes
 
 __all__ = [
     "EnergyError",
@@ -139,12 +139,6 @@ def radial_integral(y, r):
     return 4.0 * np.pi * simpson(y * r**2, r)
 
 
-def _axis_ratio(num, r, axis_value):
-    """num/r with a prescribed finite axis value."""
-    safe = np.where(r > 0, r, 1.0)
-    return np.where(r > 0, num / safe, axis_value)
-
-
 # -- order-zero energies ------------------------------------------------------
 
 
@@ -165,8 +159,7 @@ def energy_e0c(sample, c, field="u"):
     good = (r / t) * wt + wr
     form2 = (s_over_t * wt) ** 2 + good**2 + c**2 * w**2
     # rotation form: the good derivative assembled from x-weighted pieces
-    good_x = r * (wt / t + _axis_ratio(wr, r, 0.0))
-    good_x = np.where(r > 0, good_x, 0.0)
+    good_x = r * (wt / t + axis_ratio(wr, r, 0.0))
     form3 = (s_over_t * wt) ** 2 + good_x**2 + c**2 * w**2
 
     vals = [radial_integral(f, r) for f in (form1, form2, form3)]
@@ -199,8 +192,7 @@ def energy_e1(sample):
     d_good = radial_integral(0.5 * (t - r) * good**2, r)
     d_scal = radial_integral(0.5 * (k1 + w) ** 2 / t, r)
     # (t-r)/(rt) w^2 r^2 = w^2 r (t-r)/t, regular on the axis
-    hardy_integrand = np.where(r > 0, (t - r) / (np.where(r > 0, r, 1.0) * t), 0.0)
-    d_hardy = radial_integral(hardy_integrand * w**2, r)
+    d_hardy = radial_integral(axis_ratio(t - r, r * t, 0.0) * w**2, r)
 
     # the decomposition identity relies on an integration by parts, so on
     # sampled data it holds only up to quadrature error of the gross
@@ -285,10 +277,10 @@ def word_scalars(j, r, t):
     def over_r(f, ft, fr, ftr, lift):
         """(F/r, d_t (F/r), d_r (F/r)) with their axis limits, for F = f,
         or for F = t f when lift is set (d_t then acts on t as well)."""
-        q, q_t = _axis_ratio(f, r, fr), _axis_ratio(ft, r, ftr)
+        q, q_t = axis_ratio(f, r, fr), axis_ratio(ft, r, ftr)
         if not lift:
-            return q, q_t, _axis_ratio(fr * r - f, r**2, 0.0)
-        return t * q, q + t * q_t, _axis_ratio(t * (fr * r - f), r**2, 0.0)
+            return q, q_t, axis_ratio(fr * r - f, r**2, 0.0)
+        return t * q, q + t * q_t, axis_ratio(t * (fr * r - f), r**2, 0.0)
 
     # radial boost applied once: g = L w and its derivatives to order 2
     g, gt, gr = boost(wt, wr, wtt, wtr, wrr)
@@ -331,14 +323,14 @@ def _word_densities(sector, trips, r, t, s2, c):
         return _e0c_l0(trips[0], r, t, c), _e1_l0(trips[0], r, t)
     if sector == "l1":
         sig, sig_t, sig_r = trips[0]
-        ang = _axis_ratio(sig, r, sig_r) ** 2
+        ang = axis_ratio(sig, r, sig_r) ** 2
         e0c = _e0c_l0(trips[0], r, t, c) + 2.0 * ang
         e1 = _e1_l0(trips[0], r, t) + s2 * ang / t
         return e0c, e1
     # l2
     p, q = trips
     diff = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-    ang = _axis_ratio(diff[0], r, 0.0) ** 2
+    ang = axis_ratio(diff[0], r, 0.0) ** 2
     e0c = _e0c_l0(p, r, t, c) + 2.0 * _e0c_l0(q, r, t, c) + 4.0 * ang
     e1 = _e1_l0(p, r, t) + 2.0 * _e1_l0(q, r, t) + 2.0 * s2 * ang / t
     return e0c, e1

@@ -6,7 +6,8 @@ foliated by hyperboloids H_s = {t = sqrt(s^2 + r^2)} with s >= 2 the
 hyperboloidal time.  This module provides the characteristic hyperbolas
 of the null generator field (t^2 - r^2)/r = c0, the point where each
 enters the covered region, and their friction coefficient, plus the
-good derivatives tangent to H_s of a radial field.
+good derivatives tangent to H_s of a radial field and the one axis rule
+(axis_ratio: a ratio num/r takes its limit at r == 0).
 
 It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
@@ -31,6 +32,7 @@ __all__ = [
     "SpacetimePoint",
     "HyperbolaCurve",
     "entry_point",
+    "axis_ratio",
     "friction_P",
     "friction_integral",
     "good_scalars",
@@ -61,6 +63,16 @@ class SpacetimePoint:
     region: str = ""
 
 
+_S_FIRST = 2.0  # the foliation's first H_s, which meets t = 2 on the axis only
+
+
+def axis_ratio(num, r, axis_value):
+    """num/r where r != 0, and the limit axis_value where r == 0; r is a
+    radius, signed (the sampler's stencil nodes), or a product of radii."""
+    on_axis = r == 0
+    return np.where(on_axis, axis_value, num / np.where(on_axis, 1.0, r))
+
+
 # -- characteristic hyperbolas ----------------------------------------------
 
 
@@ -80,20 +92,18 @@ class HyperbolaCurve:
         return np.hypot(tau, a) - a
 
 
-def entry_point(curve, s0=2.0):
+def entry_point(curve):
     """First point where the hyperbola enters the region covered by the
-    foliation ({s >= s0} intersected with K).
+    foliation ({s >= 2} intersected with K).
 
     Along a curve both s and t - r increase, so the entry point is the
     later of the two crossings: with the cone boundary r = t - 1 (tag
-    "boundary", for c0 below the threshold 2 + 2/(s0^2 - 1), which is
-    8/3 for s0 = 2) or with the initial slice H_{s0} (tag "hyperboloid").
+    "boundary", for c0 up to the threshold 2 + 2/(s^2 - 1) = 8/3 at
+    s = 2) or with the initial slice H_2 (tag "hyperboloid").
     Curves with c0 <= 2 stay in the collar t - 1 <= r < t forever and
     never reach K; this is an error.
     """
-    c0 = curve.c0
-    if s0 <= 1.0:
-        raise GeometryError("entry_point requires s0 > 1")
+    c0, s0 = curve.c0, _S_FIRST
     if c0 <= 2.0:
         raise GeometryError(
             f"hyperbola with c0={c0} never enters the cone r < t - 1 "
@@ -105,7 +115,7 @@ def entry_point(curve, s0=2.0):
         t = r + 1.0
         region = "boundary"
     else:
-        # initial-slice branch: s = s0 and t^2 - r^2 = c0 r
+        # initial-slice branch: s = 2 and t^2 - r^2 = c0 r
         r = s0**2 / c0
         t = float(np.hypot(s0, r))
         region = "hyperboloid"
@@ -150,16 +160,15 @@ def good_scalars(j, r, t):
     g = w_t/t + w_r/r the good derivatives are dbar_a w = x^a g, and
     G = g_t/t + g_r/r gives sum_a dbar_a dbar_a w = r^2 G + 3 g.  On the
     axis g takes its limit w_t/t + w_rr; g_t, g_r and G enter only
-    multiplied by r^2 there, so their axis values are set to zero.
+    multiplied by r^2 there, so their terms in 1/r, and G, are zero there.
     """
     wt, wr = j[(1, 0)], j[(0, 1)]
     wtt, wtr, wrr = j[(2, 0)], j[(1, 1)], j[(0, 2)]
-    pos = r > 1e-12
-    r_safe = np.where(pos, r, 1.0)
-    g = wt / t + np.where(pos, wr / r_safe, wrr)
-    g_t = wtt / t - wt / t**2 + np.where(pos, wtr / r_safe, 0.0)
-    g_r = wtr / t + np.where(pos, wrr / r_safe - wr / r_safe**2, 0.0)
-    G = np.where(pos, g_t / t + g_r / r_safe, 0.0)
+    g = wt / t + axis_ratio(wr, r, wrr)
+    g_t = wtt / t - wt / t**2 + axis_ratio(wtr, r, 0.0)
+    g_r = wtr / t + (axis_ratio(wrr, r, 0.0) - axis_ratio(wr, r**2, 0.0))
+    # on the axis g_r/r reads -g_t/t, so that G is an exact zero there
+    G = g_t / t + axis_ratio(g_r, r, -g_t / t)
     return g, g_t, g_r, G
 
 
@@ -205,7 +214,7 @@ def last_covered_s(t_last, dr):
 def covered_s_grid(t_last, dr):
     """The foliation's hyperboloid parameters, from s = 2 to the last H_s
     the run covers."""
-    return np.linspace(2.0, last_covered_s(t_last, dr), _FOLIATION_SIZE)
+    return np.linspace(_S_FIRST, last_covered_s(t_last, dr), _FOLIATION_SIZE)
 
 
 def null_radii(t_last, mu):
@@ -239,7 +248,7 @@ def run_length_problem(t_end, dr):
     for t_end > 2.5 + 11 dr.
     """
     s_last = last_covered_s(t_end, dr)
-    if not s_last > 2.0:
+    if not s_last > _S_FIRST:
         return f"its hyperboloids would end at s = {s_last:.4f}, not past s = 2"
     t_first = np.min(null_radii(t_end, MU_FAN)[:, 0] + 2.0 + MU_FAN)
     if t_first < 2.0:

@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from .energies import cumulative_trapezoid
-from .geometry import good_scalars
+from .geometry import axis_ratio, good_scalars
 
 __all__ = [
     "OscillatorProblem",
@@ -261,8 +261,7 @@ def _radial_s2(j_v, u, r, t, s, p00, pd, c):
     h00_semi = -(p00 + pd * (r / t) ** 2) * u  # semi-hyperboloidal 00 component
     term_h00 = h00_semi * (t / s) * (r / t) ** 2 * vt / s
     sum_dbar2 = r**2 * G + 3.0 * g
-    pos = r > 1e-12
-    vtt_over = vtt / t + np.where(pos, vtr / np.where(pos, r, 1.0), 0.0)
+    vtt_over = vtt / t + axis_ratio(vtr, r, 0.0)
     h_deldel = (pd * u * (r**2 / t) * (g_t + vtt_over)
                 - pd * u * sum_dbar2
                 + 3.0 * pd * u * vt / t)

@@ -8,9 +8,16 @@ r < 1 (the unit ball).  The polynomial bump family
 is represented internally as a numpy Polynomial so that derivatives of any
 order and the first moment integral (needed by the spherical-means solution
 of the free wave equation) are available in closed form.
+
+A Profile is a frozen value: equal descriptors give equal, equally hashed
+profiles, and every zero profile (the zero family, or a bump of amplitude
+0) is one and the same value.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -22,43 +29,48 @@ class ProfileError(ValueError):
     pass
 
 
+# the fields of the one zero profile
+_ZERO = ("zero", 4, 1.0, 0.0)
+
+
+@dataclass(frozen=True, repr=False)
 class Profile:
-    """A compactly supported radial polynomial profile.
+    """A compactly supported radial polynomial profile."""
 
-    Parameters
-    ----------
-    family : "zero" or "bump"
-    k : smoothness exponent of the bump (integer >= 1)
-    radius : support radius (0 < radius <= 1 for unit-ball data)
-    amp : amplitude
-    """
+    family: str = "bump"  # "zero" or "bump"
+    k: int = 4  # smoothness exponent of the bump (integer >= 1)
+    radius: float = 1.0  # support radius (0 < radius <= 1 for unit-ball data)
+    amp: float = 1.0  # amplitude
 
-    def __init__(self, family="bump", k=4, radius=1.0, amp=1.0):
-        if family not in ("zero", "bump"):
-            raise ProfileError(f"unknown profile family {family!r}")
-        if family == "bump":
-            if int(k) != k or k < 1:
+    def __post_init__(self):
+        if self.family not in ("zero", "bump"):
+            raise ProfileError(f"unknown profile family {self.family!r}")
+        if self.family == "bump":
+            if not (float(self.k).is_integer() and self.k >= 1):
                 raise ProfileError("bump exponent k must be a positive integer")
-            if not (0.0 < radius):
+            if not (0.0 < self.radius):
                 raise ProfileError("bump radius must be positive")
-        self.family = family
-        self.k = int(k)
-        self.radius = float(radius)
-        self.amp = float(amp)
-        if family == "zero" or amp == 0.0:
-            self.family = "zero"
-            poly = Polynomial([0.0])
-        else:
-            poly = self.amp * Polynomial([1.0, 0.0, -1.0 / self.radius**2]) ** self.k
-        self._poly = poly
-        # odd extension of xi * p(|xi|): a genuinely odd polynomial, so direct
-        # evaluation at negative arguments gives the extension for free
-        self._odd = Polynomial([0.0, 1.0]) * poly
-        # antiderivative of the odd extension, vanishing at 0 (even function)
-        self._moment = self._odd.integ(lbnd=0.0)
-        self._deriv_cache = {0: poly}
-        self._odd_deriv_cache = {0: self._odd}
-        self._moment_deriv_cache = {0: self._moment}
+        values = _ZERO if self.family == "zero" or self.amp == 0.0 else (
+            self.family, int(self.k), float(self.radius), float(self.amp))
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @cached_property
+    def _polys(self):
+        """Lazily filled table: (base, m) -> the m-th derivative of base "p",
+        the profile, "odd", its odd extension xi * p(|xi|) (a genuinely odd
+        polynomial, so direct evaluation at negative arguments gives the
+        extension for free), or "moment", the odd extension's antiderivative
+        vanishing at 0 (an even function)."""
+        p = Polynomial([0.0]) if self.is_zero else (
+            self.amp * Polynomial([1.0, 0.0, -1.0 / self.radius**2]) ** self.k)
+        odd = Polynomial([0.0, 1.0]) * p
+        return {("p", 0): p, ("odd", 0): odd, ("moment", 0): odd.integ(lbnd=0.0)}
+
+    def _poly(self, base, m):
+        if (base, m) not in self._polys:
+            self._polys[(base, m)] = self._polys[(base, 0)].deriv(m)
+        return self._polys[(base, m)]
 
     # -- basic evaluation ------------------------------------------------
 
@@ -71,38 +83,31 @@ class Profile:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(self._mask(r), self._poly(r), 0.0)
+        return np.where(self._mask(r), self._poly("p", 0)(r), 0.0)
 
     def deriv(self, r, m=1):
         """m-th derivative of the profile (even extension in r)."""
         r = np.asarray(r, dtype=float)
-        if m not in self._deriv_cache:
-            self._deriv_cache[m] = self._poly.deriv(m)
-        return np.where(self._mask(r), self._deriv_cache[m](r), 0.0)
+        return np.where(self._mask(r), self._poly("p", m)(r), 0.0)
 
     # -- odd extension and its antiderivative ----------------------------
 
     def odd_deriv(self, xi, m=0):
         """m-th derivative of the odd extension xi * p(|xi|)."""
         xi = np.asarray(xi, dtype=float)
-        if m not in self._odd_deriv_cache:
-            self._odd_deriv_cache[m] = self._odd.deriv(m)
-        return np.where(self._mask(xi), self._odd_deriv_cache[m](xi), 0.0)
+        return np.where(self._mask(xi), self._poly("odd", m)(xi), 0.0)
 
     def moment_deriv(self, xi, m=0):
         """m-th derivative of int_0^xi eta*p(|eta|) d(eta) (even in xi)."""
         xi = np.asarray(xi, dtype=float)
-        if m == 0:
-            plateau = self._moment(self.radius) if not self.is_zero else 0.0
-            return np.where(self._mask(xi), self._moment(xi), plateau)
-        if m not in self._moment_deriv_cache:
-            self._moment_deriv_cache[m] = self._moment.deriv(m)
-        return np.where(self._mask(xi), self._moment_deriv_cache[m](xi), 0.0)
+        moment = self._poly("moment", m)
+        # past the support the antiderivative stays at its plateau
+        plateau = moment(self.radius) if m == 0 and not self.is_zero else 0.0
+        return np.where(self._mask(xi), moment(xi), plateau)
 
     def scaled(self, factor):
         """The same profile with its amplitude multiplied by factor."""
-        return Profile(self.family, k=self.k, radius=self.radius,
-                       amp=self.amp * factor)
+        return replace(self, amp=self.amp * factor)
 
     # -- serialization ----------------------------------------------------
 
@@ -119,27 +124,19 @@ class Profile:
             key, val = item.split("=", 1)
             if key not in ("k", "radius", "amp"):
                 raise ProfileError(f"unknown profile parameter {key!r}")
+            if key in kwargs:
+                raise ProfileError(f"repeated profile parameter {key!r}")
             try:
                 kwargs[key] = float(val)
             except ValueError:
                 raise ProfileError(
                     f"profile parameter {key}={val!r} is not a number") from None
-        if "k" in kwargs:
-            kwargs["k"] = int(kwargs["k"])
         return cls(family=family, **kwargs)
 
     def describe(self):
         if self.is_zero:
             return "zero"
         return f"bump k={self.k} radius={self.radius!r} amp={self.amp!r}"
-
-    def __eq__(self, other):
-        if not isinstance(other, Profile):
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return (self.family, self.k, self.radius, self.amp) == (
-            other.family, other.k, other.radius, other.amp)
 
     def __repr__(self):
         return f"Profile({self.describe()})"

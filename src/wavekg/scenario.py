@@ -16,7 +16,7 @@ Errors carry line numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,10 +68,10 @@ class Scenario:
     pd: float = 1.0
     c: float = 1.0
     eps: float = 1e-3
-    u0: Profile = field(default_factory=lambda: Profile("bump", k=4))
-    u1: Profile = field(default_factory=lambda: Profile("zero"))
-    v0: Profile = field(default_factory=lambda: Profile("bump", k=4))
-    v1: Profile = field(default_factory=lambda: Profile("zero"))
+    u0: Profile = Profile("bump", k=4)
+    u1: Profile = Profile("zero")
+    v0: Profile = Profile("bump", k=4)
+    v1: Profile = Profile("zero")
     dr: float = 0.01
     r_max: float = 60.0
     t_end: float = 52.0
@@ -84,8 +84,7 @@ class Scenario:
             value = getattr(self, f.name)
             numbers = (value,)
             if isinstance(value, Profile):
-                # a zero profile's parameters are never read
-                numbers = () if value.is_zero else (value.radius, value.amp)
+                numbers = (value.radius, value.amp)
             if not all(math.isfinite(x) for x in numbers):
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}",
                                     (f.name,))
@@ -109,7 +108,7 @@ class Scenario:
                 "so the support cone never reaches the boundary", ("r_max", "t_end"))
         for name in ("u0", "u1", "v0", "v1"):
             prof = getattr(self, name)
-            if not prof.is_zero and prof.radius > 1.0:
+            if prof.radius > 1.0:
                 raise ScenarioError(
                     f"profile {name} has support radius {prof.radius} > 1; "
                     "data must be supported in the unit ball", (name,))

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .energies import hyperboloid_samples, word_records
-from .geometry import MU_FAN, WORD_STRIDE, covered_s_grid, null_radii
+from .geometry import MU_FAN, WORD_STRIDE, axis_ratio, covered_s_grid, null_radii
 from .radiation import radiation_fan
 from .scenario import (MIN_DENOM, Scenario, ScenarioError, history_shape,
                        stable_cfl, time_steps)
@@ -397,8 +397,6 @@ def _slice_derived(fields, r_nodes, scn, order):
     dr = scn.dr
     c2 = scn.c**2
     rc = r_nodes[:, None, _CENTER]
-    on_axis = np.abs(rc) < 0.5 * dr
-    r_safe = np.where(on_axis, 1.0, rc)
 
     def d0(x):
         return x[..., _CENTER]
@@ -414,11 +412,12 @@ def _slice_derived(fields, r_nodes, scn, order):
                 + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
 
     def lap(x1, x2):
-        return np.where(on_axis, 3.0 * x2, x2 + 2.0 * x1 / r_safe)
+        return x2 + axis_ratio(2.0 * x1, rc, 2.0 * x2)
 
     def lap_r(x1, x2, x3):
-        # d_r of the radial Laplacian; odd, so it vanishes on the axis
-        return np.where(on_axis, 0.0, x3 + 2.0 * x2 / r_safe - 2.0 * x1 / r_safe**2)
+        # d_r of the radial Laplacian; odd, so it vanishes on the axis, where
+        # d3 does only up to rounding: 2 x2/r reads -x3 there, so the sum is 0
+        return x3 + axis_ratio(2.0 * x2, rc, -x3) - axis_ratio(2.0 * x1, rc**2, 0.0)
 
     # each field and the centered r-derivatives the order reads: u and v
     # to the order, ut and vt to one less

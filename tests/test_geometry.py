@@ -62,8 +62,25 @@ def test_entry_point_rejects_shallow_curves():
     for c0 in (1.0, 2.0):
         with pytest.raises(geo.GeometryError):
             geo.entry_point(geo.HyperbolaCurve(c0))
-    with pytest.raises(geo.GeometryError):
-        geo.entry_point(geo.HyperbolaCurve(3.0), s0=1.0)
+
+
+def test_axis_ratio_divides_off_the_axis_and_takes_the_limit_on_it():
+    # the sampler's stencil nodes are signed, so negative radii divide too
+    r = np.array([-0.3, -0.0, 0.0, 1e-300, 0.27, 7.0])
+    num = np.array([1.1, 2.0, -3.0, 1e-310, -0.5, 4.2])
+    limit = np.array([5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+    with np.errstate(all="raise"):
+        out = geo.axis_ratio(num, r, limit)
+    off = r != 0
+    assert np.array_equal(out[off], num[off] / r[off])
+    assert np.array_equal(out[~off], limit[~off])
+    # a scalar limit broadcasts, and a product of radii that rounds to
+    # zero (1e-300 squared) is on the axis too
+    r2 = r * r
+    with np.errstate(all="raise"):
+        out = geo.axis_ratio(num, r2, 0.0)
+    assert np.array_equal(out[r2 != 0], num[r2 != 0] / r2[r2 != 0])
+    assert np.array_equal(out[r2 == 0], np.zeros(3))
 
 
 def test_friction_integral_additive_and_positive():

@@ -21,8 +21,9 @@ def test_zero_profile():
     z = Profile("zero")
     assert z.is_zero
     assert np.all(z(np.linspace(0, 2, 11)) == 0.0)
-    # zero amplitude collapses to the zero family
-    assert Profile("bump", k=2, amp=0.0).is_zero
+    # zero amplitude collapses to the one zero value
+    assert Profile("bump", k=2, radius=0.5, amp=0.0) == z
+    assert repr(Profile("bump", k=2, amp=0.0)) == "Profile(zero)"
 
 
 def test_scaled_multiplies_the_amplitude():
@@ -70,6 +71,8 @@ def test_parse_round_trip():
 
 @pytest.mark.parametrize("bad", [
     "", "gauss k=2", "bump k=0", "bump k=2 width=1", "bump k=x",
+    "bump k=3.7 radius=0.5 amp=1", "bump k=nan",
+    "bump k=4 radius=0.5 radius=0.9", "zero amp=1 amp=2",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ProfileError):

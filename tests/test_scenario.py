@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,29 @@ def test_error_carries_line_number():
 def test_range_violation_carries_line_number(doc, line):
     with pytest.raises(ScenarioError, match=f"^line {line}: "):
         parse_scenario(doc)
+
+
+def test_bad_profile_descriptors_carry_line_number():
+    # a truncated k or a last-one-wins parameter would put a profile
+    # nobody wrote into the manifest
+    with pytest.raises(ScenarioError, match="^line 1: bad value for 'data.u1': "
+                                            "bump exponent k must be a positive integer"):
+        parse_scenario("data.u1 = bump k=3.7 radius=0.5 amp=1")
+    with pytest.raises(ScenarioError, match="^line 2: bad value for 'data.v0': "
+                                            "repeated profile parameter 'radius'"):
+        parse_scenario("mass.c = 1.0\ndata.v0 = bump k=4 radius=0.5 radius=0.9")
+
+
+def test_scenarios_are_values():
+    # Scenario is frozen, so it promises a hash; equal scenarios hash equal
+    assert hash(Scenario()) == hash(Scenario())
+    assert {Profile("zero"), Profile("bump", amp=0.0), Profile("bump", k=2, amp=-0.0),
+            Profile("zero", k=7, radius=0.3, amp=2.0)} == {Profile("zero")}
+    ref = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+           / "reference.cfg").read_text()
+    runs = {parse_scenario(ref): "reference"}
+    assert runs[parse_scenario(ref)] == "reference"
+    assert runs.get(replace(parse_scenario(ref), eps=0.0)) is None
 
 
 @pytest.mark.parametrize("key,value,fragment", [

@@ -304,11 +304,14 @@ class TestSampling:
         assert_allclose(j["u"][(0, 0)], oracle(tau, rr), atol=1e-6)
 
     def test_axis_parity(self, small_sampler):
-        # ur is odd in r, so it vanishes on the axis
-        j = small_sampler.jets(np.array([5.0, 6.0]), np.array([0.0, 0.0]),
-                               order=1)
-        assert_allclose(j["u"][(0, 1)], 0.0, atol=1e-10)
-        assert_allclose(j["v"][(0, 1)], 0.0, atol=1e-10)
+        # the odd r-derivatives below vanish on the axis exactly: d1 of an
+        # even field cancels there, and (2, 1), the d_r of the Laplacian,
+        # takes its axis value, while d3 is zero there only up to rounding
+        t = np.linspace(2.5, 13.0, 200)
+        j = small_sampler.jets(t, np.zeros_like(t), order=3)
+        for f in ("u", "v"):
+            for key in ((0, 1), (1, 1), (2, 1)):
+                assert np.array_equal(j[f][key], np.zeros_like(t)), (f, key)
 
     def test_lower_orders_are_the_order_3_keys(self, small_sampler):
         # a lower order builds fewer stencils, but each key it returns is
