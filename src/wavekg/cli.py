@@ -14,11 +14,11 @@ two-column plot-data file.
 
 Only the stages, writers and orchestration live here: where a stage
 samples is geometry's sampling plan, and the stages read hyperboloids
-only through the history's ``foliation`` and its ``words`` records, and
-the null-ray radiation field only through its ``null_fan``, each built
-once per history.  ``all`` evolves once: the rigidity stage samples
-its zero-data and free-wave controls from their exact solutions, on the
-coupled run's every third foliation hyperboloid.
+only through the history's ``foliation`` (every third sample a word
+record) and the null-ray radiation field only through its ``null_fan``,
+each built once per history.  ``all`` evolves once: the rigidity
+stage's controls are exact solutions, zeros for zero data and the free
+wave sampled from its oracle on the coupled run's word hyperboloids.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _stage_energies(scn, out, history):
                 "e1_scaling", "e1_hardy", "e0gc_v", "gc_ratio", "f1_u"],
                rows)
     # the order <= 2 commuted tables of every word hyperboloid
-    tables = {repr(record["s"]): record["energies"] for record in history.words}
+    tables = {repr(record["s"]): record["energies"]
+              for record in samples[::WORD_STRIDE]}
     summary = {
         "s_grid": s_grid,
         "e0_u_drift": float(np.ptp(e0) / max(e0.max(), 1e-300)),
@@ -201,7 +202,7 @@ def _stage_inequalities(scn, out, history, rng):
         report["monitors"][name] = {"slope": m.slope, "confidence": m.confidence}
         _write_series(out / f"monitor_{name}.dat", m.grid, m.values)
         files.append(f"monitor_{name}.dat")
-    words = history.words
+    words = samples[::WORD_STRIDE]
     boot = iq.bootstrap_monitor(words, scn)  # on every third hyperboloid
     report["bootstrap"] = boot
     _write_series(out / "bootstrap.dat", boot["s"], boot["value"])
@@ -299,18 +300,23 @@ def _stage_radiation(scn, out, history):
 
 
 def _stage_rigidity(scn, out, history):
-    # the controls are exact solutions: zero data stay zero, and with the
-    # couplings off u is the free wave of its eps-scaled data
+    # the controls are exact solutions: zero data stay zero, so that run's
+    # answer is zeros, and with the couplings off u is the free wave of its
+    # eps-scaled data
     coupled = history.foliation[::WORD_STRIDE]
     s_grid = [sample["s"] for sample in coupled]
-    free = DalembertField(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps))
+    free = OracleSampler(DalembertField(scn.u0.scaled(scn.eps),
+                                        scn.u1.scaled(scn.eps)))
     radii = null_radii(history.t_last, MU_FAN)
-    runs = {label: (hyperboloid_samples(sampler, s_grid, scn),
-                    [est.value for est in radiation_fan(sampler, MU_FAN, radii)])
-            for label, sampler in (("zero-data", OracleSampler()),
-                                   ("free-wave", OracleSampler(free)))}
-    # the coupled run's fan is the one the radiation stage wrote
-    runs["coupled"] = (coupled, [est.value for est in history.null_fan])
+    runs = {
+        "zero-data": (np.zeros(len(s_grid)), np.zeros(MU_FAN.size)),
+        "free-wave": ([sample["e0_u"] for sample in
+                       hyperboloid_samples(free, s_grid, scn)],
+                      [est.value for est in radiation_fan(free, MU_FAN, radii)]),
+        # the coupled run's fan is the one the radiation stage wrote
+        "coupled": ([sample["e0_u"] for sample in coupled],
+                    [est.value for est in history.null_fan]),
+    }
     floor = 10.0 * scn.dr**2 * max(scn.eps, 1e-300)
     report = rigidity_experiment(runs, MU_FAN, floor)
     _write_json(out / "rigidity.json", report)

@@ -68,30 +68,35 @@ def build_sample(sampler, s, r_nodes):
     """Hyperboloid sample dict from any object with a jets() interface."""
     r_nodes = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r_nodes)
-    j = sampler.jets(t, r_nodes, order=1)
+    return _sample(s, r_nodes, t, sampler.jets(t, r_nodes, order=1))
+
+
+def _sample(s, r, t, jets):
+    """The sample dict of H_s from the order <= 1 keys of jets at (t, r)."""
+    u, v = jets["u"], jets["v"]
     return {
-        "s": float(s), "r": r_nodes, "t": t,
-        "u": j["u"][(0, 0)], "ut": j["u"][(1, 0)], "ur": j["u"][(0, 1)],
-        "v": j["v"][(0, 0)], "vt": j["v"][(1, 0)], "vr": j["v"][(0, 1)],
+        "s": float(s), "r": r, "t": t,
+        "u": u[(0, 0)], "ut": u[(1, 0)], "ur": u[(0, 1)],
+        "v": v[(0, 0)], "vt": v[(1, 0)], "vr": v[(0, 1)],
     }
+
+
+def _with_energies(sample, scn):
+    """The sample with the energies of its H_s: "e0_u" (energy_e0c of u),
+    "e1_u" and "e1_parts" (energy_e1) and "e0gc_v" (energy_e0gc, its
+    "flat" value included)."""
+    sample["e0_u"] = energy_e0c(sample, 0.0, "u")
+    sample["e1_u"], sample["e1_parts"] = energy_e1(sample)
+    sample["e0gc_v"] = energy_e0gc(sample, scn)
+    return sample
 
 
 def hyperboloid_samples(sampler, s_grid, scn):
     """build_sample on hyperboloid_nodes(s, scn.dr) for each s, with the
-    energies of each H_s: "e0_u" (energy_e0c of u), "e1_u" and "e1_parts"
-    (energy_e1) and "e0gc_v" (energy_e0gc, its "flat" value included).
-
-    One foliation, sampled and integrated once and handed to every
-    checker that reads it.
-    """
-    samples = []
-    for s in s_grid:
-        sample = build_sample(sampler, s, hyperboloid_nodes(s, scn.dr))
-        sample["e0_u"] = energy_e0c(sample, 0.0, "u")
-        sample["e1_u"], sample["e1_parts"] = energy_e1(sample)
-        sample["e0gc_v"] = energy_e0gc(sample, scn)
-        samples.append(sample)
-    return samples
+    energies of each H_s (see _with_energies): a foliation, sampled and
+    integrated once and handed to every checker that reads it."""
+    return [_with_energies(build_sample(sampler, s, hyperboloid_nodes(s, scn.dr)), scn)
+            for s in s_grid]
 
 
 def simpson(y, x):
@@ -344,21 +349,20 @@ def high_order_energies(sampler, s, r_nodes, c, field="u"):
     """
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_tables(sampler.jets(t, r, order=3)[field], s, r, c)[0]
+    return _word_tables(sampler.jets(t, r, order=3)[field], s, r, t, c)[0]
 
 
 def word_l2_norms(sampler, s, r_nodes):
     """L2(H_s) norms of each word field of u (Frobenius magnitude for l2)."""
     r = np.asarray(r_nodes, dtype=float)
     t = np.hypot(float(s), r)
-    return _word_tables(sampler.jets(t, r, order=3)["u"], s, r, 0.0)[1]
+    return _word_tables(sampler.jets(t, r, order=3)["u"], s, r, t, 0.0)[1]
 
 
-def _word_tables(j, s, r, c):
+def _word_tables(j, s, r, t, c):
     """(high_order_energies, word_l2_norms) from one field's jets j (to
     total order 3) on H_s, in WORDS order, the order their callers sum
     them in; one jets() query serves both fields and both tables."""
-    t = np.hypot(float(s), r)
     scal = word_scalars(j, r, t)
     s2 = float(s) ** 2
     energies, norms = {}, {}
@@ -375,21 +379,20 @@ def _word_tables(j, s, r, c):
 
 
 def word_records(sampler, s_grid, scn):
-    """Word data of u and v on hyperboloid_nodes(s, scn.dr) for each s,
-    from one jets(order=3) query per H_s: a record holds "s" and, keyed
-    by field, the "energies" tables (mass 0 for u, scn.c for v), the
-    word "norms" and the "sup" of t^(3/2) |w|.
+    """The samples of hyperboloid_samples on the same s grid, each with
+    the word data of its H_s, all from one jets(order=3) query per H_s: a
+    record also holds, keyed by field, the word "energies" tables (mass 0
+    for u, scn.c for v) and the word "norms".
     """
     records = []
     for s in s_grid:
         r = hyperboloid_nodes(s, scn.dr)
         t = np.hypot(float(s), r)
         jets = sampler.jets(t, r, order=3)
-        record = {"s": float(s), "energies": {}, "norms": {}, "sup": {}}
+        record = _with_energies(_sample(s, r, t, jets), scn)
+        record["energies"], record["norms"] = {}, {}
         for field, c in (("u", 0.0), ("v", scn.c)):
-            j = jets[field]
             record["energies"][field], record["norms"][field] = \
-                _word_tables(j, s, r, c)
-            record["sup"][field] = float(np.max(t**1.5 * np.abs(j[(0, 0)])))
+                _word_tables(jets[field], s, r, t, c)
         records.append(record)
     return records

@@ -11,11 +11,11 @@ good derivatives tangent to H_s of a radial field and the one axis rule
 
 It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
-grid of the run's one foliation and the every-third subset that carries
-the order-3 word records, the one fan of null rays t = r + 2 + mu with
-each ray's own radii, the hyperbolas the radiation stage follows and the
-window of each, and the shortest run the stages can analyse, read off
-those three.
+grid of the run's one foliation and the every-third subset whose
+samples are the order-3 word records, the one fan of null rays
+t = r + 2 + mu with each ray's own radii, the hyperbolas the radiation
+stage follows and the window of each, and the shortest run the stages
+can analyse, read off those three.
 
 All geometry is closed-form: no ODE integration enters curve positions,
 and the friction integral along a hyperbola is its exact antiderivative.
@@ -178,7 +178,7 @@ def good_scalars(j, r, t):
 _NODE_MARGIN = 10  # spacings hyperboloid_nodes reaches past the cone
 
 # hyperboloids in a run's foliation; every third of them (9, the first,
-# middle and last among them) carries the order-3 word records
+# middle and last among them) is sampled as an order-3 word record
 _FOLIATION_SIZE, WORD_STRIDE = 25, 3
 
 # retarded times mu of the null rays t = r + 2 + mu; the radiation and

@@ -102,8 +102,9 @@ def check_klainerman_sobolev(record):
     w = u and w = v, read from one word record of H_s (see
     energies.word_records); returns {"u": ..., "v": ...}."""
     out = {}
-    for field, sup in record["sup"].items():
-        total = sum(record["norms"][field].values())
+    for field, norms in record["norms"].items():
+        sup = float(np.max(record["t"]**1.5 * np.abs(record[field])))
+        total = sum(norms.values())
         out[field] = sup / total if total > 1e-300 else 0.0
     return out
 

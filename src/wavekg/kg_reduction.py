@@ -50,10 +50,9 @@ __all__ = [
 class OscillatorProblem:
     """A batch of oscillators v'' + c^2 (1 + q(s)) v = f(s) on one span.
 
-    c, v0 and v0p hold one value per case; a scalar is a batch of one.
-    q, f and qp (the derivative of q) take s of shape (cases, m), the
-    case on axis 0, and return values that broadcast to it.  |q| <= 1/2
-    is required.
+    c, v0 and v0p are 1-D arrays with one value per case.  q, f and qp
+    (the derivative of q) take s of shape (cases, m), the case on axis 0,
+    and return arrays of that shape.  |q| <= 1/2 is required.
     """
 
     c: np.ndarray
@@ -63,16 +62,6 @@ class OscillatorProblem:
     v0p: np.ndarray
     span: tuple
     qp: callable
-
-    def __post_init__(self):
-        per_case = np.broadcast_arrays(np.atleast_1d(self.c), self.v0, self.v0p)
-        self.c, self.v0, self.v0p = (np.array(x, dtype=float) for x in per_case)
-
-
-def _on_grid(values, s):
-    """A coefficient evaluated on the array s, constants broadcast to it."""
-    values = np.asarray(values, dtype=float)
-    return values if values.shape == s.shape else np.broadcast_to(values, s.shape)
 
 
 # Tolerances of the DOP853 solve, and grid columns per block of
@@ -99,13 +88,13 @@ def integrate_oscillator(problem, n_dense=20000):
 
     def rhs(t, y):
         s = np.full((n, 1), t)
-        q = _on_grid(problem.q(s), s)[:, 0]
+        q = problem.q(s)[:, 0]
         bad = np.flatnonzero(np.abs(q) > 0.5)
         if bad.size:
             i = bad[0]
             raise ValueError(f"oscillator coefficient |q({t:.4f})| = "
                              f"{abs(q[i]):.3f} > 1/2 (case {i})")
-        f = _on_grid(problem.f(s), s)[:, 0]
+        f = problem.f(s)[:, 0]
         return np.concatenate([y[n:], -c2 * (1.0 + q) * y[:n] + f])
 
     # scipy loads its integrate subpackage here, on first use: this solve is
@@ -179,13 +168,13 @@ def check_ode_lemma(problem, trajectory):
         cols = slice(lo, min(lo + step, m - 1) + 1)
         v, vp = trajectory_values(trajectory, cols)
         grid = np.broadcast_to(s[cols], v.shape)
-        q = _on_grid(problem.q(grid), grid)
+        q = problem.q(grid)
         q_min = np.minimum(q_min, q.min(axis=1))
         q_max = np.maximum(q_max, q.max(axis=1))
         if lo <= m // 2 < cols.stop:
             q_mid = q[:, m // 2 - lo]
-        abs_f = np.abs(_on_grid(problem.f(grid), grid))
-        abs_qpvp = np.abs(_on_grid(problem.qp(grid), grid) * vp)
+        abs_f = np.abs(problem.f(grid))
+        abs_qpvp = np.abs(problem.qp(grid) * vp)
 
         # quadratic form with the proof's exact integrand
         quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)

@@ -219,20 +219,20 @@ def _norm_in_mu(values, mu_grid):
 def rigidity_experiment(runs, mu_grid, floor):
     """Correlate radiation-field size with initial wave energy across runs.
 
-    runs: {label: (hyperboloid samples, radiation values)}, every run
-    sampled by energies.hyperboloid_samples on the same s grid and nodes,
-    whose "e0_u" gives E0, with its null-ray radiation field on mu_grid
-    (the values of radiation_fan, say).  For each run, reports E0(2, u),
-    the comparability band of E0(s, u)/E0(2, u) over the s grid, and the
-    radiation norm over the mu fan.  The floor is an amplitude
+    runs: {label: (E0 series, radiation values)}, each run's E0(s, u) on
+    one s grid from s = 2 ("e0_u" of its hyperboloid samples, say) and its
+    null-ray radiation field on mu_grid (radiation_fan's values, say).
+    For each run, reports E0(2, u), the comparability band of
+    E0(s, u)/E0(2, u) over the s grid, and the radiation norm over the mu
+    fan.  The floor is an amplitude
     (field-scale) threshold: the verdict asserts that a radiation norm
     below the floor occurs only when sqrt of the initial energy is below
     the floor as well.
     """
     report = {}
     consistent = True
-    for label, (samples, vals) in runs.items():
-        e0 = np.array([sample["e0_u"] for sample in samples])
+    for label, (e0, vals) in runs.items():
+        e0 = np.asarray(e0, dtype=float)
         e0_init = e0[0]
         quiet_data = np.sqrt(max(e0_init, 0.0)) < floor
         if not quiet_data:

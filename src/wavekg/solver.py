@@ -106,22 +106,17 @@ class SliceHistory:
 
     @cached_property
     def foliation(self):
-        """Samples of the 25 covered hyperboloids with their energies
-        (see energies.hyperboloid_samples), built on first use.
-
-        Every stage that reads the foliation reads this one list, and it
-        is freed with the history.
+        """Samples of the 25 covered hyperboloids with their energies, one
+        jets() query each, built on first use: every third, from the first
+        on, is a word record (see energies.word_records).  Every stage
+        reads this one list, and it is freed with the history.
         """
-        return hyperboloid_samples(HistorySampler(self),
-                                   covered_s_grid(self.t_last, self.scenario.dr),
-                                   self.scenario)
-
-    @cached_property
-    def words(self):
-        """Order-3 word records (see energies.word_records) of every third
-        foliation hyperboloid, built on first use and freed with the history."""
-        s_grid = covered_s_grid(self.t_last, self.scenario.dr)[::WORD_STRIDE]
-        return word_records(HistorySampler(self), s_grid, self.scenario)
+        sampler, scn = HistorySampler(self), self.scenario
+        s_grid = covered_s_grid(self.t_last, scn.dr)
+        is_word = np.arange(s_grid.size) % WORD_STRIDE == 0
+        words = iter(word_records(sampler, s_grid[is_word], scn))
+        others = iter(hyperboloid_samples(sampler, s_grid[~is_word], scn))
+        return [next(words if w else others) for w in is_word]
 
     @cached_property
     def null_fan(self):
@@ -408,16 +403,18 @@ def _slice_derived(fields, r_nodes, scn, order):
         return (x[..., 3:7] - 2.0 * x[..., 2:6] + x[..., 1:5]) / dr**2
 
     def d3(x):
-        return (x[..., 4:8] - 2.0 * x[..., 3:7]
-                + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
+        # odd, so zero on the axis, where the terms of the even u and v
+        # cancel only up to rounding
+        d = (x[..., 4:8] - 2.0 * x[..., 3:7]
+             + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
+        return np.where(rc == 0, 0.0, d)
 
     def lap(x1, x2):
         return x2 + axis_ratio(2.0 * x1, rc, 2.0 * x2)
 
     def lap_r(x1, x2, x3):
-        # d_r of the radial Laplacian; odd, so it vanishes on the axis, where
-        # d3 does only up to rounding: 2 x2/r reads -x3 there, so the sum is 0
-        return x3 + axis_ratio(2.0 * x2, rc, -x3) - axis_ratio(2.0 * x1, rc**2, 0.0)
+        # d_r of the radial Laplacian; odd, so it vanishes on the axis
+        return x3 + axis_ratio(2.0 * x2, rc, 0.0) - axis_ratio(2.0 * x1, rc**2, 0.0)
 
     # each field and the centered r-derivatives the order reads: u and v
     # to the order, ut and vt to one less

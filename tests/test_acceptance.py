@@ -243,7 +243,8 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.linspace(20.0, 46.0, 3)
     floor = 10.0 * reference_scn.dr**2 * reference_scn.eps
-    runs = {label: (hyperboloid_samples(sampler, s_grid, reference_scn),
+    runs = {label: ([sample["e0_u"] for sample in
+                     hyperboloid_samples(sampler, s_grid, reference_scn)],
                     [e.value for e in radiation_fan(sampler, mu_grid, radii)])
             for label, sampler in samplers.items()}
     out = rigidity_experiment(runs, mu_grid, floor)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from wavekg import cli, energies, inequalities, radiation, solver
-from wavekg.geometry import HyperbolaCurve, hyperbola_window, run_length_problem
+from wavekg.geometry import (HyperbolaCurve, covered_s_grid, hyperbola_window,
+                             hyperboloid_nodes, run_length_problem)
+from wavekg.oracles import OracleSampler
 from wavekg.scenario import (ScenarioError, parse_scenario, serialize_scenario,
                              time_steps)
 from wavekg.sliceio import slice_load
@@ -67,8 +69,8 @@ def test_simulate_zero_amplitude_yields_zero_slices(tmp_path):
     out = tmp_path / "zero-run"
     rc = cli.main(["simulate", "--scenario", str(cfg), "--out", str(out)])
     assert rc == 0
-    # the rigidity stage relies on this: it samples its zero-data run
-    # from the exact zero oracle instead of evolving it
+    # the rigidity stage relies on this: it takes zeros as its zero-data
+    # run's answer instead of evolving it
     hist = slice_load(out / "slices.wkgh")
     for name in ("u", "ut", "v", "vt"):
         assert np.all(getattr(hist, name) == 0.0), name
@@ -88,80 +90,115 @@ def test_pipeline_evolves_once(tmp_path, monkeypatch):
     assert evolved == [scn]
 
 
-class _Records(list):
-    """A list of word records that takes weak references."""
+def _hyperboloid_s(ts, rs, dr):
+    """The s of a jets query on the nodes of H_s, or None.  A query is a
+    hyperboloid's when its radii are hyperboloid_nodes of its first time
+    (on the axis, where t = s) and its times lie on H_s."""
+    ts, rs = np.asarray(ts), np.asarray(rs)
+    s = float(ts[0])
+    if (np.array_equal(rs, hyperboloid_nodes(s, dr))
+            and np.array_equal(ts, np.hypot(s, rs))):
+        return s
+    return None
 
 
 def test_stages_sample_each_hyperboloid_once_per_history(tmp_path, monkeypatch):
-    built, records = [], []
+    # one jets query per covered hyperboloid serves the energies,
+    # inequalities and radiation stages; its sample (a word record on
+    # every third H_s) is held by the history alone
+    scn = parse_scenario(TINY)
+    queried, records = [], []
+    original_jets = solver.HistorySampler.jets
+    original_records = solver.word_records
 
-    def counting_build_sample(*args):
-        built.append(args[1])
-        return original(*args)
+    def counting_jets(self, ts, rs, order=3):
+        s = _hyperboloid_s(ts, rs, scn.dr)
+        if s is not None:
+            queried.append(s)
+        return original_jets(self, ts, rs, order)
 
     def held_word_records(*args):
-        out = _Records(original_records(*args))
-        records.append(weakref.ref(out))
+        out = original_records(*args)
+        records.extend(weakref.ref(record["u"]) for record in out)
         return out
 
-    original = energies.build_sample
-    original_records = solver.word_records
-    monkeypatch.setattr(energies, "build_sample", counting_build_sample)
+    monkeypatch.setattr(solver.HistorySampler, "jets", counting_jets)
     monkeypatch.setattr(solver, "word_records", held_word_records)
-    scn = parse_scenario(TINY)
     history = solver.evolve(scn)
     cli._stage_energies(scn, tmp_path, history)
     cli._stage_inequalities(scn, tmp_path, history, np.random.default_rng(0))
     cli._stage_radiation(scn, tmp_path, history)
-    assert len(built) == len(set(built)) == 25
-    assert len(records) == 1 and len(records[0]()) == 9
+    assert len(queried) == len(set(queried)) == 25
+    assert len(records) == 9
+    assert all(ref() is sample["u"]
+               for ref, sample in zip(records, history.foliation[::3]))
     # the shared samples and word records live and die with their history
     ref = weakref.ref(history)
     del history
     gc.collect()
     assert ref() is None
-    assert records[0]() is None
+    assert all(record() is None for record in records)
 
 
 def test_pipeline_integrates_each_hyperboloid_once(tmp_path, monkeypatch):
-    # a sample's key is the sampler that built it and its s; the rigidity
-    # stage reads the coupled history's foliation and samples its two
-    # controls on s values it shares with it.  Every sample and sampler
-    # is held, so no id is reused within the run.
-    held, key_of, calls = [], {}, Counter()
-    original = energies.build_sample
+    # a sample's key is the kind of sampler that queried it and its s; the
+    # rigidity stage reads the coupled history's foliation, samples its
+    # free-wave control on every third s of it and its zero-data control
+    # not at all.  Each key's u array is held by weak reference, so a
+    # reused id is caught.
+    scn = parse_scenario(TINY)
+    histories = []
+    origin = {}  # id(u array of a query) -> (weakref to it, (sampler kind, s))
+    calls = Counter()
 
-    def counting_build_sample(sampler, s, r_nodes):
-        sample = original(sampler, s, r_nodes)
-        held.append((sampler, sample))
-        key_of[id(sample)] = (id(sampler), s)
-        return sample
+    def counting_evolve(scn):
+        histories.append(solver.evolve(scn))
+        return histories[-1]
 
-    def counting(name, fn):
+    def counting(original):
+        def jets(self, ts, rs, order=3):
+            out = original(self, ts, rs, order)
+            s = _hyperboloid_s(ts, rs, scn.dr)
+            if s is not None:
+                u = out["u"][(0, 0)]
+                origin[id(u)] = (weakref.ref(u), (type(self).__name__, s))
+            return out
+        return jets
+
+    def counting_energy(name, fn):
         def wrapper(sample, *args, **kwargs):
             field = args[1] if len(args) > 1 else kwargs.get("field", "u")
             if name != "energy_e0c" or field == "u":
-                calls[name, key_of[id(sample)]] += 1
+                ref, key = origin[id(sample["u"])]
+                assert ref() is sample["u"]
+                calls[name, key] += 1
             return fn(sample, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(energies, "build_sample", counting_build_sample)
+    monkeypatch.setattr(cli, "evolve", counting_evolve)
+    for cls in (solver.HistorySampler, OracleSampler):
+        monkeypatch.setattr(cls, "jets", counting(cls.jets))
     for name in ("energy_e0c", "energy_e1", "energy_e0gc"):
         fn = getattr(energies, name)
         for module in (energies, cli, inequalities, radiation):
             if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counting(name, fn))
-    cli.run_pipeline("all", parse_scenario(TINY), tmp_path / "run")
-    keys = set(key_of.values())
-    # the 25 foliation samples and 9 for each of the rigidity controls
-    assert len(keys) == 25 + 2 * 9
+                monkeypatch.setattr(module, name, counting_energy(name, fn))
+    cli.run_pipeline("all", scn, tmp_path / "run")
+    s_grid = [float(s) for s in covered_s_grid(histories[0].t_last, scn.dr)]
+    keys = {key for _, key in origin.values()}
+    # the 25 foliation samples and the free-wave control's 9
+    assert len(keys) == 25 + 9
+    assert keys == ({("HistorySampler", s) for s in s_grid}
+                    | {("OracleSampler", s) for s in s_grid[::3]})
     for name in ("energy_e0c", "energy_e1", "energy_e0gc"):
         assert {key: calls[name, key] for key in keys} == dict.fromkeys(keys, 1), name
 
 
 def test_pipeline_queries_order_three_jets_once_per_word_record(tmp_path, monkeypatch):
     # the word tables, the bootstrap and Klainerman-Sobolev share one
-    # order-3 query on each of every third foliation hyperboloid
+    # order-3 query on each of every third foliation hyperboloid; the
+    # other 16 take one order-1 query each
+    scn = parse_scenario(TINY)
     histories, queried = [], []
     original_jets = solver.HistorySampler.jets
 
@@ -170,18 +207,20 @@ def test_pipeline_queries_order_three_jets_once_per_word_record(tmp_path, monkey
         return histories[-1]
 
     def counting_jets(self, ts, rs, order=3):
-        if order == 3:
-            # the nodes start on the axis, where t = s
-            assert np.asarray(rs)[0] == 0.0
-            queried.append(float(np.asarray(ts)[0]))
+        s = _hyperboloid_s(ts, rs, scn.dr)
+        if s is not None:
+            queried.append((s, order))
         return original_jets(self, ts, rs, order)
 
     monkeypatch.setattr(cli, "evolve", counting_evolve)
     monkeypatch.setattr(solver.HistorySampler, "jets", counting_jets)
-    cli.run_pipeline("all", parse_scenario(TINY), tmp_path / "run")
+    cli.run_pipeline("all", scn, tmp_path / "run")
     foliation_s = [sample["s"] for sample in histories[0].foliation]
-    assert len(queried) == len(set(queried)) == 9
-    assert queried == foliation_s[::3]
+    order_three = [s for s, order in queried if order == 3]
+    assert len(order_three) == len(set(order_three)) == 9
+    assert order_three == foliation_s[::3]
+    assert sorted(queried) == [(s, 3 if i % 3 == 0 else 1)
+                               for i, s in enumerate(foliation_s)]
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):
@@ -322,7 +361,8 @@ def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
 
 def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):
     # the radiation and rigidity stages read the history's one null-ray
-    # fan; each control's fan is extracted from its oracle
+    # fan; the free-wave control's fan is extracted from its oracle, and
+    # the zero-data control's is its exact answer, zeros
     calls = Counter()
     original = radiation.radiation_null
 
@@ -335,7 +375,7 @@ def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):
             monkeypatch.setattr(module, "radiation_null", counting_null)
     out = tmp_path / "run"
     assert cli.main(["all", "--scenario", str(tiny_cfg), "--out", str(out)]) == 0
-    assert calls == {"HistorySampler": 9, "OracleSampler": 18}
+    assert calls == {"HistorySampler": 9, "OracleSampler": 9}
 
 
 # prints the ru_maxrss rise over hashing the file named by its argument,

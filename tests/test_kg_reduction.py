@@ -8,16 +8,22 @@ from wavekg import kg_reduction as kgr
 from conftest import make_scenario
 
 
+def zero(s):
+    return np.full_like(s, 0.0)
+
+
 def harmonic_problem(c=1.3, span=(2.0, 20.0)):
-    return kgr.OscillatorProblem(c=c, q=lambda s: 0.0, f=lambda s: 0.0,
-                                 v0=1.0, v0p=0.0, span=span,
-                                 qp=lambda s: 0.0)
+    """One case of v'' + c^2 v = 0 from v = 1, v' = 0."""
+    return kgr.OscillatorProblem(c=np.array([c]), q=zero, f=zero,
+                                 v0=np.array([1.0]), v0p=np.array([0.0]),
+                                 span=span, qp=zero)
 
 
 def sinusoidal_batch(c, a, b, phi, amp, w, v0, v0p, span=(2.0, 20.0)):
     """Cases v'' + c^2 (1 + a sin(b s + phi)) v = amp cos(w s), one per entry."""
     a, b, phi, amp, w = (np.asarray(x, dtype=float)[:, None]
                          for x in (a, b, phi, amp, w))
+    c, v0, v0p = (np.asarray(x, dtype=float) for x in (c, v0, v0p))
     return kgr.OscillatorProblem(
         c=c,
         q=lambda s: a * np.sin(b * s + phi),
@@ -40,7 +46,7 @@ class TestOscillator:
         out = kgr.integrate_oscillator(prob)
         v, vp = kgr.trajectory_values(out)
         s0 = prob.span[0]
-        # a scalar problem is a batch of one case
+        # a batch of one case
         assert v.shape == vp.shape == (1, out["s"].size)
         exact = np.cos(prob.c * (out["s"] - s0))
         assert_allclose(v[0], exact, atol=1e-8)
@@ -48,9 +54,10 @@ class TestOscillator:
                         atol=1e-8)
 
     def test_rejects_large_coefficient(self):
-        prob = kgr.OscillatorProblem(c=1.0, q=lambda s: 0.8, f=lambda s: 0.0,
-                                     v0=1.0, v0p=0.0, span=(2.0, 4.0),
-                                     qp=lambda s: 0.0)
+        prob = kgr.OscillatorProblem(c=np.array([1.0]),
+                                     q=lambda s: np.full_like(s, 0.8), f=zero,
+                                     v0=np.array([1.0]), v0p=np.array([0.0]),
+                                     span=(2.0, 4.0), qp=zero)
         with pytest.raises(ValueError, match="> 1/2"):
             kgr.integrate_oscillator(prob)
 
@@ -60,10 +67,11 @@ class TestOscillator:
         s0 = 2.0
         part = lambda s: -np.sin(2.0 * s) / 3.0
         partp = lambda s: -2.0 * np.cos(2.0 * s) / 3.0
-        prob = kgr.OscillatorProblem(c=c, q=lambda s: 0.0,
+        prob = kgr.OscillatorProblem(c=np.array([c]), q=zero,
                                      f=lambda s: np.sin(2.0 * s),
-                                     v0=part(s0), v0p=partp(s0),
-                                     span=(s0, 12.0), qp=lambda s: 0.0)
+                                     v0=np.array([part(s0)]),
+                                     v0p=np.array([partp(s0)]),
+                                     span=(s0, 12.0), qp=zero)
         out = kgr.integrate_oscillator(prob)
         assert_allclose(kgr.trajectory_values(out)[0][0], part(out["s"]), atol=1e-8)
 
@@ -97,8 +105,8 @@ class TestOscillator:
 
     def test_non_finite_source_raises(self):
         prob = kgr.OscillatorProblem(
-            c=1.0, q=lambda s: 0.0, f=lambda s: np.where(s > 3.0, np.nan, 0.0),
-            v0=1.0, v0p=0.0, span=(2.0, 20.0), qp=lambda s: 0.0)
+            c=np.array([1.0]), q=zero, f=lambda s: np.where(s > 3.0, np.nan, 0.0),
+            v0=np.array([1.0]), v0p=np.array([0.0]), span=(2.0, 20.0), qp=zero)
         with pytest.raises(RuntimeError, match="oscillator integration failed"):
             kgr.integrate_oscillator(prob, n_dense=200)
 
@@ -140,11 +148,12 @@ class TestOdeLemma:
         a, b, phi = -0.0712742080513521, 1.1974367162377348, 3.6594245146933644
         amp, w = 0.06114291653628995, 1.604522262593011
         prob = kgr.OscillatorProblem(
-            c=0.9981340012859121,
+            c=np.array([0.9981340012859121]),
             q=lambda s: a * np.sin(b * s + phi),
             qp=lambda s: a * b * np.cos(b * s + phi),
             f=lambda s: amp * np.cos(w * s),
-            v0=0.009731903831669442, v0p=-0.889990854876255, span=(2.0, 20.0))
+            v0=np.array([0.009731903831669442]),
+            v0p=np.array([-0.889990854876255]), span=(2.0, 20.0))
         coarse = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob, n_dense=2000))
         assert coarse["c_quadratic"] > 1.0 + 1e-6
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))

@@ -112,6 +112,11 @@ def _norm_in_mu(vals, mu_grid):
     return float(np.sqrt(np.trapezoid(vals**2, x=mu_grid)))
 
 
+def _e0_series(sampler, s_grid, scn):
+    """E0(s, u) of a run on the s grid, rigidity_experiment's input."""
+    return [sample["e0_u"] for sample in hyperboloid_samples(sampler, s_grid, scn)]
+
+
 def test_radiation_norm_positive_free_zero_otherwise(free_sampler):
     mu_grid = np.linspace(-1.0, 1.0, 9)
     radii = np.geomspace(50.0, 800.0, 6)
@@ -146,7 +151,7 @@ class TestRigidity:
         mu_grid = np.linspace(-1.0, 1.0, 9)
         radii = np.geomspace(50.0, 800.0, 6)
         floor = 10.0 * free_scn.dr**2 * free_scn.eps
-        runs = {label: (hyperboloid_samples(sampler, s_grid, free_scn),
+        runs = {label: (_e0_series(sampler, s_grid, free_scn),
                         _fan_values(sampler, mu_grid, radii))
                 for label, sampler in samplers.items()}
         out = rad.rigidity_experiment(runs, mu_grid, floor)
@@ -175,7 +180,6 @@ class TestRigidity:
         if hi / lo < 1.05:
             pytest.skip("norm and amplitude too close to separate")
         floor = np.sqrt(lo * hi)
-        runs = {"free": (hyperboloid_samples(free_sampler, s_grid, free_scn),
-                         vals)}
+        runs = {"free": (_e0_series(free_sampler, s_grid, free_scn), vals)}
         out = rad.rigidity_experiment(runs, mu_grid, floor)
         assert not out["rigidity_consistent"]

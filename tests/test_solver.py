@@ -305,12 +305,13 @@ class TestSampling:
 
     def test_axis_parity(self, small_sampler):
         # the odd r-derivatives below vanish on the axis exactly: d1 of an
-        # even field cancels there, and (2, 1), the d_r of the Laplacian,
-        # takes its axis value, while d3 is zero there only up to rounding
+        # even field cancels there, while d3, whose four terms cancel only
+        # up to rounding, and (2, 1), the d_r of the Laplacian, take their
+        # axis value
         t = np.linspace(2.5, 13.0, 200)
         j = small_sampler.jets(t, np.zeros_like(t), order=3)
         for f in ("u", "v"):
-            for key in ((0, 1), (1, 1), (2, 1)):
+            for key in ((0, 1), (1, 1), (2, 1), (0, 3)):
                 assert np.array_equal(j[f][key], np.zeros_like(t)), (f, key)
 
     def test_lower_orders_are_the_order_3_keys(self, small_sampler):
