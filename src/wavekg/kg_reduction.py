@@ -15,13 +15,14 @@ sharp decay estimate rests on.
 
 The oscillator is integrated for a whole batch of cases at once, as one
 stacked first-order system (v of every case, then v' of every case) that a
-single scipy DOP853 solve advances: the 8(5,3) Dormand-Prince pair
-(Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
-2nd ed., 1993).  Its steps and error norm span the whole stack, so a
-case's trajectory depends on its batch only at the level of the solve's
-tolerances.  The lemma reads the solve's dense output a block of grid
-columns at a time (see check_ode_lemma), so no (cases, n_dense) array is
-ever held, and its constants are computed per case.
+single DOP853 solve advances: the 8(5,3) Dormand-Prince pair (Hairer,
+Norsett and Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
+1993), in _dop853's numpy port of SciPy's, bit for bit.  Its steps and
+error norm span the whole stack, so a case's trajectory depends on its
+batch only at the level of the solve's tolerances.  The lemma reads the
+solve's dense output a block of grid columns at a time (see
+check_ode_lemma), so no (cases, _N_DENSE) array is ever held, and its
+constants are computed per case.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from . import _dop853
 from .energies import cumulative_trapezoid
 from .geometry import axis_ratio, good_scalars
 
@@ -64,14 +65,16 @@ class OscillatorProblem:
     qp: callable
 
 
-# Tolerances of the DOP853 solve, and grid columns per block of
-# check_ode_lemma, each block one evaluation of the dense output.
+# Tolerances of the DOP853 solve, points of the trajectory's grid, and
+# grid columns per block of check_ode_lemma, each block one evaluation of
+# the dense output.
 _RTOL, _ATOL = 1e-12, 1e-13
+_N_DENSE = 20000
 _DENSE_COLUMNS = 256
 
 
-def integrate_oscillator(problem, n_dense=20000):
-    """Integrate every case; returns the grid s = linspace(s0, s1, n_dense)
+def integrate_oscillator(problem):
+    """Integrate every case; returns the grid s = linspace(s0, s1, _N_DENSE)
     and sol, the dense output of the solve (read it with trajectory_values).
 
     One DOP853 solve of the stacked first-order system, v of every case
@@ -97,24 +100,20 @@ def integrate_oscillator(problem, n_dense=20000):
         f = problem.f(s)[:, 0]
         return np.concatenate([y[n:], -c2 * (1.0 + q) * y[:n] + f])
 
-    # scipy loads its integrate subpackage here, on first use: this solve is
-    # the package's one scipy call, so no other stage pays for the import
-    sol = scipy.integrate.solve_ivp(
-        rhs, (s0, s1), np.concatenate([problem.v0, problem.v0p]),
-        method="DOP853", dense_output=True, rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise RuntimeError(f"oscillator integration failed: {sol.message}")
-    return {"s": np.linspace(s0, s1, n_dense), "sol": sol.sol}
+    sol = _dop853.solve(rhs, s0, s1, np.concatenate([problem.v0, problem.v0p]),
+                        _RTOL, _ATOL)
+    return {"s": np.linspace(s0, s1, _N_DENSE), "sol": sol}
 
 
 def trajectory_values(trajectory, cols=slice(None)):
     """v and v' of every case, each (cases, columns), on the grid columns
     cols of an integrate_oscillator trajectory.
 
-    One evaluation of the dense output, which holds several copies of its
-    result, so a long trajectory is read a block of columns at a time (see
-    check_ode_lemma).  Each value depends only on its own grid point, not
-    on which columns are read together.
+    One evaluation of the dense output, which holds its result and one
+    gathered coefficient row of the same size, so a long trajectory is
+    read a block of columns at a time (see check_ode_lemma).  Each value
+    depends only on its own grid point, not on which columns are read
+    together.
     """
     return np.split(trajectory["sol"](trajectory["s"][cols]), 2)
 

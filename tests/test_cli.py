@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -339,16 +340,26 @@ def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
     assert coupled["radiation_values"] == null
 
 
+def test_wall_clock_covers_the_hashing(tmp_path, monkeypatch):
+    # the manifest's wall clock is taken after the artifacts are hashed
+    real = cli._sha256
+
+    def slow_sha256(path):
+        time.sleep(0.05)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_sha256", slow_sha256)
+    manifest = cli.run_pipeline("simulate", parse_scenario(TINY), tmp_path)
+    stage = manifest["metrics"]["stages"]["simulate"]["wall_s"]
+    assert manifest["wall_clock_s"] >= stage + 0.05 * len(manifest["artifacts"])
+
+
 def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
     # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
     # the lemma reads them from the dense output 256 columns at a time, and
     # the stage peaks at about 7 MB
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
-    # the first kg-lab call of a process loads scipy.integrate (about 36 MB
-    # traced); load it before tracing, so the bound holds whichever test
-    # runs first
-    import scipy.integrate  # noqa: F401
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -467,31 +478,25 @@ def test_field_health_from_extremes_is_the_elementwise_value(p00):
     assert health["max_abs_v"] == np.abs(v).max()
 
 
-# runs each stage but kg-lab on the scenario text argv[1], writing under
-# argv[2], then kg-lab, and prints the scipy subpackages loaded after each
+# runs each stage, kg-lab included, then all, on the scenario text argv[1],
+# writing under argv[2], and prints the scipy modules loaded after each
 _SCIPY_CHILD = """
 import json, sys
 import wavekg, wavekg.cli
 from wavekg.scenario import parse_scenario
 
-def loaded():
-    return [m for m in ("scipy.integrate", "scipy.fft") if m in sys.modules]
-
 scn = parse_scenario(sys.argv[1])
-for stage in ("simulate", "energies", "inequalities", "radiation", "rigidity"):
+loaded = {}
+for stage in wavekg.cli._SUBCOMMANDS:
     wavekg.cli.run_pipeline(stage, scn, sys.argv[2] + "/" + stage)
-before = loaded()
-wavekg.cli.run_pipeline("kg-lab", scn, sys.argv[2] + "/kg-lab")
-print(json.dumps({"before": before, "after": loaded()}))
+    loaded[stage] = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+print(json.dumps(loaded))
 """
 
 
-def test_only_the_oscillator_sweep_loads_scipy(tmp_path):
-    # every stage but kg-lab runs on numpy alone; the DOP853 sweep loads
-    # scipy.integrate on its first call
+def test_no_stage_loads_scipy(tmp_path):
+    # every stage runs on numpy alone: kg-lab's DOP853 sweep is a numpy port
     child = run_python_process(["-c", _SCIPY_CHILD, TINY, str(tmp_path)],
                                threads=1)
     assert child.returncode == 0, child.stderr
-    got = json.loads(child.stdout)
-    assert got["before"] == []
-    assert "scipy.integrate" in got["after"]
+    assert json.loads(child.stdout) == {stage: [] for stage in cli._SUBCOMMANDS}

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,31 @@ def test_no_module_imports_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # the runtime dependencies in pyproject.toml are exactly the third-party
+    # packages the package imports; a test-only package is a test extra
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(wavekg.__file__).parent
+    pyproject = package.parents[1] / "pyproject.toml"
+    assert pyproject.is_file()
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                for req in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in {name.partition(".")[0] for name in names}:
+                if top not in sys.stdlib_module_names and top != "wavekg":
+                    imported.setdefault(top, f"{path.name}:{node.lineno}")
+    assert {top: at for top, at in imported.items() if top not in declared} == {}
+    assert declared == set(imported)
 
 
 def test_only_energies_places_hyperboloid_nodes():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from wavekg import kg_reduction as kgr
+from wavekg import _dop853, kg_reduction as kgr
 
 from conftest import make_scenario
 
@@ -38,6 +38,52 @@ def random_batch(rng, n):
     lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.3, -1.0, -1.0]
     hi = [2.0, 0.4, 2.0, 2 * np.pi, 1.0, 3.0, 1.0, 1.0]
     return sinusoidal_batch(*rng.uniform(lo, hi, size=(n, 8)).T)
+
+
+def kg_lab_batch(seed):
+    """The kg-lab stage's 100 cases, drawn as _stage_kg_lab draws them, from
+    a generator at seed."""
+    lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.2, -1.0, -1.0]
+    hi = [2.0, 0.4, 2.0, 2 * np.pi, 0.5, 2.0, 1.0, 1.0]
+    return sinusoidal_batch(*np.random.default_rng(seed).uniform(lo, hi, size=(100, 8)).T)
+
+
+def step_source_batch():
+    """Two cases driven by a source that switches on at s = 3; the jump
+    makes the solve reject steps."""
+    return kgr.OscillatorProblem(c=np.array([1.0, 1.7]), q=zero, qp=zero,
+                                 f=lambda s: np.where(s > 3.0, 1.0, 0.0),
+                                 v0=np.array([1.0, 0.0]), v0p=np.array([0.0, 0.5]),
+                                 span=(2.0, 20.0))
+
+
+def integrate_beside_scipy(prob, monkeypatch):
+    """integrate_oscillator(prob), and SciPy's DOP853 solve of the same
+    right-hand side from the same arguments: (trajectory, right-hand-side
+    calls of integrate_oscillator, SciPy's result).  A ValueError or
+    RuntimeError of either solve is returned in place of its result."""
+    seen = {"calls": 0}
+    solve = _dop853.solve
+
+    def spy(fun, *args):
+        def counted(t, y):
+            seen["calls"] += 1
+            return fun(t, y)
+        seen.update(fun=fun, args=args)
+        return solve(counted, *args)
+
+    monkeypatch.setattr(_dop853, "solve", spy)
+    try:
+        traj = kgr.integrate_oscillator(prob)
+    except (ValueError, RuntimeError) as exc:
+        traj = exc
+    s0, s1, y0, rtol, atol = seen["args"]
+    try:
+        ref = solve_ivp(seen["fun"], (s0, s1), y0, method="DOP853",
+                        dense_output=True, rtol=rtol, atol=atol)
+    except (ValueError, RuntimeError) as exc:
+        ref = exc
+    return traj, seen["calls"], ref
 
 
 class TestOscillator:
@@ -107,8 +153,9 @@ class TestOscillator:
         prob = kgr.OscillatorProblem(
             c=np.array([1.0]), q=zero, f=lambda s: np.where(s > 3.0, np.nan, 0.0),
             v0=np.array([1.0]), v0p=np.array([0.0]), span=(2.0, 20.0), qp=zero)
-        with pytest.raises(RuntimeError, match="oscillator integration failed"):
-            kgr.integrate_oscillator(prob, n_dense=200)
+        with pytest.raises(RuntimeError, match="oscillator integration failed: "
+                           "Required step size is less than spacing between numbers"):
+            kgr.integrate_oscillator(prob)
 
     def test_rejects_one_large_coefficient_in_a_batch(self):
         prob = sinusoidal_batch(c=[1.0, 1.5, 0.8], a=[0.2, 0.45, 0.7],
@@ -118,6 +165,58 @@ class TestOscillator:
                                 span=(2.0, 4.0))
         with pytest.raises(ValueError, match="> 1/2"):
             kgr.integrate_oscillator(prob)
+
+
+@pytest.mark.parametrize("prob,min_rejected", [
+    (kg_lab_batch(0), 0),
+    (step_source_batch(), 1),
+], ids=["kg-lab-sweep", "rejected-steps"])
+def test_dop853_repeats_scipy_bit_for_bit(prob, min_rejected, monkeypatch):
+    # the numpy port takes SciPy's steps with SciPy's right-hand-side calls,
+    # and its dense output repeats SciPy's on every grid column
+    traj, calls, ref = integrate_beside_scipy(prob, monkeypatch)
+    assert ref.success
+    assert np.array_equal(traj["sol"].ts, ref.t)
+    assert calls == ref.nfev
+    # 2 calls for the first step's size, 12 per tried step and 3 more per
+    # accepted one for its dense output
+    accepted = ref.t.size - 1
+    rejected = (ref.nfev - 2 - 15 * accepted) // 12
+    assert ref.nfev == 2 + 15 * accepted + 12 * rejected
+    assert rejected >= min_rejected
+    assert traj["s"].size == 20000
+    assert np.array_equal(np.concatenate(kgr.trajectory_values(traj)),
+                          ref.sol(traj["s"]))
+
+
+def test_dop853_tableau_is_scipys():
+    for ours, theirs in ((_dop853._A[:12, :12], DOP853.A), (_dop853._B, DOP853.B),
+                         (_dop853._C[:12], DOP853.C), (_dop853._E3, DOP853.E3),
+                         (_dop853._E5, DOP853.E5), (_dop853._D, DOP853.D),
+                         (_dop853._A[13:], DOP853.A_EXTRA),
+                         (_dop853._C[13:], DOP853.C_EXTRA)):
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("q,f,v0,error", [
+    (lambda s: np.where(s > 5.0, 0.8, 0.0), zero, 1.0, ValueError),
+    (zero, zero, np.nan, ValueError),
+    (zero, lambda s: np.where(s > 3.0, np.nan, 0.0), 1.0, RuntimeError),
+], ids=["large-coefficient", "non-finite-start", "non-finite-source"])
+def test_failures_repeat_scipy(q, f, v0, error, monkeypatch):
+    # the |q| > 1/2 check raises from the right-hand side at SciPy's first
+    # stage point past s = 5, a non-finite initial state is rejected with
+    # SciPy's message, and a step that falls below the spacing of floats
+    # fails the solve with SciPy's message
+    prob = kgr.OscillatorProblem(c=np.array([1.0]), q=q, f=f, v0=np.array([v0]),
+                                 v0p=np.array([0.0]), span=(2.0, 20.0), qp=zero)
+    got, _, ref = integrate_beside_scipy(prob, monkeypatch)
+    assert type(got) is error
+    if error is ValueError:
+        assert type(ref) is ValueError and str(got) == str(ref)
+    else:
+        assert not ref.success
+        assert str(got) == f"oscillator integration failed: {ref.message}"
 
 
 class TestAppendixMatrices:
@@ -141,7 +240,7 @@ class TestOdeLemma:
         assert worst <= 1.0 + 1e-6, worst
         assert report["diag_residual"].max() < 1e-12
 
-    def test_dense_trajectory_resolves_the_quadrature_error(self):
+    def test_dense_trajectory_resolves_the_quadrature_error(self, monkeypatch):
         # case 60 of the kg-lab sweep at --seed 227023696: on a 2000-point
         # trajectory the trapezoid error of the source integral (h = 18/1999)
         # pushed the measured constant past 1 + 1e-6
@@ -154,16 +253,18 @@ class TestOdeLemma:
             f=lambda s: amp * np.cos(w * s),
             v0=np.array([0.009731903831669442]),
             v0p=np.array([-0.889990854876255]), span=(2.0, 20.0))
-        coarse = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob, n_dense=2000))
-        assert coarse["c_quadratic"] > 1.0 + 1e-6
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+        monkeypatch.setattr(kgr, "_N_DENSE", 2000)
+        coarse = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+        assert coarse["c_quadratic"] > 1.0 + 1e-6
         assert report["c_quadratic"] <= 1.0
 
     def test_constants_do_not_depend_on_the_column_blocks(self, monkeypatch):
         # the lemma runs over blocks of grid columns; the running integrals
         # carried between blocks must give the one-block constants
         prob = random_batch(np.random.default_rng(3), 8)
-        traj = kgr.integrate_oscillator(prob, n_dense=5001)
+        monkeypatch.setattr(kgr, "_N_DENSE", 5001)
+        traj = kgr.integrate_oscillator(prob)
         blocked = kgr.check_ode_lemma(prob, traj)
         monkeypatch.setattr(kgr, "_DENSE_COLUMNS", 5001)
         whole = kgr.check_ode_lemma(prob, traj)
@@ -171,11 +272,12 @@ class TestOdeLemma:
                     "diag_residual"):
             assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-15)
 
-    def test_column_reads_keep_every_bit(self):
+    def test_column_reads_keep_every_bit(self, monkeypatch):
         # each dense value depends only on its own grid point, so how the
         # trajectory's columns are read together changes no bit
         prob = random_batch(np.random.default_rng(5), 23)
-        traj = kgr.integrate_oscillator(prob, n_dense=5001)
+        monkeypatch.setattr(kgr, "_N_DENSE", 5001)
+        traj = kgr.integrate_oscillator(prob)
         whole = kgr.trajectory_values(traj)
         for lo, hi in ((0, 1), (7, 2049), (4000, 5001)):
             for part, full in zip(kgr.trajectory_values(traj, slice(lo, hi)), whole):
