@@ -4,7 +4,7 @@ Subcommands: simulate, energies, inequalities, kg-lab, radiation,
 rigidity, all.  Every run writes a manifest (scenario echo, grid,
 wall-clock, sha256 of each artifact, and outside the hashes the run's
 metrics: wall time and peak RSS per stage, the solver's steps, dt,
-window margin and nominal history size, the stored fields' min
+window margin, nominal and written history sizes, the stored fields' min
 |1 - p00 u|, max |u| and max |v|, and their largest value at the storage
 cap); outputs are deterministic given the manifest --
 randomized sweeps draw from the explicit --seed.
@@ -133,8 +133,7 @@ def _field_health(history):
         min_deg = min(min_deg, float(deg))
         max_u = max(max_u, float(max(-lo, hi)))
         max_v = max(max_v, float(max(-v.min(), v.max())))
-        for f in (history.u, history.ut, history.v, history.vt):
-            at_cap = max(at_cap, float(np.abs(f[i:i + rows, -1]).max()))
+        at_cap = max(at_cap, float(np.abs(history.records[i:i + rows, -1]).max()))
     return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v,
             "max_abs_at_cap": at_cap}
 
@@ -378,10 +377,11 @@ def run_pipeline(subcommand, scn, out, seed=0):
             "stages": stage_metrics,
             "solver": {"steps": history.n_slices - 1, "dt": history.dt,
                        "window_margin": solver._WINDOW_MARGIN,
-                       # nominal MB of the stored fields; the resident part
-                       # is smaller, since pages past the cone stay unbacked
-                       "history_mb": sum(getattr(history, f).nbytes
-                                         for f in solver._FIELDS) / 2**20,
+                       # nominal MB of the stored fields, and the MB the
+                       # run wrote, about what is resident, since pages past
+                       # the cone stay unbacked; the archive holds the latter
+                       "history_mb": history.records.nbytes / 2**20,
+                       "history_written_mb": 32 * int(history.widths.sum()) / 2**20,
                        **health},
         },
         "artifacts": hashes,

@@ -48,7 +48,7 @@ _CFL_SAFETY = 0.9
 STORE_MARGIN = 20
 # largest nominal history a scenario may ask for (see history_bytes): the
 # reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl 0.5, and
-# about 0.62 of the nominal bytes are resident
+# about 0.55 of the nominal bytes are resident
 MAX_HISTORY_BYTES = 2 * 2**30
 
 

@@ -29,26 +29,34 @@ order, so the history is bit for bit the one such a loop stores.
 
 Every accepted step is stored out to one radius cap,
 r <= t_end - 1 + STORE_MARGIN * dr (scenario.history_shape); the sampler
-treats the fields as zero beyond it.  This dense time coverage is what sampling fields and
-their derivative jets on hyperboloids t = sqrt(s^2 + r^2) and along
-characteristic curves needs.
+treats the fields as zero beyond it.  This dense time coverage is what
+sampling fields and their derivative jets on hyperboloids
+t = sqrt(s^2 + r^2) and along characteristic curves needs.
 
-Each step writes its row only out to its window, so a row's cells past
-the cone are never written.  Each stored field lives in a private
-anonymous memory mapping advised against huge pages, where the kernel
-backs a 4 KiB page only when evolve first writes it; reads of unwritten
-pages (the sampler, the health values, the dump) see the kernel's shared
-zero page.  So the history is resident only inside the cone, about 0.62
-of its nominal bytes on the reference grid, and each mapping is freed
-with its array.  (A numpy buffer this large takes huge pages, which
-would make the zeros past the cone resident 2 MiB at a time.)
+The history is one C-contiguous (n_slices, n_radii, 4) float64 record
+array, the values u, ut, v, vt of each cell side by side:
+
+    records[k] = | u ut v vt | u ut v vt | ... | u ut v vt | 0 0 0 0 | ...
+                   cell 0      cell 1            widths[k]-1 (zeros past it)
+
+Step k writes its row only out to its window, widths[k] cells, so a
+row's cells past the cone are never written.  The records live in one
+private anonymous memory mapping advised against huge pages, where the
+kernel backs a 4 KiB page only when evolve first writes it; reads of
+unwritten pages (the sampler, the health values) see the kernel's
+shared zero page.  Since the four fields share each row, a step's
+written prefix starts partway into at most one page, not four; the
+history is resident only inside the cone, about 0.55 of its nominal
+bytes on the reference grid, and the mapping is freed with its array.
+(A numpy buffer this large takes huge pages, which would make the zeros
+past the cone resident 2 MiB at a time.)
 """
 
 from __future__ import annotations
 
 import logging
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +76,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# the four values of a record, in their order
 _FIELDS = ("u", "ut", "v", "vt")
 
 
@@ -79,23 +88,31 @@ class SolverError(RuntimeError):
 class SliceHistory:
     """Uniformly spaced time slices of the four fields.
 
-    Arrays have shape (n_slices, n_radii); the stored radial range may be
-    shorter than the computational grid (fields vanish beyond the support
-    cone r <= t - 1).
+    records has shape (n_slices, n_radii, 4), the values u, ut, v, vt of
+    each cell side by side; widths[k] is the number of cells the run
+    wrote to slice k, and its records past them are +0.0.  The stored radial range
+    may be shorter than the computational grid (fields vanish beyond the
+    support cone r <= t - 1).  u, ut, v and vt are (n_slices, n_radii)
+    views of records.
     """
 
     scenario: Scenario
     t0: float
     dt: float
     r: np.ndarray
-    u: np.ndarray
-    ut: np.ndarray
-    v: np.ndarray
-    vt: np.ndarray
+    records: np.ndarray
+    widths: np.ndarray
+    u: np.ndarray = field(init=False, repr=False)
+    ut: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    vt: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.u, self.ut, self.v, self.vt = np.moveaxis(self.records, -1, 0)
 
     @property
     def n_slices(self):
-        return self.u.shape[0]
+        return self.records.shape[0]
 
     @property
     def t_last(self):
@@ -272,11 +289,15 @@ class _RK4:
 
 def _unbacked_zeros(shape):
     """Zero float64 array whose pages take memory only once written."""
-    buf = mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE)
+    buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
     # under THP "always" one write would otherwise back 2 MiB at once
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
+# the record slot of each state row
+_SLOTS = tuple(_FIELDS.index(name) for name in _ROWS)
 
 
 def evolve(scn):
@@ -286,15 +307,14 @@ def evolve(scn):
     r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
     n_steps, dt = time_steps(scn)
 
-    shape = history_shape(scn)
-    n_store = shape[1]
-    hist = {name: _unbacked_zeros(shape) for name in _FIELDS}
+    n_slices, n_store = history_shape(scn)
+    records = _unbacked_zeros((n_slices, n_store, len(_FIELDS)))
+    widths = np.empty(n_slices, dtype=np.uint32)
 
-    data = {name: scn.eps * prof(r)
-            for name, prof in zip(_FIELDS, (scn.u0, scn.u1, scn.v0, scn.v1))}
-    for name, arr in data.items():
-        hist[name][0] = arr[:n_store]
-    state = np.array([data[name] for name in _ROWS])
+    data = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
+    records[0] = np.stack(data, axis=-1)[:n_store]
+    widths[0] = n_store
+    state = np.array([data[k] for k in _SLOTS])
     rk = None
 
     report_every = max(1, n_steps // 10)
@@ -309,26 +329,27 @@ def evolve(scn):
         if not rk.finite():
             raise _failure(scn, f"non-finite field values at slice {step} "
                            f"(t = {t:.4f})")
-        m = min(n, n_store)
-        for name, row in zip(_ROWS, state):
-            hist[name][step, :m] = row[:m]
+        m = widths[step] = min(n, n_store)
+        written = records[step, :m]
+        for k, row in zip(_SLOTS, state):
+            written[:, k] = row[:m]
         if step % report_every == 0:
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
                      t, step, n_steps,
                      np.max(np.abs(state[0])), np.max(np.abs(state[1])))
 
     return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r[:n_store].copy(),
-                        u=hist["u"], ut=hist["ut"], v=hist["v"], vt=hist["vt"])
+                        records=records, widths=widths)
 
 
 # -- interpolation machinery --------------------------------------------------
 #
 # The sampler gathers, for each query point, a window of 8 radial nodes
 # around the point on 4 bracketing time slices: one flat (P, 4, 8) index
-# into the row-major history serves all four fields, each read with one
-# take.  Negative window indices are mapped through the axis mirror (all
-# four base fields are even in r); nodes beyond the stored range are
-# zeroed after the take (the fields vanish outside the support cone).
+# into the history's cells reads the four fields' records with one take.
+# Negative window indices are mapped through the axis mirror (all four
+# base fields are even in r); nodes beyond the stored range are zeroed
+# after the take (the fields vanish outside the support cone).
 # Working with signed node radii keeps the parity bookkeeping automatic:
 # derived odd fields pick up their signs from the mirrored even data.
 # Only the stencils a query's order reads are built.
@@ -341,7 +362,7 @@ _SLICES = 4
 def _gather(history, ts, rs):
     ts = np.asarray(ts, dtype=float).ravel()
     rs = np.asarray(rs, dtype=float).ravel()
-    nt, nr = history.u.shape
+    nt, nr = history.records.shape[:2]
     dt, dr = history.dt, history.scenario.dr
     if nt < _SLICES:
         raise SolverError("history too short for interpolation")
@@ -360,11 +381,9 @@ def _gather(history, ts, rs):
     mirrored[beyond] = 0
     flat = (idx_t * nr)[:, :, None] + mirrored[:, None, :]  # (P, 4, 8)
 
-    fields = {}
-    for name in _FIELDS:
-        vals = getattr(history, name).reshape(-1).take(flat)
-        np.copyto(vals, 0.0, where=beyond[:, None, :])
-        fields[name] = vals
+    vals = history.records.reshape(-1, len(_FIELDS)).take(flat, axis=0)
+    vals[np.broadcast_to(beyond[:, None, :], flat.shape)] = 0.0
+    fields = dict(zip(_FIELDS, np.moveaxis(vals, -1, 0)))
     r_nodes = idx_r * dr  # signed radii
     t_nodes = tmin + idx_t * dt
     return fields, r_nodes, t_nodes, ts, rs
@@ -481,6 +500,10 @@ class HistorySampler:
         if order > 3:
             raise ValueError("jets available up to total order 3")
         fields, r_nodes, t_nodes, ts, rs = _gather(self.history, ts, rs)
+        if order >= 2:
+            # the stencils of orders 2 and 3 read each field often enough
+            # to repay a contiguous copy of it
+            fields = {name: np.ascontiguousarray(x) for name, x in fields.items()}
         derived = _slice_derived(fields, r_nodes, self.history.scenario, order)
         wt = _lagrange_weights(t_nodes, ts)  # (P, 4)
         rc = r_nodes[:, _CENTER]

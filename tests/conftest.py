@@ -91,8 +91,8 @@ def reference_scn():
 
 @pytest.fixture(scope="session")
 def reference_history(reference_scn):
-    """The coupled reference run (about 3 s; 0.76 GiB nominal, about
-    0.5 GB resident, since pages past the support cone stay unbacked)."""
+    """The coupled reference run (about 1 s; 0.76 GiB nominal, about
+    0.43 GB resident, since pages past the support cone stay unbacked)."""
     return evolve(reference_scn)
 
 

@@ -439,7 +439,8 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         history = slice_load(tmp_path / "a" / "slices.wkgh")
         assert metrics["solver"] == {
             "steps": n_steps, "dt": dt, "window_margin": solver._WINDOW_MARGIN,
-            "history_mb": 4 * history.n_slices * history.r.size * 8 / 2**20}
+            "history_mb": 4 * history.n_slices * history.r.size * 8 / 2**20,
+            "history_written_mb": 32 * int(history.widths.sum()) / 2**20}
         assert all(np.isfinite(x) for x in health.values())
         # the stored u stays small and positive here, so the degeneracy
         # minimum sits at the largest u
@@ -469,7 +470,9 @@ def test_field_health_from_extremes_is_the_elementwise_value(p00):
               for name in ("u", "ut", "v", "vt")}
     history = solver.SliceHistory(
         scenario=parse_scenario("").with_grid(p00=p00), t0=2.0, dt=0.01,
-        r=0.01 * np.arange(50), **fields)
+        r=0.01 * np.arange(50),
+        records=np.stack([fields[name] for name in ("u", "ut", "v", "vt")], axis=-1),
+        widths=np.full(600, 50, dtype=np.uint32))
     u, v = fields["u"], fields["v"]
     assert u.min() < 0 < u.max() and v.min() < 0 < v.max()
     health = cli._field_health(history)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ def test_round_trip_is_bit_exact(history, tmp_path):
     blob = _archive(history, tmp_path / "run.wkgh")
     back = slice_load(tmp_path / "run.wkgh")
     assert_array_equal(back.r, history.r)
+    assert_array_equal(back.records, history.records)
+    assert_array_equal(back.widths, history.widths)
     assert_array_equal(back.u, history.u)
     assert_array_equal(back.ut, history.ut)
     assert_array_equal(back.v, history.v)
@@ -87,10 +90,49 @@ def test_bad_magic_rejected(history, tmp_path):
         _load_bytes(_with_patch(blob, 0, b"XXXX"), tmp_path)
 
 
-def test_unsupported_version_rejected(history, tmp_path):
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail any allocation of a loaded history's records."""
+    def refuse(shape):
+        raise AssertionError(f"allocated records of shape {shape}")
+    monkeypatch.setattr(sliceio, "_unbacked_zeros", refuse)
+
+
+def test_unsupported_version_rejected(history, tmp_path, no_allocation):
+    # version 1 stored full rows of four separate fields
     blob = _archive(history, tmp_path / "run.wkgh")
-    with pytest.raises(SliceIOError, match="version"):
-        _load_bytes(_with_patch(blob, 4, (99).to_bytes(4, "little")), tmp_path)
+    for version in (99, 1):
+        with pytest.raises(SliceIOError, match=f"version {version}"):
+            _load_bytes(_with_patch(blob, 4, version.to_bytes(4, "little")), tmp_path)
+
+
+def _widths_at(blob):
+    """Offset of an archive's widths table."""
+    return 12 + int.from_bytes(blob[8:12], "little") + 32
+
+
+def test_truncated_widths_table_rejected(history, tmp_path, no_allocation):
+    blob = _archive(history, tmp_path / "run.wkgh")
+    cut = _widths_at(blob) + 4 * (history.n_slices // 2)
+    with pytest.raises(SliceIOError, match="truncated"):
+        _load_bytes(blob[:cut], tmp_path)
+
+
+def test_dimensions_past_the_size_cap_rejected(history, tmp_path, no_allocation):
+    # 2^20 x 2^20 cells would be a 32 TiB record mapping
+    blob = _archive(history, tmp_path / "run.wkgh")
+    at = _widths_at(blob) - 16
+    huge = (2**20).to_bytes(8, "little") * 2
+    with pytest.raises(SliceIOError, match="byte limit"):
+        _load_bytes(_with_patch(blob, at, huge), tmp_path)
+
+
+def test_width_past_n_radii_rejected(history, tmp_path, no_allocation):
+    blob = _archive(history, tmp_path / "run.wkgh")
+    at = _widths_at(blob) + 4 * 3
+    too_wide = (history.r.size + 1).to_bytes(4, "little")
+    with pytest.raises(SliceIOError, match="exceeds n_radii"):
+        _load_bytes(_with_patch(blob, at, too_wide), tmp_path)
 
 
 def test_trailing_garbage_rejected(history, tmp_path):
@@ -113,25 +155,18 @@ def _peak_bytes(fn, *args):
 
 def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
     # streamed to a file, the archive is never held: the dump holds the
-    # header and one block of rows, about 7 KB here against a 94 KB archive
+    # header and views of the history, about 7 KB here against a 94 KB
+    # archive
     view, peak = _peak_bytes(slice_dump, history, tmp_path / "run.wkgh")
     assert len(view) == (tmp_path / "run.wkgh").stat().st_size
     assert peak <= 0.25 * len(view)
 
 
-def test_block_size_does_not_change_the_bytes(history, tmp_path, monkeypatch):
-    whole = _archive(history, tmp_path / "whole.wkgh")
-    # one radial row per block, and a partial last block of r
-    monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * history.r.size - 1)
-    assert _archive(history, tmp_path / "rows.wkgh") == whole
-    monkeypatch.setattr(sliceio, "_BLOCK_BYTES", 8 * 7 * history.r.size)
-    assert slice_dump(history, tmp_path / "run.wkgh") == whole
-    assert slice_load(tmp_path / "run.wkgh").scenario == history.scenario
-
-
-# Evolves dr = 0.01, r_max = t_end = 20 (106 MiB of nominal history) and
-# prints the ru_maxrss rise over dumping it to the file named by its
-# argument, and the length of slice_dump's result.
+# Evolves dr = 0.01, r_max = t_end = 27, the run of
+# test_solver.test_history_is_resident_only_where_written, and prints the
+# ru_maxrss rise over dumping it to the file named by its argument, the
+# length of slice_dump's result, and the history's dimensions and written
+# record bytes.
 _DUMP_CHILD = """
 import json, resource, sys
 from wavekg.profiles import Profile
@@ -141,31 +176,81 @@ from wavekg.solver import evolve
 
 bump, zero = Profile("bump", k=4, radius=1.0, amp=1.0), Profile("zero")
 history = evolve(Scenario(u0=bump, u1=zero, v0=bump, v1=zero, eps=1e-3,
-                          dr=0.01, r_max=20.0, t_end=20.0))
+                          dr=0.01, r_max=27.0, t_end=27.0))
 
 def maxrss():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 before = maxrss()
 view = slice_dump(history, sys.argv[1])
-print(json.dumps({"rise": maxrss() - before, "size": len(view)}))
+print(json.dumps({"rise": maxrss() - before, "size": len(view),
+                  "n_slices": history.n_slices, "n_radii": history.r.size,
+                  "written": 32 * int(history.widths.sum())}))
+"""
+
+# Loads the archive named by its argument and prints the ru_maxrss rise
+# over slice_load, the current-RSS fall once the history is dropped, the
+# bytes of its written records, its slice count and the page size.
+_LOAD_CHILD = """
+import gc, json, os, resource, sys
+from wavekg.sliceio import slice_load
+
+page = os.sysconf("SC_PAGE_SIZE")
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * page
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+before = maxrss()
+history = slice_load(sys.argv[1])
+rise = maxrss() - before
+written = 32 * int(history.widths.sum())
+n_slices = history.n_slices
+held = resident()
+del history
+gc.collect()
+print(json.dumps({"rise": rise, "written": written, "n_slices": n_slices,
+                  "page": page, "freed": held - resident()}))
 """
 
 
-def test_dump_to_a_file_stays_out_of_memory(tmp_path):
-    # neither the archive nor the history's unwritten pages past the cone
-    # become resident: the rise is at most about one block of rows
-    path = tmp_path / "big.wkgh"
+@pytest.fixture(scope="module")
+def big_dump(tmp_path_factory):
+    """The archive of the dr = 0.01, r_max = t_end = 27 run, and what its
+    dump child printed."""
+    path = tmp_path_factory.mktemp("big") / "big.wkgh"
     child = run_python_process(["-c", _DUMP_CHILD, str(path)], threads=1)
     assert child.returncode == 0, child.stderr
+    return path, json.loads(child.stdout)
+
+
+def test_dump_to_a_file_stays_out_of_memory(big_dump):
+    # the archive holds each slice's written records and nothing past
+    # them, and neither it nor the history's unwritten pages past the cone
+    # become resident: the dump copies nothing
+    path, got = big_dump
+    head = path.read_bytes()[:12]
+    header = 12 + int.from_bytes(head[8:12], "little") + 32
+    assert got["size"] == path.stat().st_size == (
+        header + 4 * got["n_slices"] + 8 * got["n_radii"] + got["written"] + 4)
+    assert got["written"] >= 100 * 2**20
+    assert got["rise"] < 2**20, got
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                    reason="needs /proc/self/statm for the current RSS")
+def test_load_is_resident_only_where_written(big_dump):
+    # a loaded history is resident like an evolved one: the records are
+    # read straight into a fresh mapping, whose pages past each slice's
+    # width stay unbacked, so the rise is at most the written records and
+    # one page per slice, and it goes with the history
+    path, dumped = big_dump
+    child = run_python_process(["-c", _LOAD_CHILD, str(path)], threads=1)
+    assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    assert got["size"] == path.stat().st_size >= 100 * 2**20
-    assert got["rise"] < 0.1 * got["size"], got
-
-
-def test_load_holds_one_copy_of_the_history(history, tmp_path):
-    path = tmp_path / "run.wkgh"
-    slice_dump(history, path)
-    back, peak = _peak_bytes(slice_load, path)
-    loaded = sum(a.nbytes for a in (back.r, back.u, back.ut, back.v, back.vt))
-    assert peak <= 1.25 * loaded
+    assert got["written"] == dumped["written"]
+    assert got["rise"] <= got["written"] + got["page"] * got["n_slices"], got
+    assert got["freed"] >= 0.9 * got["rise"], got

@@ -163,6 +163,7 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit():
     want = [np.zeros((n_slices, n_store)) for _ in y]
     for row, arr in zip(want, y):
         row[0] = arr[:n_store]
+    want_widths = [n_store]
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
         n = min(r.size, int(np.ceil((t - 1.0) / dr)) + solver._WINDOW_MARGIN + 1)
@@ -176,10 +177,12 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit():
             a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
         for row, arr in zip(want, yw):
             row[step, :min(n, n_store)] = arr[:n_store]
+        want_widths.append(min(n, n_store))
     assert n == r.size == n_store and n_steps > 500
     assert np.max(np.abs(want[2][-1])) > 1e-5  # v has not died out
     for name, arr in zip(("u", "ut", "v", "vt"), want):
         assert np.array_equal(getattr(got, name), arr), name
+    assert np.array_equal(got.widths, want_widths)
 
 
 @pytest.mark.parametrize("c", [1.0, 30.0])
@@ -213,16 +216,26 @@ def test_history_bookkeeping(small_history, small_scn):
     h = small_history
     assert h.t0 == 2.0
     assert_allclose(h.t0 + (h.n_slices - 1) * h.dt, small_scn.t_end)
-    for name in ("u", "ut", "v", "vt"):
-        arr = getattr(h, name)
+    records = h.records
+    assert records.shape == (h.n_slices, h.r.size, 4)
+    assert records.dtype == np.float64
+    assert records.flags.c_contiguous and records.flags.writeable
+    for k, name in enumerate(("u", "ut", "v", "vt")):
+        arr, view = getattr(h, name), records[..., k]
         assert arr.shape == (h.n_slices, h.r.size)
-        assert arr.dtype == np.float64
-        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.ctypes.data == view.ctypes.data and arr.strides == view.strides
+    widths = h.widths
+    assert widths.shape == (h.n_slices,)
+    assert np.all(widths <= h.r.size) and widths.min() < h.r.size
+    # every record past its slice's width is exactly +0.0
+    past = records[np.arange(h.r.size) >= widths[:, None]]
+    assert past.size and np.all(past == 0.0) and not np.signbit(past).any()
 
 
-# Evolves dr = 0.01, r_max = t_end = 27 (400 MiB of nominal history) and
+# Evolves dr = 0.01, r_max = t_end = 27 (200 MiB of nominal history) and
 # prints the ru_maxrss rise over evolve, the current-RSS fall once the
-# history is dropped, and the history's nominal bytes.
+# history is dropped, the bytes of its written records, its slice count
+# and the page size.
 _RSS_CHILD = """
 import gc, json, os, resource
 from wavekg.scenario import Scenario
@@ -244,11 +257,13 @@ def maxrss():
 before = maxrss()
 history = evolve(scn)
 rise = maxrss() - before
-nbytes = sum(getattr(history, f).nbytes for f in ("u", "ut", "v", "vt"))
+written = 32 * int(history.widths.sum())
+n_slices = history.n_slices
 held = resident()
 del history
 gc.collect()
-print(json.dumps({"rise": rise, "nbytes": nbytes, "freed": held - resident()}))
+print(json.dumps({"rise": rise, "written": written, "n_slices": n_slices,
+                  "page": page, "freed": held - resident()}))
 """
 
 
@@ -256,12 +271,13 @@ print(json.dumps({"rise": rise, "nbytes": nbytes, "freed": held - resident()}))
                     reason="needs /proc/self/statm for the current RSS")
 def test_history_is_resident_only_where_written():
     # rows are written only out to the cone's window, and the pages past
-    # it stay unbacked: the rise is about 0.72 of the nominal bytes here
-    # (0.99 with zero-filled arrays), and it goes with the history
+    # it stay unbacked: the rise is at most the written records and one
+    # page per slice, where a slice's prefix starts and ends mid-page,
+    # and it goes with the history
     child = run_python_process(["-c", _RSS_CHILD], threads=1)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    assert got["rise"] <= 0.8 * got["nbytes"], got
+    assert got["rise"] <= got["written"] + got["page"] * got["n_slices"], got
     assert got["freed"] >= 0.9 * got["rise"], got
 
 
@@ -336,8 +352,9 @@ class TestSampling:
         padded = solver.SliceHistory(
             scenario=h.scenario, t0=h.t0, dt=h.dt,
             r=h.scenario.dr * np.arange(h.r.size + pad),
-            **{name: np.pad(getattr(h, name), ((0, 0), (0, pad)))
-               for name in ("u", "ut", "v", "vt")})
+            records=np.stack([np.pad(getattr(h, name), ((0, 0), (0, pad)))
+                              for name in ("u", "ut", "v", "vt")], axis=-1),
+            widths=h.widths)
         dr, rng = h.scenario.dr, np.random.default_rng(8)
         r = np.concatenate([rng.uniform(h.r[-1] - 4 * dr, h.r[-1] + 2 * dr, 60),
                             rng.uniform(0.0, 3 * dr, 20), [h.r[-1], 0.0]])
@@ -347,3 +364,22 @@ class TestSampling:
         for f in ("u", "v"):
             for key, arr in want[f].items():
                 assert np.array_equal(got[f][key], arr), (f, key)
+
+    def test_jets_on_a_copy_of_the_records_are_the_same(self, small_history):
+        # the evolved history's mapping and a plain numpy copy of its
+        # records give the same jets bit for bit, the axis and the cap
+        # included
+        h = small_history
+        copy = solver.SliceHistory(scenario=h.scenario, t0=h.t0, dt=h.dt,
+                                   r=h.r.copy(), records=h.records.copy(),
+                                   widths=h.widths.copy())
+        rng = np.random.default_rng(9)
+        r = np.concatenate([rng.uniform(0.0, h.r[-1] + h.scenario.dr, 200),
+                            [0.0, h.r[-1]]])
+        t = rng.uniform(h.t0, h.t_last, r.size)
+        for order in (0, 1, 2, 3):
+            got = HistorySampler(h).jets(t, r, order=order)
+            want = HistorySampler(copy).jets(t, r, order=order)
+            for f in ("u", "v"):
+                for key, arr in want[f].items():
+                    assert np.array_equal(got[f][key], arr), (order, f, key)
