@@ -10,11 +10,18 @@ half-line with Dirichlet conditions; a discrete sine transform evolves
 each mode exactly in time, and a sine-series representation gives jets
 at arbitrary points.  Every derivative of a chunk of points comes from
 one sin/cos table of k r, built by angle addition from a few libm calls
-per point since the k are evenly spaced, and one of omega (t - 2) per
-distinct time; each (a, b) is then one mat-vec of a product table shared
-by the jets of its parity of a and its b.  Chunks are sized in bytes and
-their tables are work buffers allocated once per call, so the working
-memory grows with neither the mode count nor the number of points.
+per point since the k are evenly spaced, and the mode amplitudes at each
+point from one of omega (t - 2) (one row for a chunk at a single time);
+each (a, b) is then one mat-vec of a product table shared by the jets
+of its parity of a and its b.  A call splits its points into contiguous
+shares of whole chunks, one per CPU the process may run on, and runs
+the same chunk loop on each share in its own thread with its own work
+tables; numpy releases the GIL inside the table-wide ufuncs, so the
+shares run in parallel, and since each point's values depend on that
+point alone the result does not depend on the number of shares.
+Chunks are sized in bytes (a table of _CHUNK_BYTES stays in cache) and
+their tables are allocated once per share, so the working memory grows
+with neither the mode count nor the number of points.
 
 Both oracles are deliberately independent of the finite-difference
 solver (different representations, different grids).  The free wave's
@@ -23,6 +30,8 @@ radiation field is closed-form as well (free_wave_radiation).
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from math import comb, factorial
 
@@ -99,7 +108,7 @@ class DalembertField:
 # -- Klein-Gordon spectral oracle --------------------------------------------
 
 _SINC_SWITCH = 0.1      # below this x the sinc recurrence loses digits
-_CHUNK_BYTES = 2**20    # one (points x modes) float64 table per chunk
+_CHUNK_BYTES = 2**18    # one (points x modes) float64 table per chunk
 _BLOCK = 64             # modes per angle-addition block of the radial table
 
 
@@ -159,6 +168,42 @@ def _dst1(x):
     return -np.fft.rfft(odd)[1:n + 1].imag
 
 
+def _worker_count():
+    """Number of CPUs this process may run on: one jets share each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shares(run, shares):
+    """run(lo, hi) for every (lo, hi) in shares, the first on the calling
+    thread and each other on a thread of its own.
+
+    All threads are joined before this returns; an exception raised in
+    any share is raised here.
+    """
+    first, *rest = shares
+    errors, started = [], []
+
+    def guarded(lo, hi):
+        try:
+            run(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        for lo, hi in rest:
+            thread = threading.Thread(target=guarded, args=(lo, hi))
+            thread.start()
+            started.append(thread)
+        run(*first)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 class KGSpectralField:
     """Free Klein-Gordon field by exact mode evolution of w = r v.
 
@@ -170,16 +215,23 @@ class KGSpectralField:
         d_t^a d_r^b v = sum_m A_m k_m^(b+1) (-omega_m^2)^(a//2) sinc^(b)(k_m r)
 
     with A the mode amplitude B (a even) or its time derivative (a odd).
-    jets() evaluates points in chunks sized so that one chunk's
-    (points x modes) table takes _CHUNK_BYTES, and fills the same work
-    tables, allocated once per call, for every chunk.  Within a chunk:
+    jets() splits its points into contiguous shares of whole chunks, at
+    most one share per chunk and one per CPU the process may run on
+    (_worker_count), and runs each share on its own thread (_run_shares)
+    through the same chunk loop (_jets_chunks) with its own work tables.
+    A chunk holds as many points as make one (points x modes) table of
+    _CHUNK_BYTES, which keeps each worker's tables cache-sized.  Each
+    point's values depend on that point alone, so every share count gives
+    the one-worker loop's values bit for bit.  Within a chunk:
 
+    - the amplitudes B and dB/dt come from one sin/cos table of
+      omega (t - 2) at the chunk's points (_amplitudes); a chunk at a
+      single time takes one row, and reuses the previous chunk's row when
+      that chunk was at the same time;
     - the sin/cos table of k r is built by angle addition (_radial_trig):
       since k_m = m pi / length is evenly spaced, each point needs only
       the sin/cos of _BLOCK base angles and of one offset per block of
       _BLOCK modes, not one per mode;
-    - one sin/cos table of omega (t - 2) per distinct time gives both
-      amplitudes (_amplitudes), gathered to the chunk's points;
     - the sin/cos of k r give every sinc^(b) through the recurrence of
       _sinc_tables, with a Taylor series where k r < _SINC_SWITCH;
     - each (parity of a, b) forms one product table A sinc^(b), and each
@@ -274,35 +326,51 @@ class KGSpectralField:
         for a, b in keys:
             products.setdefault((a % 2, b), []).append((a, b))
         out = {key: np.empty(tf.size) for key in keys}
+        chunk = max(1, min(tf.size, _CHUNK_BYTES // (8 * self.k.size)))
+        n_chunks = -(-tf.size // chunk)
+        n_shares = max(1, min(_worker_count(), n_chunks))
+        # whole chunks per share, so the shares cut the points into the
+        # chunks the one-worker loop would
+        bounds = [min(tf.size, chunk * (n_chunks * i // n_shares))
+                  for i in range(n_shares + 1)]
+
+        def share(lo, hi):
+            self._jets_chunks(tf[lo:hi], rf[lo:hi], chunk, order, weight, products,
+                              {key: val[lo:hi] for key, val in out.items()})
+
+        _run_shares(share, zip(bounds[:-1], bounds[1:]))
+        return {key: val.reshape(shape) for key, val in out.items()}
+
+    def _jets_chunks(self, t, r, chunk, order, weight, products, out):
+        """Fill out[(a, b)] with the jets at (t, r >= 0), chunk points at a
+        time; weight and products are those of jets()."""
         n = self.k.size
-        chunk = max(1, min(tf.size, _CHUNK_BYTES // (8 * n)))
         width = -(-n // _BLOCK) * _BLOCK
         # the work tables, reused by every chunk: the sin and cos of
-        # omega (t - 2), then of k r; B and dB/dt per distinct time, then
-        # 1/(k r) and each product table; the amplitudes at the points;
+        # omega (t - 2), then of k r; 1/(k r), then each product table;
+        # B and dB/dt at the points (one row for a chunk at one time);
         # one sinc^(b) per b
         trig = np.empty((chunk, 2, width))
-        work = np.empty((4 + order + 1, chunk, width))
-        for lo in range(0, tf.size, chunk):
+        work = np.empty((3 + order + 1, chunk, width))
+        held = None     # the single time of the previous chunk, if it had one
+        for lo in range(0, t.size, chunk):
             sl = slice(lo, lo + chunk)
-            rc = rf[sl]
+            tc, rc = t[sl], r[sl]
             tables = work[:, :rc.size, :n]
-            amps, sincs = tables[2:4], tables[4:]
-            times, row = np.unique(tf[sl], return_inverse=True)
-            m = times.size
-            per_time = self._amplitudes(times, (tables[0, :m], tables[1, :m],
-                                                trig[:m, 0, :n], trig[:m, 1, :n]))
-            for amp, table in zip(amps, per_time):
-                # row is in range; mode "raise" would copy through a buffer
-                np.take(table, row, axis=0, out=amp, mode="clip")
+            single = tc[0] if np.all(tc == tc[0]) else None
+            rows = rc.size if single is None else 1
+            amps, sincs = tables[1:3, :rows], tables[3:]
+            if single is None or single != held:
+                self._amplitudes(tc[:rows], (amps[0], amps[1],
+                                             trig[:rows, 0, :n], trig[:rows, 1, :n]))
+            held = single
             _sinc_tables(rc, self.k, self._radial_trig(rc, trig[:rc.size]),
                          tables[0], sincs)
-            prod = tables[1]
+            prod = tables[0]
             for (parity, b), members in products.items():
                 np.multiply(amps[parity], sincs[b], out=prod)
                 for key in members:
                     np.matmul(prod, weight[key], out=out[key][sl])
-        return {key: val.reshape(shape) for key, val in out.items()}
 
     def __call__(self, t, r):
         return self.jet(t, r, 0, 0)

@@ -1,3 +1,5 @@
+import sys
+import threading
 from math import comb, factorial
 
 import numpy as np
@@ -6,8 +8,9 @@ from conftest import run_python_process
 from numpy.testing import assert_allclose
 from scipy.fft import dst
 
-from wavekg.oracles import (_CHUNK_BYTES, DalembertField, KGSpectralField,
-                            OracleSampler, free_wave_radiation)
+from wavekg import oracles
+from wavekg.oracles import (_CHUNK_BYTES, _SINC_SWITCH, DalembertField,
+                            KGSpectralField, OracleSampler, free_wave_radiation)
 from wavekg.profiles import Profile
 
 U0 = Profile("bump", k=4, radius=1.0, amp=1.0)
@@ -170,7 +173,8 @@ class TestKGJets:
     def test_memory_does_not_grow_with_the_mode_count(self):
         # the ru_maxrss rise of order-3 jets at 2000 points, in a fresh
         # process per mode count; the work tables are sized in bytes, so
-        # the rise (about 11.5 MiB here) should not depend on the modes
+        # the rise (about 5.4 MiB at 4096 modes and 6.1 MiB at 16384, with
+        # two worker shares) should not depend on the modes
         script = (
             "import resource, sys\n"
             "import numpy as np\n"
@@ -208,6 +212,60 @@ class TestKGJets:
             alone = np.array([point[key] for point in single])
             assert_allclose(whole[key], alone, rtol=1e-13,
                             atol=1e-13 * np.max(np.abs(alone)), err_msg=f"{key}")
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_worker_count_does_not_change_a_bit(self, moving_field, monkeypatch, order):
+        # 12 chunks: one time across the first chunk boundary, and one
+        # time over chunks 3-8, across every share boundary for 2 and 3
+        # workers, so a share reuses no amplitude row it did not compute
+        chunk = _CHUNK_BYTES // (8 * moving_field.k.size)
+        n = 11 * chunk + 3
+        rng = np.random.default_rng(16)
+        t = rng.uniform(2.0, 12.0, n)
+        r = rng.uniform(0.0, 8.0, n)
+        t[chunk - 3:chunk + 3] = 4.0
+        t[3 * chunk:9 * chunk] = 6.0
+        r[::5] = 0.0
+        # k r below the series switch for the first 8 modes
+        r[1::7] = rng.uniform(0.0, _SINC_SWITCH / moving_field.k[7], r[1::7].size)
+        default = oracles._worker_count()
+        monkeypatch.setattr(oracles, "_worker_count", lambda: 1)
+        one = moving_field.jets(t, r, order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            for workers in (default, 3):
+                monkeypatch.setattr(oracles, "_worker_count", lambda: workers)
+                shared = moving_field.jets(t, r, order)
+                for key, val in one.items():
+                    assert np.array_equal(shared[key], val), (workers, key)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_shares_leave_no_thread_and_raise_in_the_caller(self, moving_field, monkeypatch):
+        # three shares of two chunks each; the second share's first chunk
+        # fails inside _sinc_tables on a thread of its own
+        chunk = _CHUNK_BYTES // (8 * moving_field.k.size)
+        t, r = np.full(6 * chunk, 4.0), np.linspace(0.5, 8.0, 6 * chunk)
+        monkeypatch.setattr(oracles, "_worker_count", lambda: 3)
+        before = threading.active_count()
+        moving_field.jets(t, r, order=3)
+        assert threading.active_count() == before
+
+        class ShareFailed(Exception):
+            pass
+
+        sinc_tables = oracles._sinc_tables
+
+        def failing(rc, *args):
+            if rc[0] == r[2 * chunk]:
+                raise ShareFailed
+            sinc_tables(rc, *args)
+
+        monkeypatch.setattr(oracles, "_sinc_tables", failing)
+        with pytest.raises(ShareFailed):
+            moving_field.jets(t, r, order=3)
+        assert threading.active_count() == before
 
     def test_continuous_across_series_switch_and_axis(self, moving_field):
         k = moving_field.k
