@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, solver
+from . import __version__, _shares, solver
 from . import inequalities as iq
 from .energies import energy_f1, hyperboloid_samples
 from .geometry import (HYPERBOLA_C0, MU_FAN, WORD_STRIDE, HyperbolaCurve,
@@ -100,12 +100,14 @@ def _write_series(path, x, y):
 
 
 def _sha256(path):
-    """Hex digest of a file, read in 1 MiB blocks so that hashing an
-    archive never holds it whole."""
+    """Hex digest of a file, read 256 KiB at a time into one buffer, so that
+    hashing an archive never holds it whole."""
     digest = hashlib.sha256()
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -355,13 +357,25 @@ def run_pipeline(subcommand, scn, out, seed=0):
         "rigidity": (_stage_rigidity, (scn, out, history)),
     }
     stages = [subcommand] if subcommand != "all" else list(_SUBCOMMANDS[1:-1])
-    for stage in stages:
-        if stage in stage_calls:
-            fn, args = stage_calls[stage]
-            artifacts += run_stage(stage, fn, *args)
-    # wall_clock_s covers the hashing, which reads the archive back whole,
-    # and the field health: all of the run but writing the manifest
-    hashes = {name: _sha256(out / name) for name in artifacts}
+    # the archive, the largest artifact, is hashed on a thread of its own
+    # beside the analysis stages (hashlib releases the GIL while it
+    # digests); run_shares joins that thread before it returns
+    archive = artifacts[0]
+    hashes = {}
+
+    def hash_archive():
+        hashes[archive] = _sha256(out / archive)
+
+    def analyse():
+        for stage in stages:
+            if stage in stage_calls:
+                fn, args = stage_calls[stage]
+                artifacts.extend(run_stage(stage, fn, *args))
+
+    _shares.run_shares(lambda task: task(), [(analyse,), (hash_archive,)])
+    hashes.update((name, _sha256(out / name)) for name in artifacts[1:])
+    # wall_clock_s covers the hashing and the field health: all of the run
+    # but writing the manifest
     health = _field_health(history)
     wall_clock = time.time() - start
     manifest = {

@@ -20,9 +20,12 @@ Norsett and Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
 1993), in _dop853's numpy port of SciPy's, bit for bit.  Its steps and
 error norm span the whole stack, so a case's trajectory depends on its
 batch only at the level of the solve's tolerances.  The lemma reads the
-solve's dense output a block of grid columns at a time (see
-check_ode_lemma), so no (cases, _N_DENSE) array is ever held, and its
-constants are computed per case.
+solve's dense output a block of grid columns at a time, every case at
+once, so no (cases, _N_DENSE) array is ever held, and its constants are
+computed per case.  Its blocks are dealt out to one share per CPU; each
+block's running integrals are handed on to the next in block order, so
+the constants do not depend on the number of shares (see
+check_ode_lemma).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dop853
+from . import _dop853, _shares
 from .energies import cumulative_trapezoid
 from .geometry import axis_ratio, good_scalars
 
@@ -149,54 +152,132 @@ def check_ode_lemma(problem, trajectory):
     <= sqrt(2) (for |q| <= 1/2 an extra sqrt(2) enters the integrand).
     Takes the trajectory of integrate_oscillator and returns, per case,
     the measured minimal constants for both versions, the slack of the
-    quadratic form and the diagonalization residual.  It reads the
-    trajectory over blocks of _DENSE_COLUMNS grid columns, every case at
-    once, and each block overlaps the previous one by one column, which
-    carries the running integrals.  The block width groups the integrals'
-    sums, so another width changes the constants in their last bits.
+    quadratic form and the diagonalization residual.
+
+    It reads the trajectory over blocks of _DENSE_COLUMNS grid columns,
+    every case at once, and each block overlaps the previous one by one
+    column, which carries the running integrals.  The block width groups
+    the integrals' sums, so another width changes the constants in their
+    last bits.  Block k goes to share k mod n of n shares, one per CPU the
+    process may run on (_shares.worker_count), each on its own thread
+    (_shares.run_shares).  A share computes a block's dense values, forms,
+    integrands and block-local integrals in parallel with the other
+    shares, then waits for block k - 1's carry (the integrals at its last
+    column, and N and |v'| + c|v| at s0), adds it, hands block k's carry
+    on through a _shares.Relay, and takes the block's ratios into its own
+    running maxima and minima, which are combined at the end.  Every sum
+    is grouped as in one share, and maxima and minima are exact, so the
+    constants do not depend on the number of shares.
     """
     s = trajectory["s"]
     n, m = problem.c.size, s.size
     c = problem.c[:, None]
-    c_quadratic, c_printed = np.zeros(n), np.zeros(n)
-    slack_quadratic = np.full(n, np.inf)
-    q_min, q_max = np.full(n, np.inf), np.full(n, -np.inf)
-    acc_end, acc_pr_end = np.zeros((n, 1)), np.zeros((n, 1))
+    c2 = c**2
     step = _DENSE_COLUMNS - 1
-    for lo in range(0, max(m - 1, 1), step):
+    n_blocks = len(range(0, max(m - 1, 1), step))
+    n_shares = max(1, min(_shares.worker_count(), n_blocks))
+    # column m // 2 lies in this block (and in the one before, when it is
+    # the first column)
+    mid_block = min(m // 2 // step, n_blocks - 1)
+    relay = _shares.Relay(n_blocks)
+    # per share: running maxima of c_quadratic, c_printed and q, and running
+    # minima of the quadratic slack and q
+    highs = np.zeros((n_shares, 3, n))
+    highs[:, 2] = -np.inf
+    lows = np.full((n_shares, 2, n), np.inf)
+    q_mid = []
+
+    def block(k, high, low):
+        """Block k into high and low; False if another share failed first.
+
+        Two blocks are in flight at once, so each temporary is freed or
+        written over as soon as it has been read."""
+        lo = k * step
         cols = slice(lo, min(lo + step, m - 1) + 1)
         v, vp = trajectory_values(trajectory, cols)
         grid = np.broadcast_to(s[cols], v.shape)
         q = problem.q(grid)
-        q_min = np.minimum(q_min, q.min(axis=1))
-        q_max = np.maximum(q_max, q.max(axis=1))
-        if lo <= m // 2 < cols.stop:
-            q_mid = q[:, m // 2 - lo]
+        np.minimum(low[1], q.min(axis=1), out=low[1])
+        np.maximum(high[2], q.max(axis=1), out=high[2])
+        if k == mid_block:
+            q_mid.append(q[:, m // 2 - lo].copy())
+        one_q = 1.0 + q
+        del q
         abs_f = np.abs(problem.f(grid))
-        abs_qpvp = np.abs(problem.qp(grid) * vp)
+        abs_qpvp = problem.qp(grid) * vp
+        np.abs(abs_qpvp, out=abs_qpvp)
 
         # quadratic form with the proof's exact integrand
-        quad = np.sqrt(vp**2 / (1.0 + q) + c**2 * v**2)
-        integrand = abs_f / np.sqrt(1.0 + q) \
-            + abs_qpvp / (2.0 * (1.0 + q) ** 1.5)
-        acc = acc_end + cumulative_trapezoid(integrand, s[cols])
+        quad = vp**2
+        quad /= one_q
+        lhs = v**2
+        np.multiply(c2, lhs, out=lhs)
+        quad += lhs
+        np.sqrt(quad, out=quad)
         # the literally printed bound with the c^{-1} weighting
-        lhs = np.abs(vp) + c * np.abs(v)
-        acc_pr = acc_pr_end + cumulative_trapezoid(abs_f + abs_qpvp, s[cols])
-        if lo == 0:
-            quad0, lhs0 = quad[:, :1], lhs[:, :1]
-        acc_end, acc_pr_end = acc[:, -1:], acc_pr[:, -1:]
-        acc_pr = acc_pr / c
+        np.abs(vp, out=lhs)
+        np.abs(v, out=v)
+        v *= c
+        lhs += v
+        del v, vp
+        integrand = np.sqrt(one_q)
+        np.divide(abs_f, integrand, out=integrand)
+        np.power(one_q, 1.5, out=one_q)
+        np.multiply(2.0, one_q, out=one_q)
+        np.divide(abs_qpvp, one_q, out=one_q)
+        integrand += one_q
+        del one_q
+        abs_f += abs_qpvp
+        del abs_qpvp
+        acc = cumulative_trapezoid(integrand, s[cols])
+        del integrand
+        acc_pr = cumulative_trapezoid(abs_f, s[cols])
+        del abs_f
+
+        if k == 0:
+            acc_end, acc_pr_end = np.zeros((n, 1)), np.zeros((n, 1))
+            quad0, lhs0 = quad[:, :1].copy(), lhs[:, :1].copy()
+        else:
+            carry = relay.take(k - 1)
+            if carry is None:
+                return False
+            acc_end, acc_pr_end, quad0, lhs0 = carry
+        np.add(acc_end, acc, out=acc)
+        np.add(acc_pr_end, acc_pr, out=acc_pr)
+        # copies, so that the carry does not hold this block's arrays
+        relay.put(k, (acc[:, -1:].copy(), acc_pr[:, -1:].copy(), quad0, lhs0))
+
+        acc_pr /= c
+        slack = quad0 + acc
+        slack -= quad
+        np.minimum(low[0], slack.min(axis=1), out=low[0])
+        del slack
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(acc > 1e-14, (quad - quad0) / acc, 0.0)
-            ratios_pr = np.where(acc_pr > 1e-14, (lhs - lhs0) / acc_pr, 0.0)
-        c_quadratic = np.maximum(c_quadratic, ratios.max(axis=1))
-        c_printed = np.maximum(c_printed, ratios_pr.max(axis=1))
-        slack_quadratic = np.minimum(slack_quadratic,
-                                     (quad0 + acc - quad).min(axis=1))
+            quad -= quad0
+            quad /= acc
+            lhs -= lhs0
+            lhs /= acc_pr
+        np.maximum(high[0], np.where(acc > 1e-14, quad, 0.0).max(axis=1),
+                   out=high[0])
+        np.maximum(high[1], np.where(acc_pr > 1e-14, lhs, 0.0).max(axis=1),
+                   out=high[1])
+        return True
+
+    def share(first):
+        try:
+            for k in range(first, n_blocks, n_shares):
+                if not block(k, highs[first], lows[first]):
+                    return
+        except BaseException:
+            relay.abort()
+            raise
+
+    _shares.run_shares(share, [(i,) for i in range(n_shares)])
+    c_quadratic, c_printed, q_max = highs.max(axis=0)
+    slack_quadratic, q_min = lows.min(axis=0)
 
     # diagonalization residual, worst case over three sampled q per case
-    q_sampled = np.stack([q_min, q_max, q_mid])
+    q_sampled = np.stack([q_min, q_max, *q_mid])
     A = _mat2(0.0, -problem.c**2 * (1.0 + q_sampled), 1.0, 0.0)
     P, Q, Pinv = appendix_matrices(problem.c, q_sampled)
     resid = np.maximum(np.abs(P @ Pinv - np.eye(2)).max(axis=(-2, -1)),

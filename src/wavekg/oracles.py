@@ -30,12 +30,12 @@ radiation field is closed-form as well (free_wave_radiation).
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from math import comb, factorial
 
 import numpy as np
+
+from . import _shares
 
 __all__ = [
     "DalembertField",
@@ -168,42 +168,6 @@ def _dst1(x):
     return -np.fft.rfft(odd)[1:n + 1].imag
 
 
-def _worker_count():
-    """Number of CPUs this process may run on: one jets share each."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_shares(run, shares):
-    """run(lo, hi) for every (lo, hi) in shares, the first on the calling
-    thread and each other on a thread of its own.
-
-    All threads are joined before this returns; an exception raised in
-    any share is raised here.
-    """
-    first, *rest = shares
-    errors, started = [], []
-
-    def guarded(lo, hi):
-        try:
-            run(lo, hi)
-        except BaseException as exc:
-            errors.append(exc)
-
-    try:
-        for lo, hi in rest:
-            thread = threading.Thread(target=guarded, args=(lo, hi))
-            thread.start()
-            started.append(thread)
-        run(*first)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 class KGSpectralField:
     """Free Klein-Gordon field by exact mode evolution of w = r v.
 
@@ -217,8 +181,9 @@ class KGSpectralField:
     with A the mode amplitude B (a even) or its time derivative (a odd).
     jets() splits its points into contiguous shares of whole chunks, at
     most one share per chunk and one per CPU the process may run on
-    (_worker_count), and runs each share on its own thread (_run_shares)
-    through the same chunk loop (_jets_chunks) with its own work tables.
+    (_shares.worker_count), and runs each share on its own thread
+    (_shares.run_shares) through the same chunk loop (_jets_chunks) with
+    its own work tables.
     A chunk holds as many points as make one (points x modes) table of
     _CHUNK_BYTES, which keeps each worker's tables cache-sized.  Each
     point's values depend on that point alone, so every share count gives
@@ -328,7 +293,7 @@ class KGSpectralField:
         out = {key: np.empty(tf.size) for key in keys}
         chunk = max(1, min(tf.size, _CHUNK_BYTES // (8 * self.k.size)))
         n_chunks = -(-tf.size // chunk)
-        n_shares = max(1, min(_worker_count(), n_chunks))
+        n_shares = max(1, min(_shares.worker_count(), n_chunks))
         # whole chunks per share, so the shares cut the points into the
         # chunks the one-worker loop would
         bounds = [min(tf.size, chunk * (n_chunks * i // n_shares))
@@ -338,7 +303,7 @@ class KGSpectralField:
             self._jets_chunks(tf[lo:hi], rf[lo:hi], chunk, order, weight, products,
                               {key: val[lo:hi] for key, val in out.items()})
 
-        _run_shares(share, zip(bounds[:-1], bounds[1:]))
+        _shares.run_shares(share, zip(bounds[:-1], bounds[1:]))
         return {key: val.reshape(shape) for key, val in out.items()}
 
     def _jets_chunks(self, t, r, chunk, order, weight, products, out):

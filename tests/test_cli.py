@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import threading
 import time
 import tracemalloc
 import weakref
@@ -354,10 +355,45 @@ def test_wall_clock_covers_the_hashing(tmp_path, monkeypatch):
     assert manifest["wall_clock_s"] >= stage + 0.05 * len(manifest["artifacts"])
 
 
+def test_archive_is_hashed_beside_the_stages(tmp_path, monkeypatch):
+    # the archive's digest comes from a thread of its own, joined before
+    # the run returns; a failure there is raised in the caller
+    real = cli._sha256
+    threads = {}
+
+    def recording_sha256(path):
+        threads[path.name] = threading.get_ident()
+        return real(path)
+
+    monkeypatch.setattr(cli, "_sha256", recording_sha256)
+    before = threading.active_count()
+    out = tmp_path / "run"
+    manifest = cli.run_pipeline("energies", parse_scenario(TINY), out)
+    assert threading.active_count() == before
+    assert threads.keys() == manifest["artifacts"].keys()
+    assert threads.pop("slices.wkgh") != threading.get_ident()
+    assert set(threads.values()) == {threading.get_ident()}
+    for name, digest in manifest["artifacts"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    class HashFailed(Exception):
+        pass
+
+    def failing_sha256(path):
+        if path.name == "slices.wkgh":
+            raise HashFailed
+        return real(path)
+
+    monkeypatch.setattr(cli, "_sha256", failing_sha256)
+    with pytest.raises(HashFailed):
+        cli.run_pipeline("energies", parse_scenario(TINY), out)
+    assert threading.active_count() == before
+
+
 def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
     # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
-    # the lemma reads them from the dense output 256 columns at a time, and
-    # the stage peaks at about 7 MB
+    # the lemma reads them from the dense output 256 columns at a time, two
+    # blocks in flight on two cores, and the stage peaks at 5.2-5.4 MiB
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
     tracemalloc.start()

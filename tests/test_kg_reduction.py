@@ -1,9 +1,13 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import DOP853, solve_ivp
 
-from wavekg import _dop853, kg_reduction as kgr
+from wavekg import _dop853, _shares, kg_reduction as kgr
 
 from conftest import make_scenario
 
@@ -282,6 +286,76 @@ class TestOdeLemma:
         for lo, hi in ((0, 1), (7, 2049), (4000, 5001)):
             for part, full in zip(kgr.trajectory_values(traj, slice(lo, hi)), whole):
                 assert_array_equal(part, full[:, lo:hi])
+
+    # 5001 points: 20 blocks, the last one short; 300: fewer blocks than
+    # workers
+    @pytest.mark.parametrize("n_dense", [5001, 300])
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, n_dense):
+        prob = random_batch(np.random.default_rng(11), 9)
+        monkeypatch.setattr(kgr, "_N_DENSE", n_dense)
+        traj = kgr.integrate_oscillator(prob)
+        appendix_matrices = kgr.appendix_matrices
+        sampled = []
+
+        def spy(c, q):
+            sampled.append(q)
+            return appendix_matrices(c, q)
+
+        monkeypatch.setattr(kgr, "appendix_matrices", spy)
+        keys = ("c_quadratic", "c_printed", "slack_quadratic", "diag_residual")
+        monkeypatch.setattr(_shares, "worker_count", lambda: 1)
+        one = kgr.check_ode_lemma(prob, traj)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            for workers in (2, 3):
+                monkeypatch.setattr(_shares, "worker_count", lambda: workers)
+                shared = kgr.check_ode_lemma(prob, traj)
+                for key in keys:
+                    assert np.array_equal(shared[key], one[key]), (workers, key)
+        finally:
+            sys.setswitchinterval(interval)
+        # the residual's third sampled q is the one at column m // 2
+        s_mid = traj["s"][n_dense // 2]
+        assert len(sampled) == 3
+        for q_sampled in sampled:
+            assert_allclose(q_sampled[2], prob.q(np.full((9, 1), s_mid))[:, 0],
+                            rtol=1e-14, atol=1e-16)
+
+    # block 0 on the calling share, and block 3 on the second share of two
+    @pytest.mark.parametrize("failing_block", [0, 3])
+    def test_a_failing_share_releases_the_others(self, monkeypatch, failing_block):
+        class BlockFailed(Exception):
+            pass
+
+        prob = random_batch(np.random.default_rng(13), 4)
+        monkeypatch.setattr(kgr, "_N_DENSE", 2000)
+        traj = kgr.integrate_oscillator(prob)
+        s_fail = traj["s"][failing_block * (kgr._DENSE_COLUMNS - 1)]
+        q = prob.q
+
+        def failing_q(s):
+            if s[0, 0] == s_fail:
+                raise BlockFailed
+            return q(s)
+
+        failing = dataclasses.replace(prob, q=failing_q)
+        monkeypatch.setattr(_shares, "worker_count", lambda: 2)
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                kgr.check_ode_lemma(failing, traj)
+            except BlockFailed as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(10.0)
+        assert not caller.is_alive(), "a share waits for a carry never handed on"
+        assert len(raised) == 1
+        assert threading.active_count() == before
 
     def test_printed_form_carries_equivalence_factor(self):
         prob = harmonic_problem(c=1.0)

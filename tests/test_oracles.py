@@ -8,7 +8,7 @@ from conftest import run_python_process
 from numpy.testing import assert_allclose
 from scipy.fft import dst
 
-from wavekg import oracles
+from wavekg import _shares, oracles
 from wavekg.oracles import (_CHUNK_BYTES, _SINC_SWITCH, DalembertField,
                             KGSpectralField, OracleSampler, free_wave_radiation)
 from wavekg.profiles import Profile
@@ -228,14 +228,14 @@ class TestKGJets:
         r[::5] = 0.0
         # k r below the series switch for the first 8 modes
         r[1::7] = rng.uniform(0.0, _SINC_SWITCH / moving_field.k[7], r[1::7].size)
-        default = oracles._worker_count()
-        monkeypatch.setattr(oracles, "_worker_count", lambda: 1)
+        default = _shares.worker_count()
+        monkeypatch.setattr(_shares, "worker_count", lambda: 1)
         one = moving_field.jets(t, r, order)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # switch threads as often as possible
         try:
             for workers in (default, 3):
-                monkeypatch.setattr(oracles, "_worker_count", lambda: workers)
+                monkeypatch.setattr(_shares, "worker_count", lambda: workers)
                 shared = moving_field.jets(t, r, order)
                 for key, val in one.items():
                     assert np.array_equal(shared[key], val), (workers, key)
@@ -247,7 +247,7 @@ class TestKGJets:
         # fails inside _sinc_tables on a thread of its own
         chunk = _CHUNK_BYTES // (8 * moving_field.k.size)
         t, r = np.full(6 * chunk, 4.0), np.linspace(0.5, 8.0, 6 * chunk)
-        monkeypatch.setattr(oracles, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_shares, "worker_count", lambda: 3)
         before = threading.active_count()
         moving_field.jets(t, r, order=3)
         assert threading.active_count() == before
