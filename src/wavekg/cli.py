@@ -17,8 +17,8 @@ samples is geometry's sampling plan, and the stages read hyperboloids
 only through the history's ``foliation`` (every third sample a word
 record) and the null-ray radiation field only through its ``null_fan``,
 each built once per history.  ``all`` evolves once: the rigidity
-stage's controls are exact solutions, zeros for zero data and the free
-wave sampled from its oracle on the coupled run's word hyperboloids.
+stage's controls are exact answers: zeros for zero data; for the free
+wave, its oracle on the word hyperboloids and its closed-form fan.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ from . import __version__, _shares, solver
 from . import inequalities as iq
 from .energies import energy_f1, hyperboloid_samples
 from .geometry import (HYPERBOLA_C0, MU_FAN, WORD_STRIDE, HyperbolaCurve,
-                       covered_s_grid, null_radii)
+                       covered_s_grid)
 from .kg_reduction import (OscillatorProblem, check_ode_lemma,
                            integrate_oscillator, reduction_residual,
                            sharp_decay_check)
-from .oracles import DalembertField, OracleSampler
+from .oracles import DalembertField, OracleSampler, free_wave_radiation
 from .profiles import Profile
-from .radiation import (excessive_decay_check, radiation_fan,
-                        radiation_hyperbola, rigidity_experiment,
-                        transport_check)
+from .radiation import (excessive_decay_check, radiation_hyperbola,
+                        rigidity_experiment, transport_check)
 from .scenario import parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
@@ -273,12 +272,6 @@ def _stage_radiation(scn, out, history):
     transport = {}
     for c0 in HYPERBOLA_C0:
         curve = HyperbolaCurve(c0)
-        mu = 0.5 * c0 - 2.0
-        if c0 <= 2.0:
-            # the curve never enters the covered cone; its limit is the
-            # radiation field at a retarded time before the data can radiate
-            rows.append((mu, c0, 0.0, 0.0, "hyperbola-outside-cone", False))
-            continue
         tau_max = history.t_last
         est = radiation_hyperbola(sampler, scn, curve, tau_max)
         rows.append((est.mu, c0, est.value, est.error_bar, est.method,
@@ -303,17 +296,15 @@ def _stage_radiation(scn, out, history):
 def _stage_rigidity(scn, out, history):
     # the controls are exact solutions: zero data stay zero, so that run's
     # answer is zeros, and with the couplings off u is the free wave of its
-    # eps-scaled data
+    # eps-scaled data, whose radiation field is closed-form
     coupled = history.foliation[::WORD_STRIDE]
     s_grid = [sample["s"] for sample in coupled]
-    free = OracleSampler(DalembertField(scn.u0.scaled(scn.eps),
-                                        scn.u1.scaled(scn.eps)))
-    radii = null_radii(history.t_last, MU_FAN)
+    u0, u1 = scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps)
+    free = hyperboloid_samples(OracleSampler(DalembertField(u0, u1)), s_grid, scn)
     runs = {
         "zero-data": (np.zeros(len(s_grid)), np.zeros(MU_FAN.size)),
-        "free-wave": ([sample["e0_u"] for sample in
-                       hyperboloid_samples(free, s_grid, scn)],
-                      [est.value for est in radiation_fan(free, MU_FAN, radii)]),
+        "free-wave": ([sample["e0_u"] for sample in free],
+                      free_wave_radiation(u0, u1, MU_FAN)),
         # the coupled run's fan is the one the radiation stage wrote
         "coupled": ([sample["e0_u"] for sample in coupled],
                     [est.value for est in history.null_fan]),

@@ -13,9 +13,10 @@ It also holds the sampling plan, the one rule for where every stage
 samples a run ending at t_last: the quadrature radii of each H_s, the s
 grid of the run's one foliation and the every-third subset whose
 samples are the order-3 word records, the one fan of null rays
-t = r + 2 + mu with each ray's own radii, the hyperbolas the radiation
-stage follows and the window of each, and the shortest run the stages
-can analyse, read off those three.
+t = r + 2 + mu with each ray's own radii, the hyperbolas in the cone the
+radiation stage follows (one with c0 <= 2 stays outside it and tends to
+mu = c0/2 - 2 <= -1, where unit-ball data do not radiate) and the window
+of each, and the shortest run the stages can analyse, read off those three.
 
 All geometry is closed-form: no ODE integration enters curve positions,
 and the friction integral along a hyperbola is its exact antiderivative.
@@ -186,8 +187,8 @@ _FOLIATION_SIZE, WORD_STRIDE = 25, 3
 MU_FAN = np.linspace(-1.0, 1.0, 9)
 
 # constants c0 of the characteristic hyperbolas the radiation stage
-# follows; those with c0 <= 2 never enter the cone (see entry_point)
-HYPERBOLA_C0 = (1.0, 2.0, 3.0)
+# follows, each past c0 = 2 so that it enters the cone (see entry_point)
+HYPERBOLA_C0 = (3.0,)
 
 
 def hyperboloid_nodes(s, dr):
@@ -242,10 +243,9 @@ def run_length_problem(t_end, dr):
 
     Three rules of the plan: the hyperboloids reach past s = 2, every ray
     of MU_FAN starts on its null_radii at or after t = 2, and every
-    hyperbola of HYPERBOLA_C0 that enters the cone has its earliest
-    horizon before t_end.  The last binds for dr <= 0.1: it asks for
-    t_end > 3.6056, the fan for t_end > 1 + 1/0.45 and the hyperboloids
-    for t_end > 2.5 + 11 dr.
+    hyperbola of HYPERBOLA_C0 has its earliest horizon before t_end.  The
+    last binds for dr <= 0.1: it asks for t_end > 3.6056, the fan for
+    t_end > 1 + 1/0.45 and the hyperboloids for t_end > 2.5 + 11 dr.
     """
     s_last = last_covered_s(t_end, dr)
     if not s_last > _S_FIRST:
@@ -254,9 +254,8 @@ def run_length_problem(t_end, dr):
     if t_first < 2.0:
         return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
     for c0 in HYPERBOLA_C0:
-        if c0 > 2.0:
-            horizon = hyperbola_window(HyperbolaCurve(c0))[1]
-            if not horizon < t_end:
-                return (f"the c0 = {c0:g} hyperbola needs a horizon past "
-                        f"t = {horizon:.4f}")
+        horizon = hyperbola_window(HyperbolaCurve(c0))[1]
+        if not horizon < t_end:
+            return (f"the c0 = {c0:g} hyperbola needs a horizon past "
+                    f"t = {horizon:.4f}")
     return None

@@ -68,18 +68,17 @@ def monitor(label, grid, values):
 # -- Hardy --------------------------------------------------------------------
 
 
-def check_hardy(profile, alpha, n=3, r_max=None):
+def check_hardy(profile, alpha, n=3):
     """Ratio ||r^(-a/2) u|| / ||r^(1-a/2) d_r u|| on R^n, alpha < n.
 
-    profile must be compactly supported and differentiable (a Profile or
-    any object with __call__ and deriv).  The classical constant is
-    2/(n - alpha); the ratio of the zero profile is 0 by convention.
+    profile must be differentiable with support in r < profile.radius (a
+    Profile or any object with radius, __call__ and deriv).  The classical
+    constant is 2/(n - alpha); the zero profile's ratio is 0 by convention.
     """
     if alpha >= n:
         raise ValueError(f"Hardy inequality requires alpha < n, got {alpha} >= {n}")
-    if r_max is None:
-        # pad past the support so the boundary check sees exact zeros
-        r_max = getattr(profile, "radius", 1.0) + 10.0 * _HARDY_DR
+    # pad past the support so the boundary check sees exact zeros
+    r_max = profile.radius + 10.0 * _HARDY_DR
     # offset grid keeps the r^{n-1-alpha} weight finite at the axis
     r = _HARDY_DR * (np.arange(int(r_max / _HARDY_DR)) + 0.5)
     u = profile(r)
@@ -221,16 +220,15 @@ def decay_monitors(samples):
             for name, vals in series.items()}
 
 
-def bootstrap_monitor(records, scn, c1eps=None):
+def bootstrap_monitor(records, scn):
     """E1^(<=2)(s,u)^(1/2) + 4 E0c^(<=2)(s,v)^(1/2) <= c1eps * s^delta,
     with delta = scn.delta, on word records over an increasing s grid
     (see energies.word_records).
 
     Returns the combined series, the bound, and the first failure (or
     None).  The high-order sums run over the operator words of total
-    order <= 2; when c1eps is not given it is calibrated to 10x the
-    initial combined value, so the monitor tests growth rather than
-    absolute size.
+    order <= 2; c1eps is calibrated to 10x the initial combined value, so
+    the monitor tests growth rather than absolute size.
     """
     delta = scn.delta
     s_grid = _s_of(records)
@@ -241,8 +239,7 @@ def bootstrap_monitor(records, scn, c1eps=None):
     combined = np.array([np.sqrt(total(rec["energies"]["u"], "e1"))
                          + 4.0 * np.sqrt(total(rec["energies"]["v"], "e0c"))
                          for rec in records])
-    if c1eps is None:
-        c1eps = 10.0 * combined[0] / s_grid[0] ** delta
+    c1eps = 10.0 * combined[0] / s_grid[0] ** delta
     bound = c1eps * s_grid**delta
     ok = combined <= bound
     first_failure = None if ok.all() else float(s_grid[np.argmin(ok)])

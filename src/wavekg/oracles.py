@@ -225,15 +225,12 @@ class KGSpectralField:
                 "profile spectrum not negligible at the Nyquist mode; "
                 "increase n_modes", RuntimeWarning)
 
-    def _amplitudes(self, t, out=None):
+    def _amplitudes(self, t, out):
         """Mode amplitudes B and dB/dt at the times t, one row per time.
 
-        out, if given, is four (times x modes) tables to work in; B and
-        dB/dt are returned in the first two.
+        out is four (times x modes) tables to work in; B and dB/dt are
+        returned in the first two.
         """
-        t = np.asarray(t, dtype=float)
-        if out is None:
-            out = np.empty((4, t.size, self.k.size))
         b, bdot, sinp, cosp = out
         np.multiply.outer(t - 2.0, self.omega, out=sinp)
         np.cos(sinp, out=cosp)

@@ -15,7 +15,8 @@ r <= t - 1 + _WINDOW_MARGIN * dr of the step's end time; cells past it
 stay exactly zero, and the window's last cell gets zero spatial
 derivatives, the treatment the grid's own edge r_max >= t_end gets once
 the window reaches it.  The margin, a constant number of cells, keeps
-the clipped numerical tail ahead of the cone at round-off level.
+the clipped numerical tail ahead of the cone at round-off level.  No
+array is sized by r_max, so an r_max past the last window changes nothing.
 
 The state is one C-contiguous (4, width) array with rows u, v, ut, vt,
 its width the window plus at least one cell rounded up to whole chunks
@@ -304,15 +305,17 @@ def evolve(scn):
     """Run the scenario to t_end from its eps-scaled data at t = 2,
     returning the full SliceHistory."""
     dr = scn.dr
-    r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
+    n_grid = int(round(scn.r_max / dr)) + 1  # cells out to r_max
     n_steps, dt = time_steps(scn)
 
     n_slices, n_store = history_shape(scn)
     records = _unbacked_zeros((n_slices, n_store, len(_FIELDS)))
     widths = np.empty(n_slices, dtype=np.uint32)
 
+    # the stored radii hold the data, which vanish past r = 1
+    r = dr * np.arange(n_store)
     data = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
-    records[0] = np.stack(data, axis=-1)[:n_store]
+    records[0] = np.stack(data, axis=-1)
     widths[0] = n_store
     state = np.array([data[k] for k in _SLOTS])
     rk = None
@@ -321,7 +324,7 @@ def evolve(scn):
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
         # past r = t - 1 + margin the fields are zero and are left alone
-        n = min(r.size, int(np.ceil((t - 1.0) / dr)) + _WINDOW_MARGIN + 1)
+        n = min(n_grid, int(np.ceil((t - 1.0) / dr)) + _WINDOW_MARGIN + 1)
         if rk is None or n >= rk.width:
             rk = _RK4(_CHUNK * (n // _CHUNK + 1), dr, state)
             state = rk.state
@@ -338,7 +341,7 @@ def evolve(scn):
                      t, step, n_steps,
                      np.max(np.abs(state[0])), np.max(np.abs(state[1])))
 
-    return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r[:n_store].copy(),
+    return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r,
                         records=records, widths=widths)
 
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from wavekg import cli, energies, inequalities, radiation, solver
-from wavekg.geometry import (HyperbolaCurve, covered_s_grid, hyperbola_window,
-                             hyperboloid_nodes, run_length_problem)
-from wavekg.oracles import OracleSampler
+from wavekg.geometry import (HYPERBOLA_C0, MU_FAN, HyperbolaCurve, covered_s_grid,
+                             entry_point, hyperbola_window, hyperboloid_nodes,
+                             run_length_problem)
+from wavekg.oracles import OracleSampler, free_wave_radiation
 from wavekg.scenario import (ScenarioError, parse_scenario, serialize_scenario,
                              time_steps)
 from wavekg.sliceio import slice_load
@@ -334,11 +335,41 @@ def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
     out = tmp_path / "run"
     assert cli.main(["all", "--scenario", str(tiny_cfg), "--out", str(out)]) == 0
     with open(out / "radiation.csv", newline="") as fh:
-        null = [float(row["value"]) for row in csv.DictReader(fh)
-                if row["method"] == "null-ray"]
-    coupled = json.loads((out / "rigidity.json").read_text())["coupled"]
+        rows = list(csv.DictReader(fh))
+    null = [float(row["value"]) for row in rows if row["method"] == "null-ray"]
+    rigidity = json.loads((out / "rigidity.json").read_text())
     assert len(null) == 9
-    assert coupled["radiation_values"] == null
+    assert rigidity["coupled"]["radiation_values"] == null
+    # every other row follows a hyperbola of the plan, each one entering
+    # the cone (entry_point rejects c0 <= 2)
+    c0s = [float(row["c0"]) for row in rows if row["method"] != "null-ray"]
+    assert {row["method"] for row in rows} == {"null-ray", "hyperbola"}
+    assert len(rows) == 9 + len(c0s) and sorted(c0s) == sorted(HYPERBOLA_C0)
+    for c0 in c0s:
+        entry_point(HyperbolaCurve(c0))
+    # the free-wave control's fan is its closed form, bit for bit
+    scn = parse_scenario(TINY)
+    exact = free_wave_radiation(scn.u0.scaled(scn.eps), scn.u1.scaled(scn.eps), MU_FAN)
+    assert rigidity["free-wave"]["radiation_values"] == exact.tolist()
+
+
+def test_r_max_past_the_last_window_changes_nothing(tmp_path, monkeypatch):
+    # r_max only caps evolve's window, sizing no array, so r_max = 1e9
+    # (1e10 cells at this dr) runs the history of r_max = 2 t_end
+    histories = []
+
+    def keeping_evolve(scn):
+        histories.append(solver.evolve(scn))
+        return histories[-1]
+
+    monkeypatch.setattr(cli, "evolve", keeping_evolve)
+    for r_max in ("1e9", "16.0"):
+        scn = parse_scenario(TINY.replace("grid.r_max = 9.0", f"grid.r_max = {r_max}"))
+        cli.run_pipeline("all", scn, tmp_path / r_max)
+    far, near = histories
+    assert np.array_equal(far.r, near.r)
+    assert np.array_equal(far.widths, near.widths)
+    assert np.array_equal(far.records, near.records)
 
 
 def test_wall_clock_covers_the_hashing(tmp_path, monkeypatch):
@@ -408,8 +439,8 @@ def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
 
 def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):
     # the radiation and rigidity stages read the history's one null-ray
-    # fan; the free-wave control's fan is extracted from its oracle, and
-    # the zero-data control's is its exact answer, zeros
+    # fan; the controls' fans are their exact answers, the free wave's
+    # closed form and zeros
     calls = Counter()
     original = radiation.radiation_null
 
@@ -422,7 +453,7 @@ def test_coupled_fan_is_extracted_once(tiny_cfg, tmp_path, monkeypatch):
             monkeypatch.setattr(module, "radiation_null", counting_null)
     out = tmp_path / "run"
     assert cli.main(["all", "--scenario", str(tiny_cfg), "--out", str(out)]) == 0
-    assert calls == {"HistorySampler": 9, "OracleSampler": 9}
+    assert calls == {"HistorySampler": 9}
 
 
 # prints the ru_maxrss rise over hashing the file named by its argument,

@@ -56,6 +56,20 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert declared == set(imported)
 
 
+def test_every_module_parses_at_the_declared_python_floor():
+    # requires-python's floor is the oldest grammar the package may use;
+    # ast.parse with feature_version rejects syntax newer than it (a
+    # match statement under 3.9, say, or except* under 3.10)
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(wavekg.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    floor = re.fullmatch(r">=\s*3\.(\d+)", pyproject["project"]["requires-python"])
+    assert floor is not None
+    version = (3, int(floor.group(1)))
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=version)
+
+
 def test_only_energies_places_hyperboloid_nodes():
     # the foliation and its word records are the only hyperboloid samples
     # the pipeline takes; both are built in energies.py

@@ -53,9 +53,20 @@ class TestHardy:
             ineq.check_hardy(Profile("bump", k=4, radius=1.0, amp=1.0), 3, n=3)
 
     def test_rejects_noncompact_window(self):
+        # a profile whose radius claims less than its support: the window
+        # the check derives from it ends where the profile is not yet zero
+        class Understated:
+            radius = 0.5
+            wide = Profile("bump", k=4, radius=1.0, amp=1.0)
+
+            def __call__(self, r):
+                return self.wide(r)
+
+            def deriv(self, r, m=1):
+                return self.wide.deriv(r, m)
+
         with pytest.raises(ValueError, match="compact support"):
-            ineq.check_hardy(Profile("bump", k=4, radius=1.0, amp=1.0),
-                             1, n=3, r_max=0.5)
+            ineq.check_hardy(Understated(), 1, n=3)
 
 
 def test_klainerman_sobolev_bounded(oracle_sampler):
@@ -136,10 +147,18 @@ class TestBootstrap:
         assert_allclose(out["c1eps"] * s_grid[0] ** out["delta"],
                         10.0 * out["value"][0])
 
-    def test_tiny_threshold_reports_first_failure(self, oracle_sampler):
-        scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02)
-        s_grid = np.linspace(2.0, 6.0, 5)
-        out = ineq.bootstrap_monitor(word_records(oracle_sampler, s_grid, scn),
-                                     scn, c1eps=1e-12)
+    def test_growth_past_ten_times_reports_first_failure(self):
+        # fabricated word records whose combined series sqrt(E1) + 4
+        # sqrt(E0c) runs 1, 2, 11, 12: at s = 4 it passes the calibrated
+        # bound 10 (4/2)^delta = 10.35
+        scn = make_scenario()
+        # (s, E1 of two words of u, E0c of v)
+        series = ((2.0, (1.0, 0.0), 0.0), (3.0, (1.0, 3.0), 0.0),
+                  (4.0, (49.0, 32.0), 0.25), (5.0, (144.0, 0.0), 0.0))
+        records = [{"s": s, "energies": {"u": {"": {"e1": e1[0]}, "t": {"e1": e1[1]}},
+                                         "v": {"": {"e0c": e0c}}}}
+                   for s, e1, e0c in series]
+        out = ineq.bootstrap_monitor(records, scn)
+        assert_allclose(out["value"], [1.0, 2.0, 11.0, 12.0])
         assert not out["ok"]
-        assert out["first_failure"] == 2.0
+        assert out["first_failure"] == 4.0

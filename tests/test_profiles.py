@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from wavekg.profiles import Profile, ProfileError
+from wavekg.profiles import K_MAX, Profile, ProfileError
 
 
 def test_support_and_values():
@@ -77,6 +80,27 @@ def test_parse_round_trip():
 def test_parse_rejects(bad):
     with pytest.raises(ProfileError):
         Profile.parse(bad)
+
+
+@pytest.mark.parametrize("k", [K_MAX + 1, 60, 101])
+def test_exponent_past_the_cap_is_rejected(k):
+    with pytest.raises(ProfileError, match="K_MAX"):
+        Profile("bump", k=k)
+
+
+def test_bump_at_the_cap_keeps_its_digits():
+    # the odd extension x (1 - x^2)^k and its derivatives to order 4 at
+    # k = K_MAX, against exact rationals: within 1e-9 of each peak
+    p = Profile("bump", k=K_MAX)
+    xs = np.linspace(0.0, 0.999, 101)
+    for m in range(5):
+        # d^m/dx^m of the term x^(2j+1) is its falling factorial times x^(2j+1-m)
+        exact = np.array([float(sum(
+            comb(K_MAX, j) * (-1) ** j * prod(range(2 * j + 2 - m, 2 * j + 2))
+            * Fraction(x) ** (2 * j + 1 - m)
+            for j in range(K_MAX + 1) if 2 * j + 1 >= m)) for x in xs])
+        err = np.max(np.abs(p.odd_deriv(xs, m) - exact))
+        assert err <= 1e-9 * np.max(np.abs(exact)), (m, err)
 
 
 @settings(max_examples=50, deadline=None)

@@ -103,6 +103,15 @@ def test_bad_profile_descriptors_carry_line_number():
         parse_scenario("mass.c = 1.0\ndata.v0 = bump k=4 radius=0.5 radius=0.9")
 
 
+@pytest.mark.parametrize("k", [60, 101])
+def test_bump_exponent_past_the_cap_carries_line_number(k):
+    # k = 60 evaluates to 7.6 at r = 0.99 for 8.5e-103, and from k = 101 on
+    # numpy's power overflows while the data are checked
+    with pytest.raises(ScenarioError, match=f"^line 2: bad value for 'data.v0': "
+                                            f"bump exponent k={k} is past K_MAX"):
+        parse_scenario(f"mass.c = 1.0\ndata.v0 = bump k={k}")
+
+
 def test_scenarios_are_values():
     # Scenario is frozen, so it promises a hash; equal scenarios hash equal
     assert hash(Scenario()) == hash(Scenario())
