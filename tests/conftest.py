@@ -123,10 +123,34 @@ def run_python_process(args, threads):
                           text=True, timeout=600)
 
 
-def run_cli_process(argv, threads):
-    """`python -m wavekg.cli argv` in a fresh process (see
-    run_python_process); returns the exit code."""
-    return run_python_process(["-m", "wavekg.cli", *argv], threads).returncode
+# wavekg.cli argv[2:] in a process that first pins itself to the first
+# argv[1] CPUs it may run on and prints the share count it then sees
+_PINNED_CLI = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+from wavekg import _shares, cli
+print(_shares.worker_count(), flush=True)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def skip_unless_two_cpus():
+    """Skip the calling test unless a child can be pinned to one CPU and
+    to two."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is missing, so no child can be pinned")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on fewer than 2 CPUs")
+
+
+def run_cli_process(argv, cpus):
+    """`wavekg.cli argv` in a fresh process pinned to `cpus` of this
+    process's CPUs, with as many BLAS/OpenMP threads (see
+    run_python_process); returns the exit code and the share count
+    (_shares.worker_count) the child saw, or None if it printed none."""
+    proc = run_python_process(["-c", _PINNED_CLI, str(cpus), *argv], cpus)
+    first = proc.stdout.split(maxsplit=1)
+    return proc.returncode, int(first[0]) if first else None
 
 
 def differing_outputs(a, b):

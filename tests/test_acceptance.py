@@ -24,7 +24,8 @@ from wavekg.radiation import (excessive_decay_check, radiation_fan,
 from wavekg.geometry import GeometryError, HyperbolaCurve
 from wavekg.solver import HistorySampler, evolve
 
-from conftest import EPS, ZERO, differing_outputs, make_scenario, run_cli_process
+from conftest import (EPS, ZERO, differing_outputs, make_scenario, run_cli_process,
+                      skip_unless_two_cpus)
 
 U0_EPS = Profile("bump", k=4, radius=1.0, amp=EPS)
 
@@ -275,10 +276,12 @@ grid.t_end = 8.0
 """
     cfg = tmp_path / "scn.cfg"
     cfg.write_text(doc)
-    # two processes, one and two BLAS/OpenMP threads
+    # two processes pinned to one and two CPUs, each running as many
+    # shares (_shares.worker_count) and BLAS/OpenMP threads
+    skip_unless_two_cpus()
     ok = True
-    for label, threads in (("one", 1), ("two", 2)):
+    for label, cpus in (("one", 1), ("two", 2)):
         ok = ok and run_cli_process(["all", "--scenario", str(cfg),
-                                     "--out", str(tmp_path / label)], threads) == 0
+                                     "--out", str(tmp_path / label)], cpus) == (0, cpus)
     ok = ok and differing_outputs(tmp_path / "one", tmp_path / "two") == []
-    verdict(10, "pipeline outputs bit-identical across 1 and 2 threads", ok)
+    verdict(10, "pipeline outputs bit-identical on 1 and 2 CPUs", ok)

@@ -21,7 +21,8 @@ from wavekg.scenario import (ScenarioError, parse_scenario, serialize_scenario,
                              time_steps)
 from wavekg.sliceio import slice_load
 
-from conftest import differing_outputs, run_cli_process, run_python_process
+from conftest import (differing_outputs, run_cli_process, run_python_process,
+                      skip_unless_two_cpus)
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "reference.cfg"
 
@@ -254,11 +255,12 @@ def test_error_json_cleared_on_success(tiny_cfg, tmp_path):
 
 
 def test_full_pipeline_deterministic_across_threads(tiny_cfg, tmp_path):
-    # two processes, one and two BLAS/OpenMP threads
-    for label, threads in (("a", 1), ("b", 2)):
-        rc = run_cli_process(["all", "--scenario", str(tiny_cfg),
-                              "--out", str(tmp_path / label)], threads)
-        assert rc == 0
+    # two processes pinned to one and two CPUs, so one runs one share and
+    # one BLAS/OpenMP thread and the other two of each
+    skip_unless_two_cpus()
+    for label, cpus in (("a", 1), ("b", 2)):
+        assert run_cli_process(["all", "--scenario", str(tiny_cfg),
+                                "--out", str(tmp_path / label)], cpus) == (0, cpus)
     assert differing_outputs(tmp_path / "a", tmp_path / "b") == []
 
 

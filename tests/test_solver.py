@@ -146,11 +146,19 @@ def _plain_rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
     return ut, dut, vt, dvt
 
 
-def test_evolve_repeats_a_plain_rk4_bit_for_bit():
-    # every coupling on, c != 1, both velocities nonzero, and a window
-    # that outgrows the state twice (256 -> 512 -> 768 cells) and reaches
-    # the grid's edge r_max from t = 27 on
-    scn = make_scenario(b00=0.7, bd=-1.3, p00=0.9, pd=-0.6, c=2.5,
+_COUPLINGS = dict(b00=0.7, bd=-1.3, p00=0.9, pd=-0.6)
+
+
+@pytest.mark.parametrize("zero", [(), tuple(_COUPLINGS), *[(k,) for k in _COUPLINGS]],
+                         ids=lambda zero: "-".join(zero) + "=0" if zero else "all-on")
+def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero):
+    # the couplings on except those in zero (evolve skips a term whose
+    # constant is 0; _plain_rhs computes every term), c != 1, both
+    # velocities nonzero, and a window that outgrows the state twice
+    # (256 -> 512 -> 768 cells) and reaches the grid's edge r_max from
+    # t = 27 on
+    couplings = {k: 0.0 if k in zero else value for k, value in _COUPLINGS.items()}
+    scn = make_scenario(**couplings, c=2.5,
                         u1=Profile("bump", k=3, radius=0.9, amp=0.8),
                         v1=Profile("bump", k=5, radius=0.7, amp=-1.1),
                         eps=0.02, dr=0.05, r_max=30.0, t_end=30.0)
