@@ -13,19 +13,20 @@ verifies this identity numerically, integrates the model oscillator
 v'' + c^2 (1 + q) v = f, and checks the diagonalization bound that the
 sharp decay estimate rests on.
 
-The oscillator is integrated for a whole batch of cases at once, as one
-stacked first-order system (v of every case, then v' of every case) that a
-single DOP853 solve advances: the 8(5,3) Dormand-Prince pair (Hairer,
-Norsett and Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
-1993), in _dop853's numpy port of SciPy's, bit for bit.  Its steps and
-error norm span the whole stack, so a case's trajectory depends on its
-batch only at the level of the solve's tolerances.  The lemma reads the
-solve's dense output a block of grid columns at a time, every case at
-once, so no (cases, _N_DENSE) array is ever held, and its constants are
-computed per case.  Its blocks are dealt out to one share per CPU; each
-block's running integrals are handed on to the next in block order, so
-the constants do not depend on the number of shares (see
-check_ode_lemma).
+The oscillator is integrated for a whole batch of cases at once, on
+_N_STEPS fixed steps of Butcher's seven-stage sixth-order Runge-Kutta
+method (J. C. Butcher, Numerical Methods for Ordinary Differential
+Equations, 2nd ed., 2008).  The sweep's coefficients are bounded by
+construction (c sqrt(1 + q) <= 2.37, a source frequency <= 2), so a fixed
+step is safe a priori, and 1000 of them over [2, 20] hold every case
+within 1e-10 of its peak.  The solve keeps v, h v' and h^2 v'' at each
+step's end, and trajectory_values reads v and v' between them by quintic
+Hermite interpolation.  The lemma reads the trajectory a block of grid
+columns at a time, every case at once, so no (cases, _N_DENSE) array is
+ever held, and its constants are computed per case.  Its blocks are dealt
+out to one share per CPU; each block's running integrals are handed on to
+the next in block order, so the constants do not depend on the number of
+shares (see check_ode_lemma).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dop853, _shares
+from . import _shares
 from .energies import cumulative_trapezoid
 from .geometry import axis_ratio, good_scalars
 
@@ -68,57 +69,145 @@ class OscillatorProblem:
     qp: callable
 
 
-# Tolerances of the DOP853 solve, points of the trajectory's grid, and
-# grid columns per block of check_ode_lemma, each block one evaluation of
-# the dense output.
-_RTOL, _ATOL = 1e-12, 1e-13
+# Steps of the sweep, steps per chunk of coefficient evaluations, points
+# of the trajectory's grid, and grid columns per block of check_ode_lemma,
+# each block one read of the trajectory.
+_N_STEPS = 1000
+_CHUNK_STEPS = 64
 _N_DENSE = 20000
 _DENSE_COLUMNS = 256
 
+# Butcher's seven-stage sixth-order method.  Applied to v'' = g, its stage
+# values are v_j = v + c_j h v' + h^2 (A A)_j . g, c = A's row sums, and
+# a step adds
+# h v' + h^2 (B A) . g to v and h B . g to v'.
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 3, 0, 0, 0, 0, 0, 0],
+    [0, 2 / 3, 0, 0, 0, 0, 0],
+    [1 / 12, 1 / 3, -1 / 12, 0, 0, 0, 0],
+    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0, 0, 0],
+    [0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0, 0],
+    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11, 0]])
+_B = np.array([11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+# the distinct stage times within a step (c = 1 is the next step's 0), and
+# the one each stage is evaluated at
+_C_DISTINCT = np.array([0.0, 1 / 3, 1 / 2, 2 / 3])
+_STAGE_TIME = np.array([0, 1, 3, 1, 2, 2, 4])
+# row j: the weights of v, h v', h^2 g_0, ..., h^2 g_6 in stage j's v;
+# rows 7 and 8: those of the step's new v and h v'
+_STAGE_ROWS = np.zeros((9, 9))
+_STAGE_ROWS[:7, 0] = 1.0
+_STAGE_ROWS[:7, 1] = _A.sum(axis=1)
+_STAGE_ROWS[:7, 2:] = _A @ _A
+_STAGE_ROWS[7, :2] = 1.0
+_STAGE_ROWS[7, 2:] = _B @ _A
+_STAGE_ROWS[8, 1] = 1.0
+_STAGE_ROWS[8, 2:] = _B
+
+# Quintic Hermite basis on a step, x in [0, 1]: row i holds the monomial
+# coefficients (x^0 first) of the weight of node value i, the value, first
+# and second x-derivative at the step's start, then at its end.  Columns
+# 0-5 of _HERMITE_XV give the weights of the value at x from x's powers,
+# columns 6-11 those of its x-derivative.
+_HERMITE = np.array([
+    [1, 0, 0, -10, 15, -6],
+    [0, 1, 0, -6, 8, -3],
+    [0, 0, 1 / 2, -3 / 2, 3 / 2, -1 / 2],
+    [0, 0, 0, 10, -15, 6],
+    [0, 0, 0, -4, 7, -3],
+    [0, 0, 0, 1 / 2, -1, 1 / 2]])
+_HERMITE_XV = np.concatenate([
+    _HERMITE, np.pad(_HERMITE[:, 1:] * np.arange(1, 6), ((0, 0), (0, 1)))]).T
+
 
 def integrate_oscillator(problem):
-    """Integrate every case; returns the grid s = linspace(s0, s1, _N_DENSE)
-    and sol, the dense output of the solve (read it with trajectory_values).
+    """Integrate every case; returns the grid s = linspace(s0, s1, _N_DENSE),
+    the step h, and nodes, an (_N_STEPS + 1, 3, cases) array of v, h v' and
+    h^2 v'' at s0 + k h (read it with trajectory_values).
 
-    One DOP853 solve of the stacked first-order system, v of every case
-    then v' of every case.
+    _N_STEPS fixed steps of Butcher's sixth-order method, every case at
+    once.  q and f are evaluated at the stage times of _CHUNK_STEPS steps
+    at a time, and v'' at a node is its first stage's, so the nodes cost no
+    evaluation but the last one's.
 
-    Raises ValueError if |q| > 1/2 at any stage point of any case, and
-    RuntimeError if the solve fails, as it does on a non-finite source.
+    Raises ValueError on a non-finite start or if |q| > 1/2 at any stage
+    time of any case, and RuntimeError on a non-finite q or f; each names
+    the first offending stage time and case.
     """
     s0, s1 = map(float, problem.span)
     if not s1 > s0:
         raise ValueError(f"oscillator span must increase, got {problem.span}")
+    if not (np.isfinite(problem.v0).all() and np.isfinite(problem.v0p).all()):
+        raise ValueError("All components of the initial state `y0` must be finite.")
     n = problem.c.size
-    c2 = problem.c ** 2
-
-    def rhs(t, y):
-        s = np.full((n, 1), t)
-        q = problem.q(s)[:, 0]
-        bad = np.flatnonzero(np.abs(q) > 0.5)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"oscillator coefficient |q({t:.4f})| = "
-                             f"{abs(q[i]):.3f} > 1/2 (case {i})")
-        f = problem.f(s)[:, 0]
-        return np.concatenate([y[n:], -c2 * (1.0 + q) * y[:n] + f])
-
-    sol = _dop853.solve(rhs, s0, s1, np.concatenate([problem.v0, problem.v0p]),
-                        _RTOL, _ATOL)
-    return {"s": np.linspace(s0, s1, _N_DENSE), "sol": sol}
+    h = (s1 - s0) / _N_STEPS
+    h2c2 = (h * problem.c) ** 2
+    nodes = np.empty((_N_STEPS + 1, 3, n))
+    # rows: v and h v' at the step's start, then h^2 g of each stage, g =
+    # f - c^2 (1 + q) v the stage's v''
+    work = np.empty((9, n))
+    work[0], work[1] = problem.v0, h * problem.v0p
+    v_stage = np.empty(n)
+    for first in range(0, _N_STEPS, _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, _N_STEPS - first)
+        offsets = np.append((first + np.arange(steps)[:, None] + _C_DISTINCT).ravel(),
+                            first + steps)
+        times = s0 + offsets * h
+        grid = np.broadcast_to(times, (n, times.size))
+        q, f = problem.q(grid), problem.f(grid)
+        # each error names the first offending stage time, and the first
+        # case there
+        large, bad = np.abs(q) > 0.5, ~(np.isfinite(q) & np.isfinite(f))
+        if large.any():
+            col, i = divmod(int(np.argmax(large.T)), n)
+            raise ValueError(f"oscillator coefficient |q({times[col]:.4f})| = "
+                             f"{abs(q[i, col]):.3f} > 1/2 (case {i})")
+        if bad.any():
+            col, i = divmod(int(np.argmax(bad.T)), n)
+            raise RuntimeError(f"oscillator integration failed: non-finite q "
+                               f"or f at s = {times[col]:.4f} (case {i})")
+        stage_cols = 4 * np.arange(steps)[:, None] + _STAGE_TIME
+        h2a = (h2c2[:, None] * (1.0 + q)).T[stage_cols]
+        h2f = (h * h * f).T[stage_cols]
+        for k in range(steps):
+            for j in range(7):
+                g = work[2 + j]
+                np.dot(_STAGE_ROWS[j, :2 + j], work[:2 + j], out=v_stage)
+                np.multiply(h2a[k, j], v_stage, out=g)
+                np.subtract(h2f[k, j], g, out=g)
+            nodes[first + k] = work[:3]
+            np.dot(_STAGE_ROWS[7:], work, out=nodes[first + k + 1, :2])
+            work[:2] = nodes[first + k + 1, :2]
+    # v'' at the last node, whose time is the last chunk's last column
+    nodes[-1, 2] = h2f[-1, -1] - h2a[-1, -1] * work[0]
+    return {"s": np.linspace(s0, s1, _N_DENSE), "h": h, "nodes": nodes}
 
 
 def trajectory_values(trajectory, cols=slice(None)):
     """v and v' of every case, each (cases, columns), on the grid columns
     cols of an integrate_oscillator trajectory.
 
-    One evaluation of the dense output, which holds its result and one
-    gathered coefficient row of the same size, so a long trajectory is
-    read a block of columns at a time (see check_ode_lemma).  Each value
-    depends only on its own grid point, not on which columns are read
-    together.
+    Quintic Hermite interpolation of the nodes on each side of a column:
+    the read gathers both into one buffer of 6 values per column and case,
+    so a long trajectory is read a block of columns at a time (see
+    check_ode_lemma).  Each value depends only on its own grid point, not
+    on which columns are read together.
     """
-    return np.split(trajectory["sol"](trajectory["s"][cols]), 2)
+    nodes, h = trajectory["nodes"], trajectory["h"]
+    s = trajectory["s"]
+    x = (s[cols] - s[0]) / h
+    k = np.clip(np.floor(x).astype(np.intp), 0, nodes.shape[0] - 2)
+    x -= k
+    # each column is its own (1, 6) @ (6, 12) and (2, 6) @ (6, cases)
+    # product, the same shapes however many columns are read; the gathered
+    # ends are freed before the copies
+    weights = np.power.outer(x, np.arange(6.0))[:, None] @ _HERMITE_XV
+    ends = np.take(nodes, np.stack([k, k + 1], axis=1), axis=0)
+    out = weights.reshape(-1, 2, 6) @ ends.reshape(k.size, 6, -1)
+    del ends
+    out[:, 1] /= h
+    return out[:, 0].T.copy(), out[:, 1].T.copy()
 
 
 def _mat2(a, b, c, d):
@@ -160,7 +249,7 @@ def check_ode_lemma(problem, trajectory):
     the integrals' sums, so another width changes the constants in their
     last bits.  Block k goes to share k mod n of n shares, one per CPU the
     process may run on (_shares.worker_count), each on its own thread
-    (_shares.run_shares).  A share computes a block's dense values, forms,
+    (_shares.run_shares).  A share computes a block's values, forms,
     integrands and block-local integrals in parallel with the other
     shares, then waits for block k - 1's carry (the integrals at its last
     column, and N and |v'| + c|v| at s0), adds it, hands block k's carry

@@ -200,14 +200,11 @@ def excessive_decay_check(samples, scn):
 
 
 def radiation_fan(sampler, mu_grid, r_sequence):
-    """radiation_null on every ray of a fan, one RadiationEstimate per mu.
-
-    r_sequence broadcasts against the grid: row i holds ray i's radii
-    (geometry.null_radii of the grid), and a 1-D sequence serves every ray.
-    """
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    radii = np.broadcast_to(r_sequence, mu_grid.shape + np.shape(r_sequence)[-1:])
-    return [radiation_null(sampler, mu, r_seq) for mu, r_seq in zip(mu_grid, radii)]
+    """radiation_null on every ray of a fan, one RadiationEstimate per mu;
+    row i of r_sequence holds ray i's radii (geometry.null_radii of the
+    grid)."""
+    return [radiation_null(sampler, mu, r_seq)
+            for mu, r_seq in zip(mu_grid, r_sequence, strict=True)]
 
 
 def _norm_in_mu(values, mu_grid):

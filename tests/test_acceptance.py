@@ -242,7 +242,8 @@ def test_criterion_09_rigidity(verdict, reference_scn, reference_history,
     }
     s_grid = np.linspace(2.0, 10.0, 9)
     mu_grid = np.linspace(-1.0, 1.0, 9)
-    radii = np.linspace(20.0, 46.0, 3)
+    # every ray on the same radii
+    radii = np.broadcast_to(np.linspace(20.0, 46.0, 3), (mu_grid.size, 3))
     floor = 10.0 * reference_scn.dr**2 * reference_scn.eps
     runs = {label: ([sample["e0_u"] for sample in
                      hyperboloid_samples(sampler, s_grid, reference_scn)],

@@ -425,8 +425,8 @@ def test_archive_is_hashed_beside_the_stages(tmp_path, monkeypatch):
 
 def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
     # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
-    # the lemma reads them from the dense output 256 columns at a time, two
-    # blocks in flight on two cores, and the stage peaks at 5.2-5.4 MiB
+    # the lemma reads them from the 1001 nodes 256 columns at a time, two
+    # blocks in flight on two cores, and the stage peaks at 5.6 MiB
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
     tracemalloc.start()
@@ -567,7 +567,7 @@ print(json.dumps(loaded))
 
 
 def test_no_stage_loads_scipy(tmp_path):
-    # every stage runs on numpy alone: kg-lab's DOP853 sweep is a numpy port
+    # every stage runs on numpy alone, kg-lab's oscillator sweep included
     child = run_python_process(["-c", _SCIPY_CHILD, TINY, str(tmp_path)],
                                threads=1)
     assert child.returncode == 0, child.stderr

@@ -105,7 +105,9 @@ def test_excessive_decay_structure(free_sampler, free_scn):
 
 
 def _fan_values(sampler, mu_grid, radii):
-    return np.array([e.value for e in rad.radiation_fan(sampler, mu_grid, radii)])
+    """The fan's values, radii holding one row per ray or one row for all."""
+    rows = np.broadcast_to(radii, np.shape(mu_grid) + np.shape(radii)[-1:])
+    return np.array([e.value for e in rad.radiation_fan(sampler, mu_grid, rows)])
 
 
 def _norm_in_mu(vals, mu_grid):
