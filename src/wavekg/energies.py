@@ -2,7 +2,8 @@
 
 All integrals use the radial measure 4 pi r^2 dr (composite Simpson on
 the uniform sampling grid).  The package's two quadratures of sampled
-data, simpson and cumulative_trapezoid, are defined here.
+data are defined here: simpson, for evenly spaced grids, and
+cumulative_trapezoid.
 
 Fields are radial; angular derivatives of the scalar unknowns vanish,
 but commuted fields (boost and derivative words) are genuinely
@@ -101,31 +102,25 @@ def hyperboloid_samples(sampler, s_grid, scn):
 
 def simpson(y, x):
     """Composite Simpson integral of y over the last axis, sampled at the
-    increasing 1-D x (at least 3 points).
+    evenly spaced, increasing 1-D x (at least 3 points).
 
-    SciPy 1.17's scipy.integrate.simpson, operation for operation, so its
-    results are bit-identical: Simpson's rule for uneven spacing on pairs
-    of intervals, and for even N Cartwright's correction on the last
-    interval.
+    Weights h/3 (1, 4, 2, ..., 4, 1) over the first odd number of points
+    and, for an even count, Cartwright's correction h (-1/12, 2/3, 5/12)
+    on the last interval, which is what scipy.integrate.simpson's rule for
+    uneven spacing reduces to at equal spacings.  The weighted sum is one
+    einsum, which runs no BLAS routine, so its result does not depend on
+    the number of BLAS threads.
     """
-    d = np.diff(x)
-    n = d.size + 1
-    # pairs of intervals; for even n the last interval is left to the
-    # correction below
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[..., 1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[..., 2:stop + 2:2] * (2.0 - h0divh1)),
-                    axis=-1)
+    n = x.size
+    h = (x[-1] - x[0]) / (n - 1)
+    odd = n - 1 + n % 2  # points under Simpson's pairs of intervals
+    w = np.zeros(n)
+    w[1:odd:2] = 4.0 * h / 3.0
+    w[2:odd - 1:2] = 2.0 * h / 3.0
+    w[0] = w[odd - 1] = h / 3.0
     if n % 2 == 0:
-        h0, h1 = d[..., -2], d[..., -1]
-        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1**3 / (6 * h0 * (h0 + h1))
-        result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-    return result
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return np.einsum("...i,i->...", y, w)
 
 
 def cumulative_trapezoid(y, x):

@@ -110,6 +110,8 @@ class DalembertField:
 _SINC_SWITCH = 0.1      # below this x the sinc recurrence loses digits
 _CHUNK_BYTES = 2**18    # one (points x modes) float64 table per chunk
 _BLOCK = 64             # modes per angle-addition block of the radial table
+_LENGTH = 64.0          # KGSpectralField's domain [0, _LENGTH]
+_N_MODES = 4096         # KGSpectralField's sine modes
 
 
 def _sinc_series(x, n):
@@ -171,10 +173,11 @@ def _dst1(x):
 class KGSpectralField:
     """Free Klein-Gordon field by exact mode evolution of w = r v.
 
-    The odd extension of w is expanded in sine modes on [0, length] via
-    a type-I DST; each mode advances exactly with frequency
-    omega_k = sqrt(k^2 + c^2).  Values and derivatives at arbitrary
-    points come from the sine series written as k*sinc(k r) terms:
+    The odd extension of w is expanded in _N_MODES sine modes on
+    [0, _LENGTH] (read at construction) via a type-I DST; each mode
+    advances exactly with frequency omega_k = sqrt(k^2 + c^2).  Values
+    and derivatives at arbitrary points come from the sine series written
+    as k*sinc(k r) terms:
 
         d_t^a d_r^b v = sum_m A_m k_m^(b+1) (-omega_m^2)^(a//2) sinc^(b)(k_m r)
 
@@ -204,10 +207,10 @@ class KGSpectralField:
       jet does not depend on which other jets were asked for.
     """
 
-    def __init__(self, v0, v1, c, length=64.0, n_modes=4096):
+    def __init__(self, v0, v1, c):
         self.c = float(c)
-        self.length = float(length)
-        n = int(n_modes)
+        self.length = _LENGTH
+        n = _N_MODES
         h = self.length / (n + 1)
         nodes = h * np.arange(1, n + 1)
         w0 = nodes * v0(nodes)
@@ -223,7 +226,7 @@ class KGSpectralField:
         if top / scale > 1e-8:
             warnings.warn(
                 "profile spectrum not negligible at the Nyquist mode; "
-                "increase n_modes", RuntimeWarning)
+                "increase oracles._N_MODES", RuntimeWarning)
 
     def _amplitudes(self, t, out):
         """Mode amplitudes B and dB/dt at the times t, one row per time.

@@ -35,6 +35,10 @@ __all__ = [
     "rigidity_experiment",
 ]
 
+# sample points of radiation_hyperbola's curve; the value is U at the last
+# one, so only the tail fit's error bar depends on the count
+_N_TAU = 2000
+
 
 @dataclass(frozen=True)
 class RadiationEstimate:
@@ -113,18 +117,18 @@ def radiation_null(sampler, mu, r_sequence):
                              error_bar=float(corr))
 
 
-def radiation_hyperbola(sampler, scn, curve, tau_max, n_tau=2000):
+def radiation_hyperbola(sampler, scn, curve, tau_max):
     """Radiation field from the transport equation along one hyperbola.
 
     U at the horizon tau_max is discounted by the remaining friction
     integral, exact from tau_max to infinity; the error bar combines the
     friction discount itself with a power-law bound on the unseen tail of
-    S^w + Delta^w fitted over the last decade of the sampled curve.
+    S^w + Delta^w fitted over the last decade of the _N_TAU samples.
     """
     tau0, earliest = hyperbola_window(curve)
     if tau_max <= earliest:
         raise ValueError("horizon too close to the curve's entry point")
-    tau = np.linspace(tau0, float(tau_max), int(n_tau))
+    tau = np.linspace(tau0, float(tau_max), _N_TAU)
     rr = curve.radius(tau)
     j = sampler.jets(tau, rr, order=2)
     U_end = tau[-1] * j["u"][(1, 0)][-1]

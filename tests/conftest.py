@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wavekg
+from wavekg import oracles
 from wavekg.oracles import DalembertField, KGSpectralField, OracleSampler
 from wavekg.profiles import Profile
 from wavekg.scenario import Scenario
@@ -74,6 +75,15 @@ def wave_oracle():
 @pytest.fixture(scope="session")
 def kg_oracle():
     return KGSpectralField(Profile("bump", k=4, radius=1.0, amp=EPS), ZERO, 1.0)
+
+
+def spectral_field(v0, v1, length, n_modes):
+    """KGSpectralField(v0, v1, 1) with n_modes sine modes on [0, length]:
+    the oracle's module constants, set around its construction only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_LENGTH", length)
+        mp.setattr(oracles, "_N_MODES", n_modes)
+        return KGSpectralField(v0, v1, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import run_python_process, spectral_field
 from numpy.testing import assert_allclose
 from scipy import integrate
 
 from wavekg import energies as en
-from wavekg.oracles import DalembertField, KGSpectralField, OracleSampler
+from wavekg.oracles import DalembertField, OracleSampler
 from wavekg.profiles import Profile
 
 EPS = 1e-3
@@ -22,7 +23,7 @@ def wave_sampler():
 def kg_sampler():
     # the data's spectrum at the Nyquist mode is 1.5e-10 of its peak at
     # 16384 modes (6.5e-8 at 4096, 7.4e-9 at 8192): no truncation
-    return OracleSampler(None, KGSpectralField(U0, U1, 1.0, n_modes=16384))
+    return OracleSampler(None, spectral_field(U0, U1, 64.0, 16384))
 
 
 def sample_at(sampler, s):
@@ -44,29 +45,82 @@ def test_radial_integral_closed_form():
 
 
 # the grids the package integrates on: hyperboloid nodes (uniform from 0),
-# the Hardy check's offset grid, an s grid (linspace), and an uneven one
+# the Hardy check's offset grid and an s grid (linspace), all evenly
+# spaced as simpson requires, and an uneven one for cumulative_trapezoid
 _GRIDS = {
     "nodes": lambda n: 0.01 * np.arange(n),
     "offset": lambda n: 0.002 * (np.arange(n) + 0.5),
     "s-grid": lambda n: np.linspace(2.0, 7.3, n),
     "uneven": lambda n: np.cumsum(np.random.default_rng(n).uniform(0.1, 1.0, n)),
 }
+_EVEN_GRIDS = sorted(set(_GRIDS) - {"uneven"})
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
 @pytest.mark.parametrize("n", [3, 4, 25, 26, 1001, 1200])
 def test_quadratures_repeat_scipy_bit_for_bit(grid, n):
+    # the one quadrature that ports SciPy's arithmetic, cumulative_trapezoid;
+    # simpson is held to SciPy's result at round-off below
     x = _GRIDS[grid](n)
     rng = np.random.default_rng(n)
     y = rng.standard_normal(n) * np.exp(-x)
-    assert en.simpson(y, x) == integrate.simpson(y, x=x)
     assert np.array_equal(en.cumulative_trapezoid(y, x),
                           integrate.cumulative_trapezoid(y, x=x, initial=0.0))
     # a 2-D y over a 1-D x, as the ODE lemma integrates its case rows
     y2 = rng.standard_normal((7, n))
-    assert np.array_equal(en.simpson(y2, x), integrate.simpson(y2, x=x))
     assert np.array_equal(en.cumulative_trapezoid(y2, x),
                           integrate.cumulative_trapezoid(y2, x, initial=0.0))
+
+
+@pytest.mark.parametrize("grid", _EVEN_GRIDS)
+@pytest.mark.parametrize("n", [3, 4, 25, 26, 1001, 1200])
+def test_simpson_matches_scipy_on_even_grids(grid, n):
+    # scipy's uneven-spacing rule at equal spacings, up to round-off in
+    # the integral's scale, int |y|
+    x = _GRIDS[grid](n)
+    rng = np.random.default_rng(n)
+    for y in (rng.standard_normal(n) * np.exp(-x), rng.standard_normal((7, n))):
+        scale = integrate.simpson(np.abs(y), x=x)
+        assert np.all(np.abs(en.simpson(y, x) - integrate.simpson(y, x=x))
+                      <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("grid", ["nodes", "offset"])
+@pytest.mark.parametrize("n", [3, 4, 25, 26])
+def test_simpson_exact_for_low_degree(grid, n):
+    # cubics at an odd point count, and quadratics at an even one, where
+    # the last interval's correction is exact to degree 2 only
+    x = _GRIDS[grid](n)
+    a, b = x[0], x[-1]
+    if n % 2:
+        y, exact = 1.0 - 2.0 * x + 3.0 * x**2 + 5.0 * x**3, (
+            (b - a) - (b**2 - a**2) + (b**3 - a**3) + 1.25 * (b**4 - a**4))
+    else:
+        y, exact = 1.0 - 2.0 * x + 3.0 * x**2, (
+            (b - a) - (b**2 - a**2) + (b**3 - a**3))
+    assert_allclose(en.simpson(y, x), exact, rtol=1e-14)
+    assert_allclose(en.simpson(np.stack([y, 2.0 * y]), x), [exact, 2.0 * exact],
+                    rtol=1e-14)
+
+
+_SIMPSON_BYTES = """
+import numpy as np
+from wavekg.energies import simpson
+x = 0.01 * np.arange(20001)
+y = np.random.default_rng(3).standard_normal((4, x.size))
+print(simpson(y[0], x).tobytes().hex(), simpson(y, x).tobytes().hex())
+"""
+
+
+def test_simpson_independent_of_blas_threads():
+    # a BLAS dot product splits a vector this long across its threads,
+    # which regroups the sum; simpson's weighted sum must not
+    out = []
+    for threads in (1, 2):
+        proc = run_python_process(["-c", _SIMPSON_BYTES], threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def test_triple_form_agreement(wave_sampler):

@@ -175,9 +175,9 @@ def _defaulted_parameters(tree):
 
 
 def test_every_default_is_passed_outside_the_tests():
-    # a default that only a test overrides is a knob kept for its test;
-    # the three below are criteria 6, 7 and 9's, left until those
-    # criteria are rewritten.  A call with *args or **kwargs passes every
+    # a default that only a test overrides is a knob kept for its test,
+    # and a test that needs another value sets the module constant behind
+    # it instead.  A call with *args or **kwargs passes every
     # parameter of its callee, and a function handed to a call receives the
     # positional arguments after it, as in Round.op(name, fn, *args)
     package = Path(wavekg.__file__).parent
@@ -206,6 +206,4 @@ def test_every_default_is_passed_outside_the_tests():
                 for owner, param, position in _defaulted_parameters(
                     ast.parse(path.read_text()))
                 if not passed.get(owner, set()) & {param, position, None}]
-    assert sorted(unpassed) == ["KGSpectralField.length",
-                                "KGSpectralField.n_modes",
-                                "radiation_hyperbola.n_tau"]
+    assert unpassed == []

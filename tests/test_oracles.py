@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from conftest import run_python_process
+from conftest import run_python_process, spectral_field
 from numpy.testing import assert_allclose
 from scipy.fft import dst
 
@@ -100,7 +100,7 @@ class TestKGSpectral:
     def test_coefficients_are_scipy_dst_bit_for_bit(self, length, n_modes):
         # the numpy DST-I of the odd extension, against scipy's, on the
         # oracle's own w0 = r v0 and w1 = r v1 at the test suite's mode counts
-        f = KGSpectralField(U0, V1, 1.0, length=length, n_modes=n_modes)
+        f = spectral_field(U0, V1, length, n_modes)
         nodes = length / (n_modes + 1) * np.arange(1, n_modes + 1)
         for b, profile in ((f.b0, U0), (f.b1, V1)):
             assert np.array_equal(b, dst(nodes * profile(nodes), type=1) / (n_modes + 1))
@@ -144,7 +144,7 @@ class TestKGJets:
     def test_match_leibniz_reference_far_out_with_many_modes(self):
         # the 16384-mode, length-256 oracle of criterion 6 out to r = 50,
         # where the radial table's angle addition spans the most blocks
-        field = KGSpectralField(U0, V1, 1.0, length=256.0, n_modes=16384)
+        field = spectral_field(U0, V1, 256.0, 16384)
         rng = np.random.default_rng(14)
         t = rng.uniform(2.0, 52.0, 64)
         r = rng.uniform(1.0, 50.0, 64)
@@ -160,7 +160,7 @@ class TestKGJets:
     def test_radial_table_as_accurate_as_libm(self, length, n_modes):
         # against sin(k_m r) in long double with the exact k_m = m pi / length;
         # libm of the float64 product r*k is off by its argument's rounding
-        field = KGSpectralField(U0, ZERO, 1.0, length=length, n_modes=n_modes)
+        field = spectral_field(U0, ZERO, length, n_modes)
         r = np.random.default_rng(15).uniform(0.0, 60.0, 48)
         sin, cos = field._radial_trig(r, np.empty((r.size, 2, n_modes)))
         pi = np.arccos(np.longdouble(-1.0))
@@ -180,10 +180,11 @@ class TestKGJets:
         script = (
             "import resource, sys\n"
             "import numpy as np\n"
-            "from wavekg.oracles import KGSpectralField\n"
+            "from wavekg import oracles\n"
             "from wavekg.profiles import Profile\n"
-            "field = KGSpectralField(Profile('bump', k=4, radius=1.0, amp=1.0),\n"
-            "                        Profile('zero'), 1.0, n_modes=int(sys.argv[1]))\n"
+            "oracles._N_MODES = int(sys.argv[1])\n"
+            "field = oracles.KGSpectralField(Profile('bump', k=4, radius=1.0, amp=1.0),\n"
+            "                                Profile('zero'), 1.0)\n"
             "rng = np.random.default_rng(0)\n"
             "t, r = rng.uniform(2.0, 12.0, 2000), rng.uniform(0.0, 10.0, 2000)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
