@@ -3,9 +3,9 @@
 numpy releases the GIL inside its array-wide ufuncs, and hashlib while
 it digests, so shares made of such calls run in parallel.
 KGSpectralField.jets cuts its points into contiguous shares;
-check_ode_lemma deals its column blocks out in turn and hands each
-block's running integrals on to the next through a Relay; run_pipeline
-hashes the archive beside its analysis stages.
+check_ode_lemma deals its column blocks out in turn, each block handing
+its running integrals on to the next through a queue of its own;
+run_pipeline hashes the archive beside its analysis stages.
 """
 
 from __future__ import annotations
@@ -49,34 +49,3 @@ def run_shares(run, shares):
     if errors:
         raise errors[0]
 
-
-class Relay:
-    """One value handed from each of n blocks to the next, in block order,
-    between the shares of run_shares.
-
-    put(k, value) hands block k's value on; take(k) waits for it and
-    returns it, and drops the relay's reference.  A share that fails calls
-    abort(), after which every take, waiting or to come, returns None, so
-    no share waits for a value that will never be handed on.
-    """
-
-    def __init__(self, n):
-        self._values = [None] * n
-        self._ready = [threading.Event() for _ in range(n)]
-        self._aborted = False
-
-    def put(self, k, value):
-        self._values[k] = value
-        self._ready[k].set()
-
-    def take(self, k):
-        self._ready[k].wait()
-        if self._aborted:
-            return None
-        value, self._values[k] = self._values[k], None
-        return value
-
-    def abort(self):
-        self._aborted = True
-        for ready in self._ready:
-            ready.set()

@@ -269,16 +269,14 @@ def _stage_radiation(scn, out, history):
     sampler = HistorySampler(history)
     rows = [(est.mu, "", est.value, est.error_bar, est.method, est.flagged)
             for est in history.null_fan]
-    transport = {}
-    for c0 in HYPERBOLA_C0:
-        curve = HyperbolaCurve(c0)
-        tau_max = history.t_last
-        est = radiation_hyperbola(sampler, scn, curve, tau_max)
-        rows.append((est.mu, c0, est.value, est.error_bar, est.method,
-                     est.flagged))
-        tau = np.linspace(0.6 * tau_max, tau_max, 401)
-        _, _, t_max = transport_check(sampler, scn, curve, tau)
-        transport[f"{c0!r}"] = t_max
+    curve = HyperbolaCurve(HYPERBOLA_C0)
+    tau_max = history.t_last
+    est = radiation_hyperbola(sampler, scn, curve, tau_max)
+    rows.append((est.mu, HYPERBOLA_C0, est.value, est.error_bar, est.method,
+                 est.flagged))
+    tau = np.linspace(0.6 * tau_max, tau_max, 401)
+    _, _, t_max = transport_check(sampler, scn, curve, tau)
+    transport = {f"{HYPERBOLA_C0!r}": t_max}
     _write_csv(out / "radiation.csv",
                ["mu", "c0", "value", "error_bar", "method", "flagged"], rows)
     decay = excessive_decay_check(history.foliation, scn)

@@ -186,9 +186,9 @@ _FOLIATION_SIZE, WORD_STRIDE = 25, 3
 # rigidity stages both read this one fan, each ray on its own null_radii
 MU_FAN = np.linspace(-1.0, 1.0, 9)
 
-# constants c0 of the characteristic hyperbolas the radiation stage
-# follows, each past c0 = 2 so that it enters the cone (see entry_point)
-HYPERBOLA_C0 = (3.0,)
+# constant c0 of the characteristic hyperbola the radiation stage follows,
+# past c0 = 2 so that it enters the cone (see entry_point)
+HYPERBOLA_C0 = 3.0
 
 
 def hyperboloid_nodes(s, dr):
@@ -242,8 +242,8 @@ def run_length_problem(t_end, dr):
     """Why the stages cannot sample a run on [2, t_end], or None.
 
     Three rules of the plan: the hyperboloids reach past s = 2, every ray
-    of MU_FAN starts on its null_radii at or after t = 2, and every
-    hyperbola of HYPERBOLA_C0 has its earliest horizon before t_end.  The
+    of MU_FAN starts on its null_radii at or after t = 2, and the
+    hyperbola c0 = HYPERBOLA_C0 has its earliest horizon before t_end.  The
     last binds for dr <= 0.1: it asks for t_end > 3.6056, the fan for
     t_end > 1 + 1/0.45 and the hyperboloids for t_end > 2.5 + 11 dr.
     """
@@ -253,9 +253,8 @@ def run_length_problem(t_end, dr):
     t_first = np.min(null_radii(t_end, MU_FAN)[:, 0] + 2.0 + MU_FAN)
     if t_first < 2.0:
         return f"its earliest null ray would start at t = {t_first:.4f}, before t = 2"
-    for c0 in HYPERBOLA_C0:
-        horizon = hyperbola_window(HyperbolaCurve(c0))[1]
-        if not horizon < t_end:
-            return (f"the c0 = {c0:g} hyperbola needs a horizon past "
-                    f"t = {horizon:.4f}")
+    horizon = hyperbola_window(HyperbolaCurve(HYPERBOLA_C0))[1]
+    if not horizon < t_end:
+        return (f"the c0 = {HYPERBOLA_C0:g} hyperbola needs a horizon past "
+                f"t = {horizon:.4f}")
     return None

@@ -25,12 +25,13 @@ Hermite interpolation.  The lemma reads the trajectory a block of grid
 columns at a time, every case at once, so no (cases, _N_DENSE) array is
 ever held, and its constants are computed per case.  Its blocks are dealt
 out to one share per CPU; each block's running integrals are handed on to
-the next in block order, so the constants do not depend on the number of
-shares (see check_ode_lemma).
+the next in block order through a queue, so the constants do not depend
+on the number of shares (see check_ode_lemma).
 """
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,11 +253,13 @@ def check_ode_lemma(problem, trajectory):
     (_shares.run_shares).  A share computes a block's values, forms,
     integrands and block-local integrals in parallel with the other
     shares, then waits for block k - 1's carry (the integrals at its last
-    column, and N and |v'| + c|v| at s0), adds it, hands block k's carry
-    on through a _shares.Relay, and takes the block's ratios into its own
-    running maxima and minima, which are combined at the end.  Every sum
-    is grouped as in one share, and maxima and minima are exact, so the
-    constants do not depend on the number of shares.
+    column, and N and |v'| + c|v| at s0) on that block's queue, adds it,
+    puts block k's carry on its own queue, and writes the block's largest
+    ratios and smallest slack into its row of one array, reduced at the
+    end.  A share that fails puts None on every queue, so no share waits
+    for a carry that will never come.  Every sum is grouped as in one
+    share, and maxima and minima are exact, so the constants do not depend
+    on the number of shares.
     """
     s = trajectory["s"]
     n, m = problem.c.size, s.size
@@ -265,14 +268,13 @@ def check_ode_lemma(problem, trajectory):
     step = _DENSE_COLUMNS - 1
     n_blocks = len(range(0, max(m - 1, 1), step))
     n_shares = max(1, min(_shares.worker_count(), n_blocks))
-    relay = _shares.Relay(n_blocks)
-    # per share: running maxima of c_quadratic and c_printed, and running
-    # minima of the quadratic slack
-    highs = np.zeros((n_shares, 2, n))
-    lows = np.full((n_shares, n), np.inf)
+    carries = [queue.SimpleQueue() for _ in range(n_blocks)]
+    # per block: the largest c_quadratic and c_printed, and the smallest
+    # quadratic slack
+    extrema = np.empty((n_blocks, 3, n))
 
-    def block(k, high, low):
-        """Block k into high and low; False if another share failed first.
+    def block(k):
+        """Block k into extrema[k]; False if another share failed first.
 
         Two blocks are in flight at once, so each temporary is freed or
         written over as soon as it has been read."""
@@ -316,43 +318,42 @@ def check_ode_lemma(problem, trajectory):
             acc_end, acc_pr_end = np.zeros((n, 1)), np.zeros((n, 1))
             quad0, lhs0 = quad[:, :1].copy(), lhs[:, :1].copy()
         else:
-            carry = relay.take(k - 1)
+            carry = carries[k - 1].get()
             if carry is None:
                 return False
             acc_end, acc_pr_end, quad0, lhs0 = carry
         np.add(acc_end, acc, out=acc)
         np.add(acc_pr_end, acc_pr, out=acc_pr)
         # copies, so that the carry does not hold this block's arrays
-        relay.put(k, (acc[:, -1:].copy(), acc_pr[:, -1:].copy(), quad0, lhs0))
+        carries[k].put((acc[:, -1:].copy(), acc_pr[:, -1:].copy(), quad0, lhs0))
 
         acc_pr /= c
         slack = quad0 + acc
         slack -= quad
-        np.minimum(low, slack.min(axis=1), out=low)
+        slack.min(axis=1, out=extrema[k, 2])
         del slack
         with np.errstate(divide="ignore", invalid="ignore"):
             quad -= quad0
             quad /= acc
             lhs -= lhs0
             lhs /= acc_pr
-        np.maximum(high[0], np.where(acc > 1e-14, quad, 0.0).max(axis=1),
-                   out=high[0])
-        np.maximum(high[1], np.where(acc_pr > 1e-14, lhs, 0.0).max(axis=1),
-                   out=high[1])
+        np.where(acc > 1e-14, quad, 0.0).max(axis=1, out=extrema[k, 0])
+        np.where(acc_pr > 1e-14, lhs, 0.0).max(axis=1, out=extrema[k, 1])
         return True
 
     def share(first):
         try:
             for k in range(first, n_blocks, n_shares):
-                if not block(k, highs[first], lows[first]):
+                if not block(k):
                     return
         except BaseException:
-            relay.abort()
+            for carry_queue in carries:
+                carry_queue.put(None)
             raise
 
     _shares.run_shares(share, [(i,) for i in range(n_shares)])
-    c_quadratic, c_printed = highs.max(axis=0)
-    slack_quadratic = lows.min(axis=0)
+    c_quadratic, c_printed = extrema[:, :2].max(axis=0)
+    slack_quadratic = extrema[:, 2].min(axis=0)
 
     # diagonalization residual, worst case over q in {-1/2, 0, 1/2}, the
     # range integrate_oscillator enforces

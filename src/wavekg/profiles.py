@@ -63,6 +63,15 @@ class Profile:
             self.family, int(self.k), float(self.radius), float(self.amp))
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
+        # a radius whose square leaves the float range, or coefficients that
+        # overflow, would give a profile whose values are inf or NaN
+        if not self.is_zero:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = (0.0 < self.radius * self.radius < np.inf
+                          and np.isfinite(self._polys[("p", 0)].coef).all())
+            if not finite:
+                raise ProfileError(f"{self.describe()} has polynomial coefficients "
+                                   "past the float range")
 
     @cached_property
     def _polys(self):

@@ -183,7 +183,7 @@ def stable_cfl(scn):
     u = scn.eps * scn.u0(scn.dr * np.arange(math.ceil(1.0 / scn.dr) + 1))
     denom = 1.0 - scn.p00 * u
     closest = np.min(np.abs(denom))
-    if closest < MIN_DENOM:
+    if not closest >= MIN_DENOM:
         raise ScenarioError(
             f"degenerate data: |1 - p00*eps*u0| falls to {closest:.3g} < {MIN_DENOM} "
             "on the grid, where the solver stops", ("eps", "u0", "p00"))
@@ -249,7 +249,7 @@ def parse_scenario(text):
                 "(n_steps + 1) x n_store doubles) is past the limit of "
                 f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
         limit = stable_cfl(scn)
-        if scn.cfl > limit:
+        if not scn.cfl <= limit:
             raise ScenarioError(
                 f"unstable time step: grid.cfl = {scn.cfl} at mass.c = {scn.c} is past "
                 f"the largest stable cfl {limit:.4g} of the RK4 rule cfl*sqrt(6*kappa "

@@ -207,3 +207,30 @@ def test_every_default_is_passed_outside_the_tests():
                     ast.parse(path.read_text()))
                 if not passed.get(owner, set()) & {param, position, None}]
     assert unpassed == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # each public function, class and method under src/wavekg is read by
+    # the package outside its own body, or by the benchmark (its tracer
+    # names its targets as strings in TARGETS); one that only a test reads
+    # is public API nothing calls
+    package = Path(wavekg.__file__).parent
+    perfbench = package.parents[1] / "perfbench"
+    assert perfbench.is_dir()
+    read = set()
+    for path in sorted(perfbench.glob("*.py")):
+        if not path.name.startswith("test_"):
+            read |= _loaded_names(path, constants_of="TARGETS")
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    loads = [(name, node.lineno, getattr(node, "id", getattr(node, "attr", None)))
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    uncalled = [f"{name}:{fn.lineno} {fn.name}"
+                for name, tree in trees.items() for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not fn.name.startswith("_") and fn.name not in read
+                and not any(loaded == fn.name and not (
+                    at == name and fn.lineno <= line <= fn.end_lineno)
+                    for at, line, loaded in loads)]
+    assert uncalled == []

@@ -298,14 +298,22 @@ class TestOdeLemma:
         for q_sampled in sampled:
             assert np.array_equal(q_sampled.ravel(), [-0.5, 0.0, 0.5])
 
-    # block 0 on the calling share, and block 3 on the second share of two
-    @pytest.mark.parametrize("failing_block", [0, 3])
-    def test_a_failing_share_releases_the_others(self, monkeypatch, failing_block):
+    # of two shares, block 0 on the calling share and block 3 on the other;
+    # of three, the last block, on the second share (8 blocks) and on the
+    # calling share (7 blocks), where the None lands behind carries already
+    # on the queues
+    @pytest.mark.parametrize("workers, n_dense, failing_block", [
+        pytest.param(2, 2000, 0, id="0"),
+        pytest.param(2, 2000, 3, id="3"),
+        pytest.param(3, 2000, 7, id="last-of-three"),
+        pytest.param(3, 1700, 6, id="last-of-three-on-the-caller")])
+    def test_a_failing_share_releases_the_others(self, monkeypatch, workers,
+                                                 n_dense, failing_block):
         class BlockFailed(Exception):
             pass
 
         prob = random_batch(np.random.default_rng(13), 4)
-        monkeypatch.setattr(kgr, "_N_DENSE", 2000)
+        monkeypatch.setattr(kgr, "_N_DENSE", n_dense)
         traj = kgr.integrate_oscillator(prob)
         s_fail = traj["s"][failing_block * (kgr._DENSE_COLUMNS - 1)]
         q = prob.q
@@ -316,7 +324,7 @@ class TestOdeLemma:
             return q(s)
 
         failing = dataclasses.replace(prob, q=failing_q)
-        monkeypatch.setattr(_shares, "worker_count", lambda: 2)
+        monkeypatch.setattr(_shares, "worker_count", lambda: workers)
         before = threading.active_count()
         raised = []
 

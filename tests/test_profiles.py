@@ -76,6 +76,7 @@ def test_parse_round_trip():
     "", "gauss k=2", "bump k=0", "bump k=2 width=1", "bump k=x",
     "bump k=3.7 radius=0.5 amp=1", "bump k=nan",
     "bump k=4 radius=0.5 radius=0.9", "zero amp=1 amp=2",
+    "bump k=4 radius=1e200",  # radius^2 overflows
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ProfileError):

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,31 @@ def test_bump_exponent_past_the_cap_carries_line_number(k):
     with pytest.raises(ScenarioError, match=f"^line 2: bad value for 'data.v0': "
                                             f"bump exponent k={k} is past K_MAX"):
         parse_scenario(f"mass.c = 1.0\ndata.v0 = bump k={k}")
+
+
+@pytest.mark.parametrize("lines", [
+    ["data.u0 = bump k=4 radius=1e-160 amp=1.0"],  # radius^-8 overflows
+    ["data.u0 = bump k=16 radius=1.0 amp=1e306", "data.eps = 1e-300"],
+    ["data.u0 = bump k=4 radius=1e-200 amp=1.0"],  # radius^2 underflows to 0
+])
+def test_bumps_whose_coefficients_overflow_carry_line_number(lines):
+    # the first two were accepted, with stable_cfl NaN, and wavekg all died
+    # in simulate on non-finite field values; the third raised a bare
+    # ZeroDivisionError
+    doc = "grid.dr = 0.1\ngrid.r_max = 9\ngrid.t_end = 8\n" + "\n".join(lines)
+    with pytest.raises(ScenarioError, match="^line 4: bad value for 'data.u0': bump "
+                                            ".* has polynomial coefficients past"):
+        parse_scenario(doc)
+
+
+def test_a_nan_stability_limit_is_rejected():
+    # p00 u and pd u overflow, so kappa = inf / -inf and the limit are NaN,
+    # which a plain cfl > limit let through
+    doc = ("grid.dr = 0.1\ngrid.r_max = 9\ngrid.t_end = 8\ncouplings.p00 = 1e300\n"
+           "couplings.pd = 1e300\ndata.eps = 1e10\n")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ScenarioError, match="^line 1: unstable time step: .* largest stable cfl nan "):
+        parse_scenario(doc)
 
 
 def test_scenarios_are_values():
