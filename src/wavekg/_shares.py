@@ -2,10 +2,9 @@
 
 numpy releases the GIL inside its array-wide ufuncs, and hashlib while
 it digests, so shares made of such calls run in parallel.
-KGSpectralField.jets cuts its points into contiguous shares;
-check_ode_lemma deals its column blocks out in turn, each block handing
-its running integrals on to the next through a queue of its own;
-run_pipeline hashes the archive beside its analysis stages.
+KGSpectralField.jets cuts its points into contiguous shares, and
+check_ode_lemma its cases; run_pipeline hashes the archive beside its
+analysis stages.
 """
 
 from __future__ import annotations

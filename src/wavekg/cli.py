@@ -230,18 +230,12 @@ def _stage_kg_lab(scn, out, history, rng):
     sampler = HistorySampler(history)
     s_grid = covered_s_grid(history.t_last, scn.dr)
     # oscillator sweep: random bounded coefficients, explicit seed; row i
-    # holds case i's draws (c, a, b, phase, amp_f, freq_f, v0, v0p)
+    # holds case i's draws (c, a, b, phase, amp, freq, v0, v0p)
     n_cases = 100
     lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.2, -1.0, -1.0]
     hi = [2.0, 0.4, 2.0, 2.0 * np.pi, 0.5, 2.0, 1.0, 1.0]
-    c, a, b, phase, amp_f, freq_f, v0, v0p = rng.uniform(lo, hi, size=(n_cases, 8)).T
-    a, b, phase, amp_f, freq_f = (x[:, None] for x in (a, b, phase, amp_f, freq_f))
-    prob = OscillatorProblem(
-        c=c,
-        q=lambda s: a * np.sin(b * s + phase),
-        qp=lambda s: a * b * np.cos(b * s + phase),
-        f=lambda s: amp_f * np.cos(freq_f * s),
-        v0=v0, v0p=v0p, span=(2.0, 20.0))
+    prob = OscillatorProblem(*rng.uniform(lo, hi, size=(n_cases, 8)).T,
+                             span=(2.0, 20.0))
     res = check_ode_lemma(prob, integrate_oscillator(prob))
     worst = {"c_quadratic": float(res["c_quadratic"].max()),
              "c_printed": float(res["c_printed"].max()),

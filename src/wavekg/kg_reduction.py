@@ -21,18 +21,17 @@ construction (c sqrt(1 + q) <= 2.37, a source frequency <= 2), so a fixed
 step is safe a priori, and 1000 of them over [2, 20] hold every case
 within 1e-10 of its peak.  The solve keeps v, h v' and h^2 v'' at each
 step's end, and trajectory_values reads v and v' between them by quintic
-Hermite interpolation.  The lemma reads the trajectory a block of grid
-columns at a time, every case at once, so no (cases, _N_DENSE) array is
-ever held, and its constants are computed per case.  Its blocks are dealt
-out to one share per CPU; each block's running integrals are handed on to
-the next in block order through a queue, so the constants do not depend
-on the number of shares (see check_ode_lemma).
+Hermite interpolation.  The batch is an OscillatorProblem, a frozen value
+of per-case coefficients checked once when it is built, so the solve
+checks nothing.  The lemma's cases are independent: it cuts them into one
+contiguous share per CPU, and each share reads its cases' trajectory a
+block of grid columns at a time, so no (cases, _N_DENSE) array is ever
+held (see check_ode_lemma).
 """
 
 from __future__ import annotations
 
-import queue
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,22 +51,68 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OscillatorProblem:
-    """A batch of oscillators v'' + c^2 (1 + q(s)) v = f(s) on one span.
+    """A batch of oscillators v'' + c^2 (1 + q(s)) v = f(s) on one span,
 
-    c, v0 and v0p are 1-D arrays with one value per case.  q, f and qp
-    (the derivative of q) take s of shape (cases, m), the case on axis 0,
-    and return arrays of that shape.  |q| <= 1/2 is required.
+        q(s) = a sin(b s + phase),   f(s) = amp cos(freq s),
+
+    one case per entry of the 1-D arrays c, a, b, phase, amp, freq, v0 and
+    v0p, all of one shape.  The arrays are read-only copies, checked once
+    here: every value finite, |a| <= 1/2 (so |q| <= 1/2 everywhere) and a
+    rising span; each error names the first offending case.
+    problem[rows] is the batch of the cases rows.
     """
 
     c: np.ndarray
-    q: callable
-    f: callable
+    a: np.ndarray
+    b: np.ndarray
+    phase: np.ndarray
+    amp: np.ndarray
+    freq: np.ndarray
     v0: np.ndarray
     v0p: np.ndarray
     span: tuple
-    qp: callable
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)][:-1]
+        arrays = [np.array(getattr(self, name), dtype=float) for name in names]
+        if len({x.shape for x in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ValueError("oscillator cases must be 1-D arrays of one shape, got "
+                             f"shapes {[x.shape for x in arrays]}")
+        for name, x in zip(names, arrays):
+            bad = ~np.isfinite(x)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"oscillator {name} = {x[i]} is not finite (case {i})")
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+        large = np.abs(self.a) > 0.5
+        if large.any():
+            i = int(np.argmax(large))
+            raise ValueError(f"oscillator coefficient |a| = {abs(self.a[i]):.3f} > 1/2, "
+                             f"so |q| may pass 1/2 (case {i})")
+        s0, s1 = map(float, self.span)
+        if not -np.inf < s0 < s1 < np.inf:
+            raise ValueError("oscillator span must be finite and increase, "
+                             f"got {self.span}")
+
+    def __getitem__(self, rows):
+        return replace(self, **{f.name: getattr(self, f.name)[rows]
+                                for f in fields(self)[:-1]})
+
+    # each takes times s broadcasting against (cases, 1), a row of m times
+    # common to every case or one row per case, and returns (cases, m)
+    def q(self, s):
+        return self.a[:, None] * np.sin(self.b[:, None] * s + self.phase[:, None])
+
+    def qp(self, s):
+        """q's derivative."""
+        return self.a[:, None] * self.b[:, None] * np.cos(self.b[:, None] * s
+                                                          + self.phase[:, None])
+
+    def f(self, s):
+        return self.amp[:, None] * np.cos(self.freq[:, None] * s)
 
 
 # Steps of the sweep, steps per chunk of coefficient evaluations, points
@@ -76,7 +121,7 @@ class OscillatorProblem:
 _N_STEPS = 1000
 _CHUNK_STEPS = 64
 _N_DENSE = 20000
-_DENSE_COLUMNS = 256
+_DENSE_COLUMNS = 384
 
 # Butcher's seven-stage sixth-order method.  Applied to v'' = g, its stage
 # values are v_j = v + c_j h v' + h^2 (A A)_j . g, c = A's row sums, and
@@ -131,16 +176,8 @@ def integrate_oscillator(problem):
     once.  q and f are evaluated at the stage times of _CHUNK_STEPS steps
     at a time, and v'' at a node is its first stage's, so the nodes cost no
     evaluation but the last one's.
-
-    Raises ValueError on a non-finite start or if |q| > 1/2 at any stage
-    time of any case, and RuntimeError on a non-finite q or f; each names
-    the first offending stage time and case.
     """
-    s0, s1 = map(float, problem.span)
-    if not s1 > s0:
-        raise ValueError(f"oscillator span must increase, got {problem.span}")
-    if not (np.isfinite(problem.v0).all() and np.isfinite(problem.v0p).all()):
-        raise ValueError("All components of the initial state `y0` must be finite.")
+    s0, s1 = problem.span
     n = problem.c.size
     h = (s1 - s0) / _N_STEPS
     h2c2 = (h * problem.c) ** 2
@@ -155,19 +192,7 @@ def integrate_oscillator(problem):
         offsets = np.append((first + np.arange(steps)[:, None] + _C_DISTINCT).ravel(),
                             first + steps)
         times = s0 + offsets * h
-        grid = np.broadcast_to(times, (n, times.size))
-        q, f = problem.q(grid), problem.f(grid)
-        # each error names the first offending stage time, and the first
-        # case there
-        large, bad = np.abs(q) > 0.5, ~(np.isfinite(q) & np.isfinite(f))
-        if large.any():
-            col, i = divmod(int(np.argmax(large.T)), n)
-            raise ValueError(f"oscillator coefficient |q({times[col]:.4f})| = "
-                             f"{abs(q[i, col]):.3f} > 1/2 (case {i})")
-        if bad.any():
-            col, i = divmod(int(np.argmax(bad.T)), n)
-            raise RuntimeError(f"oscillator integration failed: non-finite q "
-                               f"or f at s = {times[col]:.4f} (case {i})")
+        q, f = problem.q(times), problem.f(times)
         stage_cols = 4 * np.arange(steps)[:, None] + _STAGE_TIME
         h2a = (h2c2[:, None] * (1.0 + q)).T[stage_cols]
         h2f = (h * h * f).T[stage_cols]
@@ -192,8 +217,9 @@ def trajectory_values(trajectory, cols=slice(None)):
     Quintic Hermite interpolation of the nodes on each side of a column:
     the read gathers both into one buffer of 6 values per column and case,
     so a long trajectory is read a block of columns at a time (see
-    check_ode_lemma).  Each value depends only on its own grid point, not
-    on which columns are read together.
+    check_ode_lemma).  The nodes may be a view of some of the cases'.  Each
+    value depends only on its own grid point, not on which columns are
+    read together.
     """
     nodes, h = trajectory["nodes"], trajectory["h"]
     s = trajectory["s"]
@@ -204,7 +230,7 @@ def trajectory_values(trajectory, cols=slice(None)):
     # product, the same shapes however many columns are read; the gathered
     # ends are freed before the copies
     weights = np.power.outer(x, np.arange(6.0))[:, None] @ _HERMITE_XV
-    ends = np.take(nodes, np.stack([k, k + 1], axis=1), axis=0)
+    ends = nodes[np.stack([k, k + 1], axis=1)]
     out = weights.reshape(-1, 2, 6) @ ends.reshape(k.size, 6, -1)
     del ends
     out[:, 1] /= h
@@ -244,119 +270,97 @@ def check_ode_lemma(problem, trajectory):
     the measured minimal constants for both versions, the slack of the
     quadratic form and the diagonalization residual.
 
-    It reads the trajectory over blocks of _DENSE_COLUMNS grid columns,
-    every case at once, and each block overlaps the previous one by one
-    column, which carries the running integrals.  The block width groups
-    the integrals' sums, so another width changes the constants in their
-    last bits.  Block k goes to share k mod n of n shares, one per CPU the
-    process may run on (_shares.worker_count), each on its own thread
-    (_shares.run_shares).  A share computes a block's values, forms,
-    integrands and block-local integrals in parallel with the other
-    shares, then waits for block k - 1's carry (the integrals at its last
-    column, and N and |v'| + c|v| at s0) on that block's queue, adds it,
-    puts block k's carry on its own queue, and writes the block's largest
-    ratios and smallest slack into its row of one array, reduced at the
-    end.  A share that fails puts None on every queue, so no share waits
-    for a carry that will never come.  Every sum is grouped as in one
-    share, and maxima and minima are exact, so the constants do not depend
-    on the number of shares.
+    The cases are cut into contiguous row ranges, one share per CPU the
+    process may run on (_shares.worker_count) and at most one per two
+    cases, each on its own thread (_shares.run_shares).  A share reads its
+    cases' trajectory over blocks of _DENSE_COLUMNS grid columns, each
+    block overlapping the previous one by one column, which carries the
+    running integrals on, and writes its cases' constants into their
+    columns of one array; no share waits for another.  The block width
+    groups the integrals' sums, so another width changes the constants in
+    their last bits; each case's arithmetic is the same in any share, so
+    the constants do not depend on the number of shares.
     """
     s = trajectory["s"]
     n, m = problem.c.size, s.size
-    c = problem.c[:, None]
-    c2 = c**2
     step = _DENSE_COLUMNS - 1
-    n_blocks = len(range(0, max(m - 1, 1), step))
-    n_shares = max(1, min(_shares.worker_count(), n_blocks))
-    carries = [queue.SimpleQueue() for _ in range(n_blocks)]
-    # per block: the largest c_quadratic and c_printed, and the smallest
+    # per case: the largest c_quadratic and c_printed, and the smallest
     # quadratic slack
-    extrema = np.empty((n_blocks, 3, n))
+    extrema = np.empty((3, n))
 
-    def block(k):
-        """Block k into extrema[k]; False if another share failed first.
+    def share(rows):
+        cases = problem[rows]
+        part = dict(trajectory, nodes=trajectory["nodes"][:, :, rows])
+        c = cases.c[:, None]
+        worst = extrema[:, rows]
+        worst[:2], worst[2] = -np.inf, np.inf
+        acc_end = acc_pr_end = np.zeros_like(c)
+        # every share has a block in flight, so each temporary is freed or
+        # written over as soon as it has been read
+        for lo in range(0, max(m - 1, 1), step):
+            cols = slice(lo, min(lo + step, m - 1) + 1)
+            v, vp = trajectory_values(part, cols)
+            one_q = 1.0 + cases.q(s[cols])
+            abs_f = np.abs(cases.f(s[cols]))
+            abs_qpvp = cases.qp(s[cols]) * vp
+            np.abs(abs_qpvp, out=abs_qpvp)
 
-        Two blocks are in flight at once, so each temporary is freed or
-        written over as soon as it has been read."""
-        lo = k * step
-        cols = slice(lo, min(lo + step, m - 1) + 1)
-        v, vp = trajectory_values(trajectory, cols)
-        grid = np.broadcast_to(s[cols], v.shape)
-        one_q = 1.0 + problem.q(grid)
-        abs_f = np.abs(problem.f(grid))
-        abs_qpvp = problem.qp(grid) * vp
-        np.abs(abs_qpvp, out=abs_qpvp)
+            # quadratic form with the proof's exact integrand
+            quad = vp**2
+            quad /= one_q
+            lhs = v**2
+            np.multiply(c**2, lhs, out=lhs)
+            quad += lhs
+            np.sqrt(quad, out=quad)
+            # the literally printed bound with the c^{-1} weighting
+            np.abs(vp, out=lhs)
+            np.abs(v, out=v)
+            v *= c
+            lhs += v
+            del v, vp
+            integrand = np.sqrt(one_q)
+            np.divide(abs_f, integrand, out=integrand)
+            np.power(one_q, 1.5, out=one_q)
+            np.multiply(2.0, one_q, out=one_q)
+            np.divide(abs_qpvp, one_q, out=one_q)
+            integrand += one_q
+            del one_q
+            abs_f += abs_qpvp
+            del abs_qpvp
+            acc = cumulative_trapezoid(integrand, s[cols])
+            del integrand
+            acc_pr = cumulative_trapezoid(abs_f, s[cols])
+            del abs_f
 
-        # quadratic form with the proof's exact integrand
-        quad = vp**2
-        quad /= one_q
-        lhs = v**2
-        np.multiply(c2, lhs, out=lhs)
-        quad += lhs
-        np.sqrt(quad, out=quad)
-        # the literally printed bound with the c^{-1} weighting
-        np.abs(vp, out=lhs)
-        np.abs(v, out=v)
-        v *= c
-        lhs += v
-        del v, vp
-        integrand = np.sqrt(one_q)
-        np.divide(abs_f, integrand, out=integrand)
-        np.power(one_q, 1.5, out=one_q)
-        np.multiply(2.0, one_q, out=one_q)
-        np.divide(abs_qpvp, one_q, out=one_q)
-        integrand += one_q
-        del one_q
-        abs_f += abs_qpvp
-        del abs_qpvp
-        acc = cumulative_trapezoid(integrand, s[cols])
-        del integrand
-        acc_pr = cumulative_trapezoid(abs_f, s[cols])
-        del abs_f
+            if lo == 0:
+                quad0, lhs0 = quad[:, :1].copy(), lhs[:, :1].copy()
+            np.add(acc_end, acc, out=acc)
+            np.add(acc_pr_end, acc_pr, out=acc_pr)
+            acc_end, acc_pr_end = acc[:, -1:].copy(), acc_pr[:, -1:].copy()
 
-        if k == 0:
-            acc_end, acc_pr_end = np.zeros((n, 1)), np.zeros((n, 1))
-            quad0, lhs0 = quad[:, :1].copy(), lhs[:, :1].copy()
-        else:
-            carry = carries[k - 1].get()
-            if carry is None:
-                return False
-            acc_end, acc_pr_end, quad0, lhs0 = carry
-        np.add(acc_end, acc, out=acc)
-        np.add(acc_pr_end, acc_pr, out=acc_pr)
-        # copies, so that the carry does not hold this block's arrays
-        carries[k].put((acc[:, -1:].copy(), acc_pr[:, -1:].copy(), quad0, lhs0))
+            acc_pr /= c
+            slack = quad0 + acc
+            slack -= quad
+            np.minimum(worst[2], slack.min(axis=1), out=worst[2])
+            del slack
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quad -= quad0
+                quad /= acc
+                lhs -= lhs0
+                lhs /= acc_pr
+            np.maximum(worst[0], np.where(acc > 1e-14, quad, 0.0).max(axis=1),
+                       out=worst[0])
+            np.maximum(worst[1], np.where(acc_pr > 1e-14, lhs, 0.0).max(axis=1),
+                       out=worst[1])
 
-        acc_pr /= c
-        slack = quad0 + acc
-        slack -= quad
-        slack.min(axis=1, out=extrema[k, 2])
-        del slack
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quad -= quad0
-            quad /= acc
-            lhs -= lhs0
-            lhs /= acc_pr
-        np.where(acc > 1e-14, quad, 0.0).max(axis=1, out=extrema[k, 0])
-        np.where(acc_pr > 1e-14, lhs, 0.0).max(axis=1, out=extrema[k, 1])
-        return True
-
-    def share(first):
-        try:
-            for k in range(first, n_blocks, n_shares):
-                if not block(k):
-                    return
-        except BaseException:
-            for carry_queue in carries:
-                carry_queue.put(None)
-            raise
-
-    _shares.run_shares(share, [(i,) for i in range(n_shares)])
-    c_quadratic, c_printed = extrema[:, :2].max(axis=0)
-    slack_quadratic = extrema[:, 2].min(axis=0)
+    # at least two cases a share: numpy multiplies a one-column matrix by
+    # another routine, whose last bits differ
+    n_shares = max(1, min(_shares.worker_count(), n // 2))
+    bounds = np.linspace(0, n, n_shares + 1).astype(int)
+    _shares.run_shares(share, [(slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])])
 
     # diagonalization residual, worst case over q in {-1/2, 0, 1/2}, the
-    # range integrate_oscillator enforces
+    # range OscillatorProblem enforces
     q_sampled = np.array([[-0.5], [0.0], [0.5]])
     A = _mat2(0.0, -problem.c**2 * (1.0 + q_sampled), 1.0, 0.0)
     P, Q, Pinv = appendix_matrices(problem.c, q_sampled)
@@ -364,9 +368,9 @@ def check_ode_lemma(problem, trajectory):
                        np.abs(P @ Q @ Pinv - A).max(axis=(-2, -1))).max(axis=0)
 
     return {
-        "c_quadratic": c_quadratic,
-        "c_printed": c_printed,
-        "slack_quadratic": slack_quadratic,
+        "c_quadratic": extrema[0],
+        "c_printed": extrema[1],
+        "slack_quadratic": extrema[2],
         "equivalence_factor": float(np.sqrt(2.0)),
         "diag_residual": resid,
     }

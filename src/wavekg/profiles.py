@@ -96,32 +96,33 @@ class Profile:
     def is_zero(self):
         return self.family == "zero"
 
-    def _mask(self, r):
-        return np.abs(r) < self.radius
+    def _inside(self, base, m, r, outside=0.0):
+        """The m-th derivative of base inside the support, outside elsewhere,
+        where the polynomial's powers may leave the float range."""
+        r = np.asarray(r, dtype=float)
+        inside = np.abs(r) < self.radius
+        out = np.full(r.shape, outside)
+        out[inside] = self._poly(base, m)(r[inside])
+        return out
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(self._mask(r), self._poly("p", 0)(r), 0.0)
+        return self._inside("p", 0, r)
 
     def deriv(self, r, m=1):
         """m-th derivative of the profile (even extension in r)."""
-        r = np.asarray(r, dtype=float)
-        return np.where(self._mask(r), self._poly("p", m)(r), 0.0)
+        return self._inside("p", m, r)
 
     # -- odd extension and its antiderivative ----------------------------
 
     def odd_deriv(self, xi, m=0):
         """m-th derivative of the odd extension xi * p(|xi|)."""
-        xi = np.asarray(xi, dtype=float)
-        return np.where(self._mask(xi), self._poly("odd", m)(xi), 0.0)
+        return self._inside("odd", m, xi)
 
     def moment_deriv(self, xi, m=0):
         """m-th derivative of int_0^xi eta*p(|eta|) d(eta) (even in xi)."""
-        xi = np.asarray(xi, dtype=float)
-        moment = self._poly("moment", m)
         # past the support the antiderivative stays at its plateau
-        plateau = moment(self.radius) if m == 0 and not self.is_zero else 0.0
-        return np.where(self._mask(xi), moment(xi), plateau)
+        plateau = 0.0 if m or self.is_zero else self._poly("moment", 0)(self.radius)
+        return self._inside("moment", m, xi, plateau)
 
     def scaled(self, factor):
         """The same profile with its amplitude multiplied by factor."""

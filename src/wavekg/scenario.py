@@ -254,7 +254,7 @@ def parse_scenario(text):
                 f"unstable time step: grid.cfl = {scn.cfl} at mass.c = {scn.c} is past "
                 f"the largest stable cfl {limit:.4g} of the RK4 rule cfl*sqrt(6*kappa "
                 f"+ (c*dr)^2) <= {_CFL_SAFETY}*2*sqrt(2), kappa the data's largest "
-                "coefficient factor", ("cfl", "c", "dr", "eps", "u0"))
+                "coefficient factor", ("cfl", "c", "dr", "eps", "u0", "p00", "pd"))
     except ScenarioError as exc:
         raise at_line(exc) from exc
     return scn

@@ -125,18 +125,11 @@ def test_criterion_05_kg_reduction(verdict):
     order = np.log2(maxes[0] / maxes[1])
 
     # 100 cases in one batch; row i holds case i's draws in the order
-    # c, a, b, phi, amp, w, v0, v0p
+    # c, a, b, phase, amp, freq, v0, v0p
     lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.3, -1.0, -1.0]
     hi = [2.0, 0.4, 2.0, 2 * np.pi, 1.0, 3.0, 1.0, 1.0]
-    c, a, b, phi, amp, w, v0, v0p = np.random.default_rng(7).uniform(
-        lo, hi, size=(100, 8)).T
-    a, b, phi, amp, w = (x[:, None] for x in (a, b, phi, amp, w))
     prob = kgr.OscillatorProblem(
-        c=c,
-        q=lambda s: a * np.sin(b * s + phi),
-        qp=lambda s: a * b * np.cos(b * s + phi),
-        f=lambda s: amp * np.cos(w * s),
-        v0=v0, v0p=v0p, span=(2.0, 20.0))
+        *np.random.default_rng(7).uniform(lo, hi, size=(100, 8)).T, span=(2.0, 20.0))
     rep = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
     worst_c = rep["c_quadratic"].max()
     worst_diag = rep["diag_residual"].max()

@@ -94,6 +94,18 @@ def test_pipeline_evolves_once(tmp_path, monkeypatch):
     assert evolved == [scn]
 
 
+def test_a_profile_past_the_float_range_outside_its_support_runs(tmp_path):
+    # amp = 1e302 at k = 16 overflows once the polynomial is evaluated at
+    # radii past 1, which the profile's values there never need; every
+    # numpy overflow is an error under the test configuration
+    scn = parse_scenario(TINY.replace("bump k=4 radius=1.0 amp=1.0\ngrid",
+                                      "bump k=16 radius=1.0 amp=1e302\ngrid")
+                         .replace("data.eps = 1e-3", "data.eps = 1e-300"))
+    assert scn.v0.amp == 1e302 and scn.eps == 1e-300
+    manifest = cli.run_pipeline("all", scn, tmp_path / "run")
+    assert "kg_lab.json" in manifest["artifacts"]
+
+
 def _hyperboloid_s(ts, rs, dr):
     """The s of a jets query on the nodes of H_s, or None.  A query is a
     hyperboloid's when its radii are hyperboloid_nodes of its first time
@@ -424,8 +436,9 @@ def test_archive_is_hashed_beside_the_stages(tmp_path, monkeypatch):
 
 def test_kg_lab_sweep_never_holds_whole_trajectories(tmp_path):
     # v and v' of the sweep's 100 cases on its 20 000-point grid are 32 MB;
-    # the lemma reads them from the 1001 nodes 256 columns at a time, two
-    # blocks in flight on two cores, and the stage peaks at 5.6 MiB
+    # the lemma reads them from the 1001 nodes 384 columns at a time, one
+    # block of half the cases on each of two cores, and the stage peaks at
+    # 5.8 MiB
     scn = parse_scenario(TINY)
     history = solver.evolve(scn)
     tracemalloc.start()

@@ -1,6 +1,4 @@
-import dataclasses
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -13,28 +11,17 @@ from wavekg import _shares, kg_reduction as kgr
 from conftest import make_scenario
 
 
-def zero(s):
-    return np.full_like(s, 0.0)
-
-
-def harmonic_problem(c=1.3, span=(2.0, 20.0)):
-    """One case of v'' + c^2 v = 0 from v = 1, v' = 0."""
-    return kgr.OscillatorProblem(c=np.array([c]), q=zero, f=zero,
-                                 v0=np.array([1.0]), v0p=np.array([0.0]),
-                                 span=span, qp=zero)
+def one_case(c=1.3, a=0.0, b=1.0, phase=0.0, amp=0.0, freq=1.0, v0=1.0, v0p=0.0,
+             span=(2.0, 20.0)):
+    """One case of v'' + c^2 (1 + a sin(b s + phase)) v = amp cos(freq s),
+    by default harmonic from v = 1, v' = 0."""
+    return kgr.OscillatorProblem(*([x] for x in (c, a, b, phase, amp, freq, v0, v0p)),
+                                 span=span)
 
 
 def sinusoidal_batch(c, a, b, phi, amp, w, v0, v0p, span=(2.0, 20.0)):
     """Cases v'' + c^2 (1 + a sin(b s + phi)) v = amp cos(w s), one per entry."""
-    a, b, phi, amp, w = (np.asarray(x, dtype=float)[:, None]
-                         for x in (a, b, phi, amp, w))
-    c, v0, v0p = (np.asarray(x, dtype=float) for x in (c, v0, v0p))
-    return kgr.OscillatorProblem(
-        c=c,
-        q=lambda s: a * np.sin(b * s + phi),
-        qp=lambda s: a * b * np.cos(b * s + phi),
-        f=lambda s: amp * np.cos(w * s),
-        v0=v0, v0p=v0p, span=span)
+    return kgr.OscillatorProblem(c, a, b, phi, amp, w, v0, v0p, span=span)
 
 
 def random_batch(rng, n):
@@ -55,7 +42,7 @@ def kg_lab_batch(seed):
 
 class TestOscillator:
     def test_matches_exact_harmonic_solution(self):
-        prob = harmonic_problem()
+        prob = one_case()
         out = kgr.integrate_oscillator(prob)
         v, vp = kgr.trajectory_values(out)
         s0 = prob.span[0]
@@ -67,24 +54,16 @@ class TestOscillator:
                         atol=1e-8)
 
     def test_rejects_large_coefficient(self):
-        prob = kgr.OscillatorProblem(c=np.array([1.0]),
-                                     q=lambda s: np.full_like(s, 0.8), f=zero,
-                                     v0=np.array([1.0]), v0p=np.array([0.0]),
-                                     span=(2.0, 4.0), qp=zero)
-        with pytest.raises(ValueError, match="> 1/2"):
-            kgr.integrate_oscillator(prob)
+        with pytest.raises(ValueError, match=r"\|a\| = 0\.800 > 1/2, .* \(case 0\)$"):
+            one_case(a=0.8, span=(2.0, 4.0))
 
     def test_driven_oscillator_particular_solution(self):
-        # v'' + v = sin(2s): particular solution -sin(2s)/3
-        c = 1.0
+        # v'' + v = cos(2s): particular solution -cos(2s)/3
         s0 = 2.0
-        part = lambda s: -np.sin(2.0 * s) / 3.0
-        partp = lambda s: -2.0 * np.cos(2.0 * s) / 3.0
-        prob = kgr.OscillatorProblem(c=np.array([c]), q=zero,
-                                     f=lambda s: np.sin(2.0 * s),
-                                     v0=np.array([part(s0)]),
-                                     v0p=np.array([partp(s0)]),
-                                     span=(s0, 12.0), qp=zero)
+        part = lambda s: -np.cos(2.0 * s) / 3.0
+        partp = lambda s: 2.0 * np.sin(2.0 * s) / 3.0
+        prob = one_case(c=1.0, amp=1.0, freq=2.0, v0=part(s0), v0p=partp(s0),
+                        span=(s0, 12.0))
         out = kgr.integrate_oscillator(prob)
         assert_allclose(kgr.trajectory_values(out)[0][0], part(out["s"]), atol=1e-8)
 
@@ -117,27 +96,36 @@ class TestOscillator:
                 assert np.max(np.abs(got - want)) <= 1e-10 * peak, i
 
     def test_non_finite_source_raises(self):
-        prob = kgr.OscillatorProblem(
-            c=np.array([1.0]), q=zero, f=lambda s: np.where(s > 3.0, np.nan, 0.0),
-            v0=np.array([1.0]), v0p=np.array([0.0]), span=(2.0, 20.0), qp=zero)
-        with pytest.raises(RuntimeError, match=r"oscillator integration failed: "
-                           r"non-finite q or f at s = 3\.0020 \(case 0\)"):
-            kgr.integrate_oscillator(prob)
+        with pytest.raises(ValueError, match=r"^oscillator amp = nan is not finite "
+                                             r"\(case 0\)$"):
+            one_case(amp=np.nan)
 
     def test_rejects_one_large_coefficient_in_a_batch(self):
-        prob = sinusoidal_batch(c=[1.0, 1.5, 0.8], a=[0.2, 0.45, 0.7],
-                                b=[1.0, 1.0, 1.0], phi=[0.0, 0.0, 0.0],
-                                amp=[0.0, 0.0, 0.0], w=[1.0, 1.0, 1.0],
-                                v0=[1.0, 1.0, 1.0], v0p=[0.0, 0.0, 0.0],
-                                span=(2.0, 4.0))
-        with pytest.raises(ValueError, match="> 1/2"):
-            kgr.integrate_oscillator(prob)
+        with pytest.raises(ValueError, match=r"\|a\| = 0\.700 > 1/2, .* \(case 2\)$"):
+            sinusoidal_batch(c=[1.0, 1.5, 0.8], a=[0.2, 0.45, 0.7],
+                             b=[1.0, 1.0, 1.0], phi=[0.0, 0.0, 0.0],
+                             amp=[0.0, 0.0, 0.0], w=[1.0, 1.0, 1.0],
+                             v0=[1.0, 1.0, 1.0], v0p=[0.0, 0.0, 0.0],
+                             span=(2.0, 4.0))
+
+    def test_the_batch_is_a_frozen_copy(self):
+        a = np.array([0.1, -0.2])
+        prob = sinusoidal_batch(c=[1.0, 2.0], a=a, b=[1.0, 1.0], phi=[0.0, 0.0],
+                                amp=[0.0, 0.0], w=[1.0, 1.0], v0=[1.0, 1.0],
+                                v0p=[0.0, 0.0])
+        a[0] = 0.9
+        assert prob.a[0] == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            prob.a[0] = 0.9
+        with pytest.raises(AttributeError):
+            prob.a = a
+        assert prob[1:].c.tolist() == [2.0] and prob[1:].span == prob.span
 
 
 def test_sixth_order_on_the_harmonic_oscillator(monkeypatch):
     # twice the steps divide the error by 2^6 = 64 (62-64 measured from 125
     # to 1000 steps)
-    prob = harmonic_problem()
+    prob = one_case()
     errors = []
     for n_steps in (250, 500):
         monkeypatch.setattr(kgr, "_N_STEPS", n_steps)
@@ -182,23 +170,25 @@ def test_kg_lab_sweep_peak_memory():
     assert peak <= 4.5 * 2**20, peak
 
 
-@pytest.mark.parametrize("q,f,v0,error,message", [
-    (lambda s: np.where(s > 5.1, [[0.0], [0.8]], 0.0), zero, 1.0, ValueError,
-     r"^oscillator coefficient \|q\(5\.1020\)\| = 0\.800 > 1/2 \(case 1\)$"),
-    (zero, zero, np.nan, ValueError,
-     r"^All components of the initial state `y0` must be finite\.$"),
-    (zero, lambda s: np.where(s > 3.0, [[0.0], [np.nan]], 0.0), 1.0, RuntimeError,
-     r"^oscillator integration failed: non-finite q or f at s = 3\.0020 "
-     r"\(case 1\)$"),
-], ids=["large-coefficient", "non-finite-start", "non-finite-source"])
-def test_failure_messages(q, f, v0, error, message):
-    # each names the first offending stage time and case: with h = 0.018,
-    # 5.1020 is s0 + (172 + 1/3) h and 3.0020 is s0 + (55 + 2/3) h
-    prob = kgr.OscillatorProblem(c=np.array([1.0, 1.0]), q=q, f=f,
-                                 v0=np.array([1.0, v0]), v0p=np.zeros(2),
-                                 span=(2.0, 20.0), qp=zero)
-    with pytest.raises(error, match=message):
-        kgr.integrate_oscillator(prob)
+@pytest.mark.parametrize("field,value,message", [
+    ("a", -0.8, r"^oscillator coefficient \|a\| = 0\.800 > 1/2, so \|q\| may pass 1/2 "
+                r"\(case 1\)$"),
+    ("v0", np.nan, r"^oscillator v0 = nan is not finite \(case 1\)$"),
+    ("freq", np.inf, r"^oscillator freq = inf is not finite \(case 1\)$"),
+    ("c", [1.0, 1.0, 1.0], r"^oscillator cases must be 1-D arrays of one shape, "
+                           r"got shapes \[\(3,\), \(2,\), \(2,\), "),
+    ("span", (2.0, 2.0), r"^oscillator span must be finite and increase, "
+                         r"got \(2\.0, 2\.0\)$"),
+], ids=["large-coefficient", "non-finite-start", "non-finite-source", "shapes", "span"])
+def test_failure_messages(field, value, message):
+    # the batch is checked once, when it is built; each error names the
+    # first offending case, the bad value sitting in case 1 of two
+    fields = dict(c=[1.0, 1.0], a=[0.1, 0.1], b=[1.0, 1.0], phase=[0.0, 0.0],
+                  amp=[0.5, 0.5], freq=[1.0, 1.0], v0=[1.0, 1.0], v0p=[0.0, 0.0],
+                  span=(2.0, 20.0))
+    fields[field] = value if np.ndim(value) != 0 else [fields[field][0], value]
+    with pytest.raises(ValueError, match=message):
+        kgr.OscillatorProblem(**fields)
 
 
 class TestAppendixMatrices:
@@ -223,23 +213,33 @@ class TestOdeLemma:
         assert report["diag_residual"].max() < 1e-12
 
     def test_dense_trajectory_resolves_the_quadrature_error(self, monkeypatch):
-        # case 60 of the kg-lab sweep at --seed 227023696: on a 2000-point
-        # trajectory the trapezoid error of the source integral (h = 18/1999)
-        # pushed the measured constant past 1 + 1e-6
-        a, b, phi = -0.0712742080513521, 1.1974367162377348, 3.6594245146933644
-        amp, w = 0.06114291653628995, 1.604522262593011
-        prob = kgr.OscillatorProblem(
-            c=np.array([0.9981340012859121]),
-            q=lambda s: a * np.sin(b * s + phi),
-            qp=lambda s: a * b * np.cos(b * s + phi),
-            f=lambda s: amp * np.cos(w * s),
-            v0=np.array([0.009731903831669442]),
-            v0p=np.array([-0.889990854876255]), span=(2.0, 20.0))
-        report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
-        monkeypatch.setattr(kgr, "_N_DENSE", 2000)
-        coarse = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
-        assert coarse["c_quadratic"] > 1.0 + 1e-6
-        assert report["c_quadratic"] <= 1.0
+        # the sup sits in the first columns, where the trapezoid's first
+        # interval decides, so the grid is not thinned
+        cases = [
+            # case 60 of the kg-lab sweep at --seed 227023696: on a
+            # 2000-point trajectory the trapezoid error of the source
+            # integral (h = 18/1999) pushed the constant past 1 + 1e-6
+            (dict(c=0.9981340012859121, a=-0.0712742080513521, b=1.1974367162377348,
+                  phase=3.6594245146933644, amp=0.06114291653628995,
+                  freq=1.604522262593011, v0=0.009731903831669442,
+                  v0p=-0.889990854876255), 2000, None),
+            # case 45 of the kg-lab sweep at --seed 961320356: 5001 columns,
+            # a quarter of the grid, still read 1.0000051112854582
+            (dict(c=0.7983097749167382, a=0.381684989194631, b=1.8758796404149027,
+                  phase=0.2799615864787465, amp=0.4970447233006803,
+                  freq=1.6963309348183164, v0=0.00446066079062879,
+                  v0p=-0.8352114907059442), 5001, 1.0000051112854582),
+        ]
+        for case, n_coarse, coarse in cases:
+            prob = one_case(**case)
+            report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+            with monkeypatch.context() as patch:
+                patch.setattr(kgr, "_N_DENSE", n_coarse)
+                thinned = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+            assert thinned["c_quadratic"] > 1.0 + 1e-6, n_coarse
+            if coarse is not None:
+                assert thinned["c_quadratic"][0] == pytest.approx(coarse, rel=1e-12)
+            assert report["c_quadratic"] <= 1.0, n_coarse
 
     def test_constants_do_not_depend_on_the_column_blocks(self, monkeypatch):
         # the lemma runs over blocks of grid columns; the running integrals
@@ -265,8 +265,9 @@ class TestOdeLemma:
             for part, full in zip(kgr.trajectory_values(traj, slice(lo, hi)), whole):
                 assert_array_equal(part, full[:, lo:hi])
 
-    # 5001 points: 20 blocks, the last one short; 300: fewer blocks than
-    # workers
+    # 5001 points: 14 blocks, the last one short; 300: one block.  9 cases
+    # on 2, 3 and 4 shares split 4 + 5, 3 + 3 + 3 and 2 + 2 + 2 + 3; 12
+    # workers are more than the cases, and a share takes at least two
     @pytest.mark.parametrize("n_dense", [5001, 300])
     def test_worker_count_does_not_change_a_bit(self, monkeypatch, n_dense):
         prob = random_batch(np.random.default_rng(11), 9)
@@ -280,69 +281,35 @@ class TestOdeLemma:
             return appendix_matrices(c, q)
 
         monkeypatch.setattr(kgr, "appendix_matrices", spy)
+        shares = []
+        run_shares = _shares.run_shares
+
+        def counting(run, args):
+            shares.append([rows.stop - rows.start for rows, in args])
+            return run_shares(run, args)
+
+        monkeypatch.setattr(_shares, "run_shares", counting)
         keys = ("c_quadratic", "c_printed", "slack_quadratic", "diag_residual")
         monkeypatch.setattr(_shares, "worker_count", lambda: 1)
         one = kgr.check_ode_lemma(prob, traj)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # switch threads as often as possible
         try:
-            for workers in (2, 3):
+            for workers in (2, 3, 4, 12):
                 monkeypatch.setattr(_shares, "worker_count", lambda: workers)
                 shared = kgr.check_ode_lemma(prob, traj)
                 for key in keys:
                     assert np.array_equal(shared[key], one[key]), (workers, key)
         finally:
             sys.setswitchinterval(interval)
+        assert shares == [[9], [4, 5], [3, 3, 3], [2, 2, 2, 3], [2, 2, 2, 3]]
         # the residual is taken at q = -1/2, 0 and 1/2, on every worker count
-        assert len(sampled) == 3
+        assert len(sampled) == 5
         for q_sampled in sampled:
             assert np.array_equal(q_sampled.ravel(), [-0.5, 0.0, 0.5])
 
-    # of two shares, block 0 on the calling share and block 3 on the other;
-    # of three, the last block, on the second share (8 blocks) and on the
-    # calling share (7 blocks), where the None lands behind carries already
-    # on the queues
-    @pytest.mark.parametrize("workers, n_dense, failing_block", [
-        pytest.param(2, 2000, 0, id="0"),
-        pytest.param(2, 2000, 3, id="3"),
-        pytest.param(3, 2000, 7, id="last-of-three"),
-        pytest.param(3, 1700, 6, id="last-of-three-on-the-caller")])
-    def test_a_failing_share_releases_the_others(self, monkeypatch, workers,
-                                                 n_dense, failing_block):
-        class BlockFailed(Exception):
-            pass
-
-        prob = random_batch(np.random.default_rng(13), 4)
-        monkeypatch.setattr(kgr, "_N_DENSE", n_dense)
-        traj = kgr.integrate_oscillator(prob)
-        s_fail = traj["s"][failing_block * (kgr._DENSE_COLUMNS - 1)]
-        q = prob.q
-
-        def failing_q(s):
-            if s[0, 0] == s_fail:
-                raise BlockFailed
-            return q(s)
-
-        failing = dataclasses.replace(prob, q=failing_q)
-        monkeypatch.setattr(_shares, "worker_count", lambda: workers)
-        before = threading.active_count()
-        raised = []
-
-        def call():
-            try:
-                kgr.check_ode_lemma(failing, traj)
-            except BlockFailed as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(10.0)
-        assert not caller.is_alive(), "a share waits for a carry never handed on"
-        assert len(raised) == 1
-        assert threading.active_count() == before
-
     def test_printed_form_carries_equivalence_factor(self):
-        prob = harmonic_problem(c=1.0)
+        prob = one_case(c=1.0)
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
         assert report["equivalence_factor"] == pytest.approx(np.sqrt(2.0))
         # free oscillation: no growth at all in either form

@@ -65,6 +65,21 @@ def test_moment_plateau():
     assert p.moment_deriv(2.0, 1) == 0.0
 
 
+def test_values_past_the_support_are_not_evaluated():
+    # at r = 9 the polynomial's r^32 term alone is 1e302 * 9^32, past the
+    # float range; past the support each evaluator gives its plain zero, or
+    # the moment's plateau, without evaluating it
+    p = Profile("bump", k=16, radius=1.0, amp=1e302)
+    r = np.array([-9.0, 0.0, 0.5, 1.0, 9.0])
+    for m in (0, 1):
+        for values in (p.deriv(r, m), p.odd_deriv(r, m), p.moment_deriv(r, m)):
+            assert np.isfinite(values).all()
+    assert p(r).tolist() == [0.0, 1e302, p(0.5), 0.0, 0.0]
+    assert p.moment_deriv(r)[-1] == p.moment_deriv(r)[0] == p.moment_deriv(1.0)
+    # a 0-d argument gives a 0-d array, as before
+    assert p(9.0).shape == p.moment_deriv(np.float64(0.5)).shape == ()
+
+
 def test_parse_round_trip():
     p = Profile.parse("bump k=4 radius=0.75 amp=0.002")
     assert p == Profile("bump", k=4, radius=0.75, amp=0.002)

@@ -134,8 +134,12 @@ def test_a_nan_stability_limit_is_rejected():
     doc = ("grid.dr = 0.1\ngrid.r_max = 9\ngrid.t_end = 8\ncouplings.p00 = 1e300\n"
            "couplings.pd = 1e300\ndata.eps = 1e10\n")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ScenarioError, match="^line 1: unstable time step: .* largest stable cfl nan "):
+            ScenarioError, match="^line 1: unstable time step: .* largest stable cfl nan "
+            ) as info:
         parse_scenario(doc)
+    # kappa reads both couplings, so the error names their lines
+    assert str(info.value).endswith("(grid.dr on line 1, data.eps on line 6, "
+                                    "couplings.p00 on line 4, couplings.pd on line 5)")
 
 
 def test_scenarios_are_values():
