@@ -47,7 +47,7 @@ from .oracles import DalembertField, OracleSampler, free_wave_radiation
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         rigidity_experiment, transport_check)
-from .scenario import parse_scenario, serialize_scenario
+from .scenario import CELL_BYTES, parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
 
@@ -238,7 +238,9 @@ def _stage_kg_lab(scn, out, history, rng):
                              span=(2.0, 20.0))
     res = check_ode_lemma(prob, integrate_oscillator(prob))
     worst = {"c_quadratic": float(res["c_quadratic"].max()),
-             "c_printed": float(res["c_printed"].max()),
+             "c_printed_whole": float(res["c_printed_whole"].max()),
+             "printed_factor_share": float(
+                 (res["c_printed_whole"] / res["printed_factor"]).max()),
              "diag_residual": float(res["diag_residual"].max()),
              "slack_quadratic": float(res["slack_quadratic"].min()),
              "n_cases": n_cases}
@@ -373,12 +375,12 @@ def run_pipeline(subcommand, scn, out, seed=0):
         "metrics": {
             "stages": stage_metrics,
             "solver": {"steps": history.n_slices - 1, "dt": history.dt,
-                       "window_margin": solver._WINDOW_MARGIN,
+                       "window_margin": solver.WINDOW_MARGIN,
                        # nominal MB of the stored fields, and the MB the
                        # run wrote, about what is resident, since pages past
                        # the cone stay unbacked; the archive holds the latter
                        "history_mb": history.records.nbytes / 2**20,
-                       "history_written_mb": 32 * int(history.widths.sum()) / 2**20,
+                       "history_written_mb": CELL_BYTES * int(history.widths.sum()) / 2**20,
                        **health},
         },
         "artifacts": hashes,

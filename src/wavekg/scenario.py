@@ -31,6 +31,12 @@ __all__ = ["Scenario", "ScenarioError", "history_bytes", "history_shape",
 # quadrature allowance of energies.energy_e1 (at dr = 0.2 the worst
 # excess uses about half of that allowance, at dr = 0.25 more than all)
 _DR_MAX = 0.2
+# fewest cells a non-zero profile's radius may span: on fewer, the check of
+# energies.energy_e1 that the conformal energy dominates its positive
+# decomposition can fail.  Measured on u0 (k = 1, 4, 16, dr 0.05 to 0.2,
+# t_end 5 to 20), it failed at up to 4.1 cells (k = 1 at dr = 0.2), and at
+# up to 2.6 where dr <= 0.1
+_MIN_CELLS = 5
 # the solver stops where |1 - p00 u| falls below this (quasilinear degeneracy)
 MIN_DENOM = 0.5
 # RK4 is stable on the imaginary axis for |z| <= 2 sqrt(2)
@@ -50,6 +56,8 @@ STORE_MARGIN = 20
 # reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl 0.5, and
 # about 0.55 of the nominal bytes are resident
 MAX_HISTORY_BYTES = 2 * 2**30
+# bytes of one stored cell: the four doubles u, v, ut, vt
+CELL_BYTES = 4 * 8
 
 
 class ScenarioError(ValueError):
@@ -62,6 +70,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A runnable run: its history is within MAX_HISTORY_BYTES, its data
+    are not degenerate and its step meets the RK4 stability rule
+    (stable_cfl), however it is built."""
+
     b00: float = 1.0
     bd: float = 1.0
     p00: float = 1.0
@@ -112,6 +124,25 @@ class Scenario:
                 raise ScenarioError(
                     f"profile {name} has support radius {prof.radius} > 1; "
                     "data must be supported in the unit ball", (name,))
+        # the memory rule is arithmetic, so it runs before stable_cfl sizes
+        # anything by the grid; a step count past the float range (dr so
+        # small, or dr cfl rounded to 0) is past the limit too
+        try:
+            nominal = history_bytes(self)
+        except (OverflowError, ZeroDivisionError):
+            nominal = math.inf
+        if nominal > MAX_HISTORY_BYTES:
+            raise ScenarioError(
+                f"history too large: {nominal / 2**30:.4g} GiB nominal (4 fields of "
+                "(n_steps + 1) x n_store doubles) is past the limit of "
+                f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
+        limit = stable_cfl(self)
+        if not self.cfl <= limit:
+            raise ScenarioError(
+                f"unstable time step: grid.cfl = {self.cfl} at mass.c = {self.c} is past "
+                f"the largest stable cfl {limit:.4g} of the RK4 rule cfl*sqrt(6*kappa "
+                f"+ (c*dr)^2) <= {_CFL_SAFETY}*2*sqrt(2), kappa the data's largest "
+                "coefficient factor", ("cfl", "c", "dr", "eps", "u0", "p00", "pd"))
 
     def wave_source(self, ut, vt, ur, vr):
         """Box u, the wave equation's right-hand side, from first derivatives."""
@@ -158,10 +189,10 @@ def history_shape(scn):
 
 
 def history_bytes(scn):
-    """Nominal bytes of evolve's history, 4 fields of history_shape
-    doubles; plain arithmetic, so the memory rule allocates nothing."""
+    """Nominal bytes of evolve's history, a cell of CELL_BYTES for each of
+    history_shape; plain arithmetic, so the memory rule allocates nothing."""
     slices, radii = history_shape(scn)
-    return 4 * slices * radii * 8
+    return slices * radii * CELL_BYTES
 
 
 def stable_cfl(scn):
@@ -195,12 +226,12 @@ def stable_cfl(scn):
 def parse_scenario(text):
     """Parse a configuration document into a Scenario.
 
-    Unknown keys, malformed lines, range violations, runs too short for
-    the analysis stages, histories past MAX_HISTORY_BYTES, degenerate
-    data and time steps past the RK4 stability rule (see stable_cfl)
-    raise ScenarioError with the
-    offending line number (none when the offending value is a default);
-    an error that involves several keys also lists the line of each.
+    Unknown keys, malformed lines, the violations of a rule of Scenario,
+    and two rules of the analysis stages, runs too short for them and a
+    non-zero profile whose radius spans fewer than _MIN_CELLS cells, raise
+    ScenarioError with the offending line number (none when the offending
+    value is a default); an error that involves several keys also lists
+    the line of each.
     """
     kwargs = {}
     lines = {}
@@ -239,22 +270,13 @@ def parse_scenario(text):
             raise ScenarioError(
                 f"t_end={scn.t_end} is too short for the analysis stages: {problem}",
                 ("t_end", "dr"))
-        try:
-            nominal = history_bytes(scn)
-        except OverflowError:  # dr so small that the step count overflows
-            nominal = math.inf
-        if nominal > MAX_HISTORY_BYTES:
-            raise ScenarioError(
-                f"history too large: {nominal / 2**30:.4g} GiB nominal (4 fields of "
-                "(n_steps + 1) x n_store doubles) is past the limit of "
-                f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
-        limit = stable_cfl(scn)
-        if not scn.cfl <= limit:
-            raise ScenarioError(
-                f"unstable time step: grid.cfl = {scn.cfl} at mass.c = {scn.c} is past "
-                f"the largest stable cfl {limit:.4g} of the RK4 rule cfl*sqrt(6*kappa "
-                f"+ (c*dr)^2) <= {_CFL_SAFETY}*2*sqrt(2), kappa the data's largest "
-                "coefficient factor", ("cfl", "c", "dr", "eps", "u0", "p00", "pd"))
+        for name in ("u0", "u1", "v0", "v1"):
+            prof = getattr(scn, name)
+            if not (prof.is_zero or prof.radius >= _MIN_CELLS * scn.dr):
+                raise ScenarioError(
+                    f"profile {name} is under-resolved: its radius {prof.radius} spans "
+                    f"{prof.radius / scn.dr:.3g} cells of dr = {scn.dr}, fewer than the "
+                    f"{_MIN_CELLS} the energy checks need", (name, "dr"))
     except ScenarioError as exc:
         raise at_line(exc) from exc
     return scn

@@ -3,36 +3,31 @@
 Layout (all integers little-endian):
 
     4 bytes   magic b"WKGH"
-    u32       format version (currently 2)
+    u32       format version (currently 3)
     u32       length of the scenario text, followed by that many bytes
               of UTF-8 scenario (the same text parse_scenario accepts)
-    f64       t0
-    f64       dt
-    u64       n_slices
-    u64       n_radii
     u32 * n_slices                   widths: cells written per slice
-    f64 * n_radii                    radial grid
     for each slice k:
       f64 * 4 * widths[k]            its first widths[k] records
-                                     (u, ut, v, vt per cell)
+                                     (u, v, ut, vt per cell)
     u32       zlib.crc32 of everything before it
 
-A slice's records past its width are +0.0 and are not stored, so the
-archive holds only what the run computed.  The loader is an exact
-inverse: slice_load(path) after slice_dump(h, path) reproduces the
-history bit for bit, widths included.  Both take a file path; neither
-builds an archive in memory.
+The scenario decides the rest: n_slices and n_radii are its
+history_shape, and the times and radii its grid.  A slice's records past
+its width are +0.0 and are not stored, so the archive holds only what
+the run computed.  The loader is an exact inverse: slice_load(path) after
+slice_dump(h, path) reproduces the history bit for bit, widths included.
+Both take a file path; neither builds an archive in memory.
 
 Neither direction holds a second copy of the data.  slice_dump writes
 the header and each slice's record prefix straight from the history,
 keeping a running checksum, so pages of an evolved history that were
-never written stay unbacked.  Before it allocates, slice_load checks the
-dimensions against the history size cap (scenario.MAX_HISTORY_BYTES),
-the widths against n_radii, and the file size they imply.  It then
-reads each prefix straight into a fresh record mapping
-(solver._unbacked_zeros), so a loaded history is resident like an
-evolved one, and keeps a running checksum, which it compares before it
-parses the scenario text.
+never written stay unbacked.  slice_load parses the scenario, whose
+rules cap the history's size, and checks the widths against n_radii and
+the file size they imply before it allocates.  It then reads each
+prefix straight into an empty history (SliceHistory.empty), so a loaded
+history is resident like an evolved one, and keeps a running checksum,
+which it compares last.
 """
 
 from __future__ import annotations
@@ -44,13 +39,14 @@ import zlib
 
 import numpy as np
 
-from .scenario import MAX_HISTORY_BYTES, parse_scenario, serialize_scenario
-from .solver import SliceHistory, _FIELDS, _unbacked_zeros
+from .scenario import (CELL_BYTES, ScenarioError, history_shape, parse_scenario,
+                       serialize_scenario)
+from .solver import SliceHistory
 
 __all__ = ["SliceIOError", "slice_dump", "slice_load"]
 
 _MAGIC = b"WKGH"
-_VERSION = 2
+_VERSION = 3
 
 
 class SliceIOError(RuntimeError):
@@ -60,16 +56,14 @@ class SliceIOError(RuntimeError):
 def _write(fh, history):
     """Write the archive of a SliceHistory to a binary file, one slice's
     record prefix at a time."""
-    records, widths, r = history.records, history.widths, history.r
-    n_s, n_r = records.shape[:2]
-    if records.shape[2:] != (len(_FIELDS),) or widths.shape != (n_s,) \
-            or r.shape != (n_r,):
-        raise SliceIOError("history arrays have inconsistent shapes")
+    records, widths = history.records, history.widths
+    n_s, n_r = history_shape(history.scenario)
+    if records.shape != (n_s, n_r, CELL_BYTES // 8) or widths.shape != (n_s,):
+        raise SliceIOError("history arrays are not the shape of its scenario's")
     if np.any(widths > n_r):
         raise SliceIOError("a slice width exceeds n_radii")
     text = serialize_scenario(history.scenario).encode("utf-8")
-    head = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(text)), text,
-                     struct.pack("<ddQQ", history.t0, history.dt, n_s, n_r)))
+    head = b"".join((_MAGIC, struct.pack("<II", _VERSION, len(text)), text))
     crc = zlib.crc32(head)
     fh.write(head)
 
@@ -81,7 +75,6 @@ def _write(fh, history):
         fh.write(part)
 
     put(widths, "<u4")
-    put(r, "<f8")
     for row, w in zip(records, widths.tolist()):
         put(row[:w], "<f8")
     fh.write(struct.pack("<I", crc))
@@ -127,32 +120,29 @@ def _read(fh):
     if version != _VERSION:
         raise SliceIOError(f"unsupported format version {version}")
     text_len, = struct.unpack("<I", take(4, "scenario length"))
-    text = take(text_len, "scenario")
-    t0, dt, n_s, n_r = struct.unpack("<ddQQ", take(32, "dimensions"))
-    # parse_scenario caps a run's nominal history at MAX_HISTORY_BYTES
-    if not 0 < 32 * n_s * n_r <= MAX_HISTORY_BYTES:
-        raise SliceIOError(f"history of {n_s} x {n_r} cells is empty or past "
-                           f"the {MAX_HISTORY_BYTES} byte limit")
-    if fh.tell() + 4 * n_s + 8 * n_r + 4 > size:
-        raise SliceIOError("truncated file while reading the widths and radial grid")
+    try:
+        scn = parse_scenario(take(text_len, "scenario").decode("utf-8"))
+    except (UnicodeDecodeError, ScenarioError) as exc:
+        raise SliceIOError(f"bad scenario text: {exc}") from exc
+    n_s, n_r = history_shape(scn)
+    if fh.tell() + 4 * n_s + 4 > size:
+        raise SliceIOError("truncated file while reading the widths")
     widths = np.empty(n_s, dtype="<u4")
     fill(widths, "the widths")
     if np.any(widths > n_r):
         raise SliceIOError(f"a slice width exceeds n_radii = {n_r}")
-    need = fh.tell() + 8 * n_r + 32 * int(widths.sum(dtype=np.uint64)) + 4
+    need = fh.tell() + CELL_BYTES * int(widths.sum(dtype=np.uint64)) + 4
     if need > size:
         raise SliceIOError("truncated file while reading the field data")
     if need < size:
         raise SliceIOError("trailing bytes after the field data")
-    r = np.empty(n_r, dtype="<f8")
-    fill(r, "radial grid")
-    records = _unbacked_zeros((n_s, n_r, len(_FIELDS)))
+    history = SliceHistory.empty(scn)
+    history.widths[:] = widths
     for k, w in enumerate(widths.tolist()):
-        fill(records[k, :w], f"slice {k}")
+        fill(history.records[k, :w], f"slice {k}")
     if fh.read(4) != struct.pack("<I", crc):
         raise SliceIOError("checksum mismatch: file is corrupt")
-    return SliceHistory(scenario=parse_scenario(text.decode("utf-8")),
-                        t0=t0, dt=dt, r=r, records=records, widths=widths)
+    return history
 
 
 def slice_load(path):

@@ -11,7 +11,7 @@ The axis uses an even ghost extension.
 
 The data sit in the unit ball at t = 2, so both fields vanish for
 r > t - 1.  Each step therefore integrates only the active window
-r <= t - 1 + _WINDOW_MARGIN * dr of the step's end time; cells past it
+r <= t - 1 + WINDOW_MARGIN * dr of the step's end time; cells past it
 stay exactly zero, and the window's last cell gets zero spatial
 derivatives, the treatment the grid's own edge r_max >= t_end gets once
 the window reaches it.  The margin, a constant number of cells, keeps
@@ -48,15 +48,17 @@ sampling fields and their derivative jets on hyperboloids
 t = sqrt(s^2 + r^2) and along characteristic curves needs.
 
 The history is one C-contiguous (n_slices, n_radii, 4) float64 record
-array, the values u, ut, v, vt of each cell side by side:
+array, the values u, v, ut, vt of each cell side by side, the state's
+row order:
 
-    records[k] = | u ut v vt | u ut v vt | ... | u ut v vt | 0 0 0 0 | ...
+    records[k] = | u v ut vt | u v ut vt | ... | u v ut vt | 0 0 0 0 | ...
                    cell 0      cell 1            widths[k]-1 (zeros past it)
 
-Step k writes its row only out to its window, widths[k] cells, so a
-row's cells past the cone are never written.  The records live in one
-private anonymous memory mapping advised against huge pages, where the
-kernel backs a 4 KiB page only when evolve first writes it; reads of
+Step k writes its row only out to its window, widths[k] cells, with one
+copy of the state's transpose, so a row's cells past the cone are never
+written.  The records live in one private anonymous memory mapping
+advised against huge pages (SliceHistory.empty), where the kernel
+backs a 4 KiB page only when evolve first writes it; reads of
 unwritten pages (the sampler, the health values) see the kernel's
 shared zero page.  Since the four fields share each row, a step's
 written prefix starts partway into at most one page, not four; the
@@ -78,8 +80,7 @@ import numpy as np
 from .energies import hyperboloid_samples, word_records
 from .geometry import MU_FAN, WORD_STRIDE, axis_ratio, covered_s_grid, null_radii
 from .radiation import radiation_fan
-from .scenario import (MIN_DENOM, Scenario, ScenarioError, history_shape,
-                       stable_cfl, time_steps)
+from .scenario import MIN_DENOM, Scenario, history_bytes, history_shape, time_steps
 
 __all__ = [
     "SolverError",
@@ -90,8 +91,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the four values of a record, in their order
-_FIELDS = ("u", "ut", "v", "vt")
+# the four values of a record, in the state's row order
+_FIELDS = ("u", "v", "ut", "vt")
 
 
 class SolverError(RuntimeError):
@@ -102,27 +103,47 @@ class SolverError(RuntimeError):
 class SliceHistory:
     """Uniformly spaced time slices of the four fields.
 
-    records has shape (n_slices, n_radii, 4), the values u, ut, v, vt of
+    records has shape (n_slices, n_radii, 4), the values u, v, ut, vt of
     each cell side by side; widths[k] is the number of cells the run
-    wrote to slice k, and its records past them are +0.0.  The stored radial range
-    may be shorter than the computational grid (fields vanish beyond the
-    support cone r <= t - 1).  u, ut, v and vt are (n_slices, n_radii)
-    views of records.
+    wrote to slice k, and its records past them are +0.0.  The grid is
+    the scenario's: slice k lies at t0 + k dt, with t0 = 2 the data time
+    and dt the step of time_steps, and column i at r = i dr.  The stored
+    radial range may be shorter than the computational grid (fields
+    vanish beyond the support cone r <= t - 1).  u, v, ut and vt are
+    (n_slices, n_radii) views of records.
     """
 
     scenario: Scenario
-    t0: float
-    dt: float
-    r: np.ndarray
     records: np.ndarray
     widths: np.ndarray
     u: np.ndarray = field(init=False, repr=False)
-    ut: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
+    ut: np.ndarray = field(init=False, repr=False)
     vt: np.ndarray = field(init=False, repr=False)
+    t0 = 2.0  # a class constant, not a field
 
     def __post_init__(self):
-        self.u, self.ut, self.v, self.vt = np.moveaxis(self.records, -1, 0)
+        self.u, self.v, self.ut, self.vt = np.moveaxis(self.records, -1, 0)
+
+    @classmethod
+    def empty(cls, scn):
+        """The history of scn before its run: records of history_shape,
+        all +0.0, in one private anonymous mapping whose pages take memory
+        only once written, and widths 0."""
+        buf = mmap.mmap(-1, history_bytes(scn), flags=mmap.MAP_PRIVATE)
+        # under THP "always" one write would otherwise back 2 MiB at once
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        records = np.frombuffer(buf, dtype=np.float64).reshape(*history_shape(scn), -1)
+        return cls(scn, records, np.zeros(records.shape[0], dtype=np.uint32))
+
+    @cached_property
+    def dt(self):
+        return time_steps(self.scenario)[1]
+
+    @cached_property
+    def r(self):
+        return self.scenario.dr * np.arange(self.records.shape[1])
 
     @property
     def n_slices(self):
@@ -160,29 +181,14 @@ class SliceHistory:
 
 # -- time stepping ------------------------------------------------------------
 
-def _failure(scn, message):
-    """SolverError for a run that went bad; when the step is past the RK4
-    stability rule (see scenario.stable_cfl), it names the unstable step,
-    which is then the likely cause."""
-    try:
-        limit = stable_cfl(scn)
-    except ScenarioError:  # degenerate data
-        limit = np.inf
-    if scn.cfl > limit:
-        message = (f"unstable time step: cfl = {scn.cfl} is past the largest stable "
-                   f"cfl {limit:.4g} (scenario.stable_cfl); {message}")
-    return SolverError(message)
-
-
 # Cells integrated past the support cone r = t - 1.  The scheme's numerical
 # tail ahead of the cone decays cell by cell; with 80 cells the last slices
 # of the reference (dr = 0.01) and mid (dr = 0.02) runs stay within 2e-11
 # of each field's maximum of the full-grid run, as with 120 or 160 cells
 # (round-off); 40 cells leave 4e-7 at the reference grid.
-_WINDOW_MARGIN = 80
+WINDOW_MARGIN = 80
 
-# The state's rows; its width is a whole number of _CHUNK cells.
-_ROWS = ("u", "v", "ut", "vt")
+# The state's width is a whole number of _CHUNK cells.
 _CHUNK = 256
 
 
@@ -257,8 +263,8 @@ class _RK4:
             if not denom.min() >= MIN_DENOM:
                 closest = np.abs(denom, out=tmp[:width]).min()
                 if closest < MIN_DENOM:
-                    raise _failure(scn, "quasilinear degeneracy: |1 - p00*u| < 1/2 "
-                                   f"on the grid (min {closest:.3e})")
+                    raise SolverError("quasilinear degeneracy: |1 - p00*u| < 1/2 "
+                                      f"on the grid (min {closest:.3e})")
         np.subtract(st.uv_next, st.uv_prev, out=d)
         inner = st.lap_inner
         np.add(st.uv_next, st.uv_prev, out=inner)
@@ -314,61 +320,43 @@ class _RK4:
         return np.isfinite(uv[::16], out=self._finite).all()
 
 
-def _unbacked_zeros(shape):
-    """Zero float64 array whose pages take memory only once written."""
-    buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=mmap.MAP_PRIVATE)
-    # under THP "always" one write would otherwise back 2 MiB at once
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
-
-
-# the record slot of each state row
-_SLOTS = tuple(_FIELDS.index(name) for name in _ROWS)
-
-
 def evolve(scn):
     """Run the scenario to t_end from its eps-scaled data at t = 2,
     returning the full SliceHistory."""
     dr = scn.dr
     n_grid = int(round(scn.r_max / dr)) + 1  # cells out to r_max
     n_steps, dt = time_steps(scn)
-
-    n_slices, n_store = history_shape(scn)
-    records = _unbacked_zeros((n_slices, n_store, len(_FIELDS)))
-    widths = np.empty(n_slices, dtype=np.uint32)
+    history = SliceHistory.empty(scn)
+    records, widths = history.records, history.widths
+    n_store = records.shape[1]
 
     # the stored radii hold the data, which vanish past r = 1
-    r = dr * np.arange(n_store)
-    data = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
-    records[0] = np.stack(data, axis=-1)
+    state = np.array([scn.eps * prof(history.r)
+                      for prof in (scn.u0, scn.v0, scn.u1, scn.v1)])
+    records[0] = state.T
     widths[0] = n_store
-    state = np.array([data[k] for k in _SLOTS])
     rk = None
 
     report_every = max(1, n_steps // 10)
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
         # past r = t - 1 + margin the fields are zero and are left alone
-        n = min(n_grid, int(np.ceil((t - 1.0) / dr)) + _WINDOW_MARGIN + 1)
+        n = min(n_grid, int(np.ceil((t - 1.0) / dr)) + WINDOW_MARGIN + 1)
         if rk is None or n >= rk.width:
             rk = _RK4(_CHUNK * (n // _CHUNK + 1), dr, state)
             state = rk.state
         rk.step(n, dt, scn)
         if not rk.finite():
-            raise _failure(scn, f"non-finite field values at slice {step} "
-                           f"(t = {t:.4f})")
+            raise SolverError(f"non-finite field values at slice {step} "
+                              f"(t = {t:.4f})")
         m = widths[step] = min(n, n_store)
-        written = records[step, :m]
-        for k, row in zip(_SLOTS, state):
-            written[:, k] = row[:m]
+        records[step, :m] = state[:, :m].T
         if step % report_every == 0:
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
                      t, step, n_steps,
                      np.max(np.abs(state[0])), np.max(np.abs(state[1])))
 
-    return SliceHistory(scenario=scn, t0=2.0, dt=dt, r=r,
-                        records=records, widths=widths)
+    return history
 
 
 # -- interpolation machinery --------------------------------------------------

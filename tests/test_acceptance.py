@@ -133,8 +133,11 @@ def test_criterion_05_kg_reduction(verdict):
     rep = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
     worst_c = rep["c_quadratic"].max()
     worst_diag = rep["diag_residual"].max()
-    ok = order >= 1.9 and worst_diag < 1e-12 and worst_c <= 1.0
-    verdict(5, "reduction order >= 1.9, diag < 1e-12, lemma C = 1", ok)
+    # and the lemma as printed within its derived factor, case by case
+    printed = np.all(rep["c_printed_whole"] <= rep["printed_factor"])
+    ok = order >= 1.9 and worst_diag < 1e-12 and worst_c <= 1.0 and printed
+    verdict(5, "reduction order >= 1.9, diag < 1e-12, lemma C = 1, "
+               "printed C <= sqrt(6) max(1, c)", ok)
 
 
 def test_criterion_06_decay_exponents(verdict, reference_scn, reference_history):

@@ -17,8 +17,8 @@ from wavekg.geometry import (HYPERBOLA_C0, MU_FAN, HyperbolaCurve, covered_s_gri
                              entry_point, hyperbola_window, hyperboloid_nodes,
                              run_length_problem)
 from wavekg.oracles import OracleSampler, free_wave_radiation
-from wavekg.scenario import (ScenarioError, parse_scenario, serialize_scenario,
-                             time_steps)
+from wavekg.scenario import (CELL_BYTES, ScenarioError, history_bytes, parse_scenario,
+                             serialize_scenario, time_steps)
 from wavekg.sliceio import slice_load
 
 from conftest import (differing_outputs, run_cli_process, run_python_process,
@@ -291,6 +291,8 @@ def test_pipeline_emits_expected_artifacts(tiny_cfg, tmp_path):
     kg = json.loads((out / "kg_lab.json").read_text())
     assert kg["oscillator_sweep"]["c_quadratic"] <= 1.0 + 1e-6
     assert kg["oscillator_sweep"]["diag_residual"] < 1e-12
+    # the printed lemma's constant within its derived factor, every case
+    assert kg["oscillator_sweep"]["printed_factor_share"] <= 1.0
     # every number is written as a plain float literal
     for name, text_columns in (("energies.csv", ()),
                                ("radiation.csv", ("method", "flagged"))):
@@ -343,6 +345,18 @@ def test_shortest_accepted_run_completes(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(short.replace("grid.t_end = 8.0", f"grid.t_end = {h + 0.01}"))
     assert cli.main(["all", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("profile,dr", [("bump k=1 radius=1.0", 0.2),
+                                        ("bump k=16 radius=0.86", 0.172)])
+def test_data_at_the_resolution_rule_finish(tmp_path, profile, dr):
+    # five cells per radius, the fewest parse_scenario accepts, on the
+    # grids where the energy check failed at the most cells: k = 1 up to
+    # 4.1 cells at dr = 0.2, k = 16 up to 2.25 at dr = 0.172
+    scn = parse_scenario(f"data.u0 = {profile} amp=1.0\ngrid.dr = {dr}\n"
+                         "grid.r_max = 8\ngrid.t_end = 8\n")
+    manifest = cli.run_pipeline("all", scn, tmp_path / "run")
+    assert "rigidity.json" in manifest["artifacts"]
 
 
 def test_radiation_and_rigidity_read_one_fan(tiny_cfg, tmp_path):
@@ -519,9 +533,9 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
                             "max_abs_at_cap")}
         history = slice_load(tmp_path / "a" / "slices.wkgh")
         assert metrics["solver"] == {
-            "steps": n_steps, "dt": dt, "window_margin": solver._WINDOW_MARGIN,
-            "history_mb": 4 * history.n_slices * history.r.size * 8 / 2**20,
-            "history_written_mb": 32 * int(history.widths.sum()) / 2**20}
+            "steps": n_steps, "dt": dt, "window_margin": solver.WINDOW_MARGIN,
+            "history_mb": history_bytes(scn) / 2**20,
+            "history_written_mb": CELL_BYTES * int(history.widths.sum()) / 2**20}
         assert all(np.isfinite(x) for x in health.values())
         # the stored u stays small and positive here, so the degeneracy
         # minimum sits at the largest u
@@ -550,9 +564,8 @@ def test_field_health_from_extremes_is_the_elementwise_value(p00):
     fields = {name: rng.standard_normal((600, 50)) * 0.12
               for name in ("u", "ut", "v", "vt")}
     history = solver.SliceHistory(
-        scenario=parse_scenario("").with_grid(p00=p00), t0=2.0, dt=0.01,
-        r=0.01 * np.arange(50),
-        records=np.stack([fields[name] for name in ("u", "ut", "v", "vt")], axis=-1),
+        scenario=parse_scenario("").with_grid(p00=p00),
+        records=np.stack([fields[name] for name in ("u", "v", "ut", "vt")], axis=-1),
         widths=np.full(600, 50, dtype=np.uint32))
     u, v = fields["u"], fields["v"]
     assert u.min() < 0 < u.max() and v.min() < 0 < v.max()

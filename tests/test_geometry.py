@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -124,9 +126,11 @@ def test_pipeline_queries_stay_inside_stored_times(dr, t_end, share):
     assume(geo.run_length_problem(t_end, dr) is None)
     # the last time evolve would store, without evolving, at any step the
     # stability rule accepts: only t_last and the grid spacing decide
-    # where the stages may sample
+    # where the stages may sample.  time_steps reads only the grid, so it
+    # takes the small shares whose history a Scenario would refuse
     scn = make_scenario(dr=dr, t_end=t_end, r_max=t_end)
-    n_steps, dt = time_steps(scn.with_grid(cfl=share * stable_cfl(scn)))
+    grid = SimpleNamespace(t_end=t_end, dr=dr, cfl=share * stable_cfl(scn))
+    n_steps, dt = time_steps(grid)
     t_last = 2.0 + n_steps * dt
     # the one foliation every stage reads; its every-third subset carries
     # the word records and the rigidity grid, and holds the first, middle

@@ -250,7 +250,7 @@ class TestOdeLemma:
         blocked = kgr.check_ode_lemma(prob, traj)
         monkeypatch.setattr(kgr, "_DENSE_COLUMNS", 5001)
         whole = kgr.check_ode_lemma(prob, traj)
-        for key in ("c_quadratic", "c_printed", "slack_quadratic",
+        for key in ("c_quadratic", "c_printed_whole", "slack_quadratic",
                     "diag_residual"):
             assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-15)
 
@@ -289,7 +289,7 @@ class TestOdeLemma:
             return run_shares(run, args)
 
         monkeypatch.setattr(_shares, "run_shares", counting)
-        keys = ("c_quadratic", "c_printed", "slack_quadratic", "diag_residual")
+        keys = ("c_quadratic", "c_printed_whole", "slack_quadratic", "diag_residual")
         monkeypatch.setattr(_shares, "worker_count", lambda: 1)
         one = kgr.check_ode_lemma(prob, traj)
         interval = sys.getswitchinterval()
@@ -311,10 +311,28 @@ class TestOdeLemma:
     def test_printed_form_carries_equivalence_factor(self):
         prob = one_case(c=1.0)
         report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
-        assert report["equivalence_factor"] == pytest.approx(np.sqrt(2.0))
+        assert report["printed_factor"] == pytest.approx(np.sqrt(6.0))
         # free oscillation: no growth at all in either form
         assert report["c_quadratic"] <= 1e-6
         assert report["slack_quadratic"] >= -1e-9
+
+    def test_printed_constant_is_the_whole_form_ratio(self):
+        # the kg-lab batch drawn at seed 0: each case's smallest constant of
+        # the printed lemma lies within its derived factor sqrt(6) max(1, c).
+        # An increment over the integral just past s0 read 194 here
+        lo = [0.5, -0.4, 0.2, 0.0, 0.0, 0.2, -1.0, -1.0]
+        hi = [2.0, 0.4, 2.0, 2.0 * np.pi, 0.5, 2.0, 1.0, 1.0]
+        prob = kgr.OscillatorProblem(
+            *np.random.default_rng(0).uniform(lo, hi, size=(100, 8)).T,
+            span=(2.0, 20.0))
+        report = kgr.check_ode_lemma(prob, kgr.integrate_oscillator(prob))
+        ratio = report["c_printed_whole"]
+        assert np.all(ratio <= report["printed_factor"])
+        assert 1.0 <= ratio.max() <= 2.0
+        # zero data and zero source: v stays 0, and the ratio reads 0
+        still = one_case(amp=0.0, v0=0.0, v0p=0.0)
+        report = kgr.check_ode_lemma(still, kgr.integrate_oscillator(still))
+        assert report["c_printed_whole"] == 0.0
 
 
 class TestRayPoints:

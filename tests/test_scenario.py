@@ -168,6 +168,21 @@ def test_runs_that_would_stop_mid_run_are_rejected(key, value, fragment):
         parse_scenario("\n".join(doc))
 
 
+def test_under_resolved_data_are_rejected_with_their_lines():
+    # finding J: this document passed the parser, and wavekg all died in
+    # the energies stage ("positive decomposition 1.378537e-09 exceeds the
+    # conformal energy 1.289244e-09"); the radius spans 1.28 cells
+    doc = ("data.u0 = bump k=4 radius=0.22 amp=1.0\ngrid.dr = 0.172\n"
+           "grid.r_max = 8\ngrid.t_end = 8\n")
+    with pytest.raises(ScenarioError, match="^line 1: profile u0 is under-resolved: "
+                                            "its radius 0.22 spans 1.28 cells") as info:
+        parse_scenario(doc)
+    assert str(info.value).endswith("(data.u0 on line 1, grid.dr on line 2)")
+    # five cells pass, and a zero profile has no radius to resolve
+    assert parse_scenario(doc.replace("radius=0.22", "radius=0.86")).u0.radius == 0.86
+    assert parse_scenario(doc.replace("amp=1.0", "amp=0.0")).u0 == Profile("zero")
+
+
 def test_stability_error_gives_the_largest_stable_cfl():
     limit = stable_cfl(parse_scenario(TINY))
     with pytest.raises(ScenarioError, match=f"largest stable cfl {limit:.4g} ") as info:
@@ -208,17 +223,43 @@ def test_memory_rule_runs_before_anything_is_sized_by_the_grid(dr):
         parse_scenario(TINY.replace("grid.dr = 0.1", f"grid.dr = {dr}"))
 
 
+@pytest.mark.parametrize("change,fragment", [
+    (dict(eps=0.6), "degenerate data"),  # |1 - p00*eps*u0| reaches 0.4
+    (dict(cfl=1.2), "unstable time step"),
+    (dict(dr=5e-4), "history too large"),  # 5.0 GiB nominal
+])
+def test_a_scenario_is_runnable_however_it_is_built(change, fragment):
+    # the solver's rules hold for a Scenario built directly or by
+    # with_grid, not only for a parsed one
+    base = parse_scenario(TINY)
+    with pytest.raises(ScenarioError, match=f"^{fragment}"):
+        base.with_grid(**change)
+    fields = {name: getattr(base, name) for name in base.__dataclass_fields__}
+    with pytest.raises(ScenarioError, match=f"^{fragment}"):
+        Scenario(**{**fields, **change})
+
+
+def test_a_step_that_rounds_to_zero_is_a_history_too_large():
+    # dr * cfl = 1e-400 rounds to 0, and the step count divided by it; this
+    # raised a bare ZeroDivisionError
+    with pytest.raises(ScenarioError, match="^line 6: history too large"):
+        parse_scenario(TINY.replace("grid.dr = 0.1", "grid.dr = 1e-200")
+                       + "grid.cfl = 1e-200\n")
+
+
 def test_with_grid_override():
     scn = parse_scenario(MINIMAL).with_grid(dr=0.01)
     assert scn.dr == 0.01
 
 
+# radii from 5 cells of the property's dr = 0.05 (parse_scenario's
+# resolution rule)
 profile_st = st.one_of(
     st.just(Profile("zero")),
     st.builds(Profile,
               st.just("bump"),
               k=st.integers(1, 6),
-              radius=st.floats(0.2, 1.0),
+              radius=st.floats(0.25, 1.0),
               amp=st.floats(0.001, 2.0)))
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from wavekg import sliceio
+from wavekg.scenario import CELL_BYTES, history_shape, serialize_scenario
 from wavekg.sliceio import SliceIOError, slice_dump, slice_load
-from wavekg.solver import evolve
+from wavekg.solver import SliceHistory, evolve
 
 from conftest import make_scenario, run_python_process
 
@@ -68,12 +68,37 @@ def test_truncation_detected(history, tmp_path):
     blob = _archive(history, tmp_path / "run.wkgh")
     with pytest.raises(SliceIOError, match="checksum|truncated"):
         _load_bytes(blob[:-17], tmp_path)
-    # a header claiming more slices than the file holds
-    at = 12 + int.from_bytes(blob[8:12], "little") + 16
-    n_s = int.from_bytes(blob[at:at + 8], "little")
+    # a scenario whose run has more slices than the file holds
+    longer = history.scenario.with_grid(t_end=history.scenario.t_end + 1.0)
+    widths = np.full(history_shape(longer)[0], history.widths[0], dtype="<u4")
+    text, _, data = _parts(blob, history.n_slices)
     with pytest.raises(SliceIOError, match="truncated"):
-        _load_bytes(_with_patch(blob, at, (n_s + 1).to_bytes(8, "little")),
-                    tmp_path)
+        _load_bytes(_assemble(serialize_scenario(longer).encode(), widths.tobytes(),
+                              data), tmp_path)
+
+
+def _parts(blob, n_slices):
+    """An archive's scenario text, widths table and records."""
+    at = _widths_at(blob)
+    return blob[12:at], blob[at:at + 4 * n_slices], blob[at + 4 * n_slices:-4]
+
+
+def _assemble(text, widths, data):
+    """The bytes of a format 3 archive of these parts."""
+    body = b"WKGH" + (3).to_bytes(4, "little") + len(text).to_bytes(4, "little")
+    body += text + widths + data
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_archive_is_its_parts(history, tmp_path):
+    # the header is the magic, the version and the scenario: the slice
+    # count, the radii and the times are the scenario's
+    blob = _archive(history, tmp_path / "run.wkgh")
+    text, widths, data = _parts(blob, history.n_slices)
+    assert text == serialize_scenario(history.scenario).encode()
+    assert widths == history.widths.astype("<u4").tobytes()
+    assert len(data) == CELL_BYTES * int(history.widths.sum())
+    assert _assemble(text, widths, data) == blob
 
 
 def _with_patch(blob, start, payload):
@@ -93,22 +118,23 @@ def test_bad_magic_rejected(history, tmp_path):
 @pytest.fixture
 def no_allocation(monkeypatch):
     """Fail any allocation of a loaded history's records."""
-    def refuse(shape):
-        raise AssertionError(f"allocated records of shape {shape}")
-    monkeypatch.setattr(sliceio, "_unbacked_zeros", refuse)
+    def refuse(cls, scn):
+        raise AssertionError(f"allocated the records of {scn}")
+    monkeypatch.setattr(SliceHistory, "empty", classmethod(refuse))
 
 
 def test_unsupported_version_rejected(history, tmp_path, no_allocation):
-    # version 1 stored full rows of four separate fields
+    # version 1 stored full rows of four separate fields, and version 2
+    # stored the times and the radial grid beside the scenario
     blob = _archive(history, tmp_path / "run.wkgh")
-    for version in (99, 1):
+    for version in (99, 1, 2):
         with pytest.raises(SliceIOError, match=f"version {version}"):
             _load_bytes(_with_patch(blob, 4, version.to_bytes(4, "little")), tmp_path)
 
 
 def _widths_at(blob):
     """Offset of an archive's widths table."""
-    return 12 + int.from_bytes(blob[8:12], "little") + 32
+    return 12 + int.from_bytes(blob[8:12], "little")
 
 
 def test_truncated_widths_table_rejected(history, tmp_path, no_allocation):
@@ -119,12 +145,20 @@ def test_truncated_widths_table_rejected(history, tmp_path, no_allocation):
 
 
 def test_dimensions_past_the_size_cap_rejected(history, tmp_path, no_allocation):
-    # 2^20 x 2^20 cells would be a 32 TiB record mapping
+    # the scenario decides the dimensions, and its rules cap them: at
+    # dr = 1e-4 the records would be a 60 GiB mapping
     blob = _archive(history, tmp_path / "run.wkgh")
-    at = _widths_at(blob) - 16
-    huge = (2**20).to_bytes(8, "little") * 2
-    with pytest.raises(SliceIOError, match="byte limit"):
-        _load_bytes(_with_patch(blob, at, huge), tmp_path)
+    text, widths, data = _parts(blob, history.n_slices)
+    huge = text.replace(b"grid.dr = 0.1\n", b"grid.dr = 0.0001\n")
+    assert huge != text
+    with pytest.raises(SliceIOError, match="bad scenario text: .*history too large"):
+        _load_bytes(_assemble(huge, widths, data), tmp_path)
+
+
+def test_dump_refuses_records_not_of_the_scenario_shape(history, tmp_path):
+    short = SliceHistory(history.scenario, history.records[:-1], history.widths[:-1])
+    with pytest.raises(SliceIOError, match="not the shape of its scenario"):
+        slice_dump(short, tmp_path / "run.wkgh")
 
 
 def test_width_past_n_radii_rejected(history, tmp_path, no_allocation):
@@ -165,12 +199,12 @@ def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
 # Evolves dr = 0.01, r_max = t_end = 27, the run of
 # test_solver.test_history_is_resident_only_where_written, and prints the
 # ru_maxrss rise over dumping it to the file named by its argument, the
-# length of slice_dump's result, and the history's dimensions and written
-# record bytes.
+# length of slice_dump's result, and the history's slice count and
+# written record bytes.
 _DUMP_CHILD = """
 import json, resource, sys
 from wavekg.profiles import Profile
-from wavekg.scenario import Scenario
+from wavekg.scenario import CELL_BYTES, Scenario
 from wavekg.sliceio import slice_dump
 from wavekg.solver import evolve
 
@@ -184,8 +218,8 @@ def maxrss():
 before = maxrss()
 view = slice_dump(history, sys.argv[1])
 print(json.dumps({"rise": maxrss() - before, "size": len(view),
-                  "n_slices": history.n_slices, "n_radii": history.r.size,
-                  "written": 32 * int(history.widths.sum())}))
+                  "n_slices": history.n_slices,
+                  "written": CELL_BYTES * int(history.widths.sum())}))
 """
 
 # Loads the archive named by its argument and prints the ru_maxrss rise
@@ -193,6 +227,7 @@ print(json.dumps({"rise": maxrss() - before, "size": len(view),
 # bytes of its written records, its slice count and the page size.
 _LOAD_CHILD = """
 import gc, json, os, resource, sys
+from wavekg.scenario import CELL_BYTES
 from wavekg.sliceio import slice_load
 
 page = os.sysconf("SC_PAGE_SIZE")
@@ -207,7 +242,7 @@ def maxrss():
 before = maxrss()
 history = slice_load(sys.argv[1])
 rise = maxrss() - before
-written = 32 * int(history.widths.sum())
+written = CELL_BYTES * int(history.widths.sum())
 n_slices = history.n_slices
 held = resident()
 del history
@@ -233,9 +268,9 @@ def test_dump_to_a_file_stays_out_of_memory(big_dump):
     # become resident: the dump copies nothing
     path, got = big_dump
     head = path.read_bytes()[:12]
-    header = 12 + int.from_bytes(head[8:12], "little") + 32
+    header = 12 + int.from_bytes(head[8:12], "little")
     assert got["size"] == path.stat().st_size == (
-        header + 4 * got["n_slices"] + 8 * got["n_radii"] + got["written"] + 4)
+        header + 4 * got["n_slices"] + got["written"] + 4)
     assert got["written"] >= 100 * 2**20
     assert got["rise"] < 2**20, got
 

@@ -81,7 +81,7 @@ def test_domain_of_dependence(free_wave_history):
 def test_work_does_not_depend_on_r_max():
     # the active window r <= t - 1 + margin never reaches either outer edge
     dr, t_end = 0.02, 8.0
-    assert (t_end - 1.0) / dr + solver._WINDOW_MARGIN < (t_end + 2.0) / dr
+    assert (t_end - 1.0) / dr + solver.WINDOW_MARGIN < (t_end + 2.0) / dr
     near, far = (evolve(make_scenario(dr=dr, t_end=t_end, r_max=t_end + pad))
                  for pad in (2.0, 8.0))
     assert near.r.size == far.r.size
@@ -92,7 +92,7 @@ def test_work_does_not_depend_on_r_max():
 def test_window_margin_is_converged(monkeypatch):
     scn = make_scenario(dr=0.02, t_end=10.0, r_max=14.0)
     base = evolve(scn)
-    monkeypatch.setattr(solver, "_WINDOW_MARGIN", 2 * solver._WINDOW_MARGIN)
+    monkeypatch.setattr(solver, "WINDOW_MARGIN", 2 * solver.WINDOW_MARGIN)
     wide = evolve(scn)
     for name in ("u", "ut", "v", "vt"):
         a, b = getattr(base, name), getattr(wide, name)
@@ -100,7 +100,10 @@ def test_window_margin_is_converged(monkeypatch):
 
 
 def test_quasilinear_guard():
-    scn = make_scenario(eps=2.0, dr=0.1, r_max=6.0, t_end=6.0)
+    # the data pass the scenario's rules (1 + u >= 1 at t = 2), but the free
+    # wave focuses on the axis to u = -0.55 eps, where 1 - p00 u < 1/2
+    scn = make_scenario(b00=0.0, bd=0.0, p00=-1.0, pd=0.0, eps=0.9,
+                        dr=0.1, r_max=6.0, t_end=6.0)
     with pytest.raises(SolverError, match="quasilinear"):
         evolve(scn)
 
@@ -174,7 +177,7 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero):
     want_widths = [n_store]
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
-        n = min(r.size, int(np.ceil((t - 1.0) / dr)) + solver._WINDOW_MARGIN + 1)
+        n = min(r.size, int(np.ceil((t - 1.0) / dr)) + solver.WINDOW_MARGIN + 1)
         yw = [a[:n] for a in y]
         args = (scn, 1.0 / dr**2, 1.0 / (dr * r[1:n - 1]))
         k1 = _plain_rhs(*yw, *args)
@@ -194,28 +197,34 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero):
 
 
 @pytest.mark.parametrize("c", [1.0, 30.0])
-def test_step_under_the_stability_limit_stays_bounded(c):
-    base = make_scenario(c=c)
+def test_step_under_the_stability_limit_stays_bounded(c, monkeypatch):
+    base = make_scenario(c=c, cfl=0.5)  # under the limit at either mass
     limit = scenario.stable_cfl(base)
     h = evolve(base.with_grid(cfl=0.999 * limit))
     for name in ("u", "v"):
         field = getattr(h, name)
         assert np.isfinite(field).all()
         assert np.max(np.abs(field)) <= 2.0 * np.max(np.abs(field[0])), name
-    # past the unscaled RK4 limit the axis mode grows without bound, and
-    # the error names the step, though |1 - p00 u| trips the guard first
-    with pytest.raises(SolverError, match=f"unstable time step.*largest stable "
-                                          f"cfl {limit:.4g}.*degeneracy"):
-        evolve(base.with_grid(cfl=1.1 * limit / scenario._CFL_SAFETY))
+    # a scenario past the limit cannot be built; with the rule's share
+    # lifted to 1.2, at 1.1 times the unscaled RK4 limit the axis mode
+    # grows without bound, and |1 - p00 u| trips the guard
+    with pytest.raises(scenario.ScenarioError, match="unstable time step"):
+        base.with_grid(cfl=1.001 * limit)
+    unscaled = limit / scenario._CFL_SAFETY
+    monkeypatch.setattr(scenario, "_CFL_SAFETY", 1.2)
+    with pytest.raises(SolverError, match="degeneracy"):
+        evolve(base.with_grid(cfl=1.1 * unscaled))
 
 
-def test_run_without_the_guard_names_the_unstable_step():
-    # with p00 = 0 there is no degeneracy guard: past the limit the growing
-    # mode turns the fields non-finite, and the error names the step
+def test_unstable_run_without_the_guard_stops_on_non_finite_values(monkeypatch):
+    # with p00 = 0 there is no degeneracy guard: past the limit (the rule's
+    # share lifted to 1.5) the growing mode turns the fields non-finite
     scn = make_scenario(p00=0.0, pd=0.0, dr=0.1)
+    cfl = 1.5 * scenario.stable_cfl(scn)
+    monkeypatch.setattr(scenario, "_CFL_SAFETY", 1.5 * scenario._CFL_SAFETY)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(SolverError, match="unstable time step.*non-finite"):
-        evolve(scn.with_grid(cfl=1.5 * scenario.stable_cfl(scn)))
+            pytest.raises(SolverError, match="non-finite field values"):
+        evolve(scn.with_grid(cfl=cfl))
 
 
 def test_history_bookkeeping(small_history, small_scn):
@@ -224,11 +233,15 @@ def test_history_bookkeeping(small_history, small_scn):
     h = small_history
     assert h.t0 == 2.0
     assert_allclose(h.t0 + (h.n_slices - 1) * h.dt, small_scn.t_end)
+    # the grid is the scenario's
+    assert h.dt == scenario.time_steps(small_scn)[1]
+    assert np.array_equal(h.r, small_scn.dr * np.arange(h.r.size))
     records = h.records
-    assert records.shape == (h.n_slices, h.r.size, 4)
+    assert records.shape == (*scenario.history_shape(small_scn), 4)
     assert records.dtype == np.float64
+    assert records[0, 0].nbytes == scenario.CELL_BYTES
     assert records.flags.c_contiguous and records.flags.writeable
-    for k, name in enumerate(("u", "ut", "v", "vt")):
+    for k, name in enumerate(("u", "v", "ut", "vt")):
         arr, view = getattr(h, name), records[..., k]
         assert arr.shape == (h.n_slices, h.r.size)
         assert arr.ctypes.data == view.ctypes.data and arr.strides == view.strides
@@ -246,7 +259,7 @@ def test_history_bookkeeping(small_history, small_scn):
 # and the page size.
 _RSS_CHILD = """
 import gc, json, os, resource
-from wavekg.scenario import Scenario
+from wavekg.scenario import CELL_BYTES, Scenario
 from wavekg.profiles import Profile
 from wavekg.solver import evolve
 
@@ -265,7 +278,7 @@ def maxrss():
 before = maxrss()
 history = evolve(scn)
 rise = maxrss() - before
-written = 32 * int(history.widths.sum())
+written = CELL_BYTES * int(history.widths.sum())
 n_slices = history.n_slices
 held = resident()
 del history
@@ -358,10 +371,8 @@ class TestSampling:
         h = small_history
         pad = 8
         padded = solver.SliceHistory(
-            scenario=h.scenario, t0=h.t0, dt=h.dt,
-            r=h.scenario.dr * np.arange(h.r.size + pad),
-            records=np.stack([np.pad(getattr(h, name), ((0, 0), (0, pad)))
-                              for name in ("u", "ut", "v", "vt")], axis=-1),
+            scenario=h.scenario,
+            records=np.pad(h.records, ((0, 0), (0, pad), (0, 0))),
             widths=h.widths)
         dr, rng = h.scenario.dr, np.random.default_rng(8)
         r = np.concatenate([rng.uniform(h.r[-1] - 4 * dr, h.r[-1] + 2 * dr, 60),
@@ -378,8 +389,7 @@ class TestSampling:
         # records give the same jets bit for bit, the axis and the cap
         # included
         h = small_history
-        copy = solver.SliceHistory(scenario=h.scenario, t0=h.t0, dt=h.dt,
-                                   r=h.r.copy(), records=h.records.copy(),
+        copy = solver.SliceHistory(scenario=h.scenario, records=h.records.copy(),
                                    widths=h.widths.copy())
         rng = np.random.default_rng(9)
         r = np.concatenate([rng.uniform(0.0, h.r[-1] + h.scenario.dr, 200),
