@@ -47,7 +47,7 @@ from .oracles import DalembertField, OracleSampler, free_wave_radiation
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         rigidity_experiment, transport_check)
-from .scenario import CELL_BYTES, parse_scenario, serialize_scenario
+from .scenario import parse_scenario, serialize_scenario
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
 
@@ -134,7 +134,8 @@ def _field_health(history):
         min_deg = min(min_deg, float(deg))
         max_u = max(max_u, float(max(-lo, hi)))
         max_v = max(max_v, float(max(-v.min(), v.max())))
-        at_cap = max(at_cap, float(np.abs(history.records[i:i + rows, -1]).max()))
+        at_cap = max(at_cap, float(np.abs(history.records[i:i + rows, -1]).max(
+            initial=0.0)))
     return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v,
             "max_abs_at_cap": at_cap}
 
@@ -376,11 +377,12 @@ def run_pipeline(subcommand, scn, out, seed=0):
             "stages": stage_metrics,
             "solver": {"steps": history.n_slices - 1, "dt": history.dt,
                        "window_margin": solver.WINDOW_MARGIN,
-                       # nominal MB of the stored fields, and the MB the
+                       # nominal MB of the live fields' records, and the MB the
                        # run wrote, about what is resident, since pages past
                        # the cone stay unbacked; the archive holds the latter
                        "history_mb": history.records.nbytes / 2**20,
-                       "history_written_mb": CELL_BYTES * int(history.widths.sum()) / 2**20,
+                       "history_written_mb": history.records[0, 0].nbytes
+                       * int(history.widths.sum()) / 2**20,
                        **health},
         },
         "artifacts": hashes,

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 __all__ = ["Profile", "ProfileError"]
 
@@ -32,6 +33,9 @@ class ProfileError(ValueError):
 # the fields of the one zero profile
 _ZERO = ("zero", 4, 1.0, 0.0)
 
+# highest derivative order of a profile's polynomials that is read: the
+# free-wave oracle's order-3 jets take one more r-derivative on the axis
+M_MAX = 4
 # largest bump exponent: the monomials of (1 - r^2)^k cancel more digits as k
 # grows; against exact rationals the odd extension and its derivatives to
 # order 4 are off by 2e-13 of their peak at k = 8, 2e-10 at 16 and 5e-6 at
@@ -64,14 +68,18 @@ class Profile:
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
         # a radius whose square leaves the float range, or coefficients that
-        # overflow, would give a profile whose values are inf or NaN
+        # overflow, would give a profile whose values are inf or NaN; so
+        # would a derivative to order M_MAX whose evaluation overflows
+        # inside the support, which its Horner bound there rules out
         if not self.is_zero:
             with np.errstate(over="ignore", invalid="ignore"):
-                finite = (0.0 < self.radius * self.radius < np.inf
-                          and np.isfinite(self._polys[("p", 0)].coef).all())
+                finite = 0.0 < self.radius * self.radius < np.inf and all(
+                    np.isfinite(bound) for base in ("p", "odd", "moment")
+                    for bound in self._horner_bounds(base))
             if not finite:
                 raise ProfileError(f"{self.describe()} has polynomial coefficients "
-                                   "past the float range")
+                                   "past the float range (derivatives to order "
+                                   f"{M_MAX} included)")
 
     @cached_property
     def _polys(self):
@@ -89,6 +97,17 @@ class Profile:
         if (base, m) not in self._polys:
             self._polys[(base, m)] = self._polys[(base, 0)].deriv(m)
         return self._polys[(base, m)]
+
+    def _horner_bounds(self, base):
+        """For m = 0 to M_MAX, a bound on every partial sum of Horner's rule
+        for the m-th derivative of base at |r| <= radius: the rule run on
+        its absolute coefficients at r = radius (formed j c[j] at a time,
+        as Polynomial.deriv forms them); inf or NaN where a sum can
+        overflow."""
+        c = np.abs(self._polys[(base, 0)].coef)
+        for _ in range(M_MAX + 1):
+            yield polyval(self.radius, c)
+            c = np.append(c[1:] * np.arange(1, c.size), 0.0)
 
     # -- basic evaluation ------------------------------------------------
 

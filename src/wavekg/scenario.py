@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
 
-__all__ = ["Scenario", "ScenarioError", "history_bytes", "history_shape",
+__all__ = ["Scenario", "ScenarioError", "history_bytes", "history_shape", "live_fields",
            "parse_scenario", "serialize_scenario", "stable_cfl", "time_steps"]
 
 # coarsest grid spacing the stages accept: on coarser grids the sampled
@@ -53,11 +53,11 @@ _CFL_SAFETY = 0.9
 # cells evolve stores past the final cone r = t_end - 1
 STORE_MARGIN = 20
 # largest nominal history a scenario may ask for (see history_bytes): the
-# reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl 0.5, and
-# about 0.55 of the nominal bytes are resident
+# coupled reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl
+# 0.5, and about 0.55 of the nominal bytes are resident
 MAX_HISTORY_BYTES = 2 * 2**30
-# bytes of one stored cell: the four doubles u, v, ut, vt
-CELL_BYTES = 4 * 8
+# bytes a live field takes in one stored cell: its value and time derivative
+FIELD_BYTES = 2 * 8
 
 
 class ScenarioError(ValueError):
@@ -126,15 +126,19 @@ class Scenario:
                     "data must be supported in the unit ball", (name,))
         # the memory rule is arithmetic, so it runs before stable_cfl sizes
         # anything by the grid; a step count past the float range (dr so
-        # small, or dr cfl rounded to 0) is past the limit too
+        # small, or dr cfl rounded to 0) is past the limit too.  A run with
+        # no live field stores nothing, but its stages still sample its
+        # grid, so it is held to the one-field limit
+        n_live = len(live_fields(self))
         try:
-            nominal = history_bytes(self)
+            nominal = math.prod(history_shape(self)) * FIELD_BYTES * max(1, n_live)
         except (OverflowError, ZeroDivisionError):
             nominal = math.inf
         if nominal > MAX_HISTORY_BYTES:
             raise ScenarioError(
-                f"history too large: {nominal / 2**30:.4g} GiB nominal (4 fields of "
-                "(n_steps + 1) x n_store doubles) is past the limit of "
+                f"history too large: {nominal / 2**30:.4g} GiB nominal ({n_live} of 2 "
+                f"fields live{', counted as 1' * (not n_live)}; 2 doubles a live field "
+                "per cell of (n_steps + 1) x n_store) is past the limit of "
                 f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
         limit = stable_cfl(self)
         if not self.cfl <= limit:
@@ -188,11 +192,21 @@ def history_shape(scn):
     return time_steps(scn)[0] + 1, int(round(r_cap / scn.dr)) + 1
 
 
+def live_fields(scn):
+    """The fields whose data, times eps, are not both zero: (), ("u",),
+    ("v",) or ("u", "v").  Every term of u's equation carries a factor u
+    and v's equation is linear in v, so a field whose data are zero stays
+    exactly zero at every coupling; evolve steps and stores only these."""
+    data = {"u": (scn.u0, scn.u1), "v": (scn.v0, scn.v1)}
+    return tuple(name for name, pair in data.items()
+                 if scn.eps and not all(prof.is_zero for prof in pair))
+
+
 def history_bytes(scn):
-    """Nominal bytes of evolve's history, a cell of CELL_BYTES for each of
-    history_shape; plain arithmetic, so the memory rule allocates nothing."""
+    """Nominal bytes of evolve's history, FIELD_BYTES for each live field
+    in each cell of history_shape."""
     slices, radii = history_shape(scn)
-    return slices * radii * CELL_BYTES
+    return slices * radii * FIELD_BYTES * len(live_fields(scn))
 
 
 def stable_cfl(scn):

@@ -3,21 +3,24 @@
 Layout (all integers little-endian):
 
     4 bytes   magic b"WKGH"
-    u32       format version (currently 3)
+    u32       format version (currently 4)
     u32       length of the scenario text, followed by that many bytes
               of UTF-8 scenario (the same text parse_scenario accepts)
     u32 * n_slices                   widths: cells written per slice
     for each slice k:
-      f64 * 4 * widths[k]            its first widths[k] records
-                                     (u, v, ut, vt per cell)
+      f64 * 2F * widths[k]           its first widths[k] records
     u32       zlib.crc32 of everything before it
 
 The scenario decides the rest: n_slices and n_radii are its
-history_shape, and the times and radii its grid.  A slice's records past
-its width are +0.0 and are not stored, so the archive holds only what
-the run computed.  The loader is an exact inverse: slice_load(path) after
-slice_dump(h, path) reproduces the history bit for bit, widths included.
-Both take a file path; neither builds an archive in memory.
+history_shape, the times and radii its grid, and F its live fields
+(scenario.live_fields), so a record holds 2F doubles: each live field,
+then its time derivative (u, v, ut, vt on a coupled run, u, ut on a
+free wave, v, vt on a free Klein-Gordon run, nothing on zero data).  A
+dead field is zero and is not stored, nor are a slice's records past its
+width, which are +0.0, so the archive holds only what the run computed.
+The loader is an exact inverse: slice_load(path) after slice_dump(h,
+path) reproduces the history bit for bit, widths included.  Both take a
+file path; neither builds an archive in memory.
 
 Neither direction holds a second copy of the data.  slice_dump writes
 the header and each slice's record prefix straight from the history,
@@ -39,14 +42,14 @@ import zlib
 
 import numpy as np
 
-from .scenario import (CELL_BYTES, ScenarioError, history_shape, parse_scenario,
-                       serialize_scenario)
+from .scenario import (FIELD_BYTES, ScenarioError, history_shape, live_fields,
+                       parse_scenario, serialize_scenario)
 from .solver import SliceHistory
 
 __all__ = ["SliceIOError", "slice_dump", "slice_load"]
 
 _MAGIC = b"WKGH"
-_VERSION = 3
+_VERSION = 4
 
 
 class SliceIOError(RuntimeError):
@@ -58,7 +61,8 @@ def _write(fh, history):
     record prefix at a time."""
     records, widths = history.records, history.widths
     n_s, n_r = history_shape(history.scenario)
-    if records.shape != (n_s, n_r, CELL_BYTES // 8) or widths.shape != (n_s,):
+    n_values = 2 * len(live_fields(history.scenario))
+    if records.shape != (n_s, n_r, n_values) or widths.shape != (n_s,):
         raise SliceIOError("history arrays are not the shape of its scenario's")
     if np.any(widths > n_r):
         raise SliceIOError("a slice width exceeds n_radii")
@@ -131,7 +135,8 @@ def _read(fh):
     fill(widths, "the widths")
     if np.any(widths > n_r):
         raise SliceIOError(f"a slice width exceeds n_radii = {n_r}")
-    need = fh.tell() + CELL_BYTES * int(widths.sum(dtype=np.uint64)) + 4
+    cell = FIELD_BYTES * len(live_fields(scn))
+    need = fh.tell() + cell * int(widths.sum(dtype=np.uint64)) + 4
     if need > size:
         raise SliceIOError("truncated file while reading the field data")
     if need < size:

@@ -18,28 +18,35 @@ the window reaches it.  The margin, a constant number of cells, keeps
 the clipped numerical tail ahead of the cone at round-off level.  No
 array is sized by r_max, so an r_max past the last window changes nothing.
 
-The state is one C-contiguous (4, width) array with rows u, v, ut, vt,
+Only the live fields are evolved and stored (scenario.live_fields):
+every term of u's equation carries a factor u and v's equation is
+linear in v, so a field whose data are zero stays exactly zero at every
+coupling.  With F live fields, the state is one C-contiguous (2F, width)
+array, the live fields and then their time derivatives (u, v, ut, vt on
+a coupled run, u, ut on a free wave, v, vt on a free Klein-Gordon run),
 its width the window plus at least one cell rounded up to whole chunks
-of _CHUNK cells; it is widened by a copy when the window outgrows it.
-Each RK4 stage combination and the final update is one operation on the
-whole state, one stencil pass over the flat (u, v) pair serves both
-Laplacians, and the right-hand side writes into buffers allocated once
-per width, so a step allocates no array.  Each cell still sees the
-floating-point operations of a plain field-by-field RK4 in the same
-order, so the history is bit for bit the one such a loop stores.
+of _CHUNK cells; it is widened by a copy when the window outgrows it.  A
+run with no live field does no step.  Each RK4 stage combination and the
+final update is one operation on the whole state, one stencil pass over
+the flat live rows serves every Laplacian, and the right-hand side
+writes into buffers allocated once per width, so a step allocates no
+array.  Each cell of a live field still sees the floating-point
+operations of a plain RK4 of all four fields in the same order, so the
+history is bit for bit the one such a loop stores.
 
-A coupling whose scenario constant is 0 costs nothing, since the
-right-hand side skips its term; with all four 0, as on free runs and the
-oracle validations, that is 14 of a coupled stage's 27 numpy calls.
-b00 = 0 drops the b00 ut vt product and its add, bd = 0 the bd u_r v_r
-product, its tail zeroing and its add, pd = 0 the factor 1 + pd u, and
-p00 = 0 the denominator 1 - p00 u, its degeneracy guard and the
-division.  The bytes stay those of the plain loop, which computes every
-term: a skipped factor 1 + 0 u or 1 - 0 u is exactly 1, and a skipped
-addend 0 ut vt or 0 u_r v_r is a signed zero, which can only turn a
--0.0 into +0.0 (equal values; the solver's bit-for-bit test holds it
-harmless).  With p00 = 0 there is no guard: the denominator is exactly
-1, so it could never trip.
+A coupling term costs nothing when its scenario constant is 0 or one of
+the fields is dead, since the right-hand side skips it; with all four
+skipped, as on free runs and the oracle validations, that is 14 of a
+coupled stage's 27 numpy calls.  b00 = 0 drops the b00 ut vt product and
+its add, bd = 0 the bd u_r v_r product, its tail zeroing and its add,
+pd = 0 the factor 1 + pd u, and p00 = 0 the denominator 1 - p00 u, its
+degeneracy guard and the division.  The bytes stay those of the plain
+loop, which computes every term: a skipped factor 1 + pd u or 1 - p00 u
+with pd, p00 or u zero is exactly 1, and a skipped addend b00 ut vt or
+bd u_r v_r with a zero factor is a signed zero, which can only turn a
+-0.0 into +0.0 (equal values; on the solver's bit-for-bit test's data no
+byte differs).  Where 1 - p00 u is skipped there is no guard: the
+denominator is exactly 1, so it could never trip.
 
 Every accepted step is stored out to one radius cap,
 r <= t_end - 1 + STORE_MARGIN * dr (scenario.history_shape); the sampler
@@ -47,21 +54,22 @@ treats the fields as zero beyond it.  This dense time coverage is what
 sampling fields and their derivative jets on hyperboloids
 t = sqrt(s^2 + r^2) and along characteristic curves needs.
 
-The history is one C-contiguous (n_slices, n_radii, 4) float64 record
-array, the values u, v, ut, vt of each cell side by side, the state's
-row order:
+The history is one C-contiguous (n_slices, n_radii, 2F) record array,
+the 2F values of each cell side by side, the state's row order; on a
+coupled run:
 
     records[k] = | u v ut vt | u v ut vt | ... | u v ut vt | 0 0 0 0 | ...
                    cell 0      cell 1            widths[k]-1 (zeros past it)
 
+A dead field is not stored: SliceHistory reads it as read-only zeros.
 Step k writes its row only out to its window, widths[k] cells, with one
 copy of the state's transpose, so a row's cells past the cone are never
 written.  The records live in one private anonymous memory mapping
 advised against huge pages (SliceHistory.empty), where the kernel
 backs a 4 KiB page only when evolve first writes it; reads of
 unwritten pages (the sampler, the health values) see the kernel's
-shared zero page.  Since the four fields share each row, a step's
-written prefix starts partway into at most one page, not four; the
+shared zero page.  Since the live fields share each row, a step's
+written prefix starts partway into at most one page, not 2F; the
 history is resident only inside the cone, about 0.55 of its nominal
 bytes on the reference grid, and the mapping is freed with its array.
 (A numpy buffer this large takes huge pages, which would make the zeros
@@ -80,7 +88,8 @@ import numpy as np
 from .energies import hyperboloid_samples, word_records
 from .geometry import MU_FAN, WORD_STRIDE, axis_ratio, covered_s_grid, null_radii
 from .radiation import radiation_fan
-from .scenario import MIN_DENOM, Scenario, history_bytes, history_shape, time_steps
+from .scenario import (MIN_DENOM, Scenario, history_bytes, history_shape, live_fields,
+                       time_steps)
 
 __all__ = [
     "SolverError",
@@ -91,8 +100,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the four values of a record, in the state's row order
+# the four fields and the scenario data each starts from
 _FIELDS = ("u", "v", "ut", "vt")
+_DATA = {"u": "u0", "v": "v0", "ut": "u1", "vt": "v1"}
+
+
+def _columns(scn):
+    """The values of one record, in the state's row order: each live field
+    (scenario.live_fields), then the time derivative of each."""
+    live = live_fields(scn)
+    return live + tuple(name + "t" for name in live)
 
 
 class SolverError(RuntimeError):
@@ -103,14 +120,16 @@ class SolverError(RuntimeError):
 class SliceHistory:
     """Uniformly spaced time slices of the four fields.
 
-    records has shape (n_slices, n_radii, 4), the values u, v, ut, vt of
-    each cell side by side; widths[k] is the number of cells the run
-    wrote to slice k, and its records past them are +0.0.  The grid is
-    the scenario's: slice k lies at t0 + k dt, with t0 = 2 the data time
-    and dt the step of time_steps, and column i at r = i dr.  The stored
-    radial range may be shorter than the computational grid (fields
-    vanish beyond the support cone r <= t - 1).  u, v, ut and vt are
-    (n_slices, n_radii) views of records.
+    records has shape (n_slices, n_radii, 2F) for the run's F live fields
+    (scenario.live_fields): the values of each cell side by side, each
+    live field, then its time derivative (u, v, ut, vt on a coupled run);
+    widths[k] is the number of cells the run wrote to slice k, and its
+    records past them are +0.0.  The grid is the scenario's: slice k lies
+    at t0 + k dt, with t0 = 2 the data time and dt the step of time_steps,
+    and column i at r = i dr.  The stored radial range may be shorter than
+    the computational grid (fields vanish beyond the support cone
+    r <= t - 1).  u, v, ut and vt are (n_slices, n_radii) views: of
+    records for a live field, read-only zeros for a dead one.
     """
 
     scenario: Scenario
@@ -123,19 +142,25 @@ class SliceHistory:
     t0 = 2.0  # a class constant, not a field
 
     def __post_init__(self):
-        self.u, self.v, self.ut, self.vt = np.moveaxis(self.records, -1, 0)
+        stored = dict(zip(_columns(self.scenario), np.moveaxis(self.records, -1, 0)))
+        dead = np.broadcast_to(0.0, self.records.shape[:2])
+        self.u, self.v, self.ut, self.vt = (stored.get(name, dead) for name in _FIELDS)
 
     @classmethod
     def empty(cls, scn):
-        """The history of scn before its run: records of history_shape,
-        all +0.0, in one private anonymous mapping whose pages take memory
-        only once written, and widths 0."""
-        buf = mmap.mmap(-1, history_bytes(scn), flags=mmap.MAP_PRIVATE)
-        # under THP "always" one write would otherwise back 2 MiB at once
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        records = np.frombuffer(buf, dtype=np.float64).reshape(*history_shape(scn), -1)
-        return cls(scn, records, np.zeros(records.shape[0], dtype=np.uint32))
+        """The history of scn before its run: records of history_shape and
+        the live fields' values, all +0.0, in one private anonymous mapping
+        whose pages take memory only once written, and widths 0."""
+        shape = (*history_shape(scn), len(_columns(scn)))
+        if not history_bytes(scn):
+            records = np.zeros(shape)  # no live field: no bytes to map
+        else:
+            buf = mmap.mmap(-1, history_bytes(scn), flags=mmap.MAP_PRIVATE)
+            # under THP "always" one write would otherwise back 2 MiB at once
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                buf.madvise(mmap.MADV_NOHUGEPAGE)
+            records = np.frombuffer(buf, dtype=np.float64).reshape(shape)
+        return cls(scn, records, np.zeros(shape[0], dtype=np.uint32))
 
     @cached_property
     def dt(self):
@@ -193,59 +218,76 @@ _CHUNK = 256
 
 
 class _Stage:
-    """Views of one RK4 stage buffer, with the six rows u, v, ut, vt, u_tt,
-    v_tt: rows 0-3 are the stage's state y and rows 2-5 its time
-    derivative k, each one contiguous (4, width) array, so k shares ut and
-    vt with y.  The views are taken once, not per call."""
+    """Views of one RK4 stage buffer of 3F rows for F live fields: the
+    fields, their time derivatives and their second time derivatives, F
+    rows each in the order of scenario.live_fields.  Rows 0 to 2F-1 are
+    the stage's state y and rows F to 3F-1 its time derivative k, each one
+    contiguous (2F, width) array, so k shares the first time derivatives
+    with y.  u, ut, utt (and v, vt, vtt) are a live field's rows, None for
+    a dead one.  The views are taken once, not per call."""
 
-    def __init__(self, buf):
-        self.y, self.k = buf[:4], buf[2:]
-        self.u, self.v, self.ut, self.vt, self.utt, self.vtt = buf
-        uv = buf[:2].reshape(-1)  # the (u, v) pair as one flat row
-        self.uv_next, self.uv_prev, self.uv_mid = uv[2:], uv[:-2], uv[1:-1]
-        self.lap = buf[4:]  # Lap u and Lap v, then u_tt and v_tt
-        self.lap_inner = buf[4:].reshape(-1)[1:-1]
-        self.uv_1, self.uv_0, self.lap_0 = buf[:2, 1], buf[:2, 0], buf[4:, 0]
-        self.utt_inner = buf[4, 1:-1]
+    def __init__(self, buf, live):
+        f = len(live)
+        self.y, self.k = buf[:2 * f], buf[f:]
+        rows = {name: buf[i::f] for i, name in enumerate(live)}
+        self.u, self.ut, self.utt = rows.get("u", (None,) * 3)
+        self.v, self.vt, self.vtt = rows.get("v", (None,) * 3)
+        w = buf[:f].reshape(-1)  # the live fields as one flat row
+        self.w_next, self.w_prev, self.w_mid = w[2:], w[:-2], w[1:-1]
+        self.lap = buf[2 * f:]  # the Laplacians, then the second derivatives
+        self.lap_inner = self.lap.reshape(-1)[1:-1]
+        self.w_1, self.w_0, self.lap_0 = buf[:f, 1], buf[:f, 0], self.lap[:, 0]
+        if self.u is not None:
+            self.utt_inner = self.utt[1:-1]
 
 
 class _RK4:
-    """Classical RK4 on one C-contiguous state of a fixed width.
+    """Classical RK4 on one C-contiguous state of a fixed width, the live
+    fields of scn and their time derivatives.
 
     stages[0]'s state is the run's state, and stages[1:] hold the other
     three stages (see _Stage).  Every buffer is allocated here, once per
-    width; a step allocates none.
+    width; a step allocates none.  The coupling constants are the
+    scenario's when both fields are live, else 0 (module docstring).
     """
 
-    def __init__(self, width, dr, state):
+    def __init__(self, width, scn, state):
+        live = live_fields(scn)
+        f = len(live)
         self.width = width
-        buf = np.zeros((4, 6, width))
-        self.stages = [_Stage(b) for b in buf]
+        buf = np.zeros((4, 3 * f, width))
+        self.stages = [_Stage(b, live) for b in buf]
         self.state = self.stages[0].y
         self.state[:, :state.shape[1]] = state[:, :width]
+        self._fields = self.state[:f].reshape(-1)  # the live fields, flat
+        dr = scn.dr
         self.inv_dr2 = 1.0 / dr**2
-        # 1/(dr r) at the interior cells of the flat (u, v) pair, 0 at the
-        # junction of the two rows
-        inv_drr = np.zeros((2, width))
+        self.b00, self.bd, self.p00, self.pd = (
+            (scn.b00, scn.bd, scn.p00, scn.pd) if f == 2 else (0.0,) * 4)
+        self.c2 = scn.c**2
+        # 1/(dr r) at the interior cells of the flat live rows, 0 where two
+        # rows meet
+        inv_drr = np.zeros((f, width))
         inv_drr[:, 1:-1] = 1.0 / (dr * (dr * np.arange(1, width - 1)))
         self._inv_drr = inv_drr.reshape(-1)[1:-1]
-        self._diff = np.empty(2 * width - 2)
-        self._tmp = np.empty(2 * width - 2)
+        self._diff = np.empty(f * width - 2)
+        self._tmp = np.empty(f * width - 2)
+        self._row = np.empty(width)
         self._denom = np.empty(width)
-        self._axis = np.empty(2)
-        self._finite = np.empty(width // 8, dtype=bool)  # width % 16 == 0
+        self._axis = np.empty(f)
+        self._finite = np.empty(f * width // 16, dtype=bool)  # width % 16 == 0
 
-    def rhs(self, st, n, scn):
-        """Fill rows u_tt, v_tt of stage st from its state on the window
-        of n cells.
+    def rhs(self, st, n):
+        """Fill the second-derivative rows of stage st from its state on the
+        window of n cells.
 
         Centered differences, with w[i+1] - w[i-1] shared by the Laplacian
-        and d_r; one stencil pass over the flat (u, v) pair serves both
-        fields, and the two cells where the rows meet are overwritten
-        after it.  The axis uses the even ghost (Laplacian 3 w_rr,
-        d_r w = 0).  From the window's last cell on, the Laplacian and the
-        bd product are zero, the treatment of the full grid's outer edge,
-        so the zeros past the window stay +0.0.
+        and d_r; one stencil pass over the flat live rows serves every
+        field, and the cells where two rows meet are overwritten after it.
+        The axis uses the even ghost (Laplacian 3 w_rr, d_r w = 0).  From
+        the window's last cell on, the Laplacian and the bd product are
+        zero, the treatment of the full grid's outer edge, so the zeros
+        past the window stay +0.0.
 
         A term whose coupling constant is 0 is skipped (module docstring):
         b00 = 0 saves 3 passes, bd = 0 4, pd = 0 3 (its factor is exactly
@@ -254,57 +296,58 @@ class _RK4:
         only the sign of a zero can differ from the plain RK4's sum.
         """
         width, inv_dr2 = self.width, self.inv_dr2
-        denom, d, tmp = self._denom, self._diff, self._tmp
-        if scn.p00:
-            np.multiply(st.u, scn.p00, out=denom)
+        denom, d, tmp, t = self._denom, self._diff, self._tmp, self._row
+        if self.p00:
+            np.multiply(st.u, self.p00, out=denom)
             np.subtract(1.0, denom, out=denom)
             # a minimum of 1 - p00 u at or above MIN_DENOM bounds |1 - p00 u|
             # too; only otherwise (or on a nan) is the absolute minimum taken
             if not denom.min() >= MIN_DENOM:
-                closest = np.abs(denom, out=tmp[:width]).min()
+                closest = np.abs(denom, out=t).min()
                 if closest < MIN_DENOM:
                     raise SolverError("quasilinear degeneracy: |1 - p00*u| < 1/2 "
                                       f"on the grid (min {closest:.3e})")
-        np.subtract(st.uv_next, st.uv_prev, out=d)
+        np.subtract(st.w_next, st.w_prev, out=d)
         inner = st.lap_inner
-        np.add(st.uv_next, st.uv_prev, out=inner)
-        inner -= np.multiply(st.uv_mid, 2.0, out=tmp)
+        np.add(st.w_next, st.w_prev, out=inner)
+        inner -= np.multiply(st.w_mid, 2.0, out=tmp)
         inner *= inv_dr2
         inner += np.multiply(d, self._inv_drr, out=tmp)
-        axis = np.subtract(st.uv_1, st.uv_0, out=self._axis)
+        axis = np.subtract(st.w_1, st.w_0, out=self._axis)
         axis *= 6.0 * inv_dr2
         st.lap_0[...] = axis
         st.lap[:, n - 1:] = 0.0
         # + b00 ut vt + bd u_r v_r, with u_r = (u[i+1] - u[i-1]) / (2 dr)
-        t = tmp[:width]
-        if scn.b00:
-            np.multiply(st.ut, scn.b00, out=t)
+        if self.b00:
+            np.multiply(st.ut, self.b00, out=t)
             t *= st.vt
             st.utt += t
-        if scn.bd:
-            prod = np.multiply(d[:width - 2], 0.25 * scn.bd * inv_dr2,
+        if self.bd:
+            prod = np.multiply(d[:width - 2], 0.25 * self.bd * inv_dr2,
                                out=tmp[:width - 2])
             prod *= d[width:]
             prod[n - 2:] = 0.0
             st.utt_inner += prod
+        if st.v is None:
+            return
         # v_tt = ((1 + pd u) Lap v - c^2 v) / (1 - p00 u)
         vtt = st.vtt
-        if scn.pd:
-            np.multiply(st.u, scn.pd, out=t)
+        if self.pd:
+            np.multiply(st.u, self.pd, out=t)
             t += 1.0
             vtt *= t
-        vtt -= np.multiply(st.v, scn.c**2, out=t)
-        if scn.p00:
+        vtt -= np.multiply(st.v, self.c2, out=t)
+        if self.p00:
             vtt /= denom
 
-    def step(self, n, dt, scn):
+    def step(self, n, dt):
         """Advance the state by dt on the window of n cells."""
         s1, s2, s3, s4 = self.stages
-        self.rhs(s1, n, scn)
+        self.rhs(s1, n)
         for st, prev, h in ((s2, s1, 0.5 * dt), (s3, s2, 0.5 * dt), (s4, s3, dt)):
             np.multiply(prev.k, h, out=st.y)
             st.y += self.state
-            self.rhs(st, n, scn)
+            self.rhs(st, n)
         # state += (k1 + 2 (k2 + k3) + k4) dt/6, summed in that order
         acc = s2.k
         acc += s3.k
@@ -315,46 +358,52 @@ class _RK4:
         self.state += acc
 
     def finite(self):
-        """Whether every 16th cell of u and v is finite."""
-        uv = self.state[:2].reshape(-1)
-        return np.isfinite(uv[::16], out=self._finite).all()
+        """Whether every 16th cell of the live fields is finite."""
+        return np.isfinite(self._fields[::16], out=self._finite).all()
 
 
 def evolve(scn):
     """Run the scenario to t_end from its eps-scaled data at t = 2,
-    returning the full SliceHistory."""
+    returning the full SliceHistory.  Only the live fields are stepped
+    (scenario.live_fields); a run with none does no step."""
     dr = scn.dr
     n_grid = int(round(scn.r_max / dr)) + 1  # cells out to r_max
     n_steps, dt = time_steps(scn)
     history = SliceHistory.empty(scn)
     records, widths = history.records, history.widths
     n_store = records.shape[1]
+    live = live_fields(scn)
 
     # the stored radii hold the data, which vanish past r = 1
-    state = np.array([scn.eps * prof(history.r)
-                      for prof in (scn.u0, scn.v0, scn.u1, scn.v1)])
+    state = np.zeros((records.shape[2], n_store))
+    for row, name in zip(state, _columns(scn)):
+        row[:] = scn.eps * getattr(scn, _DATA[name])(history.r)
     records[0] = state.T
     widths[0] = n_store
+    # past r = t - 1 + margin the fields are zero and are left alone
+    times = 2.0 + np.arange(1, n_steps + 1) * dt
+    windows = np.minimum(n_grid, np.ceil((times - 1.0) / dr).astype(int)
+                         + WINDOW_MARGIN + 1)
+    widths[1:] = np.minimum(windows, n_store)
+    if not live:
+        return history
     rk = None
 
     report_every = max(1, n_steps // 10)
-    for step in range(1, n_steps + 1):
-        t = 2.0 + step * dt
-        # past r = t - 1 + margin the fields are zero and are left alone
-        n = min(n_grid, int(np.ceil((t - 1.0) / dr)) + WINDOW_MARGIN + 1)
+    for step, (t, n, m) in enumerate(zip(times.tolist(), windows.tolist(),
+                                         widths[1:].tolist()), start=1):
         if rk is None or n >= rk.width:
-            rk = _RK4(_CHUNK * (n // _CHUNK + 1), dr, state)
+            rk = _RK4(_CHUNK * (n // _CHUNK + 1), scn, state)
             state = rk.state
-        rk.step(n, dt, scn)
+        rk.step(n, dt)
         if not rk.finite():
             raise SolverError(f"non-finite field values at slice {step} "
                               f"(t = {t:.4f})")
-        m = widths[step] = min(n, n_store)
         records[step, :m] = state[:, :m].T
-        if step % report_every == 0:
+        if step % report_every == 0 and log.isEnabledFor(logging.INFO):
+            peak = {name: np.max(np.abs(row)) for name, row in zip(live, state)}
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
-                     t, step, n_steps,
-                     np.max(np.abs(state[0])), np.max(np.abs(state[1])))
+                     t, step, n_steps, peak.get("u", 0.0), peak.get("v", 0.0))
 
     return history
 
@@ -363,7 +412,8 @@ def evolve(scn):
 #
 # The sampler gathers, for each query point, a window of 8 radial nodes
 # around the point on 4 bracketing time slices: one flat (P, 4, 8) index
-# into the history's cells reads the four fields' records with one take.
+# into the history's cells reads the live fields' records with one take,
+# and a dead field's window is zeros.
 # Negative window indices are mapped through the axis mirror (all four
 # base fields are even in r); nodes beyond the stored range are zeroed
 # after the take (the fields vanish outside the support cone).
@@ -398,9 +448,13 @@ def _gather(history, ts, rs):
     mirrored[beyond] = 0
     flat = (idx_t * nr)[:, :, None] + mirrored[:, None, :]  # (P, 4, 8)
 
-    vals = history.records.reshape(-1, len(_FIELDS)).take(flat, axis=0)
+    records = history.records
+    vals = records.reshape(nt * nr, records.shape[2]).take(flat, axis=0)
     vals[np.broadcast_to(beyond[:, None, :], flat.shape)] = 0.0
-    fields = dict(zip(_FIELDS, np.moveaxis(vals, -1, 0)))
+    fields = dict(zip(_columns(history.scenario), np.moveaxis(vals, -1, 0)))
+    if len(fields) < len(_FIELDS):
+        dead = np.zeros(flat.shape)
+        fields = {name: fields.get(name, dead) for name in _FIELDS}
     r_nodes = idx_r * dr  # signed radii
     t_nodes = tmin + idx_t * dt
     return fields, r_nodes, t_nodes, ts, rs

@@ -17,7 +17,7 @@ from wavekg.geometry import (HYPERBOLA_C0, MU_FAN, HyperbolaCurve, covered_s_gri
                              entry_point, hyperbola_window, hyperboloid_nodes,
                              run_length_problem)
 from wavekg.oracles import OracleSampler, free_wave_radiation
-from wavekg.scenario import (CELL_BYTES, ScenarioError, history_bytes, parse_scenario,
+from wavekg.scenario import (ScenarioError, history_bytes, parse_scenario,
                              serialize_scenario, time_steps)
 from wavekg.sliceio import slice_load
 
@@ -95,13 +95,13 @@ def test_pipeline_evolves_once(tmp_path, monkeypatch):
 
 
 def test_a_profile_past_the_float_range_outside_its_support_runs(tmp_path):
-    # amp = 1e302 at k = 16 overflows once the polynomial is evaluated at
+    # amp = 1e295 at k = 16 overflows once the polynomial is evaluated at
     # radii past 1, which the profile's values there never need; every
     # numpy overflow is an error under the test configuration
     scn = parse_scenario(TINY.replace("bump k=4 radius=1.0 amp=1.0\ngrid",
-                                      "bump k=16 radius=1.0 amp=1e302\ngrid")
+                                      "bump k=16 radius=1.0 amp=1e295\ngrid")
                          .replace("data.eps = 1e-3", "data.eps = 1e-300"))
-    assert scn.v0.amp == 1e302 and scn.eps == 1e-300
+    assert scn.v0.amp == 1e295 and scn.eps == 1e-300
     manifest = cli.run_pipeline("all", scn, tmp_path / "run")
     assert "kg_lab.json" in manifest["artifacts"]
 
@@ -535,7 +535,8 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         assert metrics["solver"] == {
             "steps": n_steps, "dt": dt, "window_margin": solver.WINDOW_MARGIN,
             "history_mb": history_bytes(scn) / 2**20,
-            "history_written_mb": CELL_BYTES * int(history.widths.sum()) / 2**20}
+            "history_written_mb": history.records[0, 0].nbytes
+            * int(history.widths.sum()) / 2**20}
         assert all(np.isfinite(x) for x in health.values())
         # the stored u stays small and positive here, so the degeneracy
         # minimum sits at the largest u

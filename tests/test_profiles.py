@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from wavekg.profiles import K_MAX, Profile, ProfileError
+from wavekg.profiles import K_MAX, M_MAX, Profile, ProfileError
 
 
 def test_support_and_values():
@@ -66,18 +66,42 @@ def test_moment_plateau():
 
 
 def test_values_past_the_support_are_not_evaluated():
-    # at r = 9 the polynomial's r^32 term alone is 1e302 * 9^32, past the
+    # at r = 9 the polynomial's r^32 term alone is 1e295 * 9^32, past the
     # float range; past the support each evaluator gives its plain zero, or
     # the moment's plateau, without evaluating it
-    p = Profile("bump", k=16, radius=1.0, amp=1e302)
+    p = Profile("bump", k=16, radius=1.0, amp=1e295)
     r = np.array([-9.0, 0.0, 0.5, 1.0, 9.0])
     for m in (0, 1):
         for values in (p.deriv(r, m), p.odd_deriv(r, m), p.moment_deriv(r, m)):
             assert np.isfinite(values).all()
-    assert p(r).tolist() == [0.0, 1e302, p(0.5), 0.0, 0.0]
+    assert p(r).tolist() == [0.0, 1e295, p(0.5), 0.0, 0.0]
     assert p.moment_deriv(r)[-1] == p.moment_deriv(r)[0] == p.moment_deriv(1.0)
     # a 0-d argument gives a 0-d array, as before
     assert p(9.0).shape == p.moment_deriv(np.float64(0.5)).shape == ()
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.05])
+def test_accepted_bumps_evaluate_every_read_derivative_in_range(radius):
+    # the largest amplitude accepted at k = 16 (to a factor 10) evaluates
+    # each derivative the oracles read, to order M_MAX, without overflow
+    # inside its support; ten times that amplitude is rejected
+    amp = next(a for a in 10.0 ** np.arange(308, 200, -1) if _accepts(radius, a))
+    p = Profile("bump", k=16, radius=radius, amp=amp)
+    xi = np.linspace(-radius, radius, 201)[1:-1]
+    with np.errstate(all="raise"):
+        for m in range(M_MAX + 1):
+            for values in (p.deriv(xi, m), p.odd_deriv(xi, m), p.moment_deriv(xi, m)):
+                assert np.isfinite(values).all(), m
+    with pytest.raises(ProfileError, match="past the float range"):
+        Profile("bump", k=16, radius=radius, amp=10.0 * amp)
+
+
+def _accepts(radius, amp):
+    try:
+        Profile("bump", k=16, radius=radius, amp=amp)
+    except ProfileError:
+        return False
+    return True
 
 
 def test_parse_round_trip():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from wavekg.profiles import Profile
 from wavekg.scenario import (MAX_HISTORY_BYTES, Scenario, ScenarioError,
-                             history_bytes, parse_scenario, serialize_scenario,
-                             stable_cfl)
+                             history_bytes, history_shape, live_fields, parse_scenario,
+                             serialize_scenario, stable_cfl)
 
 MINIMAL = """
 couplings.b00 = 1.0
@@ -117,11 +117,15 @@ def test_bump_exponent_past_the_cap_carries_line_number(k):
     ["data.u0 = bump k=4 radius=1e-160 amp=1.0"],  # radius^-8 overflows
     ["data.u0 = bump k=16 radius=1.0 amp=1e306", "data.eps = 1e-300"],
     ["data.u0 = bump k=4 radius=1e-200 amp=1.0"],  # radius^2 underflows to 0
+    # finite coefficients, but those of the derivatives from order 2 on
+    # overflow, as the oracles' order-3 jets take them
+    ["data.u0 = bump k=16 radius=1.0 amp=1e302"],
 ])
 def test_bumps_whose_coefficients_overflow_carry_line_number(lines):
     # the first two were accepted, with stable_cfl NaN, and wavekg all died
     # in simulate on non-finite field values; the third raised a bare
-    # ZeroDivisionError
+    # ZeroDivisionError; the fourth was accepted, and its derivatives
+    # overflowed under -W error
     doc = "grid.dr = 0.1\ngrid.r_max = 9\ngrid.t_end = 8\n" + "\n".join(lines)
     with pytest.raises(ScenarioError, match="^line 4: bad value for 'data.u0': bump "
                                             ".* has polynomial coefficients past"):
@@ -213,6 +217,27 @@ def test_history_past_the_memory_rule_is_rejected_with_its_lines():
                                             "76.03 GiB nominal") as info:
         parse_scenario(ref.replace("grid.dr = 0.01", "grid.dr = 0.001"))
     assert f"grid.t_end on line {t_end_line}" in str(info.value)
+
+
+@pytest.mark.parametrize("data,cfl,n_live", [
+    ({}, 0.3, 2),
+    ({"v0": Profile("zero")}, 0.15, 1),  # the free wave's v is dead
+    ({"eps": 0.0}, 0.15, 0),
+])
+def test_the_memory_rule_counts_the_live_fields(data, cfl, n_live):
+    # 16 bytes a live field in each cell: at cfl = 0.3 the coupled reference
+    # grid asks for 2.544 GiB, and with one live field (or none, which is
+    # held to the one-field limit) it takes cfl = 0.15 to ask as much; at
+    # twice the cfl each run is within the limit
+    ref = parse_scenario((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "scenarios" / "reference.cfg").read_text()).with_grid(**data)
+    assert len(live_fields(ref)) == n_live
+    roomy = ref.with_grid(cfl=2 * cfl)
+    assert history_bytes(roomy) == 16 * n_live * np.prod(history_shape(roomy))
+    counted = ", counted as 1" if not n_live else ""
+    with pytest.raises(ScenarioError, match=r"^history too large: 2\.544 GiB nominal "
+                                            rf"\({n_live} of 2 fields live{counted};"):
+        ref.with_grid(cfl=cfl)
 
 
 @pytest.mark.parametrize("dr", ["1e-12", "5e-324"])

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from wavekg.scenario import CELL_BYTES, history_shape, serialize_scenario
+from wavekg.scenario import history_shape, live_fields, serialize_scenario
 from wavekg.sliceio import SliceIOError, slice_dump, slice_load
 from wavekg.solver import SliceHistory, evolve
 
-from conftest import make_scenario, run_python_process
+from conftest import BUMP3, ZERO, make_scenario, run_python_process
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,33 @@ def test_round_trip_is_bit_exact(history, tmp_path):
     assert back.dt == history.dt
     assert back.scenario == history.scenario
     # serialization itself is deterministic
+    assert _archive(back, tmp_path / "again.wkgh") == blob
+
+
+@pytest.mark.parametrize("data,live", [
+    (dict(u1=BUMP3), ("u", "v")),
+    (dict(u1=BUMP3, v0=ZERO), ("u",)),
+    (dict(u0=ZERO, v1=BUMP3), ("v",)),
+    (dict(eps=0.0), ()),
+], ids=["coupled", "free-wave", "free-kg", "zero-data"])
+def test_round_trip_is_bit_exact_for_every_live_count(data, live, tmp_path):
+    # F = 2, 1, 1 and 0 live fields: the archive holds 2F doubles a
+    # written cell, and the loaded records, views and widths are the
+    # evolved ones byte for byte
+    scn = make_scenario(dr=0.1, r_max=8.0, t_end=6.0, **data)
+    assert live_fields(scn) == live
+    history = evolve(scn)
+    blob = _archive(history, tmp_path / "run.wkgh")
+    data = _parts(blob, history.n_slices)[2]
+    assert len(data) == 16 * len(live) * int(history.widths.sum())
+    back = slice_load(tmp_path / "run.wkgh")
+    assert back.records.shape == (*history_shape(scn), 2 * len(live))
+    assert back.records.tobytes() == history.records.tobytes()
+    assert back.widths.tobytes() == history.widths.tobytes()
+    for name in ("u", "ut", "v", "vt"):
+        got, want = getattr(back, name), getattr(history, name)
+        assert got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable == (name[0] in live), name
     assert _archive(back, tmp_path / "again.wkgh") == blob
 
 
@@ -84,8 +111,8 @@ def _parts(blob, n_slices):
 
 
 def _assemble(text, widths, data):
-    """The bytes of a format 3 archive of these parts."""
-    body = b"WKGH" + (3).to_bytes(4, "little") + len(text).to_bytes(4, "little")
+    """The bytes of a format 4 archive of these parts."""
+    body = b"WKGH" + (4).to_bytes(4, "little") + len(text).to_bytes(4, "little")
     body += text + widths + data
     return body + zlib.crc32(body).to_bytes(4, "little")
 
@@ -97,7 +124,7 @@ def test_archive_is_its_parts(history, tmp_path):
     text, widths, data = _parts(blob, history.n_slices)
     assert text == serialize_scenario(history.scenario).encode()
     assert widths == history.widths.astype("<u4").tobytes()
-    assert len(data) == CELL_BYTES * int(history.widths.sum())
+    assert len(data) == history.records[0, 0].nbytes * int(history.widths.sum())
     assert _assemble(text, widths, data) == blob
 
 
@@ -124,10 +151,11 @@ def no_allocation(monkeypatch):
 
 
 def test_unsupported_version_rejected(history, tmp_path, no_allocation):
-    # version 1 stored full rows of four separate fields, and version 2
-    # stored the times and the radial grid beside the scenario
+    # version 1 stored full rows of four separate fields, version 2 stored
+    # the times and the radial grid beside the scenario, and version 3
+    # stored all four fields of every cell, dead ones included
     blob = _archive(history, tmp_path / "run.wkgh")
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         with pytest.raises(SliceIOError, match=f"version {version}"):
             _load_bytes(_with_patch(blob, 4, version.to_bytes(4, "little")), tmp_path)
 
@@ -204,7 +232,7 @@ def test_dump_holds_one_copy_of_the_archive(history, tmp_path):
 _DUMP_CHILD = """
 import json, resource, sys
 from wavekg.profiles import Profile
-from wavekg.scenario import CELL_BYTES, Scenario
+from wavekg.scenario import Scenario
 from wavekg.sliceio import slice_dump
 from wavekg.solver import evolve
 
@@ -219,7 +247,7 @@ before = maxrss()
 view = slice_dump(history, sys.argv[1])
 print(json.dumps({"rise": maxrss() - before, "size": len(view),
                   "n_slices": history.n_slices,
-                  "written": CELL_BYTES * int(history.widths.sum())}))
+                  "written": history.records[0, 0].nbytes * int(history.widths.sum())}))
 """
 
 # Loads the archive named by its argument and prints the ru_maxrss rise
@@ -227,7 +255,6 @@ print(json.dumps({"rise": maxrss() - before, "size": len(view),
 # bytes of its written records, its slice count and the page size.
 _LOAD_CHILD = """
 import gc, json, os, resource, sys
-from wavekg.scenario import CELL_BYTES
 from wavekg.sliceio import slice_load
 
 page = os.sysconf("SC_PAGE_SIZE")
@@ -242,7 +269,7 @@ def maxrss():
 before = maxrss()
 history = slice_load(sys.argv[1])
 rise = maxrss() - before
-written = CELL_BYTES * int(history.widths.sum())
+written = history.records[0, 0].nbytes * int(history.widths.sum())
 n_slices = history.n_slices
 held = resident()
 del history

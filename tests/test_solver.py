@@ -99,6 +99,21 @@ def test_window_margin_is_converged(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
 
 
+@pytest.mark.parametrize("dead", ["u", "v"])
+def test_progress_log_reads_each_field_by_name(free_wave_scn, free_kg_scn, dead, caplog):
+    # a free run's one live field is the state's first row, whichever it
+    # is; the log reads it as u or v, and the dead one as 0
+    scn = free_kg_scn if dead == "u" else free_wave_scn
+    caplog.set_level("INFO", logger="wavekg.solver")
+    h = evolve(scn)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "wavekg.solver"]
+    assert len(lines) == 10
+    live = "v" if dead == "u" else "u"
+    assert all(f"max|{dead}| = 0.000e+00" in line for line in lines)
+    peak = np.max(np.abs(getattr(h, live)[-1]))
+    assert f"max|{live}| = {peak:.3e}" in lines[-1]
+
+
 def test_quasilinear_guard():
     # the data pass the scenario's rules (1 + u >= 1 at t = 2), but the free
     # wave focuses on the axis to u = -0.55 eps, where 1 - p00 u < 1/2
@@ -113,12 +128,12 @@ def test_radial_operator_spectral_radius_is_the_stability_rule_constant():
     # couplings off, applied to each unit vector of a window of n cells
     dr, n = 0.1, 40
     scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=dr)
-    rk = solver._RK4(solver._CHUNK, dr, np.zeros((4, 0)))
+    rk = solver._RK4(solver._CHUNK, scn, np.zeros((4, 0)))
     stage = rk.stages[0]
     columns = []
     for e in np.eye(n):
         stage.u[:n] = e
-        rk.rhs(stage, n, scn)
+        rk.rhs(stage, n)
         columns.append(stage.utt[:n].copy())
     radius = np.max(np.abs(np.linalg.eigvals(np.array(columns).T)))
     assert abs(radius * dr**2 - scenario._LAP_RADIUS) < 1e-9
@@ -150,22 +165,33 @@ def _plain_rhs(u, ut, v, vt, scn, inv_dr2, inv_drr):
 
 
 _COUPLINGS = dict(b00=0.7, bd=-1.3, p00=0.9, pd=-0.6)
+# the data of a field made dead, or of both (eps = 0)
+_DEAD = {"u": dict(u0=ZERO, u1=ZERO), "v": dict(v0=ZERO, v1=ZERO), "uv": dict(eps=0.0)}
 
 
-@pytest.mark.parametrize("zero", [(), tuple(_COUPLINGS), *[(k,) for k in _COUPLINGS]],
-                         ids=lambda zero: "-".join(zero) + "=0" if zero else "all-on")
-def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero):
+@pytest.mark.parametrize("zero,dead", [
+    *[pytest.param(zero, "", id="-".join(zero) + "=0" if zero else "all-on")
+      for zero in [(), tuple(_COUPLINGS), *[(k,) for k in _COUPLINGS]]],
+    # coupled, with one field's data zero
+    pytest.param((), "u", id="u-dead"), pytest.param((), "v", id="v-dead"),
+    pytest.param(tuple(_COUPLINGS), "v", id="free-wave"),
+    pytest.param(tuple(_COUPLINGS), "u", id="free-kg"),
+    pytest.param((), "uv", id="zero-data"),
+])
+def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero, dead):
     # the couplings on except those in zero (evolve skips a term whose
     # constant is 0; _plain_rhs computes every term), c != 1, both
-    # velocities nonzero, and a window that outgrows the state twice
-    # (256 -> 512 -> 768 cells) and reaches the grid's edge r_max from
-    # t = 27 on
+    # velocities nonzero unless dead, and a window that outgrows the state
+    # twice (256 -> 512 -> 768 cells) and reaches the grid's edge r_max
+    # from t = 27 on.  The plain RK4 evolves all four fields; evolve steps
+    # and stores only the live ones, and a dead field reads as +0.0
     couplings = {k: 0.0 if k in zero else value for k, value in _COUPLINGS.items()}
-    scn = make_scenario(**couplings, c=2.5,
-                        u1=Profile("bump", k=3, radius=0.9, amp=0.8),
-                        v1=Profile("bump", k=5, radius=0.7, amp=-1.1),
-                        eps=0.02, dr=0.05, r_max=30.0, t_end=30.0)
+    data = dict(u1=Profile("bump", k=3, radius=0.9, amp=0.8),
+                v1=Profile("bump", k=5, radius=0.7, amp=-1.1), eps=0.02)
+    scn = make_scenario(**couplings, c=2.5, **{**data, **_DEAD.get(dead, {})},
+                        dr=0.05, r_max=30.0, t_end=30.0)
     got = evolve(scn)
+    assert scenario.live_fields(scn) == tuple(f for f in "uv" if f not in dead)
     dr = scn.dr
     r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
     n_steps, dt = scenario.time_steps(scn)
@@ -190,9 +216,16 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero):
             row[step, :min(n, n_store)] = arr[:n_store]
         want_widths.append(min(n, n_store))
     assert n == r.size == n_store and n_steps > 500
-    assert np.max(np.abs(want[2][-1])) > 1e-5  # v has not died out
+    assert got.records.shape[-1] == 2 * (2 - len(dead))
     for name, arr in zip(("u", "ut", "v", "vt"), want):
-        assert np.array_equal(getattr(got, name), arr), name
+        view = getattr(got, name)
+        if name[0] in dead:
+            assert not view.flags.writeable, name
+            assert np.array_equal(view, arr) and not np.signbit(view).any(), name
+        else:
+            assert view.tobytes() == arr.tobytes(), name
+    for name in scenario.live_fields(scn):  # no live field has died out
+        assert np.max(np.abs(getattr(got, name)[-1])) > 1e-5, name
     assert np.array_equal(got.widths, want_widths)
 
 
@@ -239,7 +272,7 @@ def test_history_bookkeeping(small_history, small_scn):
     records = h.records
     assert records.shape == (*scenario.history_shape(small_scn), 4)
     assert records.dtype == np.float64
-    assert records[0, 0].nbytes == scenario.CELL_BYTES
+    assert records[0, 0].nbytes == 2 * scenario.FIELD_BYTES
     assert records.flags.c_contiguous and records.flags.writeable
     for k, name in enumerate(("u", "v", "ut", "vt")):
         arr, view = getattr(h, name), records[..., k]
@@ -253,13 +286,23 @@ def test_history_bookkeeping(small_history, small_scn):
     assert past.size and np.all(past == 0.0) and not np.signbit(past).any()
 
 
+def test_a_free_run_keeps_half_the_history(reference_history, reference_free_history):
+    # the free wave's v is dead, so on the reference grid its run stores
+    # u and ut alone, 16 bytes a cell against the coupled run's 32
+    free = reference_free_history
+    assert scenario.live_fields(free.scenario) == ("u",)
+    assert free.records.shape[:2] == reference_history.records.shape[:2]
+    assert 2 * free.records.nbytes == reference_history.records.nbytes
+    assert free.records.nbytes == scenario.history_bytes(free.scenario)
+
+
 # Evolves dr = 0.01, r_max = t_end = 27 (200 MiB of nominal history) and
 # prints the ru_maxrss rise over evolve, the current-RSS fall once the
 # history is dropped, the bytes of its written records, its slice count
 # and the page size.
 _RSS_CHILD = """
 import gc, json, os, resource
-from wavekg.scenario import CELL_BYTES, Scenario
+from wavekg.scenario import Scenario
 from wavekg.profiles import Profile
 from wavekg.solver import evolve
 
@@ -278,7 +321,7 @@ def maxrss():
 before = maxrss()
 history = evolve(scn)
 rise = maxrss() - before
-written = CELL_BYTES * int(history.widths.sum())
+written = history.records[0, 0].nbytes * int(history.widths.sum())
 n_slices = history.n_slices
 held = resident()
 del history
