@@ -47,7 +47,7 @@ from .oracles import DalembertField, OracleSampler, free_wave_radiation
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         rigidity_experiment, transport_check)
-from .scenario import parse_scenario, serialize_scenario
+from .scenario import parse_scenario, serialize_scenario, store_cap
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
 
@@ -112,8 +112,9 @@ def _sha256(path):
 
 def _field_health(history):
     """min |1 - p00 u|, max |u| and max |v| over the stored slices, and the
-    largest |u|, |u_t|, |v|, |v_t| in the last stored radius column, past
-    which the sampler treats the fields as zero; read in blocks of slices.
+    largest |u|, |u_t|, |v|, |v_t| in the radius cap's column (the last of
+    scenario.store_cap's cells), past which the sampler treats the fields
+    as zero; read in blocks of slices.
 
     Each block takes only the extremes of u and v.  1 - p00 u is monotone
     in u, with rounding too, so where it has one sign at both extremes
@@ -121,6 +122,7 @@ def _field_health(history):
     smallest modulus sits at one of them; a block where it does change
     sign is reduced elementwise."""
     p00 = history.scenario.p00
+    cap = store_cap(history.scenario) - 1
     rows = 256
     min_deg, max_u, max_v, at_cap = np.inf, 0.0, 0.0, 0.0
     for i in range(0, history.n_slices, rows):
@@ -134,7 +136,7 @@ def _field_health(history):
         min_deg = min(min_deg, float(deg))
         max_u = max(max_u, float(max(-lo, hi)))
         max_v = max(max_v, float(max(-v.min(), v.max())))
-        at_cap = max(at_cap, float(np.abs(history.records[i:i + rows, -1]).max(
+        at_cap = max(at_cap, float(np.abs(history.records[i:i + rows, cap]).max(
             initial=0.0)))
     return {"min_degeneracy": min_deg, "max_abs_u": max_u, "max_abs_v": max_v,
             "max_abs_at_cap": at_cap}
@@ -378,8 +380,9 @@ def run_pipeline(subcommand, scn, out, seed=0):
             "solver": {"steps": history.n_slices - 1, "dt": history.dt,
                        "window_margin": solver.WINDOW_MARGIN,
                        # nominal MB of the live fields' records, and the MB the
-                       # run wrote, about what is resident, since pages past
-                       # the cone stay unbacked; the archive holds the latter
+                       # run stored (scenario.store_widths), about what is
+                       # resident, since pages past them stay unbacked; the
+                       # archive holds the latter
                        "history_mb": history.records.nbytes / 2**20,
                        "history_written_mb": history.records[0, 0].nbytes
                        * int(history.widths.sum()) / 2**20,

@@ -24,7 +24,8 @@ from .geometry import run_length_problem
 from .profiles import Profile, ProfileError
 
 __all__ = ["Scenario", "ScenarioError", "history_bytes", "history_shape", "live_fields",
-           "parse_scenario", "serialize_scenario", "stable_cfl", "time_steps"]
+           "parse_scenario", "serialize_scenario", "stable_cfl", "store_cap",
+           "store_widths", "time_steps"]
 
 # coarsest grid spacing the stages accept: on coarser grids the sampled
 # conformal energy's positive decomposition exceeds it by more than the
@@ -50,11 +51,16 @@ _LAP_RADIUS = 6.0
 # falls as the data disperse) past 1.3; 0.9 keeps cfl = 1.0 legal for
 # every checked-in scenario
 _CFL_SAFETY = 0.9
-# cells evolve stores past the final cone r = t_end - 1
+# cells evolve stores past each slice's own support cone r = t - 1
+# (store_widths); the stages read at most 19 cells past it
 STORE_MARGIN = 20
+# bytes each slice row of a history is rounded up to, so that every
+# slice's stored prefix starts on a page boundary; a constant, not the
+# machine's page size, so that a history's shape is its scenario's alone
+ROW_BYTES = 4096
 # largest nominal history a scenario may ask for (see history_bytes): the
-# coupled reference grid asks for 0.76 GiB at cfl 1.0 and 1.53 GiB at cfl
-# 0.5, and about 0.55 of the nominal bytes are resident
+# coupled reference grid asks for 0.78 GiB at cfl 1.0 and 1.57 GiB at cfl
+# 0.5, and about 0.51 of the nominal bytes are resident
 MAX_HISTORY_BYTES = 2 * 2**30
 # bytes a live field takes in one stored cell: its value and time derivative
 FIELD_BYTES = 2 * 8
@@ -185,11 +191,31 @@ def time_steps(scn):
     return n_steps, (scn.t_end - 2.0) / n_steps
 
 
-def history_shape(scn):
-    """(slices, radii) of each field evolve stores: every step, out to the
-    radius cap r = t_end - 1 + STORE_MARGIN dr (or r_max)."""
+def store_cap(scn):
+    """Cells out to the history's radius cap r = t_end - 1 + STORE_MARGIN dr
+    (or r_max), the last slice's width; the sampler reads zeros past it."""
     r_cap = min(scn.r_max, scn.t_end - 1.0 + STORE_MARGIN * scn.dr)
-    return time_steps(scn)[0] + 1, int(round(r_cap / scn.dr)) + 1
+    return int(round(r_cap / scn.dr)) + 1
+
+
+def store_widths(scn):
+    """Cells evolve stores of each slice: slice k, at t_k = 2 + k dt, out
+    to the first cell at or past its support cone r = t_k - 1 and
+    STORE_MARGIN cells more, capped at store_cap."""
+    n_steps, dt = time_steps(scn)
+    times = 2.0 + np.arange(n_steps + 1) * dt
+    cone = np.ceil((times - 1.0) / scn.dr).astype(np.int64)
+    return np.minimum(cone + STORE_MARGIN + 1, store_cap(scn))
+
+
+def history_shape(scn):
+    """(slices, radii) of the history evolve stores: every step, and the
+    radii out to store_cap rounded up so that a slice row of the live
+    fields' records fills whole ROW_BYTES pages (no rounding with no live
+    field)."""
+    cell = FIELD_BYTES * len(live_fields(scn))
+    unit = ROW_BYTES // math.gcd(ROW_BYTES, cell) if cell else 1
+    return time_steps(scn)[0] + 1, -(-store_cap(scn) // unit) * unit
 
 
 def live_fields(scn):

@@ -48,9 +48,12 @@ bd u_r v_r with a zero factor is a signed zero, which can only turn a
 byte differs).  Where 1 - p00 u is skipped there is no guard: the
 denominator is exactly 1, so it could never trip.
 
-Every accepted step is stored out to one radius cap,
-r <= t_end - 1 + STORE_MARGIN * dr (scenario.history_shape); the sampler
-treats the fields as zero beyond it.  This dense time coverage is what
+Every accepted step is stored, slice k out to the first cell at or past
+its own support cone r = t_k - 1 and STORE_MARGIN cells more, capped at
+r = t_end - 1 + STORE_MARGIN * dr (scenario.store_widths); the sampler
+reads zeros past a slice's width.  The stages read at most 19 cells
+past a slice's cone, so the cells the window integrates past the store
+change no number they compute.  This dense time coverage is what
 sampling fields and their derivative jets on hyperboloids
 t = sqrt(s^2 + r^2) and along characteristic curves needs.
 
@@ -61,19 +64,20 @@ coupled run:
     records[k] = | u v ut vt | u v ut vt | ... | u v ut vt | 0 0 0 0 | ...
                    cell 0      cell 1            widths[k]-1 (zeros past it)
 
-A dead field is not stored: SliceHistory reads it as read-only zeros.
-Step k writes its row only out to its window, widths[k] cells, with one
-copy of the state's transpose, so a row's cells past the cone are never
-written.  The records live in one private anonymous memory mapping
-advised against huge pages (SliceHistory.empty), where the kernel
-backs a 4 KiB page only when evolve first writes it; reads of
-unwritten pages (the sampler, the health values) see the kernel's
-shared zero page.  Since the live fields share each row, a step's
-written prefix starts partway into at most one page, not 2F; the
-history is resident only inside the cone, about 0.55 of its nominal
-bytes on the reference grid, and the mapping is freed with its array.
-(A numpy buffer this large takes huge pages, which would make the zeros
-past the cone resident 2 MiB at a time.)
+n_radii is the cap rounded up so that each row fills whole 4 KiB pages
+(scenario.history_shape), so every row starts on a page boundary.  A
+dead field is not stored: SliceHistory reads it as read-only zeros.
+Step k writes its row only out to widths[k] cells, with one copy of the
+state's transpose, so a row's cells past them are never written.  The
+records live in one private anonymous memory mapping advised against
+huge pages (SliceHistory.empty), where the kernel backs a 4 KiB page
+only when evolve first writes it; reads of unwritten pages (the
+sampler, the health values) see the kernel's shared zero page.  A
+slice's written prefix thus takes whole pages from its row's first, and
+the history is resident only inside the cone, about 0.51 of its
+nominal bytes on the reference grid; the mapping is freed with its
+array.  (A numpy buffer this large takes huge pages, which would make
+the zeros past the cone resident 2 MiB at a time.)
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ from .energies import hyperboloid_samples, word_records
 from .geometry import MU_FAN, WORD_STRIDE, axis_ratio, covered_s_grid, null_radii
 from .radiation import radiation_fan
 from .scenario import (MIN_DENOM, Scenario, history_bytes, history_shape, live_fields,
-                       time_steps)
+                       store_cap, store_widths, time_steps)
 
 __all__ = [
     "SolverError",
@@ -122,19 +126,19 @@ class SliceHistory:
 
     records has shape (n_slices, n_radii, 2F) for the run's F live fields
     (scenario.live_fields): the values of each cell side by side, each
-    live field, then its time derivative (u, v, ut, vt on a coupled run);
-    widths[k] is the number of cells the run wrote to slice k, and its
-    records past them are +0.0.  The grid is the scenario's: slice k lies
-    at t0 + k dt, with t0 = 2 the data time and dt the step of time_steps,
-    and column i at r = i dr.  The stored radial range may be shorter than
-    the computational grid (fields vanish beyond the support cone
-    r <= t - 1).  u, v, ut and vt are (n_slices, n_radii) views: of
-    records for a live field, read-only zeros for a dead one.
+    live field, then its time derivative (u, v, ut, vt on a coupled run).
+    The grid and the store are the scenario's: slice k lies at t0 + k dt,
+    with t0 = 2 the data time and dt the step of time_steps, column i at
+    r = i dr, and widths[k] is the number of cells the run stores in slice
+    k (scenario.store_widths), past which its records are +0.0.  The
+    stored radial range may be shorter than the computational grid
+    (fields vanish beyond the support cone r <= t - 1).  u, v, ut and vt
+    are (n_slices, n_radii) views: of records for a live field, read-only
+    zeros for a dead one.
     """
 
     scenario: Scenario
     records: np.ndarray
-    widths: np.ndarray
     u: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
     ut: np.ndarray = field(init=False, repr=False)
@@ -150,7 +154,7 @@ class SliceHistory:
     def empty(cls, scn):
         """The history of scn before its run: records of history_shape and
         the live fields' values, all +0.0, in one private anonymous mapping
-        whose pages take memory only once written, and widths 0."""
+        whose pages take memory only once written."""
         shape = (*history_shape(scn), len(_columns(scn)))
         if not history_bytes(scn):
             records = np.zeros(shape)  # no live field: no bytes to map
@@ -160,11 +164,22 @@ class SliceHistory:
             if hasattr(mmap, "MADV_NOHUGEPAGE"):
                 buf.madvise(mmap.MADV_NOHUGEPAGE)
             records = np.frombuffer(buf, dtype=np.float64).reshape(shape)
-        return cls(scn, records, np.zeros(shape[0], dtype=np.uint32))
+        return cls(scn, records)
 
     @cached_property
     def dt(self):
         return time_steps(self.scenario)[1]
+
+    @cached_property
+    def widths(self):
+        return store_widths(self.scenario)
+
+    @property
+    def cells(self):
+        """records as one (n_slices * n_radii, 2F) array of cells, the
+        sampler's flat index space: a view, since records is C-contiguous."""
+        n_slices, n_radii, n_values = self.records.shape
+        return self.records.reshape(n_slices * n_radii, n_values)
 
     @cached_property
     def r(self):
@@ -366,27 +381,25 @@ def evolve(scn):
     """Run the scenario to t_end from its eps-scaled data at t = 2,
     returning the full SliceHistory.  Only the live fields are stepped
     (scenario.live_fields); a run with none does no step."""
+    history = SliceHistory.empty(scn)
+    live = live_fields(scn)
+    if not live:
+        return history
     dr = scn.dr
     n_grid = int(round(scn.r_max / dr)) + 1  # cells out to r_max
     n_steps, dt = time_steps(scn)
-    history = SliceHistory.empty(scn)
     records, widths = history.records, history.widths
-    n_store = records.shape[1]
-    live = live_fields(scn)
 
-    # the stored radii hold the data, which vanish past r = 1
-    state = np.zeros((records.shape[2], n_store))
+    # the data, which vanish past r = 1, on the radii out to the cap
+    r = history.r[:store_cap(scn)]
+    state = np.zeros((records.shape[2], r.size))
     for row, name in zip(state, _columns(scn)):
-        row[:] = scn.eps * getattr(scn, _DATA[name])(history.r)
-    records[0] = state.T
-    widths[0] = n_store
+        row[:] = scn.eps * getattr(scn, _DATA[name])(r)
+    records[0, :widths[0]] = state[:, :widths[0]].T
     # past r = t - 1 + margin the fields are zero and are left alone
     times = 2.0 + np.arange(1, n_steps + 1) * dt
     windows = np.minimum(n_grid, np.ceil((times - 1.0) / dr).astype(int)
                          + WINDOW_MARGIN + 1)
-    widths[1:] = np.minimum(windows, n_store)
-    if not live:
-        return history
     rk = None
 
     report_every = max(1, n_steps // 10)
@@ -448,8 +461,7 @@ def _gather(history, ts, rs):
     mirrored[beyond] = 0
     flat = (idx_t * nr)[:, :, None] + mirrored[:, None, :]  # (P, 4, 8)
 
-    records = history.records
-    vals = records.reshape(nt * nr, records.shape[2]).take(flat, axis=0)
+    vals = history.cells.take(flat, axis=0)
     vals[np.broadcast_to(beyond[:, None, :], flat.shape)] = 0.0
     fields = dict(zip(_columns(history.scenario), np.moveaxis(vals, -1, 0)))
     if len(fields) < len(_FIELDS):

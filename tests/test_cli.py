@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import threading
 import time
 import tracemalloc
@@ -12,19 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavekg import cli, energies, inequalities, radiation, solver
+from wavekg import cli, energies, geometry, inequalities, radiation, scenario, solver
 from wavekg.geometry import (HYPERBOLA_C0, MU_FAN, HyperbolaCurve, covered_s_grid,
                              entry_point, hyperbola_window, hyperboloid_nodes,
                              run_length_problem)
 from wavekg.oracles import OracleSampler, free_wave_radiation
-from wavekg.scenario import (ScenarioError, history_bytes, parse_scenario,
-                             serialize_scenario, time_steps)
+from wavekg.scenario import (ScenarioError, history_bytes, history_shape, parse_scenario,
+                             serialize_scenario, store_cap, time_steps)
 from wavekg.sliceio import slice_load
 
 from conftest import (differing_outputs, run_cli_process, run_python_process,
                       skip_unless_two_cpus)
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "reference.cfg"
+MID_CFG = REFERENCE_CFG.with_name("mid.cfg")
 
 TINY = """
 data.eps = 1e-3
@@ -399,6 +401,47 @@ def test_r_max_past_the_last_window_changes_nothing(tmp_path, monkeypatch):
     assert np.array_equal(far.records, near.records)
 
 
+def _run_mid(out):
+    """`wavekg all` on the benchmark's mid grid with --seed 12345."""
+    assert cli.main(["all", "--scenario", str(MID_CFG), "--out", str(out),
+                     "--seed", "12345"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def mid_run(tmp_path_factory):
+    return _run_mid(tmp_path_factory.mktemp("mid") / "default")
+
+
+def test_mid_run_reads_the_tail_at_the_cap(mid_run):
+    # the largest field value in the cap's radius column over the run, as
+    # it was when every slice stored its whole integration window
+    manifest = json.loads((mid_run / "manifest.json").read_text())
+    assert manifest["metrics"]["solver"]["max_abs_at_cap"] == 2.655989925052785e-10
+
+
+def test_the_stages_read_inside_the_store_margin():
+    # the farthest a stage reads past a slice's cone r = t - 1, in cells: a
+    # hyperboloid node lies up to _NODE_MARGIN + 1 cells past its own cone
+    # (the outermost reads), the sampler's 8-node window reaches 4 cells
+    # past a node, and its 4 slices start up to 2 steps before the node's
+    # time, 3 at the end of the run, a step being at most the stable cfl at
+    # kappa = 1 (1.04 cells)
+    cfl = scenario._CFL_SAFETY * scenario._RK4_IMAG_LIMIT / math.sqrt(scenario._LAP_RADIUS)
+    reach = geometry._NODE_MARGIN + 1 + solver._WINDOW // 2 + math.ceil(3 * cfl)
+    assert reach == 19 <= scenario.STORE_MARGIN
+
+
+def test_the_store_hides_nothing_a_stage_reads(mid_run, tmp_path, monkeypatch):
+    # with every slice stored out to its whole integration window, every
+    # artifact but the archive is the default run's, byte for byte
+    monkeypatch.setattr(scenario, "STORE_MARGIN", solver.WINDOW_MARGIN)
+    wide = _run_mid(tmp_path / "wide")
+    assert differing_outputs(mid_run, wide) == ["manifest.json", "slices.wkgh"]
+    assert (wide / "slices.wkgh").stat().st_size > (
+        mid_run / "slices.wkgh").stat().st_size
+
+
 def test_wall_clock_covers_the_hashing(tmp_path, monkeypatch):
     # the manifest's wall clock is taken after the artifacts are hashed
     real = cli._sha256
@@ -544,13 +587,17 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
             1.0 - scn.p00 * history.u.max(), abs=1e-12)
         assert health["max_abs_u"] == np.abs(history.u).max() > 0
         assert health["max_abs_v"] == np.abs(history.v).max() > 0
-        # the last stored radius column, where the sampler's zero begins
+        # the cap's radius column, where the sampler's zero begins; the
+        # columns past it only pad the rows to whole pages
+        cap = store_cap(scn) - 1
+        assert cap < history.r.size - 1
         assert health["max_abs_at_cap"] == max(
-            np.abs(f[:, -1]).max()
+            np.abs(f[:, cap]).max()
             for f in (history.u, history.ut, history.v, history.vt))
     # the support cone stays inside the cap on this grid, so the column is
-    # zero; a value placed in it is reported
-    history.vt[-1, -1] = -3e-7
+    # zero; a value placed in it is reported, and one in the padding is not
+    history.vt[-1, -1] = 5e-7
+    history.vt[-1, cap] = -3e-7
     assert cli._field_health(history)["max_abs_at_cap"] == 3e-7
     for stage in ("simulate", "energies"):
         assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
@@ -559,15 +606,16 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
 
 @pytest.mark.parametrize("p00", [0.8, -1.7, 0.0, 6.0])
 def test_field_health_from_extremes_is_the_elementwise_value(p00):
-    # u and v of both signs over 600 slices (three blocks of rows); at
+    # u and v of both signs over 601 slices (three blocks of rows); at
     # p00 = 6, 1 - p00 u changes sign inside a block
+    scn = parse_scenario(TINY).with_grid(p00=p00, cfl=0.1)
     rng = np.random.default_rng(3)
-    fields = {name: rng.standard_normal((600, 50)) * 0.12
+    fields = {name: rng.standard_normal(history_shape(scn)) * 0.12
               for name in ("u", "ut", "v", "vt")}
     history = solver.SliceHistory(
-        scenario=parse_scenario("").with_grid(p00=p00),
-        records=np.stack([fields[name] for name in ("u", "v", "ut", "vt")], axis=-1),
-        widths=np.full(600, 50, dtype=np.uint32))
+        scenario=scn,
+        records=np.stack([fields[name] for name in ("u", "v", "ut", "vt")], axis=-1))
+    assert history.n_slices == 601
     u, v = fields["u"], fields["v"]
     assert u.min() < 0 < u.max() and v.min() < 0 < v.max()
     health = cli._field_health(history)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from wavekg.profiles import Profile
 from wavekg.scenario import (MAX_HISTORY_BYTES, Scenario, ScenarioError,
                              history_bytes, history_shape, live_fields, parse_scenario,
-                             serialize_scenario, stable_cfl)
+                             serialize_scenario, stable_cfl, store_cap, store_widths,
+                             time_steps)
 
 MINIMAL = """
 couplings.b00 = 1.0
@@ -206,15 +207,15 @@ def test_checked_in_scenarios_take_the_default_cfl():
 def test_history_past_the_memory_rule_is_rejected_with_its_lines():
     ref = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
            / "reference.cfg").read_text()
-    # 4 x 5001 x 5121 doubles, 0.76 GiB
+    # 4 x 5001 x 5248 doubles (5121 radii padded to whole pages), 0.78 GiB
     assert history_bytes(parse_scenario(ref)) <= MAX_HISTORY_BYTES
     lines = ref.splitlines()
     dr_line, t_end_line = (next(i for i, line in enumerate(lines, 1)
                                 if line.startswith(key))
                            for key in ("grid.dr", "grid.t_end"))
-    # 4 x 50 001 x 51 021 doubles
+    # 4 x 50 001 x 51 072 doubles (51 021 radii padded to whole pages)
     with pytest.raises(ScenarioError, match=f"^line {dr_line}: history too large: "
-                                            "76.03 GiB nominal") as info:
+                                            "76.1 GiB nominal") as info:
         parse_scenario(ref.replace("grid.dr = 0.01", "grid.dr = 0.001"))
     assert f"grid.t_end on line {t_end_line}" in str(info.value)
 
@@ -226,18 +227,42 @@ def test_history_past_the_memory_rule_is_rejected_with_its_lines():
 ])
 def test_the_memory_rule_counts_the_live_fields(data, cfl, n_live):
     # 16 bytes a live field in each cell: at cfl = 0.3 the coupled reference
-    # grid asks for 2.544 GiB, and with one live field (or none, which is
-    # held to the one-field limit) it takes cfl = 0.15 to ask as much; at
-    # twice the cfl each run is within the limit
+    # grid asks for 2.607 GiB, and with one live field (or none, which is
+    # held to the one-field limit) it takes cfl = 0.15 to ask about as
+    # much.  A row is padded to whole 4 KiB pages, from 5121 radii to 5248
+    # with two live fields and to 5376 with one (2.544 GiB unpadded, as
+    # with none); at twice the cfl each run is within the limit
     ref = parse_scenario((Path(__file__).resolve().parents[1] / "perfbench"
                           / "scenarios" / "reference.cfg").read_text()).with_grid(**data)
     assert len(live_fields(ref)) == n_live
     roomy = ref.with_grid(cfl=2 * cfl)
     assert history_bytes(roomy) == 16 * n_live * np.prod(history_shape(roomy))
+    nominal = {2: r"2\.607", 1: r"2\.67", 0: r"2\.544"}[n_live]
     counted = ", counted as 1" if not n_live else ""
-    with pytest.raises(ScenarioError, match=r"^history too large: 2\.544 GiB nominal "
+    with pytest.raises(ScenarioError, match=rf"^history too large: {nominal} GiB nominal "
                                             rf"\({n_live} of 2 fields live{counted};"):
         ref.with_grid(cfl=cfl)
+
+
+def test_each_slice_is_stored_to_its_cone_and_the_margin_on_whole_pages():
+    # slice k keeps r <= t_k - 1 + STORE_MARGIN dr, from its first cell at
+    # or past the cone, capped at the history's radius cap, which the last
+    # slice reaches; the radii are padded so that a row of the live
+    # fields' records fills whole 4 KiB pages (none with no live field)
+    scn = parse_scenario(TINY)
+    n_steps, dt = time_steps(scn)
+    cone = np.ceil((2.0 + dt * np.arange(n_steps + 1) - 1.0) / scn.dr)
+    widths = store_widths(scn)
+    assert np.array_equal(widths, np.minimum(cone + 21, 91))
+    assert store_cap(scn) == widths[-1] == 91 > widths[-2]  # r_cap = 7 + 20 dr
+    for data, radii in (({}, 128), ({"v0": Profile("zero")}, 256),
+                        ({"eps": 0.0}, 91)):
+        case = scn.with_grid(**data)
+        assert history_shape(case) == (n_steps + 1, radii)
+        assert history_bytes(case) % 4096 == 0
+    # r_max caps the store below t_end - 1 + 20 dr
+    near = scn.with_grid(r_max=8.0)
+    assert store_cap(near) == 81 == store_widths(near)[-1]
 
 
 @pytest.mark.parametrize("dr", ["1e-12", "5e-324"])

@@ -63,7 +63,7 @@ def test_round_trip_is_bit_exact_for_every_live_count(data, live, tmp_path):
     assert live_fields(scn) == live
     history = evolve(scn)
     blob = _archive(history, tmp_path / "run.wkgh")
-    data = _parts(blob, history.n_slices)[2]
+    data = _parts(blob)[1]
     assert len(data) == 16 * len(live) * int(history.widths.sum())
     back = slice_load(tmp_path / "run.wkgh")
     assert back.records.shape == (*history_shape(scn), 2 * len(live))
@@ -97,35 +97,33 @@ def test_truncation_detected(history, tmp_path):
         _load_bytes(blob[:-17], tmp_path)
     # a scenario whose run has more slices than the file holds
     longer = history.scenario.with_grid(t_end=history.scenario.t_end + 1.0)
-    widths = np.full(history_shape(longer)[0], history.widths[0], dtype="<u4")
-    text, _, data = _parts(blob, history.n_slices)
+    data = _parts(blob)[1]
     with pytest.raises(SliceIOError, match="truncated"):
-        _load_bytes(_assemble(serialize_scenario(longer).encode(), widths.tobytes(),
-                              data), tmp_path)
+        _load_bytes(_assemble(serialize_scenario(longer).encode(), data), tmp_path)
 
 
-def _parts(blob, n_slices):
-    """An archive's scenario text, widths table and records."""
-    at = _widths_at(blob)
-    return blob[12:at], blob[at:at + 4 * n_slices], blob[at + 4 * n_slices:-4]
+def _parts(blob):
+    """An archive's scenario text and records."""
+    at = 12 + int.from_bytes(blob[8:12], "little")
+    return blob[12:at], blob[at:-4]
 
 
-def _assemble(text, widths, data):
-    """The bytes of a format 4 archive of these parts."""
-    body = b"WKGH" + (4).to_bytes(4, "little") + len(text).to_bytes(4, "little")
-    body += text + widths + data
+def _assemble(text, data):
+    """The bytes of a format 5 archive of these parts."""
+    body = b"WKGH" + (5).to_bytes(4, "little") + len(text).to_bytes(4, "little")
+    body += text + data
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def test_archive_is_its_parts(history, tmp_path):
     # the header is the magic, the version and the scenario: the slice
-    # count, the radii and the times are the scenario's
+    # count, the radii, the times and each slice's width are the scenario's
     blob = _archive(history, tmp_path / "run.wkgh")
-    text, widths, data = _parts(blob, history.n_slices)
+    text, data = _parts(blob)
     assert text == serialize_scenario(history.scenario).encode()
-    assert widths == history.widths.astype("<u4").tobytes()
-    assert len(data) == history.records[0, 0].nbytes * int(history.widths.sum())
-    assert _assemble(text, widths, data) == blob
+    assert data == b"".join(row[:w].tobytes()
+                            for row, w in zip(history.records, history.widths))
+    assert _assemble(text, data) == blob
 
 
 def _with_patch(blob, start, payload):
@@ -152,49 +150,47 @@ def no_allocation(monkeypatch):
 
 def test_unsupported_version_rejected(history, tmp_path, no_allocation):
     # version 1 stored full rows of four separate fields, version 2 stored
-    # the times and the radial grid beside the scenario, and version 3
-    # stored all four fields of every cell, dead ones included
+    # the times and the radial grid beside the scenario, version 3 stored
+    # all four fields of every cell, dead ones included, and version 4 a
+    # table of the slice widths
     blob = _archive(history, tmp_path / "run.wkgh")
-    for version in (99, 1, 2, 3):
-        with pytest.raises(SliceIOError, match=f"version {version}"):
+    for version in (99, 1, 2, 3, 4):
+        with pytest.raises(SliceIOError, match=f"^unsupported format version {version}$"):
             _load_bytes(_with_patch(blob, 4, version.to_bytes(4, "little")), tmp_path)
 
 
-def _widths_at(blob):
-    """Offset of an archive's widths table."""
-    return 12 + int.from_bytes(blob[8:12], "little")
-
-
-def test_truncated_widths_table_rejected(history, tmp_path, no_allocation):
+def test_truncated_records_rejected_before_allocating(history, tmp_path, no_allocation):
+    # the scenario's widths imply the file's size, which is checked first
     blob = _archive(history, tmp_path / "run.wkgh")
-    cut = _widths_at(blob) + 4 * (history.n_slices // 2)
+    text, data = _parts(blob)
     with pytest.raises(SliceIOError, match="truncated"):
-        _load_bytes(blob[:cut], tmp_path)
+        _load_bytes(_assemble(text, data[:len(data) // 2]), tmp_path)
 
 
 def test_dimensions_past_the_size_cap_rejected(history, tmp_path, no_allocation):
     # the scenario decides the dimensions, and its rules cap them: at
     # dr = 1e-4 the records would be a 60 GiB mapping
     blob = _archive(history, tmp_path / "run.wkgh")
-    text, widths, data = _parts(blob, history.n_slices)
+    text, data = _parts(blob)
     huge = text.replace(b"grid.dr = 0.1\n", b"grid.dr = 0.0001\n")
     assert huge != text
     with pytest.raises(SliceIOError, match="bad scenario text: .*history too large"):
-        _load_bytes(_assemble(huge, widths, data), tmp_path)
+        _load_bytes(_assemble(huge, data), tmp_path)
 
 
 def test_dump_refuses_records_not_of_the_scenario_shape(history, tmp_path):
-    short = SliceHistory(history.scenario, history.records[:-1], history.widths[:-1])
-    with pytest.raises(SliceIOError, match="not the shape of its scenario"):
-        slice_dump(short, tmp_path / "run.wkgh")
+    for records in (history.records[:-1], history.records[:, :-1]):
+        with pytest.raises(SliceIOError, match="not the shape of its scenario"):
+            slice_dump(SliceHistory(history.scenario, records), tmp_path / "run.wkgh")
 
 
-def test_width_past_n_radii_rejected(history, tmp_path, no_allocation):
-    blob = _archive(history, tmp_path / "run.wkgh")
-    at = _widths_at(blob) + 4 * 3
-    too_wide = (history.r.size + 1).to_bytes(4, "little")
-    with pytest.raises(SliceIOError, match="exceeds n_radii"):
-        _load_bytes(_with_patch(blob, at, too_wide), tmp_path)
+def test_records_past_the_derived_widths_rejected(history, tmp_path, no_allocation):
+    # slices stored wider than the scenario's store rule leave more bytes
+    # than its widths imply
+    text, data = _parts(_archive(history, tmp_path / "run.wkgh"))
+    wider = data + bytes(history.records[0, 0].nbytes * history.n_slices)
+    with pytest.raises(SliceIOError, match="trailing bytes"):
+        _load_bytes(_assemble(text, wider), tmp_path)
 
 
 def test_trailing_garbage_rejected(history, tmp_path):
@@ -296,8 +292,7 @@ def test_dump_to_a_file_stays_out_of_memory(big_dump):
     path, got = big_dump
     head = path.read_bytes()[:12]
     header = 12 + int.from_bytes(head[8:12], "little")
-    assert got["size"] == path.stat().st_size == (
-        header + 4 * got["n_slices"] + got["written"] + 4)
+    assert got["size"] == path.stat().st_size == header + got["written"] + 4
     assert got["written"] >= 100 * 2**20
     assert got["rise"] < 2**20, got
 

@@ -9,6 +9,7 @@ from wavekg.energies import build_sample
 from wavekg.oracles import DalembertField, KGSpectralField
 from wavekg.profiles import Profile
 from wavekg import scenario, solver
+from wavekg.sliceio import slice_dump, slice_load
 from wavekg.solver import HistorySampler, SolverError, evolve
 from wavekg.geometry import HyperbolaCurve
 
@@ -195,15 +196,24 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero, dead):
     dr = scn.dr
     r = dr * np.arange(int(round(scn.r_max / dr)) + 1)
     n_steps, dt = scenario.time_steps(scn)
-    n_slices, n_store = scenario.history_shape(scn)
+    n_slices, n_radii = scenario.history_shape(scn)
+    assert scn.t_end - 1.0 + scenario.STORE_MARGIN * dr == scn.r_max
+    # each slice is stored out to its cone and STORE_MARGIN cells, capped
+    # at r = t_end - 1 + STORE_MARGIN dr, which is r_max here
+
+    def stored(t):
+        return min(r.size, int(np.ceil((t - 1.0) / dr)) + scenario.STORE_MARGIN + 1)
+
     y = [scn.eps * prof(r) for prof in (scn.u0, scn.u1, scn.v0, scn.v1)]
-    want = [np.zeros((n_slices, n_store)) for _ in y]
+    want = [np.zeros((n_slices, n_radii)) for _ in y]
+    m = stored(2.0)
     for row, arr in zip(want, y):
-        row[0] = arr[:n_store]
-    want_widths = [n_store]
+        row[0, :m] = arr[:m]
+    want_widths = [m]
     for step in range(1, n_steps + 1):
         t = 2.0 + step * dt
         n = min(r.size, int(np.ceil((t - 1.0) / dr)) + solver.WINDOW_MARGIN + 1)
+        m = stored(t)
         yw = [a[:n] for a in y]
         args = (scn, 1.0 / dr**2, 1.0 / (dr * r[1:n - 1]))
         k1 = _plain_rhs(*yw, *args)
@@ -213,9 +223,9 @@ def test_evolve_repeats_a_plain_rk4_bit_for_bit(zero, dead):
         for a, p, q, s, w in zip(yw, k1, k2, k3, k4):
             a += (dt / 6.0) * (p + 2.0 * (q + s) + w)
         for row, arr in zip(want, yw):
-            row[step, :min(n, n_store)] = arr[:n_store]
-        want_widths.append(min(n, n_store))
-    assert n == r.size == n_store and n_steps > 500
+            row[step, :m] = arr[:m]
+        want_widths.append(m)
+    assert n == r.size == m and n_steps > 500
     assert got.records.shape[-1] == 2 * (2 - len(dead))
     for name, arr in zip(("u", "ut", "v", "vt"), want):
         view = getattr(got, name)
@@ -278,12 +288,32 @@ def test_history_bookkeeping(small_history, small_scn):
         arr, view = getattr(h, name), records[..., k]
         assert arr.shape == (h.n_slices, h.r.size)
         assert arr.ctypes.data == view.ctypes.data and arr.strides == view.strides
+    # each slice is stored out to its width (scenario.store_widths), the
+    # last out to the cap; the radii past the cap only pad rows to whole
+    # pages
     widths = h.widths
-    assert widths.shape == (h.n_slices,)
-    assert np.all(widths <= h.r.size) and widths.min() < h.r.size
+    assert np.array_equal(widths, scenario.store_widths(small_scn))
+    assert widths[-1] == scenario.store_cap(small_scn) < h.r.size
+    assert records[0].nbytes % 4096 == 0
     # every record past its slice's width is exactly +0.0
     past = records[np.arange(h.r.size) >= widths[:, None]]
     assert past.size and np.all(past == 0.0) and not np.signbit(past).any()
+
+
+def test_history_rows_start_on_pages_and_the_sampler_reads_them_in_place(
+        small_history, free_wave_history, tmp_path):
+    # evolved and loaded live histories alike: one C-contiguous record array
+    # whose slice rows each start on a 4 KiB boundary, which the sampler's
+    # flat take reads in place; a layout that copied the history for it
+    # would double its memory unnoticed
+    path = tmp_path / "run.wkgh"
+    slice_dump(small_history, path)
+    for h in (small_history, free_wave_history, slice_load(path)):
+        records = h.records
+        assert records.flags.c_contiguous
+        starts = records.ctypes.data + records.strides[0] * np.arange(h.n_slices)
+        assert np.all(starts % 4096 == 0)
+        assert np.shares_memory(h.cells, records)
 
 
 def test_a_free_run_keeps_half_the_history(reference_history, reference_free_history):
@@ -291,9 +321,11 @@ def test_a_free_run_keeps_half_the_history(reference_history, reference_free_his
     # u and ut alone, 16 bytes a cell against the coupled run's 32
     free = reference_free_history
     assert scenario.live_fields(free.scenario) == ("u",)
-    assert free.records.shape[:2] == reference_history.records.shape[:2]
-    assert 2 * free.records.nbytes == reference_history.records.nbytes
+    assert np.array_equal(free.widths, reference_history.widths)
+    assert 2 * free.records[0, 0].nbytes == reference_history.records[0, 0].nbytes
     assert free.records.nbytes == scenario.history_bytes(free.scenario)
+    # each row is padded to whole pages, 5121 cells to 5376 and 5248
+    assert free.records[0].nbytes - reference_history.records[0].nbytes / 2 < 4096
 
 
 # Evolves dr = 0.01, r_max = t_end = 27 (200 MiB of nominal history) and
@@ -334,10 +366,10 @@ print(json.dumps({"rise": rise, "written": written, "n_slices": n_slices,
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
                     reason="needs /proc/self/statm for the current RSS")
 def test_history_is_resident_only_where_written():
-    # rows are written only out to the cone's window, and the pages past
-    # it stay unbacked: the rise is at most the written records and one
-    # page per slice, where a slice's prefix starts and ends mid-page,
-    # and it goes with the history
+    # rows are written only out to the store rule's widths, and the pages
+    # past them stay unbacked: the rise is at most the written records and
+    # one page per slice, where a slice's prefix ends mid-page, and it
+    # goes with the history
     child = run_python_process(["-c", _RSS_CHILD], threads=1)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
@@ -415,8 +447,7 @@ class TestSampling:
         pad = 8
         padded = solver.SliceHistory(
             scenario=h.scenario,
-            records=np.pad(h.records, ((0, 0), (0, pad), (0, 0))),
-            widths=h.widths)
+            records=np.pad(h.records, ((0, 0), (0, pad), (0, 0))))
         dr, rng = h.scenario.dr, np.random.default_rng(8)
         r = np.concatenate([rng.uniform(h.r[-1] - 4 * dr, h.r[-1] + 2 * dr, 60),
                             rng.uniform(0.0, 3 * dr, 20), [h.r[-1], 0.0]])
@@ -432,8 +463,7 @@ class TestSampling:
         # records give the same jets bit for bit, the axis and the cap
         # included
         h = small_history
-        copy = solver.SliceHistory(scenario=h.scenario, records=h.records.copy(),
-                                   widths=h.widths.copy())
+        copy = solver.SliceHistory(scenario=h.scenario, records=h.records.copy())
         rng = np.random.default_rng(9)
         r = np.concatenate([rng.uniform(0.0, h.r[-1] + h.scenario.dr, 200),
                             [0.0, h.r[-1]]])
