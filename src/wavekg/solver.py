@@ -83,6 +83,7 @@ the zeros past the cone resident 2 MiB at a time.)
 from __future__ import annotations
 
 import logging
+import math
 import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,7 +91,7 @@ from functools import cached_property
 import numpy as np
 
 from .energies import hyperboloid_samples, word_records
-from .geometry import MU_FAN, WORD_STRIDE, axis_ratio, covered_s_grid, null_radii
+from .geometry import MU_FAN, WORD_STRIDE, covered_s_grid, null_radii
 from .radiation import radiation_fan
 from .scenario import (MIN_DENOM, Scenario, history_bytes, history_shape, live_fields,
                        store_cap, store_widths, time_steps)
@@ -432,11 +433,23 @@ def evolve(scn):
 # after the take (the fields vanish outside the support cone).
 # Working with signed node radii keeps the parity bookkeeping automatic:
 # derived odd fields pick up their signs from the mirrored even data.
-# Only the stencils a query's order reads are built.
+# Each slice gives centered radial stencils of u, v, ut and vt at the 4
+# central nodes, combined by Lagrange interpolation in r and over the 4
+# slices in t.  A key with a time derivative of order a >= 1 reads ut or
+# vt: its (a - 1)-th time derivative, taken of the 4-slice interpolant, so
+# the sampler reads no equation and no coupling constant, only the
+# stored fields.  Only the stencils a query's order reads are built.
 
 _WINDOW = 8
 _CENTER = slice(2, 6)  # the 4 interpolation nodes inside the window
 _SLICES = 4
+
+# the Lagrange basis on the slice nodes x = 0, 1, 2, 3: basis polynomial i
+# is sum_p _BASIS[i, p] x^p
+_BASIS = np.array([[1.0, -11.0 / 6.0, 1.0, -1.0 / 6.0],
+                   [0.0, 3.0, -5.0 / 2.0, 1.0 / 2.0],
+                   [0.0, -3.0 / 2.0, 2.0, -1.0 / 2.0],
+                   [0.0, 1.0 / 3.0, -1.0 / 2.0, 1.0 / 6.0]])
 
 
 def _gather(history, ts, rs):
@@ -484,15 +497,22 @@ def _lagrange_weights(nodes, target):
     return w
 
 
-def _slice_derived(fields, r_nodes, scn, order):
-    """Per-slice derived jets at the 4 central window nodes.
+def _time_derivative_weights(x, dt, m):
+    """Weights of the m-th time derivative (m >= 1) of the 4-slice Lagrange
+    interpolant at x = (t - t_first) / dt, t_first the first slice's time,
+    shape (P, 4): the basis' monomials differentiated by the power rule."""
+    powers = np.arange(m, _SLICES)
+    coef = _BASIS[:, m:] * [math.perm(p, m) for p in powers.tolist()]
+    return np.einsum("pq,iq->pi", x[:, None] ** (powers - m), coef) / dt**m
 
-    fields: dict of (P, S, 8) arrays; returns dict[(field, a, b)] of
-    (P, S, 4) arrays with a + b <= order, time derivatives eliminated
-    through the evolution equations.
+
+def _radial_stencils(fields, r_nodes, dr, order):
+    """Per-slice centered r-derivatives at the 4 central window nodes.
+
+    fields: dict of (P, S, 8) arrays; returns dict[name] of a tuple whose
+    b-th entry is the (P, S, 4) array of d_r^b of that field, b <= order
+    for u and v and b < order for ut and vt.
     """
-    dr = scn.dr
-    c2 = scn.c**2
     rc = r_nodes[:, None, _CENTER]
 
     def d0(x):
@@ -511,69 +531,19 @@ def _slice_derived(fields, r_nodes, scn, order):
              + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
         return np.where(rc == 0, 0.0, d)
 
-    def lap(x1, x2):
-        return x2 + axis_ratio(2.0 * x1, rc, 2.0 * x2)
-
-    def lap_r(x1, x2, x3):
-        # d_r of the radial Laplacian; odd, so it vanishes on the axis
-        return x3 + axis_ratio(2.0 * x2, rc, 0.0) - axis_ratio(2.0 * x1, rc**2, 0.0)
-
-    # each field and the centered r-derivatives the order reads: u and v
-    # to the order, ut and vt to one less
     stencils = (d0, d1, d2, d3)
-    out = {name: tuple(d(X) for d in stencils[:order + (name in ("u", "v"))])
-           for name, X in fields.items()}
-
-    jets = {}
-    for f, dot in (("u", "ut"), ("v", "vt")):
-        for b in range(order + 1):
-            jets[(f, 0, b)] = out[f][b]
-        for b in range(order):
-            jets[(f, 1, b)] = out[dot][b]
-    if order < 2:
-        return jets
-
-    u0, u1, u2 = out["u"][:3]
-    ut0, ut1 = out["ut"][:2]
-    v0, v1, v2 = out["v"][:3]
-    vt0, vt1 = out["vt"][:2]
-    lap_u = lap(u1, u2)
-    lap_v = lap(v1, v2)
-    denom = 1.0 - scn.p00 * u0
-
-    utt = lap_u + scn.b00 * ut0 * vt0 + scn.bd * u1 * v1
-    numer = (1.0 + scn.pd * u0) * lap_v - c2 * v0
-    vtt = numer / denom
-    jets[("u", 2, 0)] = utt
-    jets[("v", 2, 0)] = vtt
-    if order < 3:
-        return jets
-
-    u3, ut2, v3, vt2 = out["u"][3], out["ut"][2], out["v"][3], out["vt"][2]
-    lap_ut = lap(ut1, ut2)
-    lap_vt = lap(vt1, vt2)
-    uttr = lap_r(u1, u2, u3) + scn.b00 * (ut1 * vt0 + ut0 * vt1) \
-        + scn.bd * (u2 * v1 + u1 * v2)
-    numer_r = scn.pd * u1 * lap_v + (1.0 + scn.pd * u0) * lap_r(v1, v2, v3) - c2 * v1
-    vttr = numer_r / denom + numer * scn.p00 * u1 / denom**2
-    uttt = lap_ut + scn.b00 * (utt * vt0 + ut0 * vtt) \
-        + scn.bd * (ut1 * v1 + u1 * vt1)
-    vttt = (scn.pd * ut0 * lap_v + (1.0 + scn.pd * u0) * lap_vt
-            - c2 * vt0 + scn.p00 * ut0 * vtt) / denom
-    jets[("u", 2, 1)] = uttr
-    jets[("v", 2, 1)] = vttr
-    jets[("u", 3, 0)] = uttt
-    jets[("v", 3, 0)] = vttt
-    return jets
+    return {name: tuple(d(X) for d in stencils[:order + (name in ("u", "v"))])
+            for name, X in fields.items()}
 
 
 class HistorySampler:
     """Derivative jets of a run at scattered spacetime points.
 
-    Four bracketing time slices are combined by Lagrange interpolation;
-    spatial derivatives come from centered stencils per slice, with time
-    derivatives of order >= 2 eliminated through the evolution equations
-    rather than differenced.
+    Centered radial stencils per slice are combined by Lagrange
+    interpolation over four bracketing time slices and four radial nodes.
+    d_t^a d_r^b for a >= 1 is the (a - 1)-th time derivative of the
+    interpolant of the stored ut or vt: the sampler reads no evolution
+    equation.
     """
 
     def __init__(self, history):
@@ -582,18 +552,23 @@ class HistorySampler:
     def jets(self, ts, rs, order=3):
         if order > 3:
             raise ValueError("jets available up to total order 3")
-        fields, r_nodes, t_nodes, ts, rs = _gather(self.history, ts, rs)
+        history = self.history
+        fields, r_nodes, t_nodes, ts, rs = _gather(history, ts, rs)
         if order >= 2:
             # the stencils of orders 2 and 3 read each field often enough
             # to repay a contiguous copy of it
             fields = {name: np.ascontiguousarray(x) for name, x in fields.items()}
-        derived = _slice_derived(fields, r_nodes, self.history.scenario, order)
-        wt = _lagrange_weights(t_nodes, ts)  # (P, 4)
-        rc = r_nodes[:, _CENTER]
-        wr = _lagrange_weights(rc, rs)  # (P, 4)
+        stencils = _radial_stencils(fields, r_nodes, history.scenario.dr, order)
+        # wt[m]: the weights of the interpolant's m-th time derivative
+        x = (ts - t_nodes[:, 0]) / history.dt
+        wt = [_lagrange_weights(t_nodes, ts)]  # (P, 4)
+        wt += [_time_derivative_weights(x, history.dt, m) for m in range(1, order)]
+        wr = _lagrange_weights(r_nodes[:, _CENTER], rs)  # (P, 4)
         out = {"u": {}, "v": {}}
-        for (f, a, b), arr in derived.items():
-            in_t = np.einsum("ps,psn->pn", wt, arr)
-            out[f][(a, b)] = np.einsum("pn,pn->p", wr, in_t)
+        for f, jet in out.items():
+            for a in range(order + 1):
+                name, m = (f, 0) if a == 0 else (f + "t", a - 1)
+                for b in range(order + 1 - a):
+                    in_t = np.einsum("ps,psn->pn", wt[m], stencils[name][b])
+                    jet[(a, b)] = np.einsum("pn,pn->p", wr, in_t)
         return out
-

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavekg.energies import build_sample
-from wavekg.oracles import DalembertField, KGSpectralField
+from wavekg.energies import build_sample, word_records
+from wavekg.oracles import DalembertField, KGSpectralField, OracleSampler
 from wavekg.profiles import Profile
 from wavekg import scenario, solver
 from wavekg.sliceio import slice_dump, slice_load
 from wavekg.solver import HistorySampler, SolverError, evolve
-from wavekg.geometry import HyperbolaCurve
+from wavekg.geometry import WORD_STRIDE, HyperbolaCurve, covered_s_grid
 
 from conftest import make_scenario, run_python_process
 
@@ -459,18 +459,74 @@ class TestSampling:
                 assert np.array_equal(got[f][key], arr), (f, key)
 
     def test_jets_on_a_copy_of_the_records_are_the_same(self, small_history):
-        # the evolved history's mapping and a plain numpy copy of its
-        # records give the same jets bit for bit, the axis and the cap
-        # included
+        # the evolved history's mapping, a plain numpy copy of its records
+        # and that copy under other coupling constants give the same jets
+        # bit for bit, the axis and the cap included: the sampler reads the
+        # stored fields, not the equations
         h = small_history
-        copy = solver.SliceHistory(scenario=h.scenario, records=h.records.copy())
+        recoupled = h.scenario.with_grid(b00=-0.5, bd=2.0, p00=0.25, pd=-1.5)
+        copies = [solver.SliceHistory(scenario=scn, records=h.records.copy())
+                  for scn in (h.scenario, recoupled)]
         rng = np.random.default_rng(9)
         r = np.concatenate([rng.uniform(0.0, h.r[-1] + h.scenario.dr, 200),
                             [0.0, h.r[-1]]])
         t = rng.uniform(h.t0, h.t_last, r.size)
         for order in (0, 1, 2, 3):
             got = HistorySampler(h).jets(t, r, order=order)
-            want = HistorySampler(copy).jets(t, r, order=order)
+            for copy in copies:
+                want = HistorySampler(copy).jets(t, r, order=order)
+                for f in ("u", "v"):
+                    for key, arr in want[f].items():
+                        assert np.array_equal(got[f][key], arr), (order, f, key)
+
+    def test_time_derivatives_are_exact_on_cubics(self, small_history):
+        # ut and vt hold cubics in t, constant in r out to the cap: d_t^2
+        # and d_t^3 are the first and second derivatives of the 4-slice
+        # interpolant of ut and vt, exact on cubics, in the one-sided first
+        # and last windows as in the interior
+        h = small_history
+        cubic = solver.SliceHistory(scenario=h.scenario,
+                                    records=np.zeros_like(h.records))
+        window = [h.t0, h.t_last]
+        p = {"u": np.polynomial.Polynomial([0.3, -0.8, 0.5, -1.2], domain=window),
+             "v": np.polynomial.Polynomial([-0.6, 0.2, 1.1, 0.7], domain=window)}
+        cubic.ut[...] = p["u"](h.times())[:, None]
+        cubic.vt[...] = p["v"](h.times())[:, None]
+        dt, rng = h.dt, np.random.default_rng(12)
+        for lo, hi in ((h.t0, h.t0 + 2 * dt), (h.t0 + 3 * dt, h.t_last - 3 * dt),
+                       (h.t_last - 2 * dt, h.t_last)):
+            t = np.concatenate([rng.uniform(lo, hi, 40), [lo, hi]])
+            r = rng.uniform(0.0, h.r[-1] - 5 * h.scenario.dr, t.size)
+            j = HistorySampler(cubic).jets(t, r, order=3)
             for f in ("u", "v"):
-                for key, arr in want[f].items():
-                    assert np.array_equal(got[f][key], arr), (order, f, key)
+                for key, want in (((2, 0), p[f].deriv(1)(t)), ((3, 0), p[f].deriv(2)(t)),
+                                  ((2, 1), 0.0 * t)):
+                    err = np.max(np.abs(j[f][key] - want))
+                    assert err < 1e-12 / dt ** (key[0] - 1), (lo, f, key, err)
+
+    # word-energy sums of free mid-grid runs (dr 0.02, t_end 26) over the
+    # exact oracle's, on the last three word hyperboloids: e1 of the
+    # wave's words and e0c of the Klein-Gordon field's.  Read-out error
+    # makes the ratios grow with s; each is held under 1.05 times its
+    # measured value, and above 0.95, since the free words' energies are
+    # conserved and the early hyperboloids read 0.99
+    @pytest.mark.parametrize("field, energy, bounds", [
+        ("u", "e1", (3.135, 7.072, 16.38)),
+        ("v", "e0c", (1.151, 1.342, 1.696)),
+    ])
+    def test_word_energies_of_free_mid_runs_stay_near_the_oracle(self, field, energy,
+                                                                 bounds):
+        amp = BUMP.scaled(EPS)
+        if field == "u":
+            dead, oracle = {"v0": ZERO}, OracleSampler(wave=DalembertField(amp, ZERO))
+        else:
+            dead, oracle = {"u0": ZERO}, OracleSampler(kg=KGSpectralField(amp, ZERO, 1.0))
+        scn = make_scenario(b00=0.0, bd=0.0, p00=0.0, pd=0.0, dr=0.02, r_max=34.0,
+                            t_end=26.0, **dead)
+        history = evolve(scn)
+        s_words = covered_s_grid(history.t_last, scn.dr)[::WORD_STRIDE][-3:]
+        got, want = ([sum(word[energy] for word in record["energies"][field].values())
+                      for record in word_records(sampler, s_words, scn)]
+                     for sampler in (HistorySampler(history), oracle))
+        for s, mine, exact, bound in zip(s_words, got, want, bounds):
+            assert 0.95 < mine / exact < 1.05 * bound, (s, mine / exact)
