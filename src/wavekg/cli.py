@@ -47,7 +47,7 @@ from .oracles import DalembertField, OracleSampler, free_wave_radiation
 from .profiles import Profile
 from .radiation import (excessive_decay_check, radiation_hyperbola,
                         rigidity_experiment, transport_check)
-from .scenario import parse_scenario, serialize_scenario, store_cap
+from .scenario import history_bytes, parse_scenario, serialize_scenario, store_cap
 from .sliceio import slice_dump
 from .solver import HistorySampler, evolve
 
@@ -112,7 +112,7 @@ def _sha256(path):
 
 def _field_health(history):
     """min |1 - p00 u|, max |u| and max |v| over the stored slices, and the
-    largest |u|, |u_t|, |v|, |v_t| in the radius cap's column (the last of
+    largest |u| and |v| in the radius cap's column (the last of
     scenario.store_cap's cells), past which the sampler treats the fields
     as zero; read in blocks of slices.
 
@@ -383,7 +383,7 @@ def run_pipeline(subcommand, scn, out, seed=0):
                        # run stored (scenario.store_widths), about what is
                        # resident, since pages past them stay unbacked; the
                        # archive holds the latter
-                       "history_mb": history.records.nbytes / 2**20,
+                       "history_mb": history_bytes(scn) / 2**20,
                        "history_written_mb": history.records[0, 0].nbytes
                        * int(history.widths.sum()) / 2**20,
                        **health},

@@ -52,18 +52,20 @@ _LAP_RADIUS = 6.0
 # every checked-in scenario
 _CFL_SAFETY = 0.9
 # cells evolve stores past each slice's own support cone r = t - 1
-# (store_widths); the stages read at most 19 cells past it
+# (store_widths); the stages read at most 20 cells past it
 STORE_MARGIN = 20
 # bytes each slice row of a history is rounded up to, so that every
 # slice's stored prefix starts on a page boundary; a constant, not the
 # machine's page size, so that a history's shape is its scenario's alone
 ROW_BYTES = 4096
 # largest nominal history a scenario may ask for (see history_bytes): the
-# coupled reference grid asks for 0.78 GiB at cfl 1.0 and 1.57 GiB at cfl
-# 0.5, and about 0.51 of the nominal bytes are resident
+# coupled reference grid asks for 0.40 GiB at cfl 1.0, 0.80 GiB at cfl 0.5
+# and 1.53 GiB at dr = 0.005, and about 0.51 of the nominal bytes are
+# resident
 MAX_HISTORY_BYTES = 2 * 2**30
-# bytes a live field takes in one stored cell: its value and time derivative
-FIELD_BYTES = 2 * 8
+# bytes a live field takes in one stored cell: its value (the sampler reads
+# its time derivative as a time difference)
+FIELD_BYTES = 8
 
 
 class ScenarioError(ValueError):
@@ -143,7 +145,7 @@ class Scenario:
         if nominal > MAX_HISTORY_BYTES:
             raise ScenarioError(
                 f"history too large: {nominal / 2**30:.4g} GiB nominal ({n_live} of 2 "
-                f"fields live{', counted as 1' * (not n_live)}; 2 doubles a live field "
+                f"fields live{', counted as 1' * (not n_live)}; 1 double a live field "
                 "per cell of (n_steps + 1) x n_store) is past the limit of "
                 f"{MAX_HISTORY_BYTES / 2**30:g} GiB", ("dr", "cfl", "t_end"))
         limit = stable_cfl(self)

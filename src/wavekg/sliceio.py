@@ -3,25 +3,26 @@
 Layout (all integers little-endian):
 
     4 bytes   magic b"WKGH"
-    u32       format version (currently 5)
+    u32       format version (currently 6)
     u32       length of the scenario text, followed by that many bytes
               of UTF-8 scenario (the same text parse_scenario accepts)
     for each slice k:
-      f64 * 2F * widths[k]           its first widths[k] records
+      f64 * F * widths[k]            its first widths[k] records
     u32       zlib.crc32 of everything before it
 
 The scenario decides the rest: n_slices and n_radii are its
 history_shape, the times and radii its grid, widths[k] the cells its
 run stores in slice k (scenario.store_widths), and F its live fields
-(scenario.live_fields), so a record holds 2F doubles: each live field,
-then its time derivative (u, v, ut, vt on a coupled run, u, ut on a
-free wave, v, vt on a free Klein-Gordon run, nothing on zero data).  A
-dead field is zero and is not stored, nor are a slice's records past its
-width, which are +0.0, so the archive holds only what the run stored.
-The loader is an exact inverse: slice_load(path) after slice_dump(h,
-path) reproduces the history bit for bit.  Both take a file path;
-neither builds an archive in memory.  Format 4 also stored the widths,
-and formats 1 to 4 are rejected.
+(scenario.live_fields), so a record holds F doubles, the live fields (u,
+v on a coupled run, u on a free wave, v on a free Klein-Gordon run,
+nothing on zero data); the time derivatives are the sampler's time
+differences of them, and are not stored.  A dead field is zero and is
+not stored, nor are a slice's records past its width, which are +0.0,
+so the archive holds only what the run stored.  The loader is an exact
+inverse: slice_load(path) after slice_dump(h, path) reproduces the
+history bit for bit.  Both take a file path; neither builds an archive
+in memory.  Format 5 also stored each live field's time derivative and
+format 4 the widths; formats 1 to 5 are rejected.
 
 Neither direction holds a second copy of the data.  slice_dump writes
 the header and each slice's record prefix straight from the history,
@@ -49,7 +50,7 @@ from .solver import SliceHistory
 __all__ = ["SliceIOError", "slice_dump", "slice_load"]
 
 _MAGIC = b"WKGH"
-_VERSION = 5
+_VERSION = 6
 
 
 class SliceIOError(RuntimeError):
@@ -60,7 +61,7 @@ def _write(fh, history):
     """Write the archive of a SliceHistory to a binary file, one slice's
     record prefix at a time."""
     records = history.records
-    n_values = 2 * len(live_fields(history.scenario))
+    n_values = len(live_fields(history.scenario))
     if records.shape != (*history_shape(history.scenario), n_values):
         raise SliceIOError("history records are not the shape of its scenario's")
     text = serialize_scenario(history.scenario).encode("utf-8")

@@ -51,18 +51,29 @@ denominator is exactly 1, so it could never trip.
 Every accepted step is stored, slice k out to the first cell at or past
 its own support cone r = t_k - 1 and STORE_MARGIN cells more, capped at
 r = t_end - 1 + STORE_MARGIN * dr (scenario.store_widths); the sampler
-reads zeros past a slice's width.  The stages read at most 19 cells
+reads zeros past a slice's width.  The stages read at most 20 cells
 past a slice's cone, so the cells the window integrates past the store
 change no number they compute.  This dense time coverage is what
 sampling fields and their derivative jets on hyperboloids
 t = sqrt(s^2 + r^2) and along characteristic curves needs.
 
-The history is one C-contiguous (n_slices, n_radii, 2F) record array,
-the 2F values of each cell side by side, the state's row order; on a
-coupled run:
+The history stores the live fields alone, not their time derivatives:
+one C-contiguous (n_slices, n_radii, F) record array, the F values of
+each cell side by side, the state's row order; on a coupled run:
 
-    records[k] = | u v ut vt | u v ut vt | ... | u v ut vt | 0 0 0 0 | ...
-                   cell 0      cell 1            widths[k]-1 (zeros past it)
+    records[k] = | u v | u v | ... | u v | 0 0 | ...
+                   cell 0              widths[k]-1 (zeros past it)
+
+u_t and v_t are read as time differences of the stored u and v by one
+rule, which the sampler and SliceHistory.ut and .vt share: the data
+eps u1 and eps v1 on slice 0 (exact), (x[k+1] - x[k-1]) / (2 dt) on an
+interior slice, and on the last slice K the same centred difference with
+x[K+1] taken from the cubic through the last four slices,
+4 x[K] - 6 x[K-1] + 4 x[K-2] - x[K-3].  That keeps the last slice's error
+the centred one's to O(dt^3).  The three-point one-sided difference,
+whose error is twice the centred one's and of the other sign, made the
+d_t of the interpolant of u_t first order in the last window: the mid
+run's transport residual read 4.2e-5 there, against 3.5e-6.
 
 n_radii is the cap rounded up so that each row fills whole 4 KiB pages
 (scenario.history_shape), so every row starts on a page boundary.  A
@@ -70,7 +81,7 @@ dead field is not stored: SliceHistory reads it as read-only zeros.
 Step k writes its row only out to widths[k] cells, with one copy of the
 state's transpose, so a row's cells past them are never written.  The
 records live in one private anonymous memory mapping advised against
-huge pages (SliceHistory.empty), where the kernel backs a 4 KiB page
+huge pages (_unbacked_zeros), where the kernel backs a 4 KiB page
 only when evolve first writes it; reads of unwritten pages (the
 sampler, the health values) see the kernel's shared zero page.  A
 slice's written prefix thus takes whole pages from its row's first, and
@@ -93,7 +104,7 @@ import numpy as np
 from .energies import hyperboloid_samples, word_records
 from .geometry import MU_FAN, WORD_STRIDE, covered_s_grid, null_radii
 from .radiation import radiation_fan
-from .scenario import (MIN_DENOM, Scenario, history_bytes, history_shape, live_fields,
+from .scenario import (MIN_DENOM, Scenario, history_shape, live_fields,
                        store_cap, store_widths, time_steps)
 
 __all__ = [
@@ -105,67 +116,118 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the four fields and the scenario data each starts from
-_FIELDS = ("u", "v", "ut", "vt")
-_DATA = {"u": "u0", "v": "v0", "ut": "u1", "vt": "v1"}
-
-
-def _columns(scn):
-    """The values of one record, in the state's row order: each live field
-    (scenario.live_fields), then the time derivative of each."""
-    live = live_fields(scn)
-    return live + tuple(name + "t" for name in live)
-
 
 class SolverError(RuntimeError):
     pass
+
+
+def _unbacked_zeros(shape):
+    """A float64 array of the shape, all +0.0, in one private anonymous
+    mapping advised against huge pages, whose pages take memory only once
+    written."""
+    if not math.prod(shape):
+        return np.zeros(shape)  # no bytes to map
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    # under THP "always" one write would otherwise back 2 MiB at once
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
+# The time-difference rule for u_t and v_t (module docstring); the sampler
+# and SliceHistory.ut and .vt both apply these two, so they agree bit for bit.
+def _centred(ahead, behind, dt, out=None):
+    out = np.subtract(ahead, behind, out=out)
+    out /= 2.0 * dt
+    return out
+
+
+def _last_rate(last, before, second, third, dt):
+    # the centred difference, its missing neighbour the cubic extrapolation
+    return _centred(4.0 * last - 6.0 * before + 4.0 * second - third, before, dt)
 
 
 @dataclass
 class SliceHistory:
     """Uniformly spaced time slices of the four fields.
 
-    records has shape (n_slices, n_radii, 2F) for the run's F live fields
-    (scenario.live_fields): the values of each cell side by side, each
-    live field, then its time derivative (u, v, ut, vt on a coupled run).
-    The grid and the store are the scenario's: slice k lies at t0 + k dt,
-    with t0 = 2 the data time and dt the step of time_steps, column i at
-    r = i dr, and widths[k] is the number of cells the run stores in slice
-    k (scenario.store_widths), past which its records are +0.0.  The
-    stored radial range may be shorter than the computational grid
-    (fields vanish beyond the support cone r <= t - 1).  u, v, ut and vt
-    are (n_slices, n_radii) views: of records for a live field, read-only
-    zeros for a dead one.
+    records has shape (n_slices, n_radii, F) for the run's F live fields
+    (scenario.live_fields): the values of each cell side by side (u, v on
+    a coupled run).  The grid and the store are the scenario's: slice k
+    lies at t0 + k dt, with t0 = 2 the data time and dt the step of
+    time_steps, column i at r = i dr, and widths[k] is the number of cells
+    the run stores in slice k (scenario.store_widths), past which its
+    records are +0.0.  The stored radial range may be shorter than the
+    computational grid (fields vanish beyond the support cone r <= t - 1).
+    u and v are (n_slices, n_radii) views: of records for a live field,
+    read-only zeros for a dead one.
+
+    ut and vt are their time derivatives by the rule the sampler reads
+    (_rates), derived on read.  The history holds the last one read, so a
+    write into it is seen by the next read of the same name, as when the
+    records stored it; reading the other releases it first, so a history
+    holds at most one.  An attribute set on the history overrides either.
     """
 
     scenario: Scenario
     records: np.ndarray
     u: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
-    ut: np.ndarray = field(init=False, repr=False)
-    vt: np.ndarray = field(init=False, repr=False)
     t0 = 2.0  # a class constant, not a field
 
     def __post_init__(self):
-        stored = dict(zip(_columns(self.scenario), np.moveaxis(self.records, -1, 0)))
+        stored = dict(zip(live_fields(self.scenario), np.moveaxis(self.records, -1, 0)))
         dead = np.broadcast_to(0.0, self.records.shape[:2])
-        self.u, self.v, self.ut, self.vt = (stored.get(name, dead) for name in _FIELDS)
+        self.u, self.v = (stored.get(name, dead) for name in ("u", "v"))
+
+    def __getattr__(self, name):
+        # only attributes not found otherwise: ut and vt, unless held or set
+        if name not in ("ut", "vt"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        for held in ("ut", "vt"):
+            self.__dict__.pop(held, None)
+        rate = self.__dict__[name] = self._rates(name[0])
+        return rate
 
     @classmethod
     def empty(cls, scn):
         """The history of scn before its run: records of history_shape and
-        the live fields' values, all +0.0, in one private anonymous mapping
-        whose pages take memory only once written."""
-        shape = (*history_shape(scn), len(_columns(scn)))
-        if not history_bytes(scn):
-            records = np.zeros(shape)  # no live field: no bytes to map
-        else:
-            buf = mmap.mmap(-1, history_bytes(scn), flags=mmap.MAP_PRIVATE)
-            # under THP "always" one write would otherwise back 2 MiB at once
-            if hasattr(mmap, "MADV_NOHUGEPAGE"):
-                buf.madvise(mmap.MADV_NOHUGEPAGE)
-            records = np.frombuffer(buf, dtype=np.float64).reshape(shape)
-        return cls(scn, records)
+        the live fields, all +0.0, whose pages take memory only once
+        written (_unbacked_zeros)."""
+        return cls(scn, _unbacked_zeros((*history_shape(scn), len(live_fields(scn)))))
+
+    @cached_property
+    def data_rates(self):
+        """Slice 0's u_t and v_t of the live fields at every radius,
+        (n_radii, F): the data eps u1 and eps v1, known exactly."""
+        scn, live = self.scenario, live_fields(self.scenario)
+        rates = np.zeros((self.r.size, len(live)))
+        for col, name in enumerate(live):
+            rates[:, col] = scn.eps * getattr(scn, name + "1")(self.r)
+        return rates
+
+    def _rates(self, name):
+        """The time derivative of the stored field name ("u" or "v") at
+        every cell, by the time-difference rule, in unbacked zeros written
+        only where the rule reads stored cells: slice k out to widths[k + 1],
+        the last slice out to its own width.  Read-only zeros for a dead
+        field."""
+        live = live_fields(self.scenario)
+        if name not in live:
+            return np.broadcast_to(0.0, self.records.shape[:2])
+        if self.n_slices < _SLICES:
+            raise SolverError("history too short for time derivatives")
+        x = self.records[..., live.index(name)]
+        rate, dt, widths = _unbacked_zeros(x.shape), self.dt, self.widths.tolist()
+        rate[0] = self.data_rates[:, live.index(name)]
+        last = self.n_slices - 1
+        for k in range(1, last):
+            w = widths[k + 1]
+            _centred(x[k + 1, :w], x[k - 1, :w], dt, rate[k, :w])
+        w = widths[last]
+        rate[last, :w] = _last_rate(x[last, :w], x[last - 1, :w], x[last - 2, :w],
+                                    x[last - 3, :w], dt)
+        return rate
 
     @cached_property
     def dt(self):
@@ -177,7 +239,7 @@ class SliceHistory:
 
     @property
     def cells(self):
-        """records as one (n_slices * n_radii, 2F) array of cells, the
+        """records as one (n_slices * n_radii, F) array of cells, the
         sampler's flat index space: a view, since records is C-contiguous."""
         n_slices, n_radii, n_values = self.records.shape
         return self.records.reshape(n_slices * n_radii, n_values)
@@ -391,12 +453,14 @@ def evolve(scn):
     n_steps, dt = time_steps(scn)
     records, widths = history.records, history.widths
 
-    # the data, which vanish past r = 1, on the radii out to the cap
+    # the data, which vanish past r = 1, on the radii out to the cap: the
+    # live fields, then their time derivatives
     r = history.r[:store_cap(scn)]
-    state = np.zeros((records.shape[2], r.size))
-    for row, name in zip(state, _columns(scn)):
-        row[:] = scn.eps * getattr(scn, _DATA[name])(r)
-    records[0, :widths[0]] = state[:, :widths[0]].T
+    f = len(live)
+    state = np.zeros((2 * f, r.size))
+    for row, data in zip(state, [name + "0" for name in live] + [name + "1" for name in live]):
+        row[:] = scn.eps * getattr(scn, data)(r)
+    records[0, :widths[0]] = state[:f, :widths[0]].T
     # past r = t - 1 + margin the fields are zero and are left alone
     times = 2.0 + np.arange(1, n_steps + 1) * dt
     windows = np.minimum(n_grid, np.ceil((times - 1.0) / dr).astype(int)
@@ -413,7 +477,7 @@ def evolve(scn):
         if not rk.finite():
             raise SolverError(f"non-finite field values at slice {step} "
                               f"(t = {t:.4f})")
-        records[step, :m] = state[:, :m].T
+        records[step, :m] = state[:f, :m].T
         if step % report_every == 0 and log.isEnabledFor(logging.INFO):
             peak = {name: np.max(np.abs(row)) for name, row in zip(live, state)}
             log.info("evolve: t = %.2f (%d/%d), max|u| = %.3e, max|v| = %.3e",
@@ -424,10 +488,14 @@ def evolve(scn):
 
 # -- interpolation machinery --------------------------------------------------
 #
-# The sampler gathers, for each query point, a window of 8 radial nodes
-# around the point on 4 bracketing time slices: one flat (P, 4, 8) index
-# into the history's cells reads the live fields' records with one take,
-# and a dead field's window is zeros.
+# The sampler gathers, for each query point, a window of radial nodes
+# around the point on 4 bracketing time slices, and for a time derivative
+# one slice more on each side: one flat (P, 4 or 6, nodes) index into the
+# history's cells reads the live fields' records with one take, and a dead
+# field's window is zeros.  The window holds the 4 interpolation nodes and
+# as many more on each side as the query's order reads (_NODES).  The 6
+# slices give u_t and v_t on the 4 by the time-difference rule
+# (_window_rates).
 # Negative window indices are mapped through the axis mirror (all four
 # base fields are even in r); nodes beyond the stored range are zeroed
 # after the take (the fields vanish outside the support cone).
@@ -440,9 +508,10 @@ def evolve(scn):
 # the sampler reads no equation and no coupling constant, only the
 # stored fields.  Only the stencils a query's order reads are built.
 
-_WINDOW = 8
-_CENTER = slice(2, 6)  # the 4 interpolation nodes inside the window
 _SLICES = 4
+# radial nodes a query of each order reads: the 4 interpolation nodes, one
+# more on each side for d_r and d_r^2, two for d_r^3
+_NODES = (4, 6, 6, 8)
 
 # the Lagrange basis on the slice nodes x = 0, 1, 2, 3: basis polynomial i
 # is sum_p _BASIS[i, p] x^p
@@ -452,7 +521,10 @@ _BASIS = np.array([[1.0, -11.0 / 6.0, 1.0, -1.0 / 6.0],
                    [0.0, 1.0 / 3.0, -1.0 / 2.0, 1.0 / 6.0]])
 
 
-def _gather(history, ts, rs):
+def _gather(history, ts, rs, order):
+    """Each field's window, (P, 4, nodes) for u, v and with order >= 1 ut
+    and vt, the radii of the 4 interpolation nodes (signed), the window's
+    slice times, and the query points."""
     ts = np.asarray(ts, dtype=float).ravel()
     rs = np.asarray(rs, dtype=float).ravel()
     nt, nr = history.records.shape[:2]
@@ -465,24 +537,65 @@ def _gather(history, ts, rs):
             f"requested times [{ts.min():.4f}, {ts.max():.4f}] outside stored "
             f"range [{tmin:.4f}, {tmax:.4f}]")
     j0 = np.clip(np.floor((ts - tmin) / dt).astype(int) - 1, 0, nt - _SLICES)
-    idx_t = j0[:, None] + np.arange(_SLICES)
+    pad = 1 if order else 0  # the slices a time difference reads past the window
+    rows = np.clip(j0[:, None] + np.arange(-pad, _SLICES + pad), 0, nt - 1)
 
-    i0 = np.floor(rs / dr).astype(int) - 3
-    idx_r = i0[:, None] + np.arange(_WINDOW)
+    side = (_NODES[order] - 4) // 2
+    idx_r = np.floor(rs / dr).astype(int)[:, None] + np.arange(-1 - side, 3 + side)
     mirrored = np.abs(idx_r)
     beyond = mirrored > nr - 1
     mirrored[beyond] = 0
-    flat = (idx_t * nr)[:, :, None] + mirrored[:, None, :]  # (P, 4, 8)
+    flat = (rows * nr)[:, :, None] + mirrored[:, None, :]
 
-    vals = history.cells.take(flat, axis=0)
-    vals[np.broadcast_to(beyond[:, None, :], flat.shape)] = 0.0
-    fields = dict(zip(_columns(history.scenario), np.moveaxis(vals, -1, 0)))
-    if len(fields) < len(_FIELDS):
-        dead = np.zeros(flat.shape)
-        fields = {name: fields.get(name, dead) for name in _FIELDS}
-    r_nodes = idx_r * dr  # signed radii
-    t_nodes = tmin + idx_t * dt
-    return fields, r_nodes, t_nodes, ts, rs
+    # (F, P, 4 or 6, nodes): each live field's window, a view of the take
+    vals = np.moveaxis(history.cells.take(flat, axis=0), -1, 0)
+    edge = np.flatnonzero(beyond[:, -1])  # windows that run past the stored radii
+    if edge.size:
+        vals[:, edge] = np.where(beyond[edge, None, :], 0.0, vals[:, edge])
+    live = live_fields(history.scenario)
+    fields = {}
+    if order:
+        rates = _window_rates(history, vals, j0, mirrored, beyond, order)
+        fields.update(zip([name + "t" for name in live], rates))
+        vals = vals[:, :, 1:-1]
+    if order >= 2:
+        # the stencils of orders 2 and 3 read each window often enough to
+        # repay a contiguous copy
+        vals = np.ascontiguousarray(vals)
+    fields.update(zip(live, vals))
+    names = ("u", "v", "ut", "vt") if order else ("u", "v")
+    if len(fields) < len(names):
+        dead = np.zeros((ts.size, _SLICES, _NODES[order]))
+        fields = {name: fields.get(name, dead) for name in names}
+    r_center = idx_r[:, side:side + 4] * dr
+    t_nodes = tmin + (j0[:, None] + np.arange(_SLICES)) * dt
+    return fields, r_center, t_nodes, ts, rs
+
+
+def _window_rates(history, x, j0, mirrored, beyond, order):
+    """u_t and v_t of the live fields by the time-difference rule on the
+    4 window slices, (F, P, 4, nodes), from their values x on the 6 slices
+    around them, (F, P, 6, ...): the data's where the window's first slice
+    is slice 0, the last slice's form where its last is the history's
+    last.  Their stencils are one order lower than u's and v's, so they
+    take the _NODES[order - 1] central nodes of the window."""
+    nt, dt = history.n_slices, history.dt
+    side = (x.shape[-1] - _NODES[order - 1]) // 2
+    nodes = slice(side, x.shape[-1] - side)
+    x = x[..., nodes]
+    rate = _centred(x[:, :, 2:], x[:, :, :-2], dt,
+                    np.empty((*x.shape[:2], _SLICES, x.shape[3])))
+    first = np.flatnonzero(j0 == 0)
+    if first.size:
+        data = history.data_rates[mirrored[first, nodes]]  # (points, nodes, F)
+        data[beyond[first, nodes]] = 0.0
+        rate[:, first, 0] = np.moveaxis(data, -1, 0)
+    last = np.flatnonzero(j0 == nt - _SLICES)
+    if last.size:
+        y = x[:, last]
+        rate[:, last, -1] = _last_rate(y[:, :, -2], y[:, :, -3], y[:, :, -4], y[:, :, -5],
+                                       dt)
+    return rate
 
 
 def _lagrange_weights(nodes, target):
@@ -506,29 +619,33 @@ def _time_derivative_weights(x, dt, m):
     return np.einsum("pq,iq->pi", x[:, None] ** (powers - m), coef) / dt**m
 
 
-def _radial_stencils(fields, r_nodes, dr, order):
+def _radial_stencils(fields, r_center, dr, order):
     """Per-slice centered r-derivatives at the 4 central window nodes.
 
-    fields: dict of (P, S, 8) arrays; returns dict[name] of a tuple whose
-    b-th entry is the (P, S, 4) array of d_r^b of that field, b <= order
-    for u and v and b < order for ut and vt.
+    fields: dict of (P, S, nodes) windows; returns dict[name] of a tuple
+    whose b-th entry is the (P, S, 4) array of d_r^b of that field,
+    b <= order for u and v and b < order for ut and vt.
     """
-    rc = r_nodes[:, None, _CENTER]
+    rc = r_center[:, None, :]
+
+    def at(x, shift):
+        # the 4 central nodes of the window, moved out by shift nodes
+        lo = (x.shape[-1] - 4) // 2 + shift
+        return x[..., lo:lo + 4]
 
     def d0(x):
-        return x[..., _CENTER]
+        return at(x, 0)
 
     def d1(x):
-        return (x[..., 3:7] - x[..., 1:5]) / (2.0 * dr)
+        return (at(x, 1) - at(x, -1)) / (2.0 * dr)
 
     def d2(x):
-        return (x[..., 3:7] - 2.0 * x[..., 2:6] + x[..., 1:5]) / dr**2
+        return (at(x, 1) - 2.0 * at(x, 0) + at(x, -1)) / dr**2
 
     def d3(x):
         # odd, so zero on the axis, where the terms of the even u and v
         # cancel only up to rounding
-        d = (x[..., 4:8] - 2.0 * x[..., 3:7]
-             + 2.0 * x[..., 1:5] - x[..., 0:4]) / (2.0 * dr**3)
+        d = (at(x, 2) - 2.0 * at(x, 1) + 2.0 * at(x, -1) - at(x, -2)) / (2.0 * dr**3)
         return np.where(rc == 0, 0.0, d)
 
     stencils = (d0, d1, d2, d3)
@@ -542,8 +659,8 @@ class HistorySampler:
     Centered radial stencils per slice are combined by Lagrange
     interpolation over four bracketing time slices and four radial nodes.
     d_t^a d_r^b for a >= 1 is the (a - 1)-th time derivative of the
-    interpolant of the stored ut or vt: the sampler reads no evolution
-    equation.
+    interpolant of ut or vt, the time differences of the stored u and v
+    (module docstring): the sampler reads no evolution equation.
     """
 
     def __init__(self, history):
@@ -553,17 +670,13 @@ class HistorySampler:
         if order > 3:
             raise ValueError("jets available up to total order 3")
         history = self.history
-        fields, r_nodes, t_nodes, ts, rs = _gather(history, ts, rs)
-        if order >= 2:
-            # the stencils of orders 2 and 3 read each field often enough
-            # to repay a contiguous copy of it
-            fields = {name: np.ascontiguousarray(x) for name, x in fields.items()}
-        stencils = _radial_stencils(fields, r_nodes, history.scenario.dr, order)
+        fields, r_center, t_nodes, ts, rs = _gather(history, ts, rs, order)
+        stencils = _radial_stencils(fields, r_center, history.scenario.dr, order)
         # wt[m]: the weights of the interpolant's m-th time derivative
         x = (ts - t_nodes[:, 0]) / history.dt
         wt = [_lagrange_weights(t_nodes, ts)]  # (P, 4)
         wt += [_time_derivative_weights(x, history.dt, m) for m in range(1, order)]
-        wr = _lagrange_weights(r_nodes[:, _CENTER], rs)  # (P, 4)
+        wr = _lagrange_weights(r_center, rs)  # (P, 4)
         out = {"u": {}, "v": {}}
         for f, jet in out.items():
             for a in range(order + 1):

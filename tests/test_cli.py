@@ -414,22 +414,23 @@ def mid_run(tmp_path_factory):
 
 
 def test_mid_run_reads_the_tail_at_the_cap(mid_run):
-    # the largest field value in the cap's radius column over the run, as
-    # it was when every slice stored its whole integration window
+    # the largest |u| or |v| in the cap's radius column over the run, as it
+    # was when every slice stored its whole integration window
     manifest = json.loads((mid_run / "manifest.json").read_text())
-    assert manifest["metrics"]["solver"]["max_abs_at_cap"] == 2.655989925052785e-10
+    assert manifest["metrics"]["solver"]["max_abs_at_cap"] == 1.151636277155246e-11
 
 
 def test_the_stages_read_inside_the_store_margin():
     # the farthest a stage reads past a slice's cone r = t - 1, in cells: a
     # hyperboloid node lies up to _NODE_MARGIN + 1 cells past its own cone
-    # (the outermost reads), the sampler's 8-node window reaches 4 cells
-    # past a node, and its 4 slices start up to 2 steps before the node's
-    # time, 3 at the end of the run, a step being at most the stable cfl at
-    # kappa = 1 (1.04 cells)
+    # (the outermost reads), the sampler's widest window (order 3) reaches
+    # 4 cells past a node, and its slices, with the two its time
+    # differences read, start up to 3 steps before the node's time, 4 at
+    # the end of the run, a step being at most the stable cfl at kappa = 1
+    # (1.04 cells)
     cfl = scenario._CFL_SAFETY * scenario._RK4_IMAG_LIMIT / math.sqrt(scenario._LAP_RADIUS)
-    reach = geometry._NODE_MARGIN + 1 + solver._WINDOW // 2 + math.ceil(3 * cfl)
-    assert reach == 19 <= scenario.STORE_MARGIN
+    reach = geometry._NODE_MARGIN + 1 + max(solver._NODES) // 2 + math.ceil(4 * cfl)
+    assert reach == 20 <= scenario.STORE_MARGIN
 
 
 def test_the_store_hides_nothing_a_stage_reads(mid_run, tmp_path, monkeypatch):
@@ -592,12 +593,11 @@ def test_manifest_metrics_stay_outside_the_hashes(tiny_cfg, tmp_path, caplog):
         cap = store_cap(scn) - 1
         assert cap < history.r.size - 1
         assert health["max_abs_at_cap"] == max(
-            np.abs(f[:, cap]).max()
-            for f in (history.u, history.ut, history.v, history.vt))
+            np.abs(f[:, cap]).max() for f in (history.u, history.v))
     # the support cone stays inside the cap on this grid, so the column is
     # zero; a value placed in it is reported, and one in the padding is not
-    history.vt[-1, -1] = 5e-7
-    history.vt[-1, cap] = -3e-7
+    history.v[-1, -1] = 5e-7
+    history.v[-1, cap] = -3e-7
     assert cli._field_health(history)["max_abs_at_cap"] == 3e-7
     for stage in ("simulate", "energies"):
         assert any(rec.getMessage().startswith(f"stage {stage}: wall ")
@@ -610,11 +610,9 @@ def test_field_health_from_extremes_is_the_elementwise_value(p00):
     # p00 = 6, 1 - p00 u changes sign inside a block
     scn = parse_scenario(TINY).with_grid(p00=p00, cfl=0.1)
     rng = np.random.default_rng(3)
-    fields = {name: rng.standard_normal(history_shape(scn)) * 0.12
-              for name in ("u", "ut", "v", "vt")}
+    fields = {name: rng.standard_normal(history_shape(scn)) * 0.12 for name in ("u", "v")}
     history = solver.SliceHistory(
-        scenario=scn,
-        records=np.stack([fields[name] for name in ("u", "v", "ut", "vt")], axis=-1))
+        scenario=scn, records=np.stack([fields[name] for name in ("u", "v")], axis=-1))
     assert history.n_slices == 601
     u, v = fields["u"], fields["v"]
     assert u.min() < 0 < u.max() and v.min() < 0 < v.max()

@@ -207,37 +207,48 @@ def test_checked_in_scenarios_take_the_default_cfl():
 def test_history_past_the_memory_rule_is_rejected_with_its_lines():
     ref = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
            / "reference.cfg").read_text()
-    # 4 x 5001 x 5248 doubles (5121 radii padded to whole pages), 0.78 GiB
+    # 2 x 5001 x 5376 doubles (5121 radii padded to whole pages), 0.40 GiB
     assert history_bytes(parse_scenario(ref)) <= MAX_HISTORY_BYTES
     lines = ref.splitlines()
     dr_line, t_end_line = (next(i for i, line in enumerate(lines, 1)
                                 if line.startswith(key))
                            for key in ("grid.dr", "grid.t_end"))
-    # 4 x 50 001 x 51 072 doubles (51 021 radii padded to whole pages)
+    # 2 x 50 001 x 51 200 doubles (51 021 radii padded to whole pages)
     with pytest.raises(ScenarioError, match=f"^line {dr_line}: history too large: "
-                                            "76.1 GiB nominal") as info:
+                                            "38.15 GiB nominal") as info:
         parse_scenario(ref.replace("grid.dr = 0.01", "grid.dr = 0.001"))
     assert f"grid.t_end on line {t_end_line}" in str(info.value)
 
 
+def test_the_coupled_reference_grid_at_half_the_spacing_is_within_the_rule():
+    # 2 x 10 001 x 10 240 doubles (10 221 radii padded to whole pages),
+    # 1.53 GiB nominal
+    ref = parse_scenario((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "scenarios" / "reference.cfg").read_text())
+    fine = ref.with_grid(dr=0.005)
+    assert history_shape(fine) == (10001, 10240)
+    assert history_bytes(fine) == 1_638_563_840 <= MAX_HISTORY_BYTES
+
+
 @pytest.mark.parametrize("data,cfl,n_live", [
-    ({}, 0.3, 2),
-    ({"v0": Profile("zero")}, 0.15, 1),  # the free wave's v is dead
-    ({"eps": 0.0}, 0.15, 0),
+    ({}, 0.15, 2),
+    ({"v0": Profile("zero")}, 0.075, 1),  # the free wave's v is dead
+    ({"eps": 0.0}, 0.075, 0),
 ])
 def test_the_memory_rule_counts_the_live_fields(data, cfl, n_live):
-    # 16 bytes a live field in each cell: at cfl = 0.3 the coupled reference
-    # grid asks for 2.607 GiB, and with one live field (or none, which is
-    # held to the one-field limit) it takes cfl = 0.15 to ask about as
-    # much.  A row is padded to whole 4 KiB pages, from 5121 radii to 5248
-    # with two live fields and to 5376 with one (2.544 GiB unpadded, as
-    # with none); at twice the cfl each run is within the limit
+    # 8 bytes a live field in each cell: at cfl = 0.15 the coupled
+    # reference grid asks for 2.67 GiB, and with one live field (or none,
+    # which is held to the one-field limit) it takes cfl = 0.075 to ask
+    # about as much.  A row is padded to whole 4 KiB pages, from 5121 radii
+    # to 5376 with two live fields and to 5632 with one (2.544 GiB
+    # unpadded, as with none); at twice the cfl each run is within the
+    # limit
     ref = parse_scenario((Path(__file__).resolve().parents[1] / "perfbench"
                           / "scenarios" / "reference.cfg").read_text()).with_grid(**data)
     assert len(live_fields(ref)) == n_live
     roomy = ref.with_grid(cfl=2 * cfl)
-    assert history_bytes(roomy) == 16 * n_live * np.prod(history_shape(roomy))
-    nominal = {2: r"2\.607", 1: r"2\.67", 0: r"2\.544"}[n_live]
+    assert history_bytes(roomy) == 8 * n_live * np.prod(history_shape(roomy))
+    nominal = {2: r"2\.67", 1: r"2\.798", 0: r"2\.544"}[n_live]
     counted = ", counted as 1" if not n_live else ""
     with pytest.raises(ScenarioError, match=rf"^history too large: {nominal} GiB nominal "
                                             rf"\({n_live} of 2 fields live{counted};"):
@@ -255,7 +266,7 @@ def test_each_slice_is_stored_to_its_cone_and_the_margin_on_whole_pages():
     widths = store_widths(scn)
     assert np.array_equal(widths, np.minimum(cone + 21, 91))
     assert store_cap(scn) == widths[-1] == 91 > widths[-2]  # r_cap = 7 + 20 dr
-    for data, radii in (({}, 128), ({"v0": Profile("zero")}, 256),
+    for data, radii in (({}, 256), ({"v0": Profile("zero")}, 512),
                         ({"eps": 0.0}, 91)):
         case = scn.with_grid(**data)
         assert history_shape(case) == (n_steps + 1, radii)
@@ -276,7 +287,7 @@ def test_memory_rule_runs_before_anything_is_sized_by_the_grid(dr):
 @pytest.mark.parametrize("change,fragment", [
     (dict(eps=0.6), "degenerate data"),  # |1 - p00*eps*u0| reaches 0.4
     (dict(cfl=1.2), "unstable time step"),
-    (dict(dr=5e-4), "history too large"),  # 5.0 GiB nominal
+    (dict(dr=5e-4), "history too large"),  # 2.5 GiB nominal
 ])
 def test_a_scenario_is_runnable_however_it_is_built(change, fragment):
     # the solver's rules hold for a Scenario built directly or by
